@@ -7,15 +7,16 @@
 # corpus + fixed seeds through the transient-leakage oracle), a bounded
 # coverage-guided differential fuzz session (fuzz-short), and the
 # rocksimd service
-# smoke (serve-smoke: load, grid byte-identity, SIGTERM drain), and the
+# smoke (serve-smoke: load, grid byte-identity, SIGTERM drain), the
 # fleet smoke (fleet-smoke: 3 shards behind rockgate, grid
-# byte-identity, loss-free drain of all four processes);
+# byte-identity, loss-free drain of all four processes), and the
+# rockbench golden digests of every experiment's text (rockbench-test);
 # determinism re-runs the observability tests twice in one process to
 # prove the exports are byte-stable across map-iteration orders.
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke determinism ci bench-overhead golden bench bench-guard profile
+.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test determinism ci bench-overhead golden bench bench-guard profile
 
 all: tier1
 
@@ -53,7 +54,13 @@ smoke-parallel:
 	diff -u /tmp/sstbench-j1.txt /tmp/sstbench-j4.txt
 	@echo "smoke-parallel: -j 1 and -j 4 output identical"
 
-tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke bench-guard
+tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test bench-guard
+
+# The rockbench module has its own go.mod, so `go test ./...` skips it;
+# its tests hold the golden digests of every experiment's test-scale
+# text and every benchmarked /v1/run body.
+rockbench-test:
+	cd cmd/rockbench && $(GO) test .
 
 # Bounded coverage-guided session of the native differential fuzz
 # target (internal/sim FuzzDifferential): the mutator drives the
@@ -85,8 +92,8 @@ serve-smoke:
 	echo "serve-smoke: grid byte-identical to sstbench; daemon drained cleanly on SIGTERM"
 
 # Fleet smoke: boot 3 rocksimd shards and a rockgate router in front,
-# prove the gateway's /v1/grid (cells fanned out by cache key, the
-# bespoke F12 routed whole) is byte-identical to sstbench, then SIGTERM
+# prove the gateway's /v1/grid (every cell fanned out by cache key,
+# F12's SMT pairs included) is byte-identical to sstbench, then SIGTERM
 # all four processes and require clean (exit 0) drains.
 fleet-smoke:
 	$(GO) build -o /tmp/rocksimd-smoke ./cmd/rocksimd

@@ -141,18 +141,19 @@ func measureAll() (report, error) {
 // cold warm-up) happens before the benchmark loop so the steady-state
 // reuse cost is what gets measured.
 func measurePooled(k sim.Kind, prog *asm.Program, opts sim.Options) (runsPerSec, allocsPerOp float64, err error) {
-	in, err := sim.NewInstance(k, opts)
+	in, err := sim.NewInstance(sim.Shape{Kind: k}, opts)
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := in.Run(context.Background(), prog, opts); err != nil {
+	cell := sim.CoreCell(k, prog)
+	if _, err := in.Run(context.Background(), cell, opts); err != nil {
 		return 0, 0, err
 	}
 	var benchErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := in.Run(context.Background(), prog, opts); err != nil {
+			if _, err := in.Run(context.Background(), cell, opts); err != nil {
 				benchErr = err
 				b.FailNow()
 			}

@@ -33,7 +33,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := chip.Run(2_000_000_000); err != nil {
+			if err := rocksim.RunChip(chip, opts); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%5d  %-10v %14.3f %12.3f\n",

@@ -47,17 +47,18 @@ func main() {
 	for i := range entries {
 		entries[i] = entry
 	}
-	chip, err := rocksim.NewSharedChip(rocksim.SST, prog, entries, rocksim.DefaultOptions())
+	opts := rocksim.DefaultOptions()
+	chip, err := rocksim.NewSharedChip(rocksim.SST, prog, entries, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := chip.Run(2_000_000_000); err != nil {
+	if err := rocksim.RunChip(chip, opts); err != nil {
 		log.Fatal(err)
 	}
 
 	want := uint64(nCores * 200)
 	got := chip.Machines[0].Mem.Read(0x200000, 8)
-	fmt.Printf("shared counter: %d (want %d) in %d cycles\n", got, want, chip.Cycles())
+	fmt.Printf("shared counter: %d (want %d) in %d cycles\n", got, want, chip.Cycle())
 
 	var commits, aborts uint64
 	for i := range chip.Cores {

@@ -52,18 +52,19 @@ func main() {
 	}
 
 	opts := rocksim.DefaultOptions()
+	opts.MaxCycles = 50_000_000
 	chip, err := rocksim.NewSharedChip(rocksim.SST, prog, []uint64{prod, cons}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := chip.Run(50_000_000); err != nil {
+	if err := rocksim.RunChip(chip, opts); err != nil {
 		log.Fatal(err)
 	}
 
 	sum := chip.Machines[0].Mem.Read(0x200000+24, 8)
 	fmt.Printf("consumer computed %d (want %d)\n", sum, 12345+67890)
 	fmt.Printf("chip ran %d cycles; %d coherence invalidations\n",
-		chip.Cycles(), chip.Hier.Stats.CoherenceInvals)
+		chip.Cycle(), chip.Hier.Stats.CoherenceInvals)
 	for i, c := range chip.Cores {
 		fmt.Printf("core %d: %d instructions, IPC %.3f\n", i, c.Retired(),
 			float64(c.Retired())/float64(c.Cycle()))

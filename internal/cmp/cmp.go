@@ -6,6 +6,11 @@
 // program and private functional memory, with per-core physical-address
 // salting so the shared L2 sees disjoint footprints) and true
 // shared-memory runs (one memory, coherence invalidations on).
+//
+// A Chip is itself a cpu.Core (and cpu.FastForwarder), so the one
+// watchdogged run loop, cpu.RunCtx, steps chips exactly as it steps a
+// single core: same cycle budget, deadline and livelock detection, same
+// sentinel errors.
 package cmp
 
 import (
@@ -27,36 +32,61 @@ type Chip struct {
 	Hier     *mem.Hierarchy
 	Machines []*cpu.Machine
 	Cores    []cpu.Core
+	shared   bool
 	cycle    uint64
+	err      error
+	agg      cpu.BaseStats
+}
+
+// New builds a chip of len(entries) cores over one fresh hierarchy and
+// predictor group, core i starting at entries[i], with no program
+// loaded. A shared chip executes every core in one coherent functional
+// memory; otherwise each core gets a private memory and its physical
+// footprint is salted apart in the shared L2. pcfg.Share decides whether
+// cores get private predictor tables or pool one set (see
+// bpred.NewGroup).
+func New(hcfg mem.HierConfig, pcfg bpred.Config, entries []uint64, shared bool, build BuildCore) (*Chip, error) {
+	n := len(entries)
+	if n == 0 {
+		return nil, fmt.Errorf("cmp: need at least one core")
+	}
+	hier, err := mem.NewHierarchy(hcfg, n)
+	if err != nil {
+		return nil, err
+	}
+	c := &Chip{Hier: hier, shared: shared}
+	preds := bpred.NewGroup(pcfg, n)
+	var m *mem.Sparse
+	for i, e := range entries {
+		if m == nil || !shared {
+			m = mem.NewSparse()
+		}
+		mach := &cpu.Machine{Mem: m, Hier: hier, CoreID: i, Pred: preds[i], Coherent: shared}
+		cr, err := build(i, mach, e)
+		if err != nil {
+			return nil, fmt.Errorf("cmp: core %d: %w", i, err)
+		}
+		c.Machines = append(c.Machines, mach)
+		c.Cores = append(c.Cores, cr)
+	}
+	c.salt()
+	return c, nil
 }
 
 // NewPrivate builds a multiprogrammed chip: core i runs progs[i] in its
 // own functional memory. Coherence is off (no sharing) and each core's
 // physical footprint is salted apart in the shared L2.
 func NewPrivate(hcfg mem.HierConfig, pcfg bpred.Config, progs []*asm.Program, build BuildCore) (*Chip, error) {
-	n := len(progs)
-	if n == 0 {
-		return nil, fmt.Errorf("cmp: need at least one program")
+	entries := make([]uint64, len(progs))
+	for i, p := range progs {
+		entries[i] = p.Entry
 	}
-	hier, err := mem.NewHierarchy(hcfg, n)
+	c, err := New(hcfg, pcfg, entries, false, build)
 	if err != nil {
 		return nil, err
 	}
-	c := &Chip{Hier: hier}
-	// One predictor group for the chip: pcfg.Share decides whether cores
-	// get private table sets or pool one (see bpred.NewGroup).
-	preds := bpred.NewGroup(pcfg, n)
 	for i, p := range progs {
-		m := mem.NewSparse()
-		p.Load(m)
-		hier.SetAddressSalt(i, uint64(i)<<33)
-		mach := &cpu.Machine{Mem: m, Hier: hier, CoreID: i, Pred: preds[i]}
-		cr, err := build(i, mach, p.Entry)
-		if err != nil {
-			return nil, fmt.Errorf("cmp: core %d: %w", i, err)
-		}
-		c.Machines = append(c.Machines, mach)
-		c.Cores = append(c.Cores, cr)
+		p.Load(c.Machines[i].Mem)
 	}
 	return c, nil
 }
@@ -65,99 +95,75 @@ func NewPrivate(hcfg mem.HierConfig, pcfg bpred.Config, progs []*asm.Program, bu
 // functional memory (prog loaded once), starting at entries[i], with
 // coherence invalidations enabled.
 func NewShared(hcfg mem.HierConfig, pcfg bpred.Config, prog *asm.Program, entries []uint64, build BuildCore) (*Chip, error) {
-	n := len(entries)
-	if n == 0 {
-		return nil, fmt.Errorf("cmp: need at least one entry")
-	}
-	hier, err := mem.NewHierarchy(hcfg, n)
+	c, err := New(hcfg, pcfg, entries, true, build)
 	if err != nil {
 		return nil, err
 	}
-	shared := mem.NewSparse()
-	prog.Load(shared)
-	c := &Chip{Hier: hier}
-	preds := bpred.NewGroup(pcfg, n)
-	for i, e := range entries {
-		mach := &cpu.Machine{Mem: shared, Hier: hier, CoreID: i, Pred: preds[i], Coherent: true}
-		cr, err := build(i, mach, e)
-		if err != nil {
-			return nil, fmt.Errorf("cmp: core %d: %w", i, err)
-		}
-		c.Machines = append(c.Machines, mach)
-		c.Cores = append(c.Cores, cr)
-	}
+	prog.Load(c.Machines[0].Mem)
 	return c, nil
 }
 
-// Run steps all cores in lockstep until every core halts or maxCycles
-// elapse. When every alive core proves it is in a pure stall (see
-// cpu.FastForwarder), the lockstep clock jumps to the earliest cycle any
-// of them can change: with no core executing there are no stores, so no
-// coherence traffic or shared-level contention can arise mid-jump, and
-// per-core bulk crediting keeps all statistics bit-identical to naive
-// lockstep.
-func (c *Chip) Run(maxCycles uint64) error {
-	for c.cycle < maxCycles {
-		alive := false
-		canSkip := true
-		var target uint64
-		for _, core := range c.Cores {
-			if core.Done() {
-				continue
-			}
-			alive = true
-			if !canSkip {
-				continue
-			}
-			ff, ok := core.(cpu.FastForwarder)
-			var t uint64
-			if ok {
-				t = ff.NextEvent()
-			}
-			if t <= c.cycle {
-				canSkip = false
-				continue
-			}
-			if target == 0 || t < target {
-				target = t
-			}
-		}
-		if !alive {
-			return nil
-		}
-		if canSkip {
-			if target > maxCycles {
-				target = maxCycles
-			}
-			if target > c.cycle {
-				for _, core := range c.Cores {
-					if !core.Done() {
-						core.(cpu.FastForwarder).SkipTo(target)
-					}
-				}
-				c.cycle = target
-				continue
-			}
-		}
-		for i, core := range c.Cores {
-			if core.Done() {
-				continue
-			}
-			core.Step()
-			if err := core.Err(); err != nil {
-				return fmt.Errorf("cmp: core %d: %w", i, err)
-			}
-		}
-		c.cycle++
+// salt gives each core of a private chip its own physical-address salt.
+func (c *Chip) salt() {
+	if c.shared {
+		return
 	}
-	return fmt.Errorf("cmp: cycle limit %d exceeded", maxCycles)
+	for i := range c.Machines {
+		c.Hier.SetAddressSalt(i, uint64(i)<<33)
+	}
 }
 
-// Cycles returns the chip cycles elapsed (the lockstep count).
-func (c *Chip) Cycles() uint64 { return c.cycle }
+// Reset returns the chip to its freshly built state with core i
+// executing from entries[i], without reallocating: the hierarchy,
+// functional memories and predictors are cleared in place, private
+// chips re-salted, and every core reset on top (each core model must
+// implement cpu.Resetter). The caller loads programs afterwards.
+func (c *Chip) Reset(entries []uint64) {
+	c.Hier.Reset()
+	for i, m := range c.Machines {
+		if i == 0 || !c.shared {
+			m.Mem.Reset()
+		}
+		m.Pred.Reset()
+	}
+	c.salt()
+	for i, cr := range c.Cores {
+		cr.(cpu.Resetter).Reset(entries[i])
+	}
+	c.cycle, c.err = 0, nil
+}
 
-// TotalRetired sums retired instructions across cores.
-func (c *Chip) TotalRetired() uint64 {
+// Step advances the chip one lockstep cycle: every core that has not
+// halted steps once. A core error stops the cycle and is reported by Err.
+func (c *Chip) Step() {
+	for i, core := range c.Cores {
+		if core.Done() {
+			continue
+		}
+		core.Step()
+		if err := core.Err(); err != nil {
+			c.err = fmt.Errorf("cmp: core %d: %w", i, err)
+			return
+		}
+	}
+	c.cycle++
+}
+
+// Cycle returns the chip cycles elapsed (the lockstep count).
+func (c *Chip) Cycle() uint64 { return c.cycle }
+
+// Done reports whether every core has halted.
+func (c *Chip) Done() bool {
+	for _, core := range c.Cores {
+		if !core.Done() {
+			return false
+		}
+	}
+	return true
+}
+
+// Retired sums retired instructions across cores.
+func (c *Chip) Retired() uint64 {
 	var t uint64
 	for _, core := range c.Cores {
 		t += core.Retired()
@@ -165,10 +171,67 @@ func (c *Chip) TotalRetired() uint64 {
 	return t
 }
 
+// Err returns the first fatal core error.
+func (c *Chip) Err() error { return c.err }
+
+// Base returns the chip's aggregate statistics block: every core's
+// counters summed, with Cycles the lockstep count. Each core's own block
+// (Cores[i].Base()) keeps the exact per-core cycle-accounting stack.
+func (c *Chip) Base() *cpu.BaseStats {
+	c.agg = cpu.BaseStats{}
+	for _, core := range c.Cores {
+		c.agg.Add(core.Base())
+	}
+	c.agg.Cycles = c.cycle
+	return &c.agg
+}
+
 // Throughput returns aggregate instructions per chip cycle.
 func (c *Chip) Throughput() float64 {
 	if c.cycle == 0 {
 		return 0
 	}
-	return float64(c.TotalRetired()) / float64(c.cycle)
+	return float64(c.Retired()) / float64(c.cycle)
 }
+
+// NextEvent implements cpu.FastForwarder: the lockstep clock can jump
+// only when every alive core proves it is in a pure stall, to the
+// earliest cycle any of them can change. With no core executing there
+// are no stores, so no coherence traffic or shared-level contention can
+// arise mid-jump.
+func (c *Chip) NextEvent() uint64 {
+	var target uint64
+	for _, core := range c.Cores {
+		if core.Done() {
+			continue
+		}
+		ff, ok := core.(cpu.FastForwarder)
+		if !ok {
+			return 0
+		}
+		t := ff.NextEvent()
+		if t <= c.cycle {
+			return 0
+		}
+		if target == 0 || t < target {
+			target = t
+		}
+	}
+	return target
+}
+
+// SkipTo implements cpu.FastForwarder: every alive core bulk-credits the
+// jump, keeping all statistics bit-identical to naive lockstep.
+func (c *Chip) SkipTo(target uint64) {
+	if target <= c.cycle {
+		return
+	}
+	for _, core := range c.Cores {
+		if !core.Done() {
+			core.(cpu.FastForwarder).SkipTo(target)
+		}
+	}
+	c.cycle = target
+}
+
+var _ cpu.FastForwarder = (*Chip)(nil)

@@ -1,8 +1,8 @@
 package cmp
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"rocksim/internal/asm"
@@ -51,7 +51,7 @@ func TestPrivateChipRunsAllCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chip.Run(1_000_000); err != nil {
+	if err := cpu.Run(chip, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	wants := []uint64{55, 210, 465}
@@ -60,10 +60,10 @@ func TestPrivateChipRunsAllCores(t *testing.T) {
 			t.Errorf("core %d result = %d, want %d", i, got, w)
 		}
 	}
-	if chip.TotalRetired() == 0 || chip.Throughput() <= 0 {
+	if chip.Retired() == 0 || chip.Throughput() <= 0 {
 		t.Error("empty aggregate stats")
 	}
-	if chip.Cycles() == 0 {
+	if chip.Cycle() == 0 {
 		t.Error("no cycles")
 	}
 }
@@ -81,7 +81,7 @@ func TestPrivateChipIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := chip.Run(1_000_000); err != nil {
+		if err := cpu.Run(chip, 1_000_000); err != nil {
 			t.Fatal(err)
 		}
 		return chip.Hier.DRAM().Stats.Reads
@@ -123,7 +123,7 @@ func TestSharedChipProducerConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chip.Run(1_000_000); err != nil {
+	if err := cpu.Run(chip, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if got := chip.Machines[0].Mem.Read(0x20010, 8); got != 4242 {
@@ -168,7 +168,7 @@ func TestSharedChipSSTProducerConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chip.Run(5_000_000); err != nil {
+	if err := cpu.Run(chip, 5_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if got := chip.Machines[0].Mem.Read(0x20010, 8); got != 777 {
@@ -185,9 +185,8 @@ func TestChipCycleLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = chip.Run(1000)
-	if err == nil || !strings.Contains(err.Error(), "cycle limit") {
-		t.Errorf("want cycle-limit error, got %v", err)
+	if err := cpu.Run(chip, 1000); !errors.Is(err, cpu.ErrCycleLimit) {
+		t.Errorf("want cpu.ErrCycleLimit, got %v", err)
 	}
 }
 

@@ -130,7 +130,7 @@ func runLitmusChip(t *testing.T, src string, kinds [2]string, plans [2]*faults.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chip.Run(10_000_000); err != nil {
+	if err := cpu.Run(chip, 10_000_000); err != nil {
 		t.Fatal(err)
 	}
 	return chip

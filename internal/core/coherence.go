@@ -21,7 +21,7 @@ package core
 //     read bit set is lost.
 //
 // The listener runs during the *storing* core's Step — chips step cores
-// sequentially in one goroutine (cmp.Chip.Run), never during ours — so
+// sequentially in one goroutine (cmp.Chip.Step), never during ours — so
 // it only records the conflict (cohSeq); applyCoherence performs the
 // rollback at the top of our next Step, before replay can consume any
 // stale deferred value. NextEvent treats a pending conflict (or a

@@ -209,7 +209,7 @@ func TestTxConflictTwoCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chip.Run(50_000_000); err != nil {
+	if err := cpu.Run(chip, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if got := chip.Machines[0].Mem.Read(0x200000, 8); got != 2*perCore {

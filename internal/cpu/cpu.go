@@ -60,6 +60,13 @@ type FastForwarder interface {
 	SkipTo(target uint64)
 }
 
+// Resetter is implemented by core models that can return to their
+// freshly constructed state, executing from entry, without reallocating
+// (see sim.Instance). The caller resets the machine underneath first.
+type Resetter interface {
+	Reset(entry uint64)
+}
+
 // BaseStats is the statistics block common to all core models.
 type BaseStats struct {
 	Cycles  uint64
@@ -82,6 +89,25 @@ type BaseStats struct {
 	// CPI is the cycle-accounting stack: every simulated cycle lands in
 	// exactly one bucket (see cpi.go for the taxonomy and invariant).
 	CPI [NumBuckets]uint64
+}
+
+// Add sums o's counters and cycle-accounting buckets into s, leaving
+// s.Cycles alone: a multi-threaded machine (an SMT pair, a chip) keeps
+// its own clock and aggregates its threads' statistics with Add.
+func (s *BaseStats) Add(o *BaseStats) {
+	s.Retired += o.Retired
+	s.Loads += o.Loads
+	s.Stores += o.Stores
+	s.LoadL1Hits += o.LoadL1Hits
+	s.LoadL2Hits += o.LoadL2Hits
+	s.LoadMemHits += o.LoadMemHits
+	s.Branches += o.Branches
+	s.BranchMispred += o.BranchMispred
+	s.MLPSamples += o.MLPSamples
+	s.MLPSum += o.MLPSum
+	for i := range s.CPI {
+		s.CPI[i] += o.CPI[i]
+	}
 }
 
 // IPC returns retired instructions per cycle.

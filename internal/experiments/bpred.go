@@ -5,13 +5,8 @@ import (
 
 	"rocksim/internal/asm"
 	"rocksim/internal/bpred"
-	"rocksim/internal/cmp"
 	"rocksim/internal/core"
-	"rocksim/internal/cpu"
-	"rocksim/internal/inorder"
-	"rocksim/internal/mem"
 	"rocksim/internal/sim"
-	"rocksim/internal/smt"
 	"rocksim/internal/stats"
 	"rocksim/internal/workload"
 )
@@ -63,7 +58,7 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 		for _, k := range bpredKinds {
 			o := opts
 			o.Pred.Kind = k
-			cells = append(cells, cell{kind: sim.KindSST, spec: w, opts: o})
+			cells = append(cells, coreCell(sim.KindSST, w, o))
 		}
 	}
 	outs, errs1 := r.runCells(cells)
@@ -81,11 +76,10 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 			s.RollbacksBy[core.RbBranch], outs[i].IPC())
 	}
 
-	// B1b: SMT-2 share grid. Bespoke runs (the pair is not a cacheable
-	// single-core cell), assembled in flat-index order so output is
-	// byte-identical at any -j.
-	pairSpecs := make([][2]*workload.Spec, len(bpredSMTPairs))
-	for i, p := range bpredSMTPairs {
+	// B1b: SMT-2 share grid, one pair cell per (pair, kind, mode),
+	// assembled in flat-index order.
+	smtCells := make([]cell, 0, len(bpredSMTPairs)*nk*nm)
+	for _, p := range bpredSMTPairs {
 		wa, err := workload.Build(p[0], scale)
 		if err != nil {
 			return nil, err
@@ -94,25 +88,26 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pairSpecs[i] = [2]*workload.Spec{wa, wb}
-	}
-	type shareRes struct {
-		rate float64
-		ipc  float64
-	}
-	smtGrid := make([]shareRes, len(bpredSMTPairs)*nk*nm)
-	errs2 := r.forEachErrs(len(smtGrid), func(i int) error {
-		pi, ki, mi := i/(nk*nm), (i/nm)%nk, i%nm
-		o := opts
-		o.Pred.Kind = bpredKinds[ki]
-		o.Pred.Share = bpredShareModes[mi]
-		look, mis, ret, cyc, err := runSMTShare(pairSpecs[pi][0], pairSpecs[pi][1], o)
-		if err != nil {
-			return err
+		for _, k := range bpredKinds {
+			for _, m := range bpredShareModes {
+				o := opts
+				o.Pred.Kind = k
+				o.Pred.Share = m
+				smtCells = append(smtCells, cell{sim.Cell{Kind: sim.KindInOrder, Topo: sim.TopoSMT,
+					Progs: []*asm.Program{wa.Program, wb.Program}}, o})
+			}
 		}
-		smtGrid[i] = shareRes{rate: pct(mis, look), ipc: float64(ret) / float64(cyc)}
-		return nil
-	})
+	}
+	smtOuts, errs2 := r.runCells(smtCells)
+	// smtRate is a pair's aggregate direction-mispredict rate.
+	smtRate := func(out sim.Outcome) float64 {
+		var look, mis uint64
+		for _, th := range out.Threads() {
+			look += th.Pred.DirLookups
+			mis += th.Pred.DirMispredict
+		}
+		return pct(mis, look)
+	}
 	h2 := []string{"pair", "kind"}
 	for _, m := range bpredShareModes {
 		h2 = append(h2, "misp% "+m.String(), "ipc "+m.String())
@@ -127,7 +122,7 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 					row = fillErr(row, 2, errs2[i])
 					continue
 				}
-				row = append(row, smtGrid[i].rate, smtGrid[i].ipc)
+				row = append(row, smtRate(smtOuts[i]), smtOuts[i].IPC())
 			}
 			t2.AddRow(row...)
 		}
@@ -142,24 +137,16 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 		}
 		progs = append(progs, w.Program)
 	}
-	type cmpRes struct {
-		rate float64
-		rb   uint64
-		tp   float64
-	}
-	cmpGrid := make([]cmpRes, nk*nm)
-	errs3 := r.forEachErrs(len(cmpGrid), func(i int) error {
-		ki, mi := i/nm, i%nm
-		o := opts
-		o.Pred.Kind = bpredKinds[ki]
-		o.Pred.Share = bpredShareModes[mi]
-		def, mis, rb, tp, err := runCMPShare(progs, o)
-		if err != nil {
-			return err
+	cmpCells := make([]cell, 0, nk*nm)
+	for _, k := range bpredKinds {
+		for _, m := range bpredShareModes {
+			o := opts
+			o.Pred.Kind = k
+			o.Pred.Share = m
+			cmpCells = append(cmpCells, cell{sim.Cell{Kind: sim.KindSST, Topo: sim.TopoCMP, Progs: progs}, o})
 		}
-		cmpGrid[i] = cmpRes{rate: pct(mis, def), rb: rb, tp: tp}
-		return nil
-	})
+	}
+	cmpOuts, errs3 := r.runCells(cmpCells)
 	h3 := []string{"kind"}
 	for _, m := range bpredShareModes {
 		h3 = append(h3, "dmisp% "+m.String(), "rb-branch "+m.String(), "ipc/chip "+m.String())
@@ -173,7 +160,13 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 				row = fillErr(row, 3, errs3[i])
 				continue
 			}
-			row = append(row, cmpGrid[i].rate, cmpGrid[i].rb, cmpGrid[i].tp)
+			var def, mis, rb uint64
+			for _, th := range cmpOuts[i].Threads() {
+				def += th.SST.DeferredBranches
+				mis += th.SST.DeferredBranchMispred
+				rb += th.SST.RollbacksBy[core.RbBranch]
+			}
+			row = append(row, pct(mis, def), rb, cmpOuts[i].IPC())
 		}
 		t3.AddRow(row...)
 	}
@@ -208,10 +201,10 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 	// pooling helps a homogeneous coschedule and hurts a phase-shifted
 	// one, while hashing tracks partitioned.
 	if gi := 0; errs2[gi*nk*nm] == nil && errs2[gi*nk*nm+1] == nil {
-		part, shared := smtGrid[gi*nk*nm], smtGrid[gi*nk*nm+1]
+		part, shared := smtOuts[gi*nk*nm], smtOuts[gi*nk*nm+1]
 		notes = append(notes, fmt.Sprintf(
 			"gcc+gcc (gshare): pooled tables share training constructively, mispredict %.2f%% -> %.2f%%",
-			part.rate, shared.rate))
+			smtRate(part), smtRate(shared)))
 	}
 	var allErrs []error
 	allErrs = append(allErrs, errs1...)
@@ -231,58 +224,4 @@ func pct(num, den uint64) float64 {
 		return 0
 	}
 	return 100 * float64(num) / float64(den)
-}
-
-// runSMTShare runs two workloads as the strands of one physical core
-// (like runSMTPair) and additionally returns the pair's aggregate
-// direction-prediction traffic, so the B1 grid can compare share modes.
-func runSMTShare(wa, wb *workload.Spec, opts sim.Options) (lookups, mispred, retired, cycles uint64, err error) {
-	hier, err := mem.NewHierarchy(opts.Hier, 1)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	preds := bpred.NewGroup(opts.Pred, 2)
-	mkThread := func(strand int, w *workload.Spec) smt.Thread {
-		m := mem.NewSparse()
-		w.Program.Load(m)
-		mach := &cpu.Machine{Mem: m, Hier: hier, CoreID: 0, Pred: preds[strand]}
-		return smt.Thread{Core: inorder.New(mach, opts.InOrder, w.Program.Entry), Mach: mach}
-	}
-	c, err := smt.New(mkThread(0, wa), mkThread(1, wb))
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if err := cpu.Run(c, opts.CycleLimit()); err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("bpred smt pair %s+%s: %w", wa.Name, wb.Name, err)
-	}
-	for i := 0; i < 2; i++ {
-		s := c.Thread(i).Mach.Pred.Stats
-		lookups += s.DirLookups
-		mispred += s.DirMispredict
-		retired += c.Thread(i).Core.Retired()
-	}
-	return lookups, mispred, retired, c.Cycle(), nil
-}
-
-// runCMPShare runs a multiprogrammed chip of SST cores, one per program,
-// drawing predictors from one group (opts.Pred.Share decides the
-// policy), and returns the chip's aggregate deferred-branch behavior.
-func runCMPShare(progs []*asm.Program, opts sim.Options) (deferred, mispred, rbBranch uint64, throughput float64, err error) {
-	chip, err := cmp.NewPrivate(opts.Hier, opts.Pred, progs,
-		func(id int, m *cpu.Machine, entry uint64) (cpu.Core, error) {
-			return sim.NewCore(sim.KindSST, m, opts, entry)
-		})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if err := chip.Run(opts.CycleLimit()); err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("bpred cmp grid x%d: %w", len(progs), err)
-	}
-	for _, cr := range chip.Cores {
-		s := cr.(*core.Core).Stats()
-		deferred += s.DeferredBranches
-		mispred += s.DeferredBranchMispred
-		rbBranch += s.RollbacksBy[core.RbBranch]
-	}
-	return deferred, mispred, rbBranch, chip.Throughput(), nil
 }

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"rocksim/internal/asm"
-	"rocksim/internal/cmp"
-	"rocksim/internal/cpu"
 	"rocksim/internal/sim"
 	"rocksim/internal/stats"
 	"rocksim/internal/workload"
@@ -33,7 +29,7 @@ func (r *Runner) CMPScaling(scale workload.Scale) (*Result, error) {
 
 	opts := r.BaseOptions()
 	// Build each count's program mix up front (cheap, and shared
-	// read-only by the chip runs): round-robin over the commercial suite.
+	// read-only by the chip cells): round-robin over the commercial suite.
 	mixes := make([][]*asm.Program, len(counts))
 	for ci, n := range counts {
 		progs := make([]*asm.Program, 0, n)
@@ -46,23 +42,14 @@ func (r *Runner) CMPScaling(scale workload.Scale) (*Result, error) {
 		}
 		mixes[ci] = progs
 	}
-	// One pool job per (count, kind) chip run; rows assemble in order.
-	throughput := make([]float64, len(counts)*len(kinds))
-	errs := r.forEachErrs(len(throughput), func(i int) error {
-		n, k := counts[i/len(kinds)], kinds[i%len(kinds)]
-		chip, err := cmp.NewPrivate(opts.Hier, opts.Pred, mixes[i/len(kinds)],
-			func(id int, m *cpu.Machine, entry uint64) (cpu.Core, error) {
-				return sim.NewCore(k, m, opts, entry)
-			})
-		if err != nil {
-			return err
+	// One chip cell per (count, kind); rows assemble in order.
+	cells := make([]cell, 0, len(counts)*len(kinds))
+	for ci := range counts {
+		for _, k := range kinds {
+			cells = append(cells, cell{sim.Cell{Kind: k, Topo: sim.TopoCMP, Progs: mixes[ci]}, opts})
 		}
-		if err := chip.Run(opts.CycleLimit()); err != nil {
-			return fmt.Errorf("cmp scaling: %v x%d: %w", k, n, err)
-		}
-		throughput[i] = chip.Throughput()
-		return nil
-	})
+	}
+	outs, errs := r.runCells(cells)
 	for ci, n := range counts {
 		row := []any{n}
 		for ki := range kinds {
@@ -70,7 +57,7 @@ func (r *Runner) CMPScaling(scale workload.Scale) (*Result, error) {
 				row = fillErr(row, 2, err)
 				continue
 			}
-			tp := throughput[ci*len(kinds)+ki]
+			tp := outs[ci*len(kinds)+ki].IPC()
 			row = append(row, tp, tp/float64(n))
 		}
 		t.AddRow(row...)

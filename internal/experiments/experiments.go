@@ -116,12 +116,12 @@ func (r *Result) FprintCharts(w io.Writer) {
 	}
 }
 
-// Runner runs experiments with caching of workload runs, so that
-// experiments sharing a (kind, workload, options) run do not repeat it.
-// It is safe for concurrent use: drivers submit their grid cells to a
-// worker pool bounded by SetJobs, and concurrent requests for the same
-// cell — within one experiment or across experiments racing on a
-// shared Runner — deduplicate onto a single simulation (singleflight).
+// Runner runs experiments with caching of cell runs, so that
+// experiments sharing a (machine shape, programs, options) run do not
+// repeat it. It is safe for concurrent use: drivers submit their grid
+// cells to a worker pool bounded by SetJobs, and concurrent requests for
+// the same cell — within one experiment or across experiments racing on
+// a shared Runner — deduplicate onto a single simulation (singleflight).
 type Runner struct {
 	mu      sync.Mutex
 	jobs    int
@@ -136,15 +136,15 @@ type Runner struct {
 	hits, misses uint64
 
 	// pool recycles fully constructed simulators across cache misses,
-	// keyed by (kind, options shape); see pool.go. Cache misses that
-	// share a machine shape skip the whole construction cost and only
-	// pay for a reset.
+	// keyed by (machine shape, options shape); see pool.go. Cache misses
+	// that share a shape skip the whole construction cost and only pay
+	// for a reset.
 	pool simPool
 
 	// computeFn, when non-nil, replaces the compute function for cache
 	// fills. Test seam: the retry/singleflight tests inject counting and
 	// panicking computes without needing a crashing simulator.
-	computeFn func(ctx context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error)
+	computeFn ComputeBackend
 }
 
 // cacheEntry is one cell of the run cache. The first requester computes
@@ -239,18 +239,6 @@ func (r *Runner) forEachErrs(n int, job func(i int) error) []error {
 	return errs
 }
 
-// forEach is forEachErrs for drivers where any failure is fatal: it
-// still waits for every job, then returns the lowest-index error so
-// failures are as deterministic as results.
-func (r *Runner) forEach(n int, job func(i int) error) error {
-	for _, err := range r.forEachErrs(n, job) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runJob executes one pool job, converting a panic into an error and
 // retrying once: transient crashes (a scheduling-dependent model bug)
 // get a second chance, deterministic ones fail the cell attributably.
@@ -274,12 +262,16 @@ func recoverJob(i int, job func(i int) error) (err error) {
 	return job(i)
 }
 
-// cell is one (core kind, workload, options) point of an experiment
-// grid.
+// cell is one grid point of an experiment: a simulation and the
+// options it runs under.
 type cell struct {
-	kind sim.Kind
-	spec *workload.Spec
+	sim  sim.Cell
 	opts sim.Options
+}
+
+// coreCell is the grid point running workload w on one kind-k core.
+func coreCell(k sim.Kind, w *workload.Spec, opts sim.Options) cell {
+	return cell{sim.CoreCell(k, w.Program), opts}
 }
 
 // runCells executes every cell on the worker pool and returns the
@@ -291,42 +283,65 @@ type cell struct {
 func (r *Runner) runCells(cells []cell) (outs []sim.Outcome, errs []error) {
 	outs = make([]sim.Outcome, len(cells))
 	errs = r.forEachErrs(len(cells), func(i int) error {
-		out, err := r.run(cells[i].kind, cells[i].spec, cells[i].opts)
+		out, err := r.run(cells[i].sim, cells[i].opts)
 		outs[i] = out
 		return err
 	})
 	return outs, errs
 }
 
-// cacheKey derives the run-cache key from the cell's full contents:
-// the core kind, the complete program image and every simulation-
-// affecting option (sim.Options.Fingerprint). Call sites no longer
-// encode varied options into hand-written key strings, so two cells
-// that run the same simulation always share one cache slot and two
-// that differ never collide.
-func cacheKey(k sim.Kind, spec *workload.Spec, opts sim.Options) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%#x|", spec.Program.Entry)
-	for _, s := range spec.Program.Segments {
-		fmt.Fprintf(h, "%#x:", s.Addr)
-		h.Write(s.Data)
+// firstErr returns the first non-nil error of a group of cells.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	// Secret declarations change observable behavior (tainted-access
-	// accounting, digest scoping) without changing a single program byte,
-	// so they are part of the identity.
-	for _, sec := range spec.Program.Secrets {
-		fmt.Fprintf(h, "|sec%#x+%d", sec.Addr, sec.Len)
-	}
-	fmt.Fprintf(h, "|%s", opts.Fingerprint())
-	return fmt.Sprintf("%v|%s|%016x", k, spec.Name, h.Sum64())
+	return nil
 }
 
-// run executes workload spec on core kind k with options opts,
-// deduplicating identical cells through the content-addressed cache.
-// Concurrent requests for an in-flight cell block until the first
-// requester finishes (singleflight), so shared cells are computed once.
-func (r *Runner) run(k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error) {
-	return r.runCtx(context.Background(), k, spec, opts)
+// cacheKey derives the run-cache key from the cell's full contents: the
+// machine shape, every program image with its secret declarations, a
+// shared chip's entry points, the leak-check flag and every
+// simulation-affecting option (sim.Options.Fingerprint). Call sites
+// never encode varied options into hand-written key strings, so two
+// cells that run the same simulation always share one cache slot and
+// two that differ never collide.
+func cacheKey(c sim.Cell, opts sim.Options) string {
+	h := fnv.New64a()
+	for i, p := range c.Progs {
+		if i > 0 {
+			h.Write([]byte("#"))
+		}
+		fmt.Fprintf(h, "%#x|", p.Entry)
+		for _, s := range p.Segments {
+			fmt.Fprintf(h, "%#x:", s.Addr)
+			h.Write(s.Data)
+		}
+		// Secret declarations change observable behavior (tainted-access
+		// accounting, digest scoping) without changing a single program
+		// byte, so they are part of the identity.
+		for _, sec := range p.Secrets {
+			fmt.Fprintf(h, "|sec%#x+%d", sec.Addr, sec.Len)
+		}
+	}
+	for _, e := range c.Entries {
+		fmt.Fprintf(h, "|entry%#x", e)
+	}
+	fmt.Fprintf(h, "|%s", opts.Fingerprint())
+	shape := c.Shape().String()
+	if c.LeakCheck {
+		shape += " leak-check"
+	}
+	return fmt.Sprintf("%s|%s|%016x", shape, c.Desc(), h.Sum64())
+}
+
+// run executes cell c with options opts, deduplicating identical cells
+// through the content-addressed cache. Concurrent requests for an
+// in-flight cell block until the first requester finishes
+// (singleflight), so shared cells are computed once.
+func (r *Runner) run(c sim.Cell, opts sim.Options) (sim.Outcome, error) {
+	return r.runCtx(context.Background(), c, opts)
 }
 
 // runCtx is run under a caller context. The context carries the
@@ -336,8 +351,8 @@ func (r *Runner) run(k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Out
 // that computes gets cache-lookup and compute spans; a request that
 // joins an in-flight compute gets cache-lookup and cache-join, never a
 // duplicate compute.
-func (r *Runner) runCtx(ctx context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error) {
-	ck := cacheKey(k, spec, opts)
+func (r *Runner) runCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
+	ck := cacheKey(c, opts)
 	_, ls := obs.StartSpan(ctx, "cache-lookup")
 	r.mu.Lock()
 	if e, ok := r.cache[ck]; ok {
@@ -369,15 +384,15 @@ func (r *Runner) runCtx(ctx context.Context, k sim.Kind, spec *workload.Spec, op
 	// singleflight sharers depend on this fill, so a disconnecting
 	// originator must not abort it. Tracer values still flow.
 	cctx, cs := obs.StartSpan(context.WithoutCancel(ctx), "compute")
-	cs.SetAttr("kind", k.String())
-	cs.SetAttr("workload", spec.Name)
-	out, err := fn(cctx, k, spec, opts)
+	cs.SetAttr("kind", c.Kind.String())
+	cs.SetAttr("workload", c.Desc())
+	out, err := fn(cctx, c, opts)
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		// One bounded retry on a crash; a deterministic panic fails the
 		// cell for every sharer, with the stack preserved in the error.
 		cs.SetAttr("retried", "panic")
-		out, err = fn(cctx, k, spec, opts)
+		out, err = fn(cctx, c, opts)
 	}
 	if err != nil {
 		cs.SetAttr("err", err.Error())
@@ -388,21 +403,21 @@ func (r *Runner) runCtx(ctx context.Context, k sim.Kind, spec *workload.Spec, op
 	return out, err
 }
 
-// RunCell runs one (kind, workload, options) cell with the Runner's
-// full machinery: the request takes a worker-pool slot (so concurrent
-// callers respect the SetJobs bound), deduplicates through the
-// content-addressed cache, and recovers a crashing model into an
-// attributed *PanicError with one bounded retry. This is the cell-level
-// entry point the service front-end uses; grids go through Run.
-func (r *Runner) RunCell(k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error) {
-	return r.RunCellCtx(context.Background(), k, spec, opts)
+// RunCell runs one cell with the Runner's full machinery: the request
+// takes a worker-pool slot (so concurrent callers respect the SetJobs
+// bound), deduplicates through the content-addressed cache, and
+// recovers a crashing model into an attributed *PanicError with one
+// bounded retry. This is the cell-level entry point the service
+// front-end uses; grids go through Run.
+func (r *Runner) RunCell(c sim.Cell, opts sim.Options) (sim.Outcome, error) {
+	return r.RunCellCtx(context.Background(), c, opts)
 }
 
 // RunCellCtx is RunCell under a caller context, adding the request-
 // scoped spans: queue-wait covers the worker-pool admission, then the
 // cache/compute spans from runCtx. Tracing changes no outcome — the
 // context carries only observability state.
-func (r *Runner) RunCellCtx(ctx context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error) {
+func (r *Runner) RunCellCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
 	sem := r.semaphore()
 	_, qs := obs.StartSpan(ctx, "queue-wait")
 	sem <- struct{}{}
@@ -410,7 +425,7 @@ func (r *Runner) RunCellCtx(ctx context.Context, k sim.Kind, spec *workload.Spec
 	defer func() { <-sem }()
 	var out sim.Outcome
 	err := runJob(0, func(int) error {
-		o, err := r.runCtx(ctx, k, spec, opts)
+		o, err := r.runCtx(ctx, c, opts)
 		out = o
 		return err
 	})

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"rocksim/internal/asm"
-	"rocksim/internal/cmp"
-	"rocksim/internal/core"
-	"rocksim/internal/cpu"
 	"rocksim/internal/sim"
 	"rocksim/internal/stats"
 	"rocksim/internal/workload"
@@ -18,31 +15,34 @@ import (
 // microbenchmark. Reports cycles to complete a fixed total of
 // increments, plus HTM abort rates, as core count grows.
 func (r *Runner) HTMContention(scale workload.Scale) (*Result, error) {
-	perCore := 150
-	if scale == workload.ScaleFull {
-		perCore = 1000
-	}
 	counts := []int{1, 2, 4, 8}
-	// One pool job per (count, variant) chip run: even indices are the
-	// HTM variant, odd the cas variant.
-	type chipResult struct {
-		cycles, aborts, commits uint64
-	}
-	res := make([]chipResult, 2*len(counts))
-	opts := r.BaseOptions()
-	errs := r.forEachErrs(len(res), func(i int) error {
-		n := counts[i/2]
-		src := htmCounterSrc(perCore)
-		if i%2 == 1 {
-			src = casCounterSrc(perCore)
-		}
-		cycles, aborts, commits, err := runCounterChip(src, n, opts)
+	var kernels [2]*asm.Program
+	for i, name := range []string{"htm-counter", "cas-counter"} {
+		p, err := Program(name, scale)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res[i] = chipResult{cycles, aborts, commits}
-		return nil
-	})
+		kernels[i] = p
+	}
+	// One shared-memory SST chip per (count, kernel): even indices are
+	// the HTM variant, odd the cas variant.
+	opts := r.BaseOptions()
+	cells := make([]cell, 0, 2*len(counts))
+	for _, n := range counts {
+		for _, p := range kernels {
+			entry, ok := p.Symbol("worker")
+			if !ok {
+				return nil, fmt.Errorf("htm experiment: no worker symbol")
+			}
+			entries := make([]uint64, n)
+			for i := range entries {
+				entries[i] = entry
+			}
+			cells = append(cells, cell{sim.Cell{Kind: sim.KindSST, Topo: sim.TopoSharedCMP,
+				Progs: []*asm.Program{p}, Entries: entries}, opts})
+		}
+	}
+	outs, errs := r.runCells(cells)
 	t := stats.NewTable("Figure 16 (extension): contended counter — HTM vs cas (lower cycles = better)",
 		"cores", "htm cycles", "htm aborts/commit", "cas cycles", "htm/cas speedup")
 	for ci, n := range counts {
@@ -50,14 +50,19 @@ func (r *Runner) HTMContention(scale workload.Scale) (*Result, error) {
 			t.AddRow(fillErr([]any{n}, 4, err)...)
 			continue
 		}
+		htm := outs[2*ci]
+		var aborts, commits uint64
+		for _, th := range htm.Threads() {
+			aborts += th.SST.Tx.Aborts
+			commits += th.SST.Tx.Commits
+		}
 		if err := errs[2*ci+1]; err != nil {
-			htm := res[2*ci]
-			t.AddRow(n, htm.cycles, stats.Ratio(htm.aborts, htm.commits), errCell(err), errCell(err))
+			t.AddRow(n, htm.Cycles, stats.Ratio(aborts, commits), errCell(err), errCell(err))
 			continue
 		}
-		htm, cas := res[2*ci], res[2*ci+1]
-		t.AddRow(n, htm.cycles, stats.Ratio(htm.aborts, htm.commits), cas.cycles,
-			float64(cas.cycles)/float64(htm.cycles))
+		cas := outs[2*ci+1]
+		t.AddRow(n, htm.Cycles, stats.Ratio(aborts, commits), cas.Cycles,
+			float64(cas.Cycles)/float64(htm.Cycles))
 	}
 	return &Result{
 		ID: "F16", Title: "HTM vs atomics under contention", Tables: []*stats.Table{t},
@@ -68,8 +73,11 @@ func (r *Runner) HTMContention(scale workload.Scale) (*Result, error) {
 	}, nil
 }
 
-func htmCounterSrc(n int) string {
-	return fmt.Sprintf(`
+// counterKernels are F16's contended-counter programs by name: every
+// core runs "worker", adding its share of increments to one shared
+// counter.
+var counterKernels = map[string]string{
+	"htm-counter": `
 		.org 0x10000
 	worker:
 		movi r5, 0x200000
@@ -85,11 +93,8 @@ func htmCounterSrc(n int) string {
 		halt
 	handler:
 		j loop
-	`, n)
-}
-
-func casCounterSrc(n int) string {
-	return fmt.Sprintf(`
+	`,
+	"cas-counter": `
 		.org 0x10000
 	worker:
 		movi r5, 0x200000
@@ -103,38 +108,20 @@ func casCounterSrc(n int) string {
 		addi r20, r20, -1
 		bne  r20, zero, loop
 		halt
-	`, n)
+	`,
 }
 
-// runCounterChip runs src on n shared-memory SST cores and returns chip
-// cycles plus transactional abort/commit totals.
-func runCounterChip(src string, n int, opts sim.Options) (cycles, aborts, commits uint64, err error) {
-	prog, err := asm.Assemble(src)
+// counterProgram assembles a counter kernel with its per-core increment
+// count for scale.
+func counterProgram(name, src string, scale workload.Scale) (*asm.Program, error) {
+	perCore := 150
+	if scale == workload.ScaleFull {
+		perCore = 1000
+	}
+	p, err := asm.Assemble(fmt.Sprintf(src, perCore))
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	entry, ok := prog.Symbol("worker")
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("htm experiment: no worker symbol")
-	}
-	entries := make([]uint64, n)
-	for i := range entries {
-		entries[i] = entry
-	}
-	chip, err := cmp.NewShared(opts.Hier, opts.Pred, prog, entries,
-		func(id int, m *cpu.Machine, e uint64) (cpu.Core, error) {
-			return core.New(m, opts.SST, e), nil
-		})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if err := chip.Run(opts.CycleLimit()); err != nil {
-		return 0, 0, 0, err
-	}
-	for _, cr := range chip.Cores {
-		st := cr.(*core.Core).Stats()
-		aborts += st.Tx.Aborts
-		commits += st.Tx.Commits
-	}
-	return chip.Cycles(), aborts, commits, nil
+	p.Name = name
+	return p, nil
 }

@@ -32,7 +32,7 @@ func (r *Runner) PerfComparison(scale workload.Scale) (*Result, error) {
 	cells := make([]cell, 0, len(specs)*len(sim.Kinds))
 	for _, w := range specs {
 		for _, k := range sim.Kinds {
-			cells = append(cells, cell{k, w, opts})
+			cells = append(cells, coreCell(k, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)
@@ -109,7 +109,7 @@ func (r *Runner) ModeBreakdown(scale workload.Scale) (*Result, error) {
 	opts := r.BaseOptions()
 	cells := make([]cell, 0, len(specs))
 	for _, w := range specs {
-		cells = append(cells, cell{sim.KindSST, w, opts})
+		cells = append(cells, coreCell(sim.KindSST, w, opts))
 	}
 	outs, errs := r.runCells(cells)
 	headers := []string{"workload"}
@@ -148,7 +148,7 @@ func (r *Runner) MLPComparison(scale workload.Scale) (*Result, error) {
 	cells := make([]cell, 0, len(specs)*len(sim.Kinds))
 	for _, w := range specs {
 		for _, k := range sim.Kinds {
-			cells = append(cells, cell{k, w, opts})
+			cells = append(cells, coreCell(k, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)
@@ -184,7 +184,7 @@ func (r *Runner) Ablation(scale workload.Scale) (*Result, error) {
 	cells := make([]cell, 0, len(specs)*len(kinds))
 	for _, w := range specs {
 		for _, k := range kinds {
-			cells = append(cells, cell{k, w, opts})
+			cells = append(cells, coreCell(k, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)
@@ -244,7 +244,7 @@ func (r *Runner) RollbackAccounting(scale workload.Scale) (*Result, error) {
 	opts := r.BaseOptions()
 	cells := make([]cell, 0, len(specs))
 	for _, w := range specs {
-		cells = append(cells, cell{sim.KindSST, w, opts})
+		cells = append(cells, coreCell(sim.KindSST, w, opts))
 	}
 	outs, errs := r.runCells(cells)
 	headers := []string{"workload", "checkpoints", "commits", "rollbacks"}

@@ -42,7 +42,7 @@ func (r *Runner) PolicyAblation(scale workload.Scale) (*Result, error) {
 		for _, v := range variants {
 			opts := r.BaseOptions()
 			v.mutate(&opts.SST)
-			cells = append(cells, cell{sim.KindSST, w, opts})
+			cells = append(cells, coreCell(sim.KindSST, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)
@@ -92,7 +92,7 @@ func (r *Runner) PrefetchInterplay(scale workload.Scale) (*Result, error) {
 				opts := r.BaseOptions()
 				opts.Hier.Prefetch = pf
 				opts.Hier.Stride = mem.DefaultStrideConfig()
-				cells = append(cells, cell{k, w, opts})
+				cells = append(cells, coreCell(k, w, opts))
 			}
 		}
 	}

@@ -7,42 +7,71 @@ import (
 	"sync"
 
 	"rocksim/internal/sim"
-	"rocksim/internal/workload"
 )
 
-// simPool hands out reusable sim.Instances keyed by (kind, options
-// shape): the full machine — functional memory, cache hierarchy,
-// branch predictor, core model — is constructed once per shape and
-// reset between runs, instead of reallocated per run (~8.6k allocations
-// each). Shapes are keyed by sim.PoolKey, which covers exactly the
-// construction-affecting options; per-run options (program, watchdogs,
+// simPool hands out reusable sim.Instances keyed by (machine shape,
+// options shape): the full machine — functional memories, cache
+// hierarchy, branch predictors, core models, for one core, an SMT pair
+// or a chip — is constructed once per shape and reset between runs,
+// instead of reallocated per run (~8.6k allocations for one core).
+// Shapes are keyed by sim.PoolKey, which covers exactly the
+// construction-affecting options; per-run options (programs, watchdogs,
 // faults, observability) are applied by Instance.Run, so two cells
-// differing only in those share one pool. Each sync.Pool entry is used
-// by one run at a time; under memory pressure the GC reclaims idle
-// instances, which is the correct behavior for a cache of
-// reconstructible machines.
+// differing only in those share one sync.Pool. Each instance serves one
+// run at a time; the GC reclaims idle ones, which is the correct
+// behavior for a cache of reconstructible machines.
+//
+// Only the maxShapes most recently used shapes keep a pool. An instance
+// holds megabytes (the default L2's tag store alone is 2 MB) and a grid
+// touches dozens of shapes once each — chips and SMT pairs among them —
+// so an evicted shape's idle instances are drained into garbage at once
+// instead of surviving, pooled, into the GC's next cycles.
 type simPool struct {
-	mu    sync.Mutex
-	pools map[string]*sync.Pool
+	mu     sync.Mutex
+	shapes []pooledShape // least recently used first
 
 	// reused counts runs served by a recycled instance; built counts
 	// instance constructions. Read via Runner.PoolStats.
 	reused, built uint64
 }
 
+type pooledShape struct {
+	key  string
+	pool *sync.Pool
+}
+
+// maxShapes bounds the shapes a pool keeps: every core kind of one
+// options shape (the service's steady /v1/run traffic), plus one.
+const maxShapes = 8
+
+// shape returns key's pool, marking it most recently used. A new key
+// beyond maxShapes evicts the least recently used shape, draining its
+// idle instances. Called with p.mu held.
+func (p *simPool) shape(key string) *sync.Pool {
+	for i := len(p.shapes) - 1; i >= 0; i-- {
+		if ps := p.shapes[i]; ps.key == key {
+			copy(p.shapes[i:], p.shapes[i+1:])
+			p.shapes[len(p.shapes)-1] = ps
+			return ps.pool
+		}
+	}
+	if len(p.shapes) == maxShapes {
+		for p.shapes[0].pool.Get() != nil {
+		}
+		copy(p.shapes, p.shapes[1:])
+		p.shapes = p.shapes[:maxShapes-1]
+	}
+	sp := &sync.Pool{}
+	p.shapes = append(p.shapes, pooledShape{key, sp})
+	return sp
+}
+
 // get returns a ready instance for the cell's shape: a recycled one
 // when the pool has one idle, a freshly built one otherwise.
-func (p *simPool) get(k sim.Kind, opts sim.Options) (*sim.Instance, error) {
-	key := sim.PoolKey(k, opts)
+func (p *simPool) get(s sim.Shape, opts sim.Options) (*sim.Instance, error) {
+	key := sim.PoolKey(s, opts)
 	p.mu.Lock()
-	if p.pools == nil {
-		p.pools = make(map[string]*sync.Pool)
-	}
-	sp := p.pools[key]
-	if sp == nil {
-		sp = &sync.Pool{}
-		p.pools[key] = sp
-	}
+	sp := p.shape(key)
 	p.mu.Unlock()
 	if in, _ := sp.Get().(*sim.Instance); in != nil {
 		p.mu.Lock()
@@ -50,7 +79,7 @@ func (p *simPool) get(k sim.Kind, opts sim.Options) (*sim.Instance, error) {
 		p.mu.Unlock()
 		return in, nil
 	}
-	in, err := sim.NewInstance(k, opts)
+	in, err := sim.NewInstance(s, opts)
 	if err == nil {
 		p.mu.Lock()
 		p.built++
@@ -65,13 +94,12 @@ func (p *simPool) get(k sim.Kind, opts sim.Options) (*sim.Instance, error) {
 // the pool's contract is that every instance it hands out is
 // indistinguishable from freshly built. compute enforces this by
 // putting only on the non-panic path.
-func (p *simPool) put(k sim.Kind, opts sim.Options, in *sim.Instance) {
+func (p *simPool) put(s sim.Shape, opts sim.Options, in *sim.Instance) {
+	key := sim.PoolKey(s, opts)
 	p.mu.Lock()
-	sp := p.pools[sim.PoolKey(k, opts)]
+	sp := p.shape(key)
 	p.mu.Unlock()
-	if sp != nil {
-		sp.Put(in)
-	}
+	sp.Put(in)
 }
 
 // PoolStats reports simulator-pool traffic since the Runner was
@@ -92,24 +120,26 @@ func (r *Runner) PoolStats() (reused, built uint64) {
 // is fully cleared by the next Reset and goes back.
 //
 // Instance.Run returns a detached outcome — stats-only copies of the
-// core and hierarchy — so the run cache and its consumers (reports,
-// registries, the service layer) hold exact frozen figures while the
-// live instance is reset and reused.
-func (r *Runner) compute(ctx context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (out sim.Outcome, err error) {
+// core and hierarchy, or the statistics snapshot of a multi-threaded
+// cell — so the run cache and its consumers (reports, registries, the
+// service layer) hold exact frozen figures while the live instance is
+// reset and reused.
+func (r *Runner) compute(ctx context.Context, c sim.Cell, opts sim.Options) (out sim.Outcome, err error) {
+	s := c.Shape()
 	defer func() {
 		if v := recover(); v != nil {
-			err = fmt.Errorf("experiments: %v on %s: %w", k, spec.Name,
+			err = fmt.Errorf("experiments: %v on %s: %w", s, c.Desc(),
 				&PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
-	in, err := r.pool.get(k, opts)
+	in, err := r.pool.get(s, opts)
 	if err != nil {
-		return sim.Outcome{}, fmt.Errorf("experiments: %v on %s: %w", k, spec.Name, err)
+		return sim.Outcome{}, fmt.Errorf("experiments: %v on %s: %w", s, c.Desc(), err)
 	}
-	out, err = in.Run(ctx, spec.Program, opts)
-	r.pool.put(k, opts, in)
+	out, err = in.Run(ctx, c, opts)
+	r.pool.put(s, opts, in)
 	if err != nil {
-		err = fmt.Errorf("experiments: %v on %s: %w", k, spec.Name, err)
+		err = fmt.Errorf("experiments: %v on %s: %w", s, c.Desc(), err)
 	}
 	return out, err
 }

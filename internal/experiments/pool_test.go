@@ -26,7 +26,7 @@ func TestPoolReusesInstances(t *testing.T) {
 	// fingerprint) with an identical pool shape.
 	for i := 0; i < 4; i++ {
 		opts.MaxCycles = uint64(100_000_000 + i)
-		if _, err := r.RunCell(sim.KindSST, spec, opts); err != nil {
+		if _, err := r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestPoolReusesInstances(t *testing.T) {
 	// A different shape must not share instances with the first.
 	other := opts
 	other.SST.DQSize *= 2
-	if _, err := r.RunCell(sim.KindSST, spec, other); err != nil {
+	if _, err := r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), other); err != nil {
 		t.Fatal(err)
 	}
 	if _, built = r.PoolStats(); built != 2 {
@@ -54,7 +54,7 @@ func TestPoolReusesInstances(t *testing.T) {
 
 	// A cache hit must not touch the pool at all.
 	reused, _ = r.PoolStats()
-	if _, err := r.RunCell(sim.KindSST, spec, other); err != nil {
+	if _, err := r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), other); err != nil {
 		t.Fatal(err)
 	}
 	if r2, b2 := r.PoolStats(); r2 != reused || b2 != 2 {
@@ -81,11 +81,11 @@ func TestPoolReusesAfterWatchdogError(t *testing.T) {
 	}
 	opts := sim.DefaultOptions()
 	opts.MaxCycles = 10 // trips immediately
-	if _, err := r.RunCell(sim.KindSST, spec, opts); err == nil {
+	if _, err := r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), opts); err == nil {
 		t.Fatal("want a cycle-limit error")
 	}
 	opts.MaxCycles = 0
-	out, err := r.RunCell(sim.KindSST, spec, opts)
+	out, err := r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,5 +99,43 @@ func TestPoolReusesAfterWatchdogError(t *testing.T) {
 	}
 	if reused, built := r.PoolStats(); built != 1 || reused != 1 {
 		t.Errorf("want the errored instance recycled (1 built, 1 reused), got %d built, %d reused", built, reused)
+	}
+}
+
+// TestPoolBoundsShapes: the pool keeps instances for at most maxShapes
+// shapes, evicting the least recently used, so a grid touching many
+// shapes once each does not hold every machine it ever built. GC is
+// paused, as above.
+func TestPoolBoundsShapes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	r := NewRunner()
+	r.SetJobs(1)
+	spec := testSpec(t)
+	opts := sim.DefaultOptions()
+	for i := 0; i <= maxShapes; i++ {
+		o := opts
+		o.SST.DQSize = 8 + i // a distinct shape each
+		if _, err := r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(r.pool.shapes); n != maxShapes {
+		t.Fatalf("%d pooled shapes after %d, want the bound %d", n, maxShapes+1, maxShapes)
+	}
+	// The first shape was evicted and is rebuilt; the newest is reused.
+	// MaxCycles makes each a cache miss (a cycle-limit error, after which
+	// the instance still returns to the pool).
+	rerun := func(dq int) (reused, built uint64) {
+		o := opts
+		o.SST.DQSize, o.MaxCycles = dq, 1
+		r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), o)
+		return r.PoolStats()
+	}
+	if _, built := rerun(8); built != maxShapes+2 {
+		t.Errorf("%d built; want the evicted shape rebuilt (%d)", built, maxShapes+2)
+	}
+	// Under the race detector sync.Pool drops a random share of Puts.
+	if reused, _ := rerun(8 + maxShapes); reused != 1 && !raceDetectorOn {
+		t.Errorf("%d reused; want the newest shape's instance reused once", reused)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // raceIDs deliberately overlaps cells: F8 and F10 share F1's
 // default-option runs and T2 its in-order baselines, so a concurrent
 // regeneration exercises the singleflight dedup paths, not just the
-// worker pool. F12 and F16 add the SMT-pair and CMP drivers, whose
-// jobs run whole chips rather than cached single-core cells. The set
-// is kept cheap enough to fit the race detector's slowdown.
+// worker pool. F12 and F16 add SMT-pair and shared-chip cells, which
+// race on pooled multi-threaded instances. The set is kept cheap enough
+// to fit the race detector's slowdown.
 var raceIDs = []string{"T2", "F1", "F8", "F10", "F12", "F16"}
 
 func renderResult(t *testing.T, r *Runner, id string) string {
@@ -80,11 +80,11 @@ func TestRunCacheSharesCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := sim.DefaultOptions()
-	a, err := r.run(sim.KindSST, w, opts)
+	a, err := r.run(sim.CoreCell(sim.KindSST, w.Program), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.run(sim.KindSST, w, opts)
+	b, err := r.run(sim.CoreCell(sim.KindSST, w.Program), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRunCacheSharesCells(t *testing.T) {
 	}
 	opts2 := sim.DefaultOptions()
 	opts2.SST.DQSize = 8
-	c, err := r.run(sim.KindSST, w, opts2)
+	c, err := r.run(sim.CoreCell(sim.KindSST, w.Program), opts2)
 	if err != nil {
 		t.Fatal(err)
 	}

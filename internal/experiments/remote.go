@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 
+	"rocksim/internal/asm"
 	"rocksim/internal/cpu"
 	"rocksim/internal/sim"
 	"rocksim/internal/workload"
@@ -21,26 +23,30 @@ import (
 //     Runner can delegate cell computation (to a shard, or to a test's
 //     blocking fake) while keeping the cache, singleflight, worker pool
 //     and panic-retry machinery unchanged.
-//   - ErrClass / NewRemoteError round-trip a cell's failure through the
-//     wire so ERR(reason) cells and Errs report lines render exactly as
-//     they would on a single node.
-//   - RemoteSafe classifies which experiments decompose into cache
-//     cells (fan out cell-by-cell) versus run bespoke multi-core
-//     simulations (routed to a shard whole).
+//   - ErrClass / NewRemoteError round-trip a cell's failure — or a
+//     leak-check cell's verdict — through the wire so ERR(reason) cells,
+//     verdicts and Errs report lines render exactly as they would on a
+//     single node.
+//   - Program resolves the program names a cell carries on the wire.
+//
+// Every experiment decomposes into cells — single cores, SMT pairs,
+// chips and leak-oracle checks alike — so a router assembles any grid
+// itself, cell by cell.
 
-// CellKey returns the content-addressed run-cache key of one
-// (kind, workload, options) cell: FNV over the program image, secret
-// declarations and the canonical options fingerprint. The fleet router
-// hashes this key onto the shard ring, so cache placement and request
-// routing agree byte for byte.
-func CellKey(k sim.Kind, spec *workload.Spec, opts sim.Options) string {
-	return cacheKey(k, spec, opts)
+// CellKey returns the content-addressed run-cache key of one cell: FNV
+// over every program image with its secret declarations, the machine
+// shape, a shared chip's entry points and the canonical options
+// fingerprint. The fleet router hashes this key onto the shard ring, so
+// cache placement and request routing agree byte for byte; a shard
+// recomputes it to check that it resolved the cell the router meant.
+func CellKey(c sim.Cell, opts sim.Options) string {
+	return cacheKey(c, opts)
 }
 
 // ComputeBackend computes one cell. The default backend simulates
 // locally (through the instance pool); a router installs one that asks
 // the owning shard instead.
-type ComputeBackend func(ctx context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error)
+type ComputeBackend func(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error)
 
 // SetComputeBackend replaces the Runner's cache-fill compute function.
 // Cache keying, singleflight deduplication, the worker-pool bound and
@@ -62,13 +68,18 @@ const (
 	ErrClassDeadline   = "deadline"
 	ErrClassPanic      = "panic"
 	ErrClassRunFailed  = "run-failed"
+	// ErrClassLeak is a leak-check cell's "leaks" verdict
+	// (sim.ErrTransientLeak).
+	ErrClassLeak = "leak"
 )
 
 // ErrClass classifies a cell error for the wire, mirroring errCell's
-// taxonomy exactly.
+// taxonomy exactly (plus the leak verdict).
 func ErrClass(err error) string {
 	var pe *PanicError
 	switch {
+	case errors.Is(err, sim.ErrTransientLeak):
+		return ErrClassLeak
 	case errors.Is(err, cpu.ErrLivelock):
 		return ErrClassLivelock
 	case errors.Is(err, cpu.ErrCycleLimit):
@@ -96,11 +107,14 @@ func NewRemoteError(class, msg string) *RemoteError {
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-// Is maps the wire class back onto the watchdog sentinels, so
-// errors.Is-based rendering (errCell) and status mapping (the 504 path
-// in internal/serve) treat a remote failure like a local one.
+// Is maps the wire class back onto the watchdog and verdict sentinels,
+// so errors.Is-based rendering (errCell, the S1 verdict table) and
+// status mapping (the 504 path in internal/serve) treat a remote
+// failure like a local one.
 func (e *RemoteError) Is(target error) bool {
 	switch e.Class {
+	case ErrClassLeak:
+		return target == sim.ErrTransientLeak
 	case ErrClassLivelock:
 		return target == cpu.ErrLivelock
 	case ErrClassCycleLimit:
@@ -111,23 +125,29 @@ func (e *RemoteError) Is(target error) bool {
 	return false
 }
 
-// remoteSafe lists the experiments whose every simulation goes through
-// the Runner's cell cache (runCells / run), so a router can fan their
-// cells out to shards and assemble the tables itself. The others run
-// bespoke multi-core simulations outside the cell seam — CMP chips
-// (F9, F16), SMT pairs (F12), leakage-oracle sweeps (S1) — and are
-// routed to a shard whole. T1 and T3 run no simulations at all; they
-// are safe anywhere. Misclassifying an experiment here costs only
-// compute placement, never output bytes: the gate byte-identity tests
-// hold either way.
-var remoteSafe = map[string]bool{
-	"T1": true, "T2": true, "T3": true,
-	"F1": true, "F2": true, "F3": true, "F4": true, "F5": true,
-	"F6": true, "F7": true, "F8": true, "F10": true, "F11": true,
-	"F13": true, "F14": true, "F15": true,
+// Program resolves a program name the way a shard resolves the names
+// of a /v1/cell request: a built-in workload at scale, one of F16's
+// contended-counter kernels sized for scale, or a transient-leakage
+// gadget.
+func Program(name string, scale workload.Scale) (*asm.Program, error) {
+	if _, ok := workload.ByName[name]; ok {
+		w, err := workload.Build(name, scale)
+		if err != nil {
+			return nil, err
+		}
+		return w.Program, nil
+	}
+	if src, ok := counterKernels[name]; ok {
+		return counterProgram(name, src, scale)
+	}
+	gadgets, err := sim.LeakGadgets()
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range gadgets {
+		if g.Name == name {
+			return g, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown program %q", name)
 }
-
-// RemoteSafe reports whether experiment id decomposes entirely into
-// cache cells (every simulation flows through the cell seam), making it
-// safe to assemble on a router with a remote compute backend.
-func RemoteSafe(id string) bool { return remoteSafe[id] }

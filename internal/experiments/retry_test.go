@@ -33,7 +33,7 @@ func TestDeterministicPanicBoundedRetry(t *testing.T) {
 	r.SetJobs(4)
 	spec := testSpec(t)
 	var computes atomic.Int64
-	r.computeFn = func(_ context.Context, k sim.Kind, s *workload.Spec, o sim.Options) (sim.Outcome, error) {
+	r.computeFn = func(_ context.Context, c sim.Cell, o sim.Options) (sim.Outcome, error) {
 		computes.Add(1)
 		// Mimic compute's contract: panics are recovered and attributed
 		// before they reach the cache fill.
@@ -43,7 +43,7 @@ func TestDeterministicPanicBoundedRetry(t *testing.T) {
 	const n = 8
 	outs := make([]error, n)
 	errs := r.forEachErrs(n, func(i int) error {
-		_, err := r.run(sim.KindSST, spec, sim.DefaultOptions())
+		_, err := r.run(sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions())
 		outs[i] = err
 		return err
 	})
@@ -82,14 +82,14 @@ func TestTransientPanicRecovers(t *testing.T) {
 	r := NewRunner()
 	spec := testSpec(t)
 	var computes atomic.Int64
-	r.computeFn = func(_ context.Context, k sim.Kind, s *workload.Spec, o sim.Options) (sim.Outcome, error) {
+	r.computeFn = func(_ context.Context, c sim.Cell, o sim.Options) (sim.Outcome, error) {
 		if computes.Add(1) == 1 {
 			return sim.Outcome{}, &PanicError{Value: "transient", Stack: []byte("stack")}
 		}
 		return sim.Outcome{Cycles: 1234}, nil
 	}
 	errs := r.forEachErrs(4, func(i int) error {
-		out, err := r.run(sim.KindSST, spec, sim.DefaultOptions())
+		out, err := r.run(sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions())
 		if err == nil && out.Cycles != 1234 {
 			t.Errorf("request %d: wrong cached outcome %d", i, out.Cycles)
 		}
@@ -141,7 +141,7 @@ func TestRunCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		got, err := r.RunCell(sim.KindInOrder, spec, opts)
+		got, err := r.RunCell(sim.CoreCell(sim.KindInOrder, spec.Program), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rocksim/internal/asm"
 	"rocksim/internal/sim"
 	"rocksim/internal/stats"
 	"rocksim/internal/workload"
@@ -61,19 +62,20 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 	}
 	kinds := sim.Kinds
 
-	// Leakage verdicts: one oracle call per (mode, kind, gadget). A
-	// verdict (leak, arch-dependence, clean) is a result, not a job
-	// failure; only infrastructure panics surface through errs.
-	verdicts := make([]error, len(SecureModes)*len(kinds)*len(gadgets))
-	vErrs := r.forEachErrs(len(verdicts), func(i int) error {
-		mode := SecureModes[i/(len(kinds)*len(gadgets))]
-		k := kinds[(i/len(gadgets))%len(kinds)]
-		g := gadgets[i%len(gadgets)]
+	// Leakage verdicts: one leak-check cell per (mode, kind, gadget). A
+	// verdict is the cell's error: nil (clean), sim.ErrTransientLeak
+	// (leaks), or a failure that renders as an ERR cell.
+	vcells := make([]cell, 0, len(SecureModes)*len(kinds)*len(gadgets))
+	for _, mode := range SecureModes {
 		opts := r.BaseOptions()
 		applySecureMode(&opts, mode)
-		verdicts[i] = sim.CheckTransientLeakage(k, g, opts)
-		return nil
-	})
+		for _, k := range kinds {
+			for _, g := range gadgets {
+				vcells = append(vcells, cell{sim.Cell{Kind: k, Progs: []*asm.Program{g}, LeakCheck: true}, opts})
+			}
+		}
+	}
+	_, verdicts := r.runCells(vcells)
 
 	vt := stats.NewTable("Transient-leakage verdicts (gadget corpus: leaking channels per mode)",
 		append([]string{"kind"}, SecureModes...)...)
@@ -85,11 +87,7 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 			cellErr := ""
 			for gi, g := range gadgets {
 				i := (mi*len(kinds)+ki)*len(gadgets) + gi
-				v := verdicts[i]
-				if vErrs[i] != nil {
-					v = vErrs[i]
-				}
-				switch {
+				switch v := verdicts[i]; {
 				case v == nil:
 				case errors.Is(v, sim.ErrTransientLeak):
 					leaks = append(leaks, gadgetShort(g.Name))
@@ -118,7 +116,7 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 			opts := r.BaseOptions()
 			applySecureMode(&opts, mode)
 			for _, w := range specs {
-				cells = append(cells, cell{k, w, opts})
+				cells = append(cells, coreCell(k, w, opts))
 			}
 		}
 	}
@@ -157,6 +155,13 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 		ct.AddRow(row...)
 	}
 
+	// A verdict other than clean or leaking is a failed cell.
+	var failed []error
+	for _, v := range verdicts {
+		if v != nil && !errors.Is(v, sim.ErrTransientLeak) {
+			failed = append(failed, v)
+		}
+	}
 	cost := func(mode string) float64 {
 		return 100 * (1 - relGeo[[2]string{"sst", mode}])
 	}
@@ -171,6 +176,6 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 				cost("delay"), cost("nofwd"), cost("ssb"), cost("all")),
 			"secure modes configure the SST family only: the OOO baseline has no mitigation, like the cores Spectre was published against",
 		},
-		Errs: append(collectErrs(vErrs), collectErrs(append(cellErrs, nil))...),
+		Errs: append(collectErrs(failed), collectErrs(cellErrs)...),
 	}, nil
 }

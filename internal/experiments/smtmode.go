@@ -1,14 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"rocksim/internal/bpred"
-	"rocksim/internal/cpu"
-	"rocksim/internal/inorder"
-	"rocksim/internal/mem"
+	"rocksim/internal/asm"
 	"rocksim/internal/sim"
-	"rocksim/internal/smt"
 	"rocksim/internal/stats"
 	"rocksim/internal/workload"
 )
@@ -26,53 +20,38 @@ import (
 func (r *Runner) SMTMode(scale workload.Scale) (*Result, error) {
 	pairs := [][2]string{{"oltp", "jbb"}, {"web", "erp"}, {"oltp", "web"}}
 	opts := r.BaseOptions()
-	// One pool job per pair: the two single-thread SST runs go through
-	// the run cache (deduplicating "oltp" across pairs and with F1),
-	// and the SMT pair run is computed alongside.
-	type pairResult struct {
-		sstA, sstB float64
-		smtA, smtB float64
-	}
-	res := make([]pairResult, len(pairs))
-	errs := r.forEachErrs(len(pairs), func(i int) error {
-		pair := pairs[i]
+	// Three cells per pair: each thread alone on an SST core (sharing the
+	// run cache with F1, and "oltp" across pairs) and the two as the
+	// strands of one SMT-2 core. The pair's strands draw their predictors
+	// from one group, so opts.Pred.Share decides the table sharing.
+	cells := make([]cell, 0, 3*len(pairs))
+	for _, pair := range pairs {
 		wa, err := workload.Build(pair[0], scale)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		wb, err := workload.Build(pair[1], scale)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		outA, err := r.run(sim.KindSST, wa, opts)
-		if err != nil {
-			return err
-		}
-		outB, err := r.run(sim.KindSST, wb, opts)
-		if err != nil {
-			return err
-		}
-		smtA, smtB, cycles, err := runSMTPair(wa, wb, opts)
-		if err != nil {
-			return err
-		}
-		res[i] = pairResult{
-			sstA: outA.IPC(), sstB: outB.IPC(),
-			smtA: float64(smtA) / float64(cycles),
-			smtB: float64(smtB) / float64(cycles),
-		}
-		return nil
-	})
+		cells = append(cells, coreCell(sim.KindSST, wa, opts), coreCell(sim.KindSST, wb, opts),
+			cell{sim.Cell{Kind: sim.KindInOrder, Topo: sim.TopoSMT,
+				Progs: []*asm.Program{wa.Program, wb.Program}}, opts})
+	}
+	outs, errs := r.runCells(cells)
 	t := stats.NewTable("Figure 12 (extension): one core, two uses — SMT-2 throughput vs SST latency",
 		"pair", "sst A", "sst B", "smt A", "smt B", "smt aggregate", "sst-A/smt-A")
 	for i, pair := range pairs {
-		if errs[i] != nil {
-			t.AddRow(fillErr([]any{pair[0] + "+" + pair[1]}, 6, errs[i])...)
+		name := pair[0] + "+" + pair[1]
+		if err := firstErr(errs[3*i : 3*i+3]); err != nil {
+			t.AddRow(fillErr([]any{name}, 6, err)...)
 			continue
 		}
-		p := res[i]
-		t.AddRow(pair[0]+"+"+pair[1], p.sstA, p.sstB,
-			p.smtA, p.smtB, p.smtA+p.smtB, p.sstA/p.smtA)
+		sstA, sstB, smt := outs[3*i].IPC(), outs[3*i+1].IPC(), outs[3*i+2]
+		th := smt.Threads()
+		smtA := float64(th[0].Base.Retired) / float64(smt.Cycles)
+		smtB := float64(th[1].Base.Retired) / float64(smt.Cycles)
+		t.AddRow(name, sstA, sstB, smtA, smtB, smtA+smtB, sstA/smtA)
 	}
 	return &Result{
 		ID: "F12", Title: "SMT-throughput vs SST-latency mode", Tables: []*stats.Table{t},
@@ -81,30 +60,4 @@ func (r *Runner) SMTMode(scale workload.Scale) (*Result, error) {
 		},
 		Errs: collectErrs(errs),
 	}, nil
-}
-
-// runSMTPair runs two workloads as the two hardware threads of one
-// physical core and returns per-thread retired counts and total cycles.
-func runSMTPair(wa, wb *workload.Spec, opts sim.Options) (retA, retB, cycles uint64, err error) {
-	hier, err := mem.NewHierarchy(opts.Hier, 1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	// The two hardware strands draw their predictors from one group, so
-	// opts.Pred.Share decides partitioned vs shared vs hashed tables.
-	preds := bpred.NewGroup(opts.Pred, 2)
-	mkThread := func(strand int, w *workload.Spec) smt.Thread {
-		m := mem.NewSparse()
-		w.Program.Load(m)
-		mach := &cpu.Machine{Mem: m, Hier: hier, CoreID: 0, Pred: preds[strand]}
-		return smt.Thread{Core: inorder.New(mach, opts.InOrder, w.Program.Entry), Mach: mach}
-	}
-	core, err := smt.New(mkThread(0, wa), mkThread(1, wb))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if err := cpu.Run(core, opts.CycleLimit()); err != nil {
-		return 0, 0, 0, fmt.Errorf("smt pair %s+%s: %w", wa.Name, wb.Name, err)
-	}
-	return core.Thread(0).Core.Retired(), core.Thread(1).Core.Retired(), core.Cycle(), nil
 }

@@ -21,7 +21,7 @@ func (r *Runner) DQSweep(scale workload.Scale) (*Result, error) {
 		for _, n := range sizes {
 			opts := r.BaseOptions()
 			opts.SST.DQSize = n
-			cells = append(cells, cell{sim.KindSST, w, opts})
+			cells = append(cells, coreCell(sim.KindSST, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)
@@ -60,7 +60,7 @@ func (r *Runner) CheckpointSweep(scale workload.Scale) (*Result, error) {
 		for _, n := range counts {
 			opts := r.BaseOptions()
 			opts.SST.Checkpoints = n
-			cells = append(cells, cell{sim.KindSST, w, opts})
+			cells = append(cells, coreCell(sim.KindSST, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)
@@ -99,7 +99,7 @@ func (r *Runner) SSBSweep(scale workload.Scale) (*Result, error) {
 		for _, n := range sizes {
 			opts := r.BaseOptions()
 			opts.SST.SSBSize = n
-			cells = append(cells, cell{sim.KindSST, w, opts})
+			cells = append(cells, coreCell(sim.KindSST, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)
@@ -137,7 +137,7 @@ func (r *Runner) MemLatencySweep(scale workload.Scale) (*Result, error) {
 		opts := r.BaseOptions()
 		opts.Hier.DRAM.Latency = lat
 		for _, k := range kinds {
-			cells = append(cells, cell{k, w, opts})
+			cells = append(cells, coreCell(k, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)
@@ -191,7 +191,7 @@ func (r *Runner) BranchSweep(scale workload.Scale) (*Result, error) {
 		for _, b := range bits {
 			opts := r.BaseOptions()
 			opts.Pred.GshareBits = b
-			cells = append(cells, cell{sim.KindSST, w, opts})
+			cells = append(cells, coreCell(sim.KindSST, w, opts))
 		}
 	}
 	outs, errs := r.runCells(cells)

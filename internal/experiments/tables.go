@@ -60,7 +60,7 @@ func (r *Runner) WorkloadTable(scale workload.Scale) (*Result, error) {
 	opts := r.BaseOptions()
 	cells := make([]cell, 0, len(specs))
 	for _, w := range specs {
-		cells = append(cells, cell{sim.KindInOrder, w, opts})
+		cells = append(cells, coreCell(sim.KindInOrder, w, opts))
 	}
 	outs, errs := r.runCells(cells)
 	t := stats.NewTable("Table 2: workload characterization (measured on the in-order core)",

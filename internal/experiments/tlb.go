@@ -25,7 +25,7 @@ func (r *Runner) TLBSensitivity(scale workload.Scale) (*Result, error) {
 	grid := make([]cell, 0, 2*len(specs)*len(kinds))
 	for _, w := range specs {
 		for _, k := range kinds {
-			grid = append(grid, cell{k, w, baseOpts}, cell{k, w, tlbOpts})
+			grid = append(grid, coreCell(k, w, baseOpts), coreCell(k, w, tlbOpts))
 		}
 	}
 	outs, errs := r.runCells(grid)

@@ -7,7 +7,6 @@ import (
 
 	"rocksim/internal/obs"
 	"rocksim/internal/sim"
-	"rocksim/internal/workload"
 )
 
 // spanNames flattens a tracer snapshot into name -> count.
@@ -29,7 +28,7 @@ func TestSingleflightSpanNesting(t *testing.T) {
 	spec := testSpec(t)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	r.computeFn = func(_ context.Context, k sim.Kind, s *workload.Spec, o sim.Options) (sim.Outcome, error) {
+	r.computeFn = func(_ context.Context, c sim.Cell, o sim.Options) (sim.Outcome, error) {
 		close(started)
 		<-release
 		return sim.Outcome{}, nil
@@ -40,7 +39,7 @@ func TestSingleflightSpanNesting(t *testing.T) {
 	doneA := make(chan struct{})
 	go func() {
 		defer close(doneA)
-		if _, err := r.RunCellCtx(ctxA, sim.KindSST, spec, sim.DefaultOptions()); err != nil {
+		if _, err := r.RunCellCtx(ctxA, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -54,7 +53,7 @@ func TestSingleflightSpanNesting(t *testing.T) {
 	doneB := make(chan struct{})
 	go func() {
 		defer close(doneB)
-		if _, err := r.RunCellCtx(ctxB, sim.KindSST, spec, sim.DefaultOptions()); err != nil {
+		if _, err := r.RunCellCtx(ctxB, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -94,7 +93,7 @@ func TestSingleflightSpanNesting(t *testing.T) {
 	// C arrives after the fill completed: a plain hit, no join.
 	trC := obs.NewTracer()
 	ctxC := obs.WithTracer(context.Background(), trC)
-	if _, err := r.RunCellCtx(ctxC, sim.KindSST, spec, sim.DefaultOptions()); err != nil {
+	if _, err := r.RunCellCtx(ctxC, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	c := spanNames(trC)

@@ -288,9 +288,25 @@ func (in *Injector) PublishObs(r *obs.Registry) {
 	if in == nil || r == nil {
 		return
 	}
+	PublishSum(r, []*Injector{in})
+}
+
+// PublishSum exports the per-kind injection counts summed over every
+// injector of one run — a chip arms one per core plus one for the
+// shared hierarchy — under PublishObs's names. No-op when r is nil.
+func PublishSum(r *obs.Registry, injs []*Injector) {
+	if r == nil {
+		return
+	}
+	var total [NumKinds]uint64
+	for _, in := range injs {
+		for k, n := range in.Counts() {
+			total[k] += n
+		}
+	}
 	for k := Kind(0); k < NumKinds; k++ {
-		if in.counts[k] > 0 {
-			r.Counter("faults/injected/" + k.String()).Set(in.counts[k])
+		if total[k] > 0 {
+			r.Counter("faults/injected/" + k.String()).Set(total[k])
 		}
 	}
 }

@@ -8,11 +8,10 @@
 // ring by the same content-addressed key the shards use for their run
 // caches (experiments.CellKey), so a popular cell lands on one shard
 // and is computed once per fleet. /v1/run proxies whole to the owner;
-// /v1/grid decomposes — experiments whose simulations all flow through
-// the cell cache fan out cell by cell (bounded per-shard concurrency,
-// reassembled here in presentation order), the bespoke multi-core
-// experiments route to a shard whole — and the assembled body is
-// byte-identical to a single node's.
+// /v1/grid decomposes every experiment into its cells — single cores,
+// SMT pairs, chips and leak-oracle checks alike — fanned out cell by
+// cell (bounded per-shard concurrency, reassembled here in presentation
+// order), and the assembled body is byte-identical to a single node's.
 //
 // The gateway holds no durable state: membership is health-driven
 // (startup check, background re-probe, request-path ejection), a dead
@@ -347,15 +346,14 @@ func writeGridResult(w http.ResponseWriter, status int, retry time.Duration, bod
 	w.Write(body)
 }
 
-// computeGrid assembles the listed experiments in presentation order.
-// Cell-decomposable experiments run through a per-request
-// experiments.Runner whose compute backend fans cells out to their
-// owning shards — the Runner's cache and singleflight deduplicate
-// repeated cells within the request, the worker pool bounds fleet-wide
-// fan-out, and presentation-order assembly keeps the bytes identical
-// to a single node. Bespoke multi-core experiments are routed to a
-// shard whole. The gateway holds no cross-request cache: the shards'
-// caches are the fleet's state.
+// computeGrid assembles the listed experiments in presentation order on
+// a per-request experiments.Runner whose compute backend fans cells out
+// to their owning shards — the Runner's cache and singleflight
+// deduplicate repeated cells within the request, the worker pool bounds
+// fleet-wide fan-out, and presentation-order assembly keeps the bytes
+// identical to a single node. Every cell carries its complete options,
+// so the shards' own base options never matter. The gateway holds no
+// cross-request cache: the shards' caches are the fleet's state.
 func (g *Gateway) computeGrid(ctx context.Context, ids []string, scale workload.Scale) (status int, retry time.Duration, body []byte) {
 	st := &fanout{}
 	r := experiments.NewRunner()
@@ -364,77 +362,22 @@ func (g *Gateway) computeGrid(ctx context.Context, ids []string, scale workload.
 	r.SetComputeBackend(g.cellBackend(ctx, scale, st))
 	var buf bytes.Buffer
 	for _, id := range ids {
-		if experiments.RemoteSafe(id) {
-			res, err := r.Run(id, scale)
-			if s, ra, msg, fatal := st.takeFatal(); fatal {
-				return s, ra, msg
-			}
-			if err != nil {
-				g.reg.Counter("gate/grid_errors").Inc()
-				if errors.Is(err, cpu.ErrDeadline) {
-					return http.StatusGatewayTimeout, 0, []byte(err.Error())
-				}
-				return http.StatusInternalServerError, 0, []byte(err.Error())
-			}
-			res.Fprint(&buf)
-			fmt.Fprintln(&buf)
-			continue
+		res, err := r.Run(id, scale)
+		if s, ra, msg, fatal := st.takeFatal(); fatal {
+			return s, ra, msg
 		}
-		part, err := g.remoteGrid(ctx, id, scale)
 		if err != nil {
 			g.reg.Counter("gate/grid_errors").Inc()
-			var busy *client.BusyError
-			if errors.As(err, &busy) {
-				return http.StatusTooManyRequests, busy.RetryAfter, []byte(err.Error())
+			if errors.Is(err, cpu.ErrDeadline) {
+				return http.StatusGatewayTimeout, 0, []byte(err.Error())
 			}
-			var se *client.StatusError
-			if errors.As(err, &se) {
-				return se.Code, 0, []byte(se.Message)
-			}
-			return http.StatusBadGateway, 0, []byte(err.Error())
+			return http.StatusInternalServerError, 0, []byte(err.Error())
 		}
-		buf.Write(part)
+		res.Fprint(&buf)
+		fmt.Fprintln(&buf)
 	}
 	g.reg.Counter("gate/grids_served").Inc()
 	return http.StatusOK, 0, buf.Bytes()
-}
-
-// remoteGrid routes one whole experiment to a shard: the bespoke
-// multi-core experiments (CMP chips, SMT pairs, HTM, the leakage
-// oracle) run simulations outside the cell seam, so the shard computes
-// the entire table and its body — Result.Fprint plus the separator
-// line — is spliced into the assembly verbatim. Placement hashes the
-// experiment id, so repeats hit the same shard's grid cache cells.
-func (g *Gateway) remoteGrid(ctx context.Context, id string, scale workload.Scale) ([]byte, error) {
-	key := "exp|" + id + "|" + scaleName(scale)
-	req := serve.GridRequest{Exps: []string{id}, Scale: scaleName(scale)}
-	var lastErr error
-	for round := 0; round <= len(g.cfg.Targets); round++ {
-		owners := g.fl.Owners(key, g.ringSize())
-		if len(owners) == 0 {
-			break
-		}
-		for _, target := range owners {
-			release, err := g.fl.Acquire(ctx, target)
-			if err != nil {
-				return nil, err
-			}
-			body, err := g.fl.Client(target).Grid(req)
-			release()
-			if err == nil {
-				g.reg.Counter("gate/exps_routed").Inc()
-				return body, nil
-			}
-			if !g.shardUnavailable(target, err) {
-				return nil, err
-			}
-			lastErr = err
-		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no healthy shards")
-	}
-	return nil, fmt.Errorf("experiment %s: all shards failed: %w", id, lastErr)
 }
 
 // cellBackend builds the per-request compute backend: each cache miss
@@ -446,14 +389,9 @@ func (g *Gateway) remoteGrid(ctx context.Context, id string, scale workload.Scal
 // failures (no shards left, fleet saturated) are recorded in st — the
 // grid handler turns them into 502/429 instead of a wrong table.
 func (g *Gateway) cellBackend(ctx context.Context, scale workload.Scale, st *fanout) experiments.ComputeBackend {
-	return func(_ context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error) {
-		key := experiments.CellKey(k, spec, opts)
-		req := serve.CellRequest{
-			Kind:     k.String(),
-			Workload: spec.Name,
-			Scale:    scaleName(scale),
-			Options:  serve.WireFromOptions(opts),
-		}
+	return func(_ context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
+		req := serve.NewCellRequest(c, scaleName(scale), opts)
+		key := req.Key
 		var maxBusy time.Duration
 		sawBusy := false
 		// Bounded outer loop: each round re-reads membership, and a round
@@ -520,7 +458,7 @@ func (g *Gateway) cellBackend(ctx context.Context, scale workload.Scale, st *fan
 			st.saturated(maxBusy)
 			return sim.Outcome{}, fmt.Errorf("fleet saturated; retry after %v", maxBusy)
 		}
-		err := fmt.Errorf("no healthy shards for cell %s/%s", k, spec.Name)
+		err := fmt.Errorf("no healthy shards for cell %v/%s", c.Shape(), c.Desc())
 		st.fail(err)
 		return sim.Outcome{}, err
 	}

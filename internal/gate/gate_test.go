@@ -20,16 +20,29 @@ import (
 	"rocksim/internal/workload"
 )
 
-// startShard boots one in-process rocksimd over httptest, configured
-// with the fleet's shared base options (bespoke experiments run against
-// the shard's base, so it must match the gateway's — see
-// docs/SERVICE.md).
+// startShard boots one in-process rocksimd over httptest. Every cell
+// carries its complete options, so a shard's own base options never
+// reach a gateway grid; they are set to the fleet's anyway, as an
+// operator would.
 func startShard(t *testing.T, id string, base sim.Options) *httptest.Server {
+	t.Helper()
+	return startShardHandler(t, id, base, nil)
+}
+
+// startShardHandler is startShard with a hook seeing every request
+// before the daemon does.
+func startShardHandler(t *testing.T, id string, base sim.Options, hook func(*http.Request)) *httptest.Server {
 	t.Helper()
 	r := experiments.NewRunner()
 	r.SetJobs(2)
 	r.SetBaseOptions(base)
-	ts := httptest.NewServer(serve.New(serve.Config{ShardID: id}, r))
+	srv := serve.New(serve.Config{ShardID: id}, r)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if hook != nil {
+			hook(req)
+		}
+		srv.ServeHTTP(w, req)
+	}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -93,15 +106,26 @@ func gatewayGrid(t *testing.T, g *Gateway, ids []string) (*http.Response, []byte
 }
 
 // TestGridByteIdentityFleet is the tentpole contract: a 3-shard fleet's
-// assembled grid — cell-decomposed experiments fanned out by cache key,
-// the bespoke CMP experiment routed whole — is byte-for-byte what a
-// single daemon produces, sync and async.
+// assembled grid — every experiment decomposed into cells fanned out by
+// cache key, single cores, SMT pairs, chips and leak-oracle checks alike
+// — is byte-for-byte what a single daemon produces, sync and async, and
+// no shard is ever asked for a whole experiment.
 func TestGridByteIdentityFleet(t *testing.T) {
 	base := sim.DefaultOptions()
-	targets := startFleet(t, 3, base)
+	var grids atomic.Int64
+	targets := make([]string, 3)
+	for i := range targets {
+		targets[i] = startShardHandler(t, fmt.Sprintf("s%d", i), base, func(r *http.Request) {
+			if r.URL.Path == "/v1/grid" {
+				grids.Add(1)
+			}
+		}).URL
+	}
 	g := newGateway(t, Config{Targets: targets, PerShard: 4, BaseOptions: &base})
 
-	ids := []string{"T1", "F3", "F9"} // table, cell fan-out, bespoke whole-exp
+	// A table, single-core fan-out, a CMP (F9), SMT pairs (F12), a shared
+	// chip (F16), leak-oracle checks (S1) and the predictor grid (B1).
+	ids := []string{"T1", "F3", "F9", "F12", "F16", "S1", "B1"}
 	want := gridRef(t, ids, base)
 
 	resp, got := gatewayGrid(t, g, ids)
@@ -111,6 +135,9 @@ func TestGridByteIdentityFleet(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fleet grid differs from single-node bytes:\ngot  %d bytes\nwant %d bytes\ngot:  %.400q\nwant: %.400q",
 			len(got), len(want), got, want)
+	}
+	if n := grids.Load(); n != 0 {
+		t.Errorf("shards received %d /v1/grid requests; a gateway grid must fan out cell by cell", n)
 	}
 
 	// Async path: submit, poll, same bytes (cells now cached on shards).

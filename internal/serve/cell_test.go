@@ -14,18 +14,28 @@ import (
 	"rocksim/internal/workload"
 )
 
-func cellBody(t *testing.T, opts sim.Options) string {
+// chaseCell is the single-core sst/chase cell at test scale.
+func chaseCell(t *testing.T) sim.Cell {
 	t.Helper()
-	b, err := json.Marshal(CellRequest{
-		Kind:     "sst",
-		Workload: "chase",
-		Scale:    "test",
-		Options:  WireFromOptions(opts),
-	})
+	spec, err := workload.Build("chase", workload.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim.CoreCell(sim.KindSST, spec.Program)
+}
+
+func cellJSON(t *testing.T, req CellRequest) string {
+	t.Helper()
+	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+func cellBody(t *testing.T, opts sim.Options) string {
+	t.Helper()
+	return cellJSON(t, NewCellRequest(chaseCell(t), "test", opts))
 }
 
 // TestCellSuccess: /v1/cell returns the statistics snapshot of the cell
@@ -110,13 +120,9 @@ func TestCellFingerprintMismatch(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}, r))
 	defer ts.Close()
 
-	w := WireFromOptions(sim.DefaultOptions())
-	w.MaxCycles = 12345 // simulation-affecting edit after fingerprinting
-	b, err := json.Marshal(CellRequest{Kind: "sst", Workload: "chase", Scale: "test", Options: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postJSON(t, ts.URL, "/v1/cell", string(b))
+	req := NewCellRequest(chaseCell(t), "test", sim.DefaultOptions())
+	req.Options.MaxCycles = 12345 // simulation-affecting edit after fingerprinting
+	resp, body := postJSON(t, ts.URL, "/v1/cell", cellJSON(t, req))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400; body: %s", resp.StatusCode, body)
 	}

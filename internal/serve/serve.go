@@ -9,12 +9,14 @@
 //
 //	POST /v1/run     one (kind, workload, options) cell; the response
 //	                 body is identical to `sstsim -json` for that cell.
-//	POST /v1/cell    the fleet-internal cell endpoint: full wire options
-//	                 in, a CellStats snapshot (or classified cell error)
-//	                 out. Deterministic simulation failures are 200s with
-//	                 an error body — only transport/admission problems
-//	                 use HTTP status — so a router can tell "this cell
-//	                 fails everywhere" from "this shard is unavailable".
+//	POST /v1/cell    the fleet-internal cell endpoint: any cell shape
+//	                 (one core, an SMT pair, a chip, a leak-oracle check)
+//	                 with named programs and full wire options in, a
+//	                 CellStats snapshot (or classified cell error) out.
+//	                 Deterministic simulation failures are 200s with an
+//	                 error body — only transport/admission problems use
+//	                 HTTP status — so a router can tell "this cell fails
+//	                 everywhere" from "this shard is unavailable".
 //	POST /v1/grid    one or more experiments; the body is identical to
 //	                 `sstbench` output minus its wall-clock lines.
 //	                 {"async": true} returns 202 with a result id.
@@ -53,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rocksim/internal/bpred"
 	"rocksim/internal/cpu"
 	"rocksim/internal/experiments"
 	"rocksim/internal/faults"
@@ -102,7 +105,7 @@ type Config struct {
 // It is an interface so the backpressure and drain tests can inject a
 // blocking fake; production code always passes the real Runner.
 type runner interface {
-	RunCellCtx(ctx context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error)
+	RunCellCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error)
 	Run(id string, scale workload.Scale) (*experiments.Result, error)
 	BaseOptions() sim.Options
 	CacheStats() (hits, misses uint64)
@@ -249,11 +252,22 @@ func parseScale(s string) (workload.Scale, error) {
 }
 
 // buildOptions applies a request's overrides to the runner's base
-// options, exactly as sstsim maps its flags.
+// options, exactly as sstsim maps its flags, refusing sizes outside
+// [0, MaxSize].
 func (s *Server) buildOptions(ro *RunOptions) (sim.Options, error) {
 	opts := s.run.BaseOptions()
 	if ro == nil {
 		return opts, nil
+	}
+	for _, f := range []struct {
+		name string
+		v    *int
+	}{{"dq", ro.DQ}, {"ckpt", ro.Ckpt}, {"ssb", ro.SSB}, {"memlat", ro.MemLat}} {
+		if f.v != nil {
+			if err := checkSize(f.name, *f.v); err != nil {
+				return opts, err
+			}
+		}
 	}
 	if ro.DQ != nil {
 		opts.SST.DQSize = *ro.DQ
@@ -374,7 +388,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	s.inflight.Add(1)
 	t0 := time.Now()
-	out, err := s.run.RunCellCtx(ctx, kind, spec, opts)
+	out, err := s.run.RunCellCtx(ctx, sim.CoreCell(kind, spec.Program), opts)
 	computeUs := time.Since(t0).Microseconds()
 	s.inflight.Add(-1)
 	// X-Compute-Us is the server-side cell time (queue wait + cache or
@@ -411,14 +425,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // service metrics, so /metrics exposes where the daemon's simulated
 // cycles went — and how much secret-tainted speculation and deferred-
 // branch training it executed — across all requests (cached cells count
-// once per serve, matching cells_served).
+// once per serve, matching cells_served). The predictor counters are
+// whatever bpred.Stats publishes, summed over a cell's threads.
 func (s *Server) publishRunCPI(out sim.Outcome) {
-	if out.Core != nil {
-		b := out.Core.Base()
-		for bk := cpu.Bucket(0); bk < cpu.NumBuckets; bk++ {
-			if b.CPI[bk] > 0 {
-				s.reg.Counter("sim/cpi/" + bk.String()).Add(b.CPI[bk])
-			}
+	b := out.BaseStats()
+	for bk := cpu.Bucket(0); bk < cpu.NumBuckets; bk++ {
+		if b.CPI[bk] > 0 {
+			s.reg.Counter("sim/cpi/" + bk.String()).Add(b.CPI[bk])
 		}
 	}
 	if out.Mach != nil && out.Mach.Hier != nil {
@@ -427,16 +440,16 @@ func (s *Server) publishRunCPI(out sim.Outcome) {
 		s.reg.Counter("leak/squashed_spec_fills").Add(hs.SquashedSpecFills)
 		s.reg.Counter("leak/oracle_checks").Add(hs.OracleChecks)
 	}
+	fold := func(ps bpred.Stats) {
+		pr := obs.NewRegistry()
+		ps.PublishObs(pr)
+		s.reg.Merge(pr)
+	}
 	if out.Mach != nil && out.Mach.Pred != nil {
-		ps := out.Mach.Pred.Stats
-		s.reg.Counter("bpred/dir_lookups").Add(ps.DirLookups)
-		s.reg.Counter("bpred/dir_mispredicts").Add(ps.DirMispredict)
-		s.reg.Counter("bpred/btb_lookups").Add(ps.BTBLookups)
-		s.reg.Counter("bpred/btb_misses").Add(ps.BTBMisses)
-		s.reg.Counter("bpred/deferred_dir_trains").Add(ps.DeferredDirTrains)
-		s.reg.Counter("bpred/deferred_target_trains").Add(ps.DeferredTargetTrains)
-		s.reg.Counter("bpred/tage_provider_hits").Add(ps.TageProviderHits)
-		s.reg.Counter("bpred/tage_allocs").Add(ps.TageAllocs)
+		fold(out.Mach.Pred.Stats)
+	}
+	for _, th := range out.Threads() {
+		fold(th.Pred)
 	}
 }
 
@@ -464,22 +477,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	kind, err := sim.KindByName(req.Kind)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	scale, err := parseScale(req.Scale)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	spec, err := workload.Build(req.Workload, scale)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	opts, err := req.Options.Options()
+	c, opts, err := req.Resolve()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -487,7 +485,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 
 	s.inflight.Add(1)
 	t0 := time.Now()
-	out, err := s.run.RunCellCtx(ctx, kind, spec, opts)
+	out, err := s.run.RunCellCtx(ctx, c, opts)
 	computeUs := time.Since(t0).Microseconds()
 	s.inflight.Add(-1)
 	w.Header().Set("X-Compute-Us", strconv.FormatInt(computeUs, 10))
@@ -498,7 +496,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		// recompute the same failure elsewhere).
 		s.reg.Counter("serve/cell_errors").Inc()
 		s.log.Warn("cell failed", "id", RequestID(ctx), "kind", req.Kind,
-			"workload", req.Workload, "err", err)
+			"programs", c.Desc(), "err", err)
 		json.NewEncoder(w).Encode(CellResponse{
 			ErrClass: experiments.ErrClass(err),
 			ErrMsg:   err.Error(),

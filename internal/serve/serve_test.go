@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rocksim/internal/bpred"
 	"rocksim/internal/cpu"
 	"rocksim/internal/experiments"
 	"rocksim/internal/obs"
@@ -235,7 +236,7 @@ type fakeRunner struct {
 	cellErr error
 }
 
-func (f *fakeRunner) RunCellCtx(ctx context.Context, k sim.Kind, spec *workload.Spec, opts sim.Options) (sim.Outcome, error) {
+func (f *fakeRunner) RunCellCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
 	f.started <- struct{}{}
 	<-f.release
 	return sim.Outcome{}, f.cellErr
@@ -396,6 +397,77 @@ func TestMetricsAndHealth(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestRunRejectsOutOfRangeSizes: a dq/ckpt/ssb/memlat outside
+// [0, MaxSize] — on /v1/run or in /v1/cell wire options — is a 400, not
+// an out-of-memory crash, and the daemon keeps serving afterwards.
+func TestRunRejectsOutOfRangeSizes(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		field string
+		set   func(o *sim.Options, v int)
+	}{
+		{"dq", func(o *sim.Options, v int) { o.SST.DQSize = v }},
+		{"ckpt", func(o *sim.Options, v int) { o.SST.Checkpoints = v }},
+		{"ssb", func(o *sim.Options, v int) { o.SST.SSBSize = v }},
+		{"memlat", func(o *sim.Options, v int) { o.Hier.DRAM.Latency = v }},
+	} {
+		for _, v := range []int{1 << 40, MaxSize + 1, -5} {
+			body := fmt.Sprintf(`{"kind":"sst","workload":"chase","scale":"test","options":{%q:%d}}`, tc.field, v)
+			resp, got := postJSON(t, ts.URL, "/v1/run", body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("run %s=%d: status %d, want 400: %s", tc.field, v, resp.StatusCode, got)
+			}
+
+			opts := sim.DefaultOptions()
+			tc.set(&opts, v)
+			resp, got = postJSON(t, ts.URL, "/v1/cell", cellBody(t, opts))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("cell %s=%d: status %d, want 400: %s", tc.field, v, resp.StatusCode, got)
+			}
+		}
+	}
+	resp, body := postJSON(t, ts.URL, "/v1/run", `{"kind":"sst","workload":"chase","scale":"test","options":{"dq":0}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("daemon stopped serving after refusals: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestMetricsCarryEveryPredictorCounter: /metrics folds in every counter
+// bpred.Stats publishes — the expected names come from PublishObs
+// itself, so a counter added there cannot silently miss the service.
+func TestMetricsCarryEveryPredictorCounter(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+	if resp, body := postJSON(t, ts.URL, "/v1/run", `{"kind":"sst","workload":"gcc","scale":"test"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
+	}
+	_, metrics := get(t, ts.URL, "/metrics")
+
+	scratch := obs.NewRegistry()
+	bpred.Stats{}.PublishObs(scratch)
+	names := scratch.Snapshot().Counters
+	if len(names) == 0 {
+		t.Fatal("bpred.Stats published no counters")
+	}
+	var buf bytes.Buffer
+	if err := scratch.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := strings.Fields(line)[0]
+		if !strings.Contains(string(metrics), "\n"+name+" ") {
+			t.Errorf("/metrics lacks predictor counter %s", name)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func TestPooledBpredDifferential(t *testing.T) {
 			t.Parallel()
 			for _, mode := range shareModes {
 				opts := bpredShapeOpts(bpred.TAGE, mode)
-				in, err := NewInstance(k, opts)
+				in, err := NewInstance(Shape{Kind: k}, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func TestPooledDeferredRollbackDifferential(t *testing.T) {
 	}
 	for _, kind := range []bpred.Kind{bpred.Gshare, bpred.TAGE} {
 		opts := bpredShapeOpts(kind, bpred.SharePartitioned)
-		in, err := NewInstance(KindSST, opts)
+		in, err := NewInstance(Shape{Kind: KindSST}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-// Cell statistics snapshots: the serializable extract of a single-cell
+// Cell statistics snapshots: the serializable extract of a cell's
 // Outcome that the experiment drivers consume when assembling tables.
 //
 // The fleet tier (internal/fleet, cmd/rockgate) computes cells on
@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"rocksim/internal/bpred"
 	"rocksim/internal/core"
 	"rocksim/internal/cpu"
 	"rocksim/internal/mem"
@@ -29,29 +30,40 @@ type CellStats struct {
 	// SST carries the SST-family statistics when the cell ran on a
 	// core.Core (sst, sst-big, sst-ea, scout); nil otherwise.
 	SST *core.Stats `json:"sst,omitempty"`
-	// Cache and TLB statistics of the cell's (single-core) hierarchy.
+	// Cache and TLB statistics of the cell's hierarchy (core 0's L1D and
+	// DTLB, the shared L2).
 	L1D  *mem.CacheStats `json:"l1d,omitempty"`
 	L2   *mem.CacheStats `json:"l2,omitempty"`
 	DTLB *mem.TLBStats   `json:"dtlb,omitempty"`
+	// Threads carries every hardware thread's statistics of a
+	// multi-threaded cell (SMT strands, chip cores) in thread order; Base
+	// is then their aggregate. Nil for a single-core cell.
+	Threads []ThreadStats `json:"threads,omitempty"`
+}
+
+// ThreadStats is one hardware thread's statistics in a multi-threaded
+// cell: an SMT strand or a chip core.
+type ThreadStats struct {
+	Base cpu.BaseStats `json:"base"`
+	// SST carries the SST-family statistics (transaction counts
+	// included) when the thread ran on a core.Core; nil otherwise.
+	SST  *core.Stats `json:"sst,omitempty"`
+	Pred bpred.Stats `json:"pred"`
 }
 
 // SnapshotCell extracts the serializable statistics of a finished cell
 // run. The snapshot is detached: mutating the live outcome afterwards
 // does not change it.
 func SnapshotCell(out Outcome) *CellStats {
+	if out.Cell != nil {
+		// Already a snapshot (a multi-threaded cell, or a remote cell
+		// re-snapshotted): copy it through unchanged.
+		return out.Cell.clone()
+	}
 	cs := &CellStats{
 		Kind:    out.Kind.String(),
 		Cycles:  out.Cycles,
 		Retired: out.Retired,
-	}
-	if out.Cell != nil {
-		// Already a reconstructed view (a remote cell re-snapshotted):
-		// copy it through unchanged.
-		c := *out.Cell
-		if c.SST != nil {
-			c.SST = cloneSSTStats(c.SST)
-		}
-		return &c
 	}
 	if out.Core != nil {
 		cs.Base = *out.Core.Base()
@@ -75,6 +87,23 @@ func SnapshotCell(out Outcome) *CellStats {
 		}
 	}
 	return cs
+}
+
+// clone deep-copies the snapshot.
+func (cs *CellStats) clone() *CellStats {
+	c := *cs
+	if c.SST != nil {
+		c.SST = cloneSSTStats(c.SST)
+	}
+	if c.Threads != nil {
+		c.Threads = append([]ThreadStats(nil), c.Threads...)
+		for i := range c.Threads {
+			if c.Threads[i].SST != nil {
+				c.Threads[i].SST = cloneSSTStats(c.Threads[i].SST)
+			}
+		}
+	}
+	return &c
 }
 
 // cloneSSTStats deep-copies an SST statistics block, cloning the
@@ -109,9 +138,18 @@ func (cs *CellStats) AsOutcome() (Outcome, error) {
 	return Outcome{Kind: k, Cycles: cs.Cycles, Retired: cs.Retired, Cell: cs}, nil
 }
 
-// BaseStats returns the cell's common per-core statistics block,
-// answering from the snapshot for a remotely computed cell and from the
-// live core otherwise.
+// Threads returns the per-thread statistics of a multi-threaded cell,
+// nil for a single-core one.
+func (o Outcome) Threads() []ThreadStats {
+	if o.Cell == nil {
+		return nil
+	}
+	return o.Cell.Threads
+}
+
+// BaseStats returns the cell's common per-core statistics block (the
+// aggregate over threads of a multi-threaded cell), answering from the
+// snapshot when there is one and from the core otherwise.
 func (o Outcome) BaseStats() *cpu.BaseStats {
 	if o.Cell != nil {
 		return &o.Cell.Base

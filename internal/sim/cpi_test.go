@@ -124,7 +124,7 @@ func TestCPISumInvariantCMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chip.Run(opts.CycleLimit()); err != nil {
+	if err := cpu.Run(chip, opts.CycleLimit()); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range chip.Cores {
@@ -210,7 +210,7 @@ func TestCPISumInvariantTageCMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chip.Run(opts.CycleLimit()); err != nil {
+	if err := cpu.Run(chip, opts.CycleLimit()); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range chip.Cores {

@@ -2,10 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"testing"
 
 	"rocksim/internal/asm"
-	"rocksim/internal/bpred"
 	"rocksim/internal/cmp"
 	"rocksim/internal/core"
 	"rocksim/internal/cpu"
@@ -24,16 +25,42 @@ import (
 // counter samples, fault firings with their cycles) — must be
 // byte-identical between naive stepping and event-driven stall skipping.
 
-// ffRun executes prog on kind with full observability attached and
-// returns the outcome plus the metrics-JSON and Chrome-trace bytes.
-func ffRun(t *testing.T, k Kind, prog *asm.Program, plan *faults.Plan, noFF bool) (Outcome, []byte, []byte) {
+// diffShapes are the machine shapes the differential oracles cover:
+// every single-core kind, an SMT-2 pair and a 2-core SST chip.
+var diffShapes = func() []Shape {
+	var out []Shape
+	for _, k := range Kinds {
+		out = append(out, Shape{Kind: k})
+	}
+	return append(out,
+		Shape{Kind: KindInOrder, Topo: TopoSMT, Width: 2},
+		Shape{Kind: KindSST, Topo: TopoCMP, Width: 2})
+}()
+
+// genCell builds the differential cell of shape s for one seed: thread
+// i runs the program gen generates from seed+i.
+func genCell(t *testing.T, s Shape, seed int64, gen func(int64, int) (*asm.Program, error), nstmt int) Cell {
 	t.Helper()
-	return ffRunWith(t, k, prog, plan, noFF, fuzzFaultOpts())
+	width := s.Width
+	if width == 0 {
+		width = 1
+	}
+	c := Cell{Kind: s.Kind, Topo: s.Topo}
+	for i := 0; i < width; i++ {
+		p, err := gen(seed+int64(i), nstmt)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed+int64(i), err)
+		}
+		c.Progs = append(c.Progs, p)
+	}
+	return c
 }
 
-// ffRunWith is ffRun under caller-chosen base options, so differentials
-// can vary construction-affecting knobs (predictor kind, share mode).
-func ffRunWith(t *testing.T, k Kind, prog *asm.Program, plan *faults.Plan, noFF bool, opts Options) (Outcome, []byte, []byte) {
+// cellRun executes cell c with full observability attached — on in when
+// it is non-nil, else on a fresh machine (through sim.Run for a single
+// core) — and returns the outcome, the final memory images and the
+// metrics-JSON and Chrome-trace bytes.
+func cellRun(t *testing.T, in *Instance, c Cell, plan *faults.Plan, noFF bool, opts Options) (Outcome, []*mem.Sparse, []byte, []byte) {
 	t.Helper()
 	opts.Faults = plan
 	opts.NoFastForward = noFF
@@ -41,9 +68,26 @@ func ffRunWith(t *testing.T, k Kind, prog *asm.Program, plan *faults.Plan, noFF 
 	tr := obs.NewTrace()
 	col := obs.NewCollector(tr, opts.Metrics)
 	opts.Sink = col
-	out, err := Run(k, prog, opts)
+	if in == nil && c.Topo != TopoCore {
+		var err error
+		if in, err = NewInstance(c.Shape(), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out Outcome
+	var err error
+	var mems []*mem.Sparse
+	if in != nil {
+		out, err = in.Run(context.Background(), c, opts)
+		for _, m := range in.machs {
+			mems = append(mems, m.Mem)
+		}
+	} else {
+		out, err = Run(c.Kind, c.Progs[0], opts)
+		mems = []*mem.Sparse{out.Mem}
+	}
 	if err != nil {
-		t.Fatalf("%v noFF=%v: %v", k, noFF, err)
+		t.Fatalf("%v noFF=%v: %v", c.Shape(), noFF, err)
 	}
 	col.Flush(out.Cycles)
 	var mbuf, tbuf bytes.Buffer
@@ -53,7 +97,26 @@ func ffRunWith(t *testing.T, k Kind, prog *asm.Program, plan *faults.Plan, noFF 
 	if err := tr.WriteChrome(&tbuf); err != nil {
 		t.Fatal(err)
 	}
-	return out, mbuf.Bytes(), tbuf.Bytes()
+	return out, mems, mbuf.Bytes(), tbuf.Bytes()
+}
+
+// ffRunWith runs prog on a fresh kind-k core under caller-chosen base
+// options, so differentials can vary construction-affecting knobs
+// (predictor kind, share mode).
+func ffRunWith(t *testing.T, k Kind, prog *asm.Program, plan *faults.Plan, noFF bool, opts Options) (Outcome, []byte, []byte) {
+	t.Helper()
+	out, _, m, tr := cellRun(t, nil, CoreCell(k, prog), plan, noFF, opts)
+	return out, m, tr
+}
+
+// threadsJSON serializes a cell's per-thread statistics for comparison.
+func threadsJSON(t *testing.T, out Outcome) []byte {
+	t.Helper()
+	b, err := json.Marshal(out.Threads())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // firstDiff locates the first byte divergence and returns a short
@@ -84,63 +147,72 @@ func firstDiff(a, b []byte) string {
 	return "at byte " + itoa(i) + ": naive ..." + win(a) + "... vs fast ..." + win(b) + "..."
 }
 
-func checkFFSeed(t *testing.T, k Kind, prog *asm.Program, plan *faults.Plan) {
+// checkFFCell runs cell c naively and with fast-forward and requires
+// every observable to match.
+func checkFFCell(t *testing.T, c Cell, plan *faults.Plan) {
 	t.Helper()
-	naive, nm, nt := ffRun(t, k, prog, plan, true)
-	fast, fm, ft := ffRun(t, k, prog, plan, false)
+	s := c.Shape()
+	naive, _, nm, nt := cellRun(t, nil, c, plan, true, fuzzFaultOpts())
+	fast, _, fm, ft := cellRun(t, nil, c, plan, false, fuzzFaultOpts())
 	if naive.Cycles != fast.Cycles || naive.Retired != fast.Retired {
 		t.Errorf("%v: naive %d cycles/%d retired, fast-forward %d cycles/%d retired",
-			k, naive.Cycles, naive.Retired, fast.Cycles, fast.Retired)
+			s, naive.Cycles, naive.Retired, fast.Cycles, fast.Retired)
 	}
 	if naive.Regs != fast.Regs {
-		t.Errorf("%v: architectural registers diverge under fast-forward", k)
+		t.Errorf("%v: architectural registers diverge under fast-forward", s)
 	}
-	nb, fb := naive.Core.Base(), fast.Core.Base()
+	nb, fb := naive.BaseStats(), fast.BaseStats()
 	if nb.CPI != fb.CPI {
 		t.Errorf("%v: cycle-accounting buckets diverge under fast-forward:\n naive %v\n fast  %v",
-			k, nb.CPI, fb.CPI)
+			s, nb.CPI, fb.CPI)
 	}
-	for _, r := range []struct {
-		name string
-		b    *cpu.BaseStats
-	}{{"naive", nb}, {"fast", fb}} {
-		if sum := r.b.CPISum(); sum != r.b.Cycles {
-			t.Errorf("%v %s: cycle-accounting buckets sum to %d, want %d cycles",
-				k, r.name, sum, r.b.Cycles)
+	if c.Topo == TopoCore {
+		for _, r := range []struct {
+			name string
+			b    *cpu.BaseStats
+		}{{"naive", nb}, {"fast", fb}} {
+			if sum := r.b.CPISum(); sum != r.b.Cycles {
+				t.Errorf("%v %s: cycle-accounting buckets sum to %d, want %d cycles",
+					s, r.name, sum, r.b.Cycles)
+			}
 		}
 	}
-	if !bytes.Equal(nm, fm) {
-		t.Errorf("%v: metrics JSON diverges under fast-forward: %s", k, firstDiff(nm, fm))
+	if nj, fj := threadsJSON(t, naive), threadsJSON(t, fast); !bytes.Equal(nj, fj) {
+		t.Errorf("%v: per-thread statistics diverge under fast-forward: %s", s, firstDiff(nj, fj))
 	}
-	if !bytes.Equal(nt, ft) {
-		t.Errorf("%v: Chrome trace diverges under fast-forward: %s", k, firstDiff(nt, ft))
+	if !bytes.Equal(nm, fm) {
+		t.Errorf("%v: metrics JSON diverges under fast-forward: %s", s, firstDiff(nm, fm))
+	}
+	// A chip's cores share the one Collector, whose mode-span tracking
+	// follows a single event stream: naive lockstep interleaves the cores'
+	// per-cycle reports where a jump reports each core's stall as one run,
+	// so a chip's trace bytes depend on the stepping, not just the
+	// simulation. Everything else must still match.
+	if c.Topo != TopoCMP && c.Topo != TopoSharedCMP && !bytes.Equal(nt, ft) {
+		t.Errorf("%v: Chrome trace diverges under fast-forward: %s", s, firstDiff(nt, ft))
 	}
 }
 
 // TestFastForwardDifferentialFuzz: random programs (including
-// transactions), every core kind, no faults.
+// transactions), every machine shape, no faults.
 func TestFastForwardDifferentialFuzz(t *testing.T) {
 	n := int64(8)
 	if testing.Short() {
 		n = 3
 	}
-	for _, k := range Kinds {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
+	for _, s := range diffShapes {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= n; seed++ {
-				prog, err := genProgram(seed, 80)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				checkFFSeed(t, k, prog, nil)
+				checkFFCell(t, genCell(t, s, seed, genProgram, 80), nil)
 			}
 		})
 	}
 }
 
 // TestFastForwardFaultDifferential: random programs under random benign
-// fault plans. The injector's firing cycles and counts ride in the trace
+// fault plans, every machine shape. The injector's firing cycles and counts ride in the trace
 // and metrics bytes, so a skip that jumps over a fault-plan boundary —
 // or fails to replay a per-retry clamp probe — cannot pass.
 func TestFastForwardFaultDifferential(t *testing.T) {
@@ -148,16 +220,12 @@ func TestFastForwardFaultDifferential(t *testing.T) {
 	if testing.Short() {
 		n = 2
 	}
-	for _, k := range Kinds {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
+	for _, s := range diffShapes {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= n; seed++ {
-				prog, err := genFaultProgram(seed, 70)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				checkFFSeed(t, k, prog, faults.Random(seed, faultHorizon))
+				checkFFCell(t, genCell(t, s, seed, genFaultProgram, 70), faults.Random(seed, faultHorizon))
 			}
 		})
 	}
@@ -212,21 +280,13 @@ func TestFastForwardEngages(t *testing.T) {
 // smtPair builds one SMT physical core running two workloads.
 func smtPair(t *testing.T, wa, wb *workload.Spec, opts Options) *smt.Core {
 	t.Helper()
-	hier, err := mem.NewHierarchy(opts.Hier, 1)
+	c, err := smt.Build(opts.Hier, opts.Pred, opts.InOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := bpred.NewGroup(opts.Pred, 2)
-	mk := func(strand int, w *workload.Spec) smt.Thread {
-		m := mem.NewSparse()
-		w.Program.Load(m)
-		mach := &cpu.Machine{Mem: m, Hier: hier, CoreID: 0, Pred: preds[strand]}
-		return smt.Thread{Core: inorder.New(mach, opts.InOrder, w.Program.Entry), Mach: mach}
-	}
-	c, err := smt.New(mk(0, wa), mk(1, wb))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.Reset([2]uint64{wa.Program.Entry, wb.Program.Entry})
+	wa.Program.Load(c.Thread(0).Mach.Mem)
+	wb.Program.Load(c.Thread(1).Mach.Mem)
 	return c
 }
 
@@ -273,8 +333,9 @@ func TestFastForwardSMTDifferential(t *testing.T) {
 }
 
 // TestFastForwardCMPDifferential: the lockstep chip jumps only when all
-// alive cores are stalled. Compare a fast-forwarding chip.Run against a
-// hand-rolled naive lockstep over an identically built chip.
+// alive cores are stalled. Compare a fast-forwarding chip, stepped by
+// cpu.Run, against a hand-rolled naive lockstep over an identically
+// built chip.
 func TestFastForwardCMPDifferential(t *testing.T) {
 	names := []string{"chase", "stream", "oltp"}
 	var progs []*asm.Program
@@ -301,7 +362,7 @@ func TestFastForwardCMPDifferential(t *testing.T) {
 	}
 
 	fastChip := build()
-	if err := fastChip.Run(opts.CycleLimit()); err != nil {
+	if err := cpu.Run(fastChip, opts.CycleLimit()); err != nil {
 		t.Fatal(err)
 	}
 	naiveChip := build()

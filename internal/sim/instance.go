@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"rocksim/internal/asm"
+	"rocksim/internal/cmp"
 	"rocksim/internal/core"
 	"rocksim/internal/cpu"
 	"rocksim/internal/faults"
@@ -12,78 +12,149 @@ import (
 	"rocksim/internal/mem"
 	"rocksim/internal/obs"
 	"rocksim/internal/ooo"
+	"rocksim/internal/smt"
 )
 
-// Instance is a fully constructed simulator — functional memory, timing
-// hierarchy, branch predictor and core model — that can be reset and
-// reused across runs, eliminating the per-run construction cost (~8.6k
-// allocations) that dominates short, service-shaped workloads. An
-// Instance is built for one (kind, options-shape) pair: the
-// construction-affecting options (Hier, Pred and the core configs —
+// Instance is a fully constructed simulator — functional memories,
+// timing hierarchy, branch predictors and core models, for any machine
+// shape: one core, an SMT pair or a chip — that can be reset and reused
+// across runs, eliminating the per-run construction cost (~8.6k
+// allocations for one core) that dominates short, service-shaped
+// workloads. An Instance is built for one (shape, options-shape) pair:
+// the construction-affecting options (Hier, Pred and the core configs —
 // see Options.ShapeFingerprint) are fixed at NewInstance; the per-run
-// options (program, watchdogs, faults, observability hooks) are applied
+// options (programs, watchdogs, faults, observability hooks) are applied
 // by each Run.
 //
-// Run returns a detached outcome: the same concrete core and hierarchy
-// types carrying deep-copied statistics, safe to cache and consume
-// indefinitely while the live structures are reset for the next run.
-// The pooled-vs-fresh differential fuzz in this package proves a reused
-// Instance is byte-identical to a fresh construction — outcome,
-// metrics JSON and Chrome trace — clean and under fault plans.
+// Run returns a detached outcome safe to cache and consume indefinitely
+// while the live structures are reset for the next run: a single core's
+// outcome carries the same concrete core and hierarchy types with
+// deep-copied statistics; a multi-threaded cell's outcome carries its
+// statistics snapshot (Outcome.Cell, per-thread blocks included). The
+// pooled-vs-fresh differential fuzz in this package proves a reused
+// Instance is byte-identical to a fresh construction — outcome, metrics
+// JSON and Chrome trace — clean and under fault plans, for every shape.
 //
 // An Instance is not safe for concurrent use; the pool in
 // internal/experiments hands each one to a single run at a time.
 type Instance struct {
-	kind Kind
-	mem  *mem.Sparse
-	mach *cpu.Machine
-	core cpu.Core
+	shape Shape
+	// top is what the run loop steps: the core model itself, the
+	// smt.Core pair or the cmp.Chip.
+	top cpu.Core
+	// cores and machs are the per-thread core models and machines; every
+	// machine shares one hierarchy.
+	cores []cpu.Core
+	machs []*cpu.Machine
+	// entries is the chip reset's scratch buffer.
+	entries []uint64
 }
 
-// NewInstance builds a reusable simulator for one core kind and one
+// NewInstance builds a reusable simulator for one machine shape and one
 // options shape. Only the construction-affecting option fields are
 // consulted (see Options.ShapeFingerprint); per-run fields are ignored
-// here and honored by Run.
-func NewInstance(k Kind, opts Options) (*Instance, error) {
-	m := mem.NewSparse()
-	mach, err := cpu.NewMachine(m, opts.Hier, opts.Pred)
-	if err != nil {
-		return nil, err
+// here and honored by Run. An SMT pair's strands are in-order cores.
+func NewInstance(s Shape, opts Options) (*Instance, error) {
+	in := &Instance{shape: s}
+	switch s.Topo {
+	case TopoCore:
+		in.shape.Width = 1
+		mach, err := cpu.NewMachine(mem.NewSparse(), opts.Hier, opts.Pred)
+		if err != nil {
+			return nil, err
+		}
+		c, err := newCore(s.Kind, mach, opts, 0)
+		if err != nil {
+			return nil, err
+		}
+		in.top, in.cores, in.machs = c, []cpu.Core{c}, []*cpu.Machine{mach}
+	case TopoSMT:
+		if s.Kind != KindInOrder || s.Width != 2 {
+			return nil, fmt.Errorf("sim: an SMT pair is two in-order strands, not %v", s)
+		}
+		pair, err := smt.Build(opts.Hier, opts.Pred, opts.InOrder)
+		if err != nil {
+			return nil, err
+		}
+		in.top = pair
+		for i := 0; i < 2; i++ {
+			in.cores = append(in.cores, pair.Thread(i).Core)
+			in.machs = append(in.machs, pair.Thread(i).Mach)
+		}
+	case TopoCMP, TopoSharedCMP:
+		in.entries = make([]uint64, s.Width)
+		chip, err := cmp.New(opts.Hier, opts.Pred, in.entries, s.Topo == TopoSharedCMP,
+			func(_ int, m *cpu.Machine, entry uint64) (cpu.Core, error) {
+				return newCore(s.Kind, m, opts, entry)
+			})
+		if err != nil {
+			return nil, err
+		}
+		in.top, in.cores, in.machs = chip, chip.Cores, chip.Machines
+	default:
+		return nil, fmt.Errorf("sim: bad topology %d", s.Topo)
 	}
-	c, err := newCore(k, mach, opts, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{kind: k, mem: m, mach: mach, core: c}, nil
+	return in, nil
 }
 
 // Kind returns the core kind the instance simulates.
-func (in *Instance) Kind() Kind { return in.kind }
+func (in *Instance) Kind() Kind { return in.shape.Kind }
 
-// Mem returns the instance's live functional memory (the image of the
-// most recent run). The differential tests use it to compare a pooled
-// run's final memory against a fresh run's.
-func (in *Instance) Mem() *mem.Sparse { return in.mem }
+// Mem returns the instance's live functional memory — thread 0's, the
+// whole image of a single core or a shared chip — as of the most recent
+// run. The differential tests use it to compare a pooled run's final
+// memory against a fresh run's.
+func (in *Instance) Mem() *mem.Sparse { return in.machs[0].Mem }
 
-// reset returns every layer to its freshly constructed state, executing
-// from entry: machine first (memory, hierarchy, predictor), then the
-// core on top (which may re-register hierarchy listeners).
-func (in *Instance) reset(entry uint64) {
-	in.mach.Reset()
-	switch cc := in.core.(type) {
-	case *core.Core:
-		cc.Reset(entry)
-	case *inorder.Core:
-		cc.Reset(entry)
-	case *ooo.Core:
-		cc.Reset(entry)
+func (in *Instance) hier() *mem.Hierarchy { return in.machs[0].Hier }
+
+// reset returns every layer to its freshly constructed state, thread i
+// executing from its entry point: machines first (memory, hierarchy,
+// predictor), then the cores on top (which may re-register hierarchy
+// listeners).
+func (in *Instance) reset(c Cell) {
+	switch t := in.top.(type) {
+	case *smt.Core:
+		t.Reset([2]uint64{c.Progs[0].Entry, c.Progs[1].Entry})
+	case *cmp.Chip:
+		in.entries = c.entries(in.entries)
+		t.Reset(in.entries)
+	default:
+		in.machs[0].Reset()
+		t.(cpu.Resetter).Reset(c.Progs[0].Entry)
 	}
 }
 
-// installHooks wires the per-run observability sinks onto the freshly
-// reset core, exactly as NewCore does at construction.
-func (in *Instance) installHooks(opts Options) {
-	switch cc := in.core.(type) {
+// prepare readies the instance for one run of cell c: reset, program
+// load, secret declarations, observability hooks and fault injectors.
+// It returns the injectors it armed, for publishing their counts.
+func (in *Instance) prepare(c Cell, opts Options) ([]*faults.Injector, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if s := c.Shape(); s != in.shape {
+		return nil, fmt.Errorf("sim: cell shape %v on a %v instance", s, in.shape)
+	}
+	in.reset(c)
+	for i, p := range c.Progs {
+		p.Load(in.machs[i].Mem)
+	}
+	h := in.hier()
+	for _, p := range c.Progs {
+		for _, s := range p.Secrets {
+			h.SetSecret(s.Addr, s.Len)
+		}
+	}
+	h.SetSink(opts.Sink)
+	for _, cr := range in.cores {
+		installSink(cr, opts)
+	}
+	return in.armFaults(opts), nil
+}
+
+// installSink wires the per-run observability sinks onto a core model.
+func installSink(c cpu.Core, opts Options) {
+	switch cc := c.(type) {
 	case *core.Core:
 		var probe obs.Sink
 		if opts.Probe != nil {
@@ -99,84 +170,145 @@ func (in *Instance) installHooks(opts Options) {
 	}
 }
 
-// runLive resets the instance, loads the program and executes it to
-// completion, returning an outcome whose Core/Mach/Mem point at the
-// instance's live structures. It is the single execution path shared by
-// the fresh RunContext and the pooled Instance.Run, so the two cannot
-// drift. The caller publishes metrics and (for pooling) detaches.
-func (in *Instance) runLive(ctx context.Context, prog *asm.Program, opts Options) (Outcome, error) {
-	ctx, span := obs.StartSpan(ctx, "sim-run")
-	span.SetAttr("kind", in.kind.String())
-	span.SetAttr("program", prog.Desc())
-	defer span.End()
-	in.reset(prog.Entry)
-	prog.Load(in.mem)
-	for _, s := range prog.Secrets {
-		in.mach.Hier.SetSecret(s.Addr, s.Len)
+// armFaults installs the run's fault injectors. A single core shares one
+// injector with its hierarchy, so one-shot events and counts are shared
+// between the layers. A multi-threaded machine gives every SST-family
+// core its own injector replaying the plan and the shared hierarchy
+// another, the rule NewChip applies.
+func (in *Instance) armFaults(opts Options) []*faults.Injector {
+	if opts.Faults == nil {
+		return nil
 	}
-	in.mach.Hier.SetSink(opts.Sink)
-	in.installHooks(opts)
-	var inj *faults.Injector
-	if opts.Faults != nil {
-		// One injector serves both layers so one-shot events and counts
-		// are shared.
-		inj = opts.Faults.New(opts.Sink)
-		if cc, ok := in.core.(*core.Core); ok {
+	if in.shape.Topo == TopoCore {
+		inj := opts.Faults.New(opts.Sink)
+		if cc, ok := in.top.(*core.Core); ok {
 			cc.SetFaults(inj)
 		}
-		in.mach.Hier.SetFaults(inj)
+		in.hier().SetFaults(inj)
+		return []*faults.Injector{inj}
 	}
+	var injs []*faults.Injector
+	for _, cr := range in.cores {
+		if cc, ok := cr.(*core.Core); ok {
+			inj := opts.Faults.New(opts.Sink)
+			cc.SetFaults(inj)
+			injs = append(injs, inj)
+		}
+	}
+	inj := opts.Faults.New(opts.Sink)
+	in.hier().SetFaults(inj)
+	return append(injs, inj)
+}
+
+// runLive prepares the instance, executes cell c to completion and
+// returns an outcome whose Core/Mach/Mem point at the instance's live
+// structures (a multi-threaded cell also gets its statistics snapshot
+// in Cell). It is the single execution path shared by the fresh
+// RunContext and the pooled Instance.Run, so the two cannot drift. The
+// caller publishes metrics and (for pooling) detaches.
+func (in *Instance) runLive(ctx context.Context, c Cell, opts Options) (Outcome, error) {
+	ctx, span := obs.StartSpan(ctx, "sim-run")
+	span.SetAttr("kind", in.shape.Kind.String())
+	span.SetAttr("program", c.Desc())
+	defer span.End()
+	injs, err := in.prepare(c, opts)
+	if err != nil {
+		return Outcome{}, err
+	}
+	runErr := RunCore(ctx, in.top, opts)
+	faults.PublishSum(opts.Metrics, injs)
+	if runErr != nil {
+		span.SetAttr("err", runErr.Error())
+		return Outcome{}, fmt.Errorf("sim: %v on %s: %w", in.shape, c.Desc(), runErr)
+	}
+	span.SetAttr("cycles", fmt.Sprint(in.top.Cycle()))
+	span.SetAttr("retired", fmt.Sprint(in.top.Retired()))
+	out := Outcome{
+		Kind:    in.shape.Kind,
+		Cycles:  in.top.Cycle(),
+		Retired: in.top.Retired(),
+		Core:    in.top,
+		Mach:    in.machs[0],
+		Mem:     in.machs[0].Mem,
+	}
+	if in.shape.Topo == TopoCore {
+		out.Regs = coreRegs(in.top)
+	} else {
+		out.Cell = SnapshotCell(out)
+		out.Cell.Threads = in.threadStats()
+	}
+	return out, nil
+}
+
+// RunCore steps c — a core model, an SMT pair or a chip — to completion
+// under the options' watchdogs: the cycle budget, the wall-clock
+// Timeout (on top of ctx's own deadline) and the livelock window. It is
+// the one run loop every machine goes through.
+func RunCore(ctx context.Context, c cpu.Core, opts Options) error {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-	runErr := cpu.RunCtx(ctx, in.core, cpu.RunConfig{
+	return cpu.RunCtx(ctx, c, cpu.RunConfig{
 		MaxCycles:          opts.CycleLimit(),
 		LivelockWindow:     opts.livelockWindow(),
 		DisableFastForward: opts.NoFastForward,
 	})
-	inj.PublishObs(opts.Metrics)
-	if runErr != nil {
-		span.SetAttr("err", runErr.Error())
-		return Outcome{}, fmt.Errorf("sim: %v on %s: %w", in.kind, prog.Desc(), runErr)
-	}
-	span.SetAttr("cycles", fmt.Sprint(in.core.Cycle()))
-	span.SetAttr("retired", fmt.Sprint(in.core.Retired()))
-	out := Outcome{
-		Kind:    in.kind,
-		Cycles:  in.core.Cycle(),
-		Retired: in.core.Retired(),
-		Core:    in.core,
-		Mach:    in.mach,
-		Mem:     in.mem,
-	}
-	out.Regs = coreRegs(in.core)
-	return out, nil
 }
 
-// Run executes prog on the pooled instance and returns a detached
-// outcome: Core and Mach are frozen stats-only copies (same concrete
-// types, deep-copied counters and histograms) safe to cache and read
-// indefinitely; Mem is nil — a detached outcome carries no memory
-// image, since the live one is about to be reused. Metrics are
+// threadStats snapshots every hardware thread's statistics, detached
+// from the live models.
+func (in *Instance) threadStats() []ThreadStats {
+	ts := make([]ThreadStats, len(in.cores))
+	for i, c := range in.cores {
+		ts[i] = ThreadStats{Base: *c.Base(), Pred: in.machs[i].Pred.Stats}
+		if cc, ok := c.(*core.Core); ok {
+			ts[i].SST = cloneSSTStats(cc.Stats())
+		}
+	}
+	return ts
+}
+
+// Run executes cell c on the pooled instance and returns a detached
+// outcome safe to cache and read indefinitely; Mem is nil — a detached
+// outcome carries no memory image, since the live one is about to be
+// reused. A single core's Core and Mach are frozen stats-only copies
+// (same concrete types, deep-copied counters and histograms); a
+// multi-threaded cell answers from its Cell snapshot, with Mach holding
+// a frozen copy of the shared hierarchy's statistics. Metrics are
 // published from the detached copies, so a registry snapshot taken long
 // after the run still reflects exactly this run.
+//
+// A leak-check cell runs the transient-leakage oracle instead: its
+// verdict is the returned error and the outcome carries only the kind.
 //
 // A run that errors (watchdog trip, cancellation) leaves the instance
 // reusable: the next Run resets everything. A run that panics may leave
 // it corrupt — callers must drop the instance instead of reusing it.
-func (in *Instance) Run(ctx context.Context, prog *asm.Program, opts Options) (Outcome, error) {
-	out, err := in.runLive(ctx, prog, opts)
+func (in *Instance) Run(ctx context.Context, c Cell, opts Options) (Outcome, error) {
+	if c.LeakCheck {
+		if err := c.Validate(); err != nil {
+			return Outcome{}, err
+		}
+		return Outcome{Kind: in.shape.Kind}, in.CheckTransientLeakage(ctx, c.Progs[0], opts)
+	}
+	out, err := in.runLive(ctx, c, opts)
 	if err != nil {
 		return out, err
 	}
-	out.Core = detachCore(in.core)
-	out.Mach = &cpu.Machine{
-		Hier:     in.mach.Hier.Detach(),
-		Pred:     in.mach.Pred.Detach(),
-		CoreID:   in.mach.CoreID,
-		Coherent: in.mach.Coherent,
+	h := in.hier()
+	if in.shape.Topo == TopoCore {
+		out.Core = detachCore(in.top)
+		out.Mach = &cpu.Machine{
+			Hier:     h.Detach(),
+			Pred:     in.machs[0].Pred.Detach(),
+			CoreID:   in.machs[0].CoreID,
+			Coherent: in.machs[0].Coherent,
+		}
+	} else {
+		out.Core = nil
+		out.Mach = &cpu.Machine{Hier: h.Detach()}
 	}
 	out.Mem = nil
 	out.Obs = opts.Metrics
@@ -201,18 +333,22 @@ func detachCore(c cpu.Core) cpu.Core {
 // ShapeFingerprint returns the canonical encoding of the construction-
 // affecting options only — the hierarchy, predictor and core
 // configurations. Two Options with equal shape fingerprints build
-// interchangeable machines (for a given kind), differing at most in
-// per-run fields (program, watchdog bounds, faults, observability), so
-// harnesses use (kind, shape) as the simulator-pool key. Compare
-// Fingerprint, which additionally covers the per-run simulation-
-// affecting fields and keys the run cache.
+// interchangeable machines (for a given machine Shape), differing at
+// most in per-run fields (programs, watchdog bounds, faults,
+// observability), so harnesses use (Shape, options shape) as the
+// simulator-pool key. Compare Fingerprint, which additionally covers the
+// per-run simulation-affecting fields and keys the run cache.
 func (o Options) ShapeFingerprint() string {
 	return o.Hier.Fingerprint() + "|" + o.Pred.Fingerprint() + "|" +
 		o.InOrder.Fingerprint() + "|" + o.OOO.Fingerprint() + "|" +
 		o.OOOLg.Fingerprint() + "|" + o.SST.Fingerprint()
 }
 
-// PoolKey returns the simulator-pool key for a (kind, options) pair.
-func PoolKey(k Kind, o Options) string {
-	return k.String() + "|" + o.ShapeFingerprint()
+// PoolKey returns the simulator-pool key for a (machine shape, options)
+// pair.
+func PoolKey(s Shape, o Options) string {
+	if s.Topo == TopoCore {
+		return s.Kind.String() + "|" + o.ShapeFingerprint()
+	}
+	return s.String() + "|" + o.ShapeFingerprint()
 }

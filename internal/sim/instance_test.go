@@ -3,11 +3,12 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"rocksim/internal/asm"
+	"rocksim/internal/cpu"
 	"rocksim/internal/faults"
-	"rocksim/internal/obs"
 )
 
 // This file is the pooling differential oracle, the Reset-contract
@@ -23,8 +24,7 @@ import (
 
 // pooledRun executes prog on the (possibly well-used) instance with
 // full observability attached and returns the outcome plus the
-// metrics-JSON and Chrome-trace bytes, mirroring ffRun for the fresh
-// side.
+// metrics-JSON and Chrome-trace bytes.
 func pooledRun(t *testing.T, in *Instance, prog *asm.Program, plan *faults.Plan) (Outcome, []byte, []byte) {
 	t.Helper()
 	return pooledRunWith(t, in, prog, plan, fuzzFaultOpts())
@@ -34,93 +34,82 @@ func pooledRun(t *testing.T, in *Instance, prog *asm.Program, plan *faults.Plan)
 // must match the shape the instance was built with).
 func pooledRunWith(t *testing.T, in *Instance, prog *asm.Program, plan *faults.Plan, opts Options) (Outcome, []byte, []byte) {
 	t.Helper()
-	opts.Faults = plan
-	opts.Metrics = obs.NewRegistry()
-	tr := obs.NewTrace()
-	col := obs.NewCollector(tr, opts.Metrics)
-	opts.Sink = col
-	out, err := in.Run(context.Background(), prog, opts)
-	if err != nil {
-		t.Fatalf("pooled %v: %v", in.Kind(), err)
-	}
-	col.Flush(out.Cycles)
-	var mbuf, tbuf bytes.Buffer
-	if err := opts.Metrics.WriteJSON(&mbuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteChrome(&tbuf); err != nil {
-		t.Fatal(err)
-	}
-	return out, mbuf.Bytes(), tbuf.Bytes()
+	out, _, m, tr := cellRun(t, in, CoreCell(in.Kind(), prog), plan, false, opts)
+	return out, m, tr
 }
 
-// checkPooledSeed runs one (program, plan) pair on the reused instance
-// and on a fresh machine, and requires every observable to match.
-func checkPooledSeed(t *testing.T, in *Instance, prog *asm.Program, plan *faults.Plan) {
-	t.Helper()
-	checkPooledSeedWith(t, in, prog, plan, fuzzFaultOpts())
-}
-
-// checkPooledSeedWith is checkPooledSeed under caller-chosen base
-// options, so the oracle extends to non-default predictor shapes.
+// checkPooledSeedWith runs prog on a reused single-core instance and on
+// a fresh machine under caller-chosen base options, so the oracle
+// extends to non-default predictor shapes.
 func checkPooledSeedWith(t *testing.T, in *Instance, prog *asm.Program, plan *faults.Plan, opts Options) {
 	t.Helper()
-	k := in.Kind()
-	fresh, fm, ft := ffRunWith(t, k, prog, plan, false, opts)
-	pooled, pm, pt := pooledRunWith(t, in, prog, plan, opts)
+	checkPooledCell(t, in, CoreCell(in.Kind(), prog), plan, opts)
+}
+
+// checkPooledCell runs cell c on the reused instance and on a fresh
+// machine, and requires every observable to match.
+func checkPooledCell(t *testing.T, in *Instance, c Cell, plan *faults.Plan, opts Options) {
+	t.Helper()
+	s := c.Shape()
+	fresh, fmems, fm, ft := cellRun(t, nil, c, plan, false, opts)
+	pooled, pmems, pm, pt := cellRun(t, in, c, plan, false, opts)
 	if fresh.Cycles != pooled.Cycles || fresh.Retired != pooled.Retired {
 		t.Errorf("%v: fresh %d cycles/%d retired, pooled %d cycles/%d retired",
-			k, fresh.Cycles, fresh.Retired, pooled.Cycles, pooled.Retired)
+			s, fresh.Cycles, fresh.Retired, pooled.Cycles, pooled.Retired)
 	}
 	if fresh.Regs != pooled.Regs {
-		t.Errorf("%v: architectural registers diverge on a pooled instance", k)
+		t.Errorf("%v: architectural registers diverge on a pooled instance", s)
 	}
-	fb, pb := fresh.Core.Base(), pooled.Core.Base()
+	fb, pb := fresh.BaseStats(), pooled.BaseStats()
 	if *fb != *pb {
-		t.Errorf("%v: base stats diverge on a pooled instance:\n fresh  %+v\n pooled %+v", k, *fb, *pb)
+		t.Errorf("%v: base stats diverge on a pooled instance:\n fresh  %+v\n pooled %+v", s, *fb, *pb)
 	}
-	checkCPISum(t, k.String()+" pooled", pb)
-	if !fresh.Mem.Equal(in.Mem()) {
-		t.Errorf("%v: final memory diverges on a pooled instance at %#x...",
-			k, fresh.Mem.Diff(in.Mem(), 4))
+	if c.Topo == TopoCore {
+		checkCPISum(t, s.String()+" pooled", pb)
+	}
+	if fj, pj := threadsJSON(t, fresh), threadsJSON(t, pooled); !bytes.Equal(fj, pj) {
+		t.Errorf("%v: per-thread statistics diverge on a pooled instance: %s", s, firstDiff(fj, pj))
+	}
+	for i := range fmems {
+		if !fmems[i].Equal(pmems[i]) {
+			t.Errorf("%v: thread %d's final memory diverges on a pooled instance at %#x...",
+				s, i, fmems[i].Diff(pmems[i], 4))
+		}
 	}
 	if pooled.Mem != nil {
-		t.Errorf("%v: pooled outcome leaked the live memory image", k)
+		t.Errorf("%v: pooled outcome leaked the live memory image", s)
 	}
 	if !bytes.Equal(fm, pm) {
-		t.Errorf("%v: metrics JSON diverges on a pooled instance: %s", k, firstDiff(fm, pm))
+		t.Errorf("%v: metrics JSON diverges on a pooled instance: %s", s, firstDiff(fm, pm))
 	}
 	if !bytes.Equal(ft, pt) {
-		t.Errorf("%v: Chrome trace diverges on a pooled instance: %s", k, firstDiff(ft, pt))
+		t.Errorf("%v: Chrome trace diverges on a pooled instance: %s", s, firstDiff(ft, pt))
 	}
 }
 
-// TestPooledDifferentialFuzz: one Instance per kind, reused back to
-// back across random programs (including transactions) — every run on
-// the used instance must match a fresh construction. Seed 1 runs twice
-// in a row first, so same-program-same-instance reuse (the service
-// cache-miss storm shape) is covered, not just varied programs.
+// TestPooledDifferentialFuzz: one Instance per machine shape, reused
+// back to back across random programs (including transactions) — every
+// run on the used instance must match a fresh construction. Seed 1 runs
+// twice in a row first, so same-program-same-instance reuse (the
+// service cache-miss storm shape) is covered, not just varied programs.
 func TestPooledDifferentialFuzz(t *testing.T) {
 	n := int64(8)
 	if testing.Short() {
 		n = 3
 	}
-	for _, k := range Kinds {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
+	for _, s := range diffShapes {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
 			t.Parallel()
-			in, err := NewInstance(k, fuzzFaultOpts())
+			in, err := NewInstance(s, fuzzFaultOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for seed := int64(1); seed <= n; seed++ {
-				prog, err := genProgram(seed, 80)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				checkPooledSeed(t, in, prog, nil)
+				c := genCell(t, s, seed, genProgram, 80)
+				checkPooledCell(t, in, c, nil, fuzzFaultOpts())
 				if seed == 1 {
-					checkPooledSeed(t, in, prog, nil)
+					checkPooledCell(t, in, c, nil, fuzzFaultOpts())
 				}
 			}
 		})
@@ -128,35 +117,31 @@ func TestPooledDifferentialFuzz(t *testing.T) {
 }
 
 // TestPooledFaultDifferential: pooled reuse under random fault plans.
-// The injector is rebuilt per run, so a plan's one-shot events must
+// The injectors are rebuilt per run, so a plan's one-shot events must
 // re-fire identically on a reused machine; leftover injector state or a
 // surviving denied-checkpoint clamp would diverge the trace bytes.
-// This also extends the CPI sum==cycles invariant (checkPooledSeed
-// calls checkCPISum) to pooled, reused simulators under faults.
+// This also extends the CPI sum==cycles invariant (checkPooledCell
+// calls checkCPISum) to pooled, reused single cores under faults.
 func TestPooledFaultDifferential(t *testing.T) {
 	n := int64(6)
 	if testing.Short() {
 		n = 2
 	}
-	for _, k := range Kinds {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
+	for _, s := range diffShapes {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
 			t.Parallel()
-			in, err := NewInstance(k, fuzzFaultOpts())
+			in, err := NewInstance(s, fuzzFaultOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for seed := int64(1); seed <= n; seed++ {
-				prog, err := genFaultProgram(seed, 70)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				plan := faults.Random(seed, faultHorizon)
-				checkPooledSeed(t, in, prog, plan)
+				c := genCell(t, s, seed, genFaultProgram, 70)
+				checkPooledCell(t, in, c, faults.Random(seed, faultHorizon), fuzzFaultOpts())
 				// Alternate faulted and clean runs on the same instance:
 				// a clean run right after a faulted one catches injector
 				// state outliving its plan.
-				checkPooledSeed(t, in, prog, nil)
+				checkPooledCell(t, in, c, nil, fuzzFaultOpts())
 			}
 		})
 	}
@@ -166,24 +151,21 @@ func TestPooledFaultDifferential(t *testing.T) {
 // leave the instance fully reusable — the next Reset clears everything,
 // and the following run matches a fresh machine exactly.
 func TestPooledAfterError(t *testing.T) {
-	for _, k := range Kinds {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
+	for _, s := range diffShapes {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
 			t.Parallel()
-			in, err := NewInstance(k, fuzzFaultOpts())
+			in, err := NewInstance(s, fuzzFaultOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := genProgram(2, 80)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := genCell(t, s, 2, genProgram, 80)
 			opts := fuzzFaultOpts()
 			opts.MaxCycles = 50 // guaranteed to trip
-			if _, err := in.Run(context.Background(), prog, opts); err == nil {
-				t.Fatal("expected a cycle-limit error")
+			if _, err := in.Run(context.Background(), c, opts); !errors.Is(err, cpu.ErrCycleLimit) {
+				t.Fatalf("want a cycle-limit error, got %v", err)
 			}
-			checkPooledSeed(t, in, prog, nil)
+			checkPooledCell(t, in, c, nil, fuzzFaultOpts())
 		})
 	}
 }
@@ -206,7 +188,7 @@ func TestPooledSecretDifferential(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			for _, mode := range []string{"none", "all"} {
-				in, err := NewInstance(k, leakOpts(mode))
+				in, err := NewInstance(Shape{Kind: k}, leakOpts(mode))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -229,7 +211,7 @@ func TestPooledSecretDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkPooledSeed(t, in, prog, nil)
+				checkPooledSeedWith(t, in, prog, nil, fuzzFaultOpts())
 			}
 		})
 	}
@@ -240,7 +222,7 @@ func TestPooledSecretDifferential(t *testing.T) {
 // something else — the run cache and the service layer hold these
 // outcomes indefinitely.
 func TestPooledDetachedOutcomeIsFrozen(t *testing.T) {
-	in, err := NewInstance(KindSST, fuzzFaultOpts())
+	in, err := NewInstance(Shape{Kind: KindSST}, fuzzFaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ const secretPerturbMask = 0x5A
 // CheckTransientLeakage runs the differential leakage oracle for prog on
 // a fresh instance of core kind k. See Instance.CheckTransientLeakage.
 func CheckTransientLeakage(k Kind, prog *asm.Program, opts Options) error {
-	inst, err := NewInstance(k, opts)
+	inst, err := NewInstance(Shape{Kind: k}, opts)
 	if err != nil {
 		return err
 	}
@@ -89,34 +89,34 @@ func (in *Instance) CheckTransientLeakage(ctx context.Context, prog *asm.Program
 	leakErr := func() error {
 		if base.retired != alt.retired {
 			return fmt.Errorf("%w: %v on %s: retired %d vs %d", ErrArchSecretDependence,
-				in.kind, prog.Desc(), base.retired, alt.retired)
+				in.shape.Kind, prog.Desc(), base.retired, alt.retired)
 		}
 		for r := 1; r < isa.NumRegs; r++ {
 			if base.regs[r] != alt.regs[r] {
 				return fmt.Errorf("%w: %v on %s: r%d = %#x vs %#x", ErrArchSecretDependence,
-					in.kind, prog.Desc(), r, uint64(base.regs[r]), uint64(alt.regs[r]))
+					in.shape.Kind, prog.Desc(), r, uint64(base.regs[r]), uint64(alt.regs[r]))
 			}
 		}
 		// Observables, coarsest first: a cycle-count difference is the
 		// grossest timing channel.
 		if base.cycles != alt.cycles {
 			return fmt.Errorf("%w: %v on %s: run took %d cycles vs %d", ErrTransientLeak,
-				in.kind, prog.Desc(), base.cycles, alt.cycles)
+				in.shape.Kind, prog.Desc(), base.cycles, alt.cycles)
 		}
 		if len(base.rollDigests) != len(alt.rollDigests) {
 			return fmt.Errorf("%w: %v on %s: %d rollbacks vs %d", ErrTransientLeak,
-				in.kind, prog.Desc(), len(base.rollDigests), len(alt.rollDigests))
+				in.shape.Kind, prog.Desc(), len(base.rollDigests), len(alt.rollDigests))
 		}
 		for i := range base.rollDigests {
 			if base.rollDigests[i] != alt.rollDigests[i] {
 				return fmt.Errorf("%w: %v on %s: post-squash digest %d/%d differs (%#x vs %#x)",
-					ErrTransientLeak, in.kind, prog.Desc(), i+1, len(base.rollDigests),
+					ErrTransientLeak, in.shape.Kind, prog.Desc(), i+1, len(base.rollDigests),
 					base.rollDigests[i], alt.rollDigests[i])
 			}
 		}
 		if base.finalDigest != alt.finalDigest {
 			return fmt.Errorf("%w: %v on %s: final observable digest differs (%#x vs %#x)",
-				ErrTransientLeak, in.kind, prog.Desc(), base.finalDigest, alt.finalDigest)
+				ErrTransientLeak, in.shape.Kind, prog.Desc(), base.finalDigest, alt.finalDigest)
 		}
 		return nil
 	}()
@@ -125,7 +125,7 @@ func (in *Instance) CheckTransientLeakage(ctx context.Context, prog *asm.Program
 	// on the live hierarchy — which holds the baseline run's stats —
 	// before they are published.
 	for i := 0; i <= len(base.rollDigests); i++ {
-		in.mach.Hier.NoteOracleCheck()
+		in.hier().NoteOracleCheck()
 	}
 	if opts.Metrics != nil {
 		base.out.PublishObs(opts.Metrics)
@@ -146,16 +146,16 @@ type leakRun struct {
 }
 
 func (in *Instance) leakRun(ctx context.Context, prog *asm.Program, opts Options) (leakRun, error) {
-	rec := &digestRecorder{hier: in.mach.Hier}
+	rec := &digestRecorder{hier: in.hier()}
 	o := opts
 	o.Sink = obs.Tee(rec, opts.Sink)
-	out, err := in.runLive(ctx, prog, o)
+	out, err := in.runLive(ctx, CoreCell(in.shape.Kind, prog), o)
 	if err != nil {
 		return leakRun{}, err
 	}
 	return leakRun{
 		rollDigests: rec.digests,
-		finalDigest: in.mach.Hier.ObservableDigest(out.Cycles),
+		finalDigest: in.hier().ObservableDigest(out.Cycles),
 		cycles:      out.Cycles,
 		retired:     out.Retired,
 		regs:        out.Regs,

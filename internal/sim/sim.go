@@ -11,6 +11,7 @@ import (
 
 	"rocksim/internal/asm"
 	"rocksim/internal/bpred"
+	"rocksim/internal/cmp"
 	"rocksim/internal/core"
 	"rocksim/internal/cpu"
 	"rocksim/internal/faults"
@@ -175,7 +176,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// Outcome summarizes one finished run.
+// Outcome summarizes one finished run. For a chip Cycles is the lockstep
+// count and Retired the total over cores, so IPC is chip throughput.
 type Outcome struct {
 	Kind    Kind
 	Cycles  uint64
@@ -187,12 +189,12 @@ type Outcome struct {
 	// Obs is the run's metrics registry (Options.Metrics), when one was
 	// attached; reports embed its snapshot.
 	Obs *obs.Registry
-	// Cell, when non-nil, marks a reconstructed remote-cell view: the
-	// outcome was computed on another rocksimd shard and only its
-	// statistics snapshot crossed the wire (see CellStats). Core, Mach
-	// and Mem are nil on such a view; the table-assembly accessors
-	// (BaseStats, SSTStats, L1DStats, L2Stats, DTLBStats) answer from
-	// the snapshot instead.
+	// Cell, when non-nil, is the outcome's statistics snapshot (see
+	// CellStats), and the table-assembly accessors (BaseStats, SSTStats,
+	// L1DStats, L2Stats, DTLBStats, Threads) answer from it. It is set on
+	// a multi-threaded cell's outcome, and on the view of a cell computed
+	// on another rocksimd shard, where only the snapshot crossed the
+	// wire and Core, Mach and Mem are nil.
 	Cell *CellStats
 }
 
@@ -204,34 +206,9 @@ func (o Outcome) IPC() float64 {
 	return float64(o.Retired) / float64(o.Cycles)
 }
 
-// NewCore builds a core of the given kind over machine m, installing
-// the options' observability hooks and fault injector. An unknown kind
-// returns an error (a caller-supplied kind must not crash a harness).
-func NewCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, error) {
-	c, err := newCore(k, m, opts, entry)
-	if err != nil {
-		return nil, err
-	}
-	switch cc := c.(type) {
-	case *core.Core:
-		var probe obs.Sink
-		if opts.Probe != nil {
-			probe = core.ProbeSink(opts.Probe)
-		}
-		if s := obs.Tee(probe, opts.Sink); s != nil {
-			cc.SetSink(s)
-		}
-		if opts.Faults != nil {
-			cc.SetFaults(opts.Faults.New(opts.Sink))
-		}
-	case *inorder.Core:
-		cc.SetSink(opts.Sink)
-	case *ooo.Core:
-		cc.SetSink(opts.Sink)
-	}
-	return c, nil
-}
-
+// newCore builds a core of the given kind over machine m. An unknown
+// kind returns an error (a caller-supplied kind must not crash a
+// harness).
 func newCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, error) {
 	switch k {
 	case KindInOrder:
@@ -282,11 +259,11 @@ func RunContext(ctx context.Context, k Kind, prog *asm.Program, opts Options) (O
 	// and drive the exact execution path a reused one takes (runLive),
 	// so the fresh and pooled flavors cannot drift. The returned outcome
 	// keeps the live structures — callers of Run/RunContext own them.
-	inst, err := NewInstance(k, opts)
+	inst, err := NewInstance(Shape{Kind: k}, opts)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out, err := inst.runLive(ctx, prog, opts)
+	out, err := inst.runLive(ctx, CoreCell(k, prog), opts)
 	if err != nil {
 		return out, err
 	}
@@ -295,11 +272,54 @@ func RunContext(ctx context.Context, k Kind, prog *asm.Program, opts Options) (O
 	return out, nil
 }
 
+// NewChip builds a multiprogrammed chip of kind-k cores, core i running
+// progs[i] in a private address space over the shared L2/DRAM, with the
+// options' observability hooks and fault rule installed (see
+// Instance). Step it with RunCore. An unknown kind returns an error.
+func NewChip(k Kind, progs []*asm.Program, opts Options) (*cmp.Chip, error) {
+	return newChip(Cell{Kind: k, Topo: TopoCMP, Progs: progs}, opts)
+}
+
+// NewSharedChip builds a shared-memory chip: every kind-k core executes
+// prog's image in one coherent memory, starting at entries[i].
+func NewSharedChip(k Kind, prog *asm.Program, entries []uint64, opts Options) (*cmp.Chip, error) {
+	return newChip(Cell{Kind: k, Topo: TopoSharedCMP, Progs: []*asm.Program{prog}, Entries: entries}, opts)
+}
+
+func newChip(c Cell, opts Options) (*cmp.Chip, error) {
+	in, err := NewInstance(c.Shape(), opts)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := in.prepare(c, opts); err != nil {
+		return nil, err
+	}
+	return in.top.(*cmp.Chip), nil
+}
+
 // PublishObs publishes the finished run's counters — the core model's
 // and the memory hierarchy's — into r. No-op when r is nil. sim.Run
-// calls this automatically when Options.Metrics is set.
+// calls this automatically when Options.Metrics is set. A
+// multi-threaded cell publishes its aggregate core counters, the
+// hierarchy's (per-core names) and its threads' predictor counters
+// summed; the per-thread blocks stay in Threads.
 func (o Outcome) PublishObs(r *obs.Registry) {
-	if r == nil || o.Core == nil {
+	if r == nil {
+		return
+	}
+	if th := o.Threads(); th != nil {
+		o.Cell.Base.PublishObs(r)
+		for i := range th {
+			pr := obs.NewRegistry()
+			th[i].Pred.PublishObs(pr)
+			r.Merge(pr)
+		}
+		if o.Mach != nil {
+			o.Mach.Hier.PublishObs(r)
+		}
+		return
+	}
+	if o.Core == nil {
 		return
 	}
 	switch c := o.Core.(type) {

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
+	"rocksim/internal/asm"
 	"rocksim/internal/cpu"
 )
 
@@ -61,5 +63,56 @@ func TestSimDefaultWindowPermitsRealWorkloads(t *testing.T) {
 		if _, err := Run(k, prog, DefaultOptions()); err != nil {
 			t.Errorf("%v: unexpected watchdog error: %v", k, err)
 		}
+	}
+}
+
+// TestMultiThreadWatchdogs: SMT pairs and chips run under the same
+// watchdogs as a single core and fail with the same sentinel errors — a
+// wall-clock Timeout, a livelock window and the cycle budget.
+func TestMultiThreadWatchdogs(t *testing.T) {
+	spin := mustAssemble(t, `
+		.org 0x10000
+	loop:
+		j loop
+	`)
+	// A compulsory DRAM miss stalls an in-order strand for a whole round
+	// trip (300 cycles unloaded): with both strands waiting on one, a
+	// 64-cycle window sees no activity at all.
+	stall := mustAssemble(t, `
+		.org 0x10000
+		movi r5, 0x4000
+		ld64 r6, (r5)
+		halt
+	`)
+	for _, tc := range []struct {
+		name string
+		cell Cell
+		opts func(*Options)
+		want error
+	}{
+		{"cmp-deadline", Cell{Kind: KindSST, Topo: TopoCMP, Progs: []*asm.Program{spin, spin}},
+			func(o *Options) { o.Timeout = 50 * time.Millisecond }, cpu.ErrDeadline},
+		{"smt-livelock", Cell{Kind: KindInOrder, Topo: TopoSMT, Progs: []*asm.Program{stall, stall}},
+			func(o *Options) { o.LivelockWindow = 64 }, cpu.ErrLivelock},
+		{"cmp-cycle-limit", Cell{Kind: KindInOrder, Topo: TopoCMP, Progs: []*asm.Program{spin, spin, spin}},
+			func(o *Options) { o.MaxCycles = 1000 }, cpu.ErrCycleLimit},
+		{"shared-cmp-cycle-limit", Cell{Kind: KindSST, Topo: TopoSharedCMP, Progs: []*asm.Program{spin}, Entries: []uint64{0x10000, 0x10000}},
+			func(o *Options) { o.MaxCycles = 1000 }, cpu.ErrCycleLimit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			tc.opts(&opts)
+			in, err := NewInstance(tc.cell.Shape(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if _, err := in.Run(context.Background(), tc.cell, opts); !errors.Is(err, tc.want) {
+				t.Fatalf("want %v, got %v", tc.want, err)
+			}
+			if elapsed := time.Since(start); elapsed > 10*time.Second {
+				t.Errorf("watchdog took %v", elapsed)
+			}
+		})
 	}
 }

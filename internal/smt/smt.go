@@ -7,13 +7,17 @@
 //
 // The experiment F12 uses this to reproduce ROCK's headline software
 // choice: two threads for throughput, or one SST thread for latency.
+// The pair is a cpu.Core (and cpu.FastForwarder), stepped by the same
+// watchdogged cpu.RunCtx loop as every other machine.
 package smt
 
 import (
 	"fmt"
 
+	"rocksim/internal/bpred"
 	"rocksim/internal/cpu"
 	"rocksim/internal/inorder"
+	"rocksim/internal/mem"
 )
 
 // Thread is one hardware thread context of the SMT pair.
@@ -39,6 +43,39 @@ func New(a, b Thread) (*Core, error) {
 		return nil, fmt.Errorf("smt: threads must share one physical core's hierarchy port")
 	}
 	return &Core{threads: [2]Thread{a, b}}, nil
+}
+
+// Build builds an SMT pair over a fresh single-port hierarchy: two
+// in-order strands with private functional memories, drawing their
+// predictors from one group (pcfg.Share decides partitioned, shared or
+// hashed tables), both starting at address 0 with no program loaded.
+// Reset sets the entry points; the caller loads each strand's program
+// into Thread(i).Mach.Mem.
+func Build(hcfg mem.HierConfig, pcfg bpred.Config, icfg inorder.Config) (*Core, error) {
+	hier, err := mem.NewHierarchy(hcfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	preds := bpred.NewGroup(pcfg, 2)
+	var th [2]Thread
+	for i := range th {
+		mach := &cpu.Machine{Mem: mem.NewSparse(), Hier: hier, CoreID: 0, Pred: preds[i]}
+		th[i] = Thread{Core: inorder.New(mach, icfg, 0), Mach: mach}
+	}
+	return New(th[0], th[1])
+}
+
+// Reset returns the pair to its freshly built state, strand i executing
+// from entries[i], without reallocating: each strand's machine (memory,
+// the shared hierarchy, predictor) and core are cleared in place.
+func (c *Core) Reset(entries [2]uint64) {
+	for i := range c.threads {
+		c.threads[i].Mach.Reset()
+	}
+	for i := range c.threads {
+		c.threads[i].Core.Reset(entries[i])
+	}
+	c.cycle, c.err = 0, nil
 }
 
 // Step advances the physical core one cycle: the issue slot belongs to
@@ -82,27 +119,13 @@ func (c *Core) Err() error { return c.err }
 // Base returns an aggregate statistics block (summed across threads;
 // Cycles is the physical core's cycle count).
 func (c *Core) Base() *cpu.BaseStats {
-	a, b := c.threads[0].Core.Base(), c.threads[1].Core.Base()
-	c.agg = cpu.BaseStats{
-		Cycles:        c.cycle,
-		Retired:       a.Retired + b.Retired,
-		Loads:         a.Loads + b.Loads,
-		Stores:        a.Stores + b.Stores,
-		LoadL1Hits:    a.LoadL1Hits + b.LoadL1Hits,
-		LoadL2Hits:    a.LoadL2Hits + b.LoadL2Hits,
-		LoadMemHits:   a.LoadMemHits + b.LoadMemHits,
-		Branches:      a.Branches + b.Branches,
-		BranchMispred: a.BranchMispred + b.BranchMispred,
-		MLPSamples:    a.MLPSamples + b.MLPSamples,
-		MLPSum:        a.MLPSum + b.MLPSum,
-	}
 	// Cycle accounting sums across threads. Each physical cycle shows up
 	// once as an issue-slot bucket (in the thread that owned the slot)
 	// and, while both threads run, once as the sibling's smt_idle — so
 	// the aggregate invariant is sum(CPI) - CPI[smt_idle] == Cycles.
-	for i := range c.agg.CPI {
-		c.agg.CPI[i] = a.CPI[i] + b.CPI[i]
-	}
+	c.agg = cpu.BaseStats{Cycles: c.cycle}
+	c.agg.Add(c.threads[0].Core.Base())
+	c.agg.Add(c.threads[1].Core.Base())
 	return &c.agg
 }
 

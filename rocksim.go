@@ -17,6 +17,8 @@
 package rocksim
 
 import (
+	"context"
+
 	"rocksim/internal/asm"
 	"rocksim/internal/bpred"
 	"rocksim/internal/cmp"
@@ -184,41 +186,23 @@ type Chip = cmp.Chip
 
 // NewChip builds a multiprogrammed CMP: core i of kind k runs progs[i]
 // in a private address space over the shared L2/DRAM. An unknown kind
-// returns an error. When opts.Faults is set, each core gets its own
-// injector replaying the plan, and the shared hierarchy another.
+// returns an error. When opts.Faults is set, each SST-family core gets
+// its own injector replaying the plan, and the shared hierarchy another.
+// Run it with RunChip.
 func NewChip(k CoreKind, progs []*Program, opts Options) (*Chip, error) {
-	ch, err := cmp.NewPrivate(opts.Hier, opts.Pred, progs,
-		func(id int, m *cpu.Machine, entry uint64) (cpu.Core, error) {
-			return sim.NewCore(k, m, opts, entry)
-		})
-	if err != nil {
-		return nil, err
-	}
-	installChipFaults(ch, opts)
-	return ch, nil
+	return sim.NewChip(k, progs, opts)
 }
 
 // NewSharedChip builds a shared-memory CMP: every core of kind k
 // executes prog's image in one coherent memory, starting at entries[i].
 func NewSharedChip(k CoreKind, prog *Program, entries []uint64, opts Options) (*Chip, error) {
-	ch, err := cmp.NewShared(opts.Hier, opts.Pred, prog, entries,
-		func(id int, m *cpu.Machine, entry uint64) (cpu.Core, error) {
-			return sim.NewCore(k, m, opts, entry)
-		})
-	if err != nil {
-		return nil, err
-	}
-	installChipFaults(ch, opts)
-	return ch, nil
+	return sim.NewSharedChip(k, prog, entries, opts)
 }
 
-// installChipFaults arms the shared hierarchy's fault injector for a
-// chip built under a fault plan (per-core injectors were installed by
-// sim.NewCore).
-func installChipFaults(ch *Chip, opts Options) {
-	if opts.Faults != nil {
-		ch.Hier.SetFaults(opts.Faults.New(opts.Sink))
-	}
+// RunChip steps a chip until every core halts, under the same watchdogs
+// as Run: opts' cycle budget, wall-clock Timeout and livelock window.
+func RunChip(ch *Chip, opts Options) error {
+	return sim.RunCore(context.Background(), ch, opts)
 }
 
 // Experiment harness: regenerates the paper's tables and figures.

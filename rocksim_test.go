@@ -104,11 +104,12 @@ func TestFacadeKindNames(t *testing.T) {
 func TestFacadeChip(t *testing.T) {
 	w1, _ := rocksim.BuildWorkload("dense", rocksim.ScaleTest)
 	w2, _ := rocksim.BuildWorkload("gcc", rocksim.ScaleTest)
-	chip, err := rocksim.NewChip(rocksim.SST, []*rocksim.Program{w1.Program, w2.Program}, rocksim.DefaultOptions())
+	opts := rocksim.DefaultOptions()
+	chip, err := rocksim.NewChip(rocksim.SST, []*rocksim.Program{w1.Program, w2.Program}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chip.Run(2_000_000_000); err != nil {
+	if err := rocksim.RunChip(chip, opts); err != nil {
 		t.Fatal(err)
 	}
 	if chip.Throughput() <= 0 {
