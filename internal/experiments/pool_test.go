@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -8,13 +9,26 @@ import (
 	"rocksim/internal/workload"
 )
 
+// quietPool makes sync.Pool keep every Put where the next Get finds it,
+// for the rest of the test: it pauses GC, which may drop idle instances,
+// and pins the test to one P, because a Put parks in a per-P slot that a
+// Get on another P cannot reach. These tests are about reuse behavior,
+// not GC or scheduling policy. Only the race detector's random Put drops
+// remain.
+func quietPool(t *testing.T) {
+	gc := debug.SetGCPercent(-1)
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
+}
+
 // TestPoolReusesInstances: distinct cache cells that share a machine
 // shape must be served by one recycled simulator, not one construction
-// each. GC is paused for the assertion window — sync.Pool is allowed to
-// drop idle instances at collection, and this test is about reuse
-// behavior, not GC policy.
+// each.
 func TestPoolReusesInstances(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	quietPool(t)
 	r := NewRunner()
 	r.SetJobs(1)
 	spec, err := workload.Build("oltp", workload.ScaleTest)
@@ -35,11 +49,13 @@ func TestPoolReusesInstances(t *testing.T) {
 		t.Fatalf("want 4 cache misses and 0 hits, got %d misses, %d hits", misses, hits)
 	}
 	reused, built := r.PoolStats()
-	if built != 1 {
-		t.Errorf("want 1 instance built for one shape, got %d", built)
+	if built < 1 || built+reused != 4 {
+		t.Errorf("4 runs took %d builds and %d reuses", built, reused)
 	}
-	if reused != 3 {
-		t.Errorf("want 3 pooled reuses, got %d", reused)
+	// The race detector makes sync.Pool drop Puts at random, so exact
+	// reuse holds only without it.
+	if !raceDetectorOn && (built != 1 || reused != 3) {
+		t.Errorf("want 1 instance built and 3 pooled reuses for one shape, got %d and %d", built, reused)
 	}
 
 	// A different shape must not share instances with the first.
@@ -48,17 +64,17 @@ func TestPoolReusesInstances(t *testing.T) {
 	if _, err := r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), other); err != nil {
 		t.Fatal(err)
 	}
-	if _, built = r.PoolStats(); built != 2 {
-		t.Errorf("want a second instance for a second shape, got %d built", built)
+	reused2, built2 := r.PoolStats()
+	if built2 != built+1 || reused2 != reused {
+		t.Errorf("want a second instance for a second shape: built %d->%d, reused %d->%d", built, built2, reused, reused2)
 	}
 
 	// A cache hit must not touch the pool at all.
-	reused, _ = r.PoolStats()
 	if _, err := r.RunCell(sim.CoreCell(sim.KindSST, spec.Program), other); err != nil {
 		t.Fatal(err)
 	}
-	if r2, b2 := r.PoolStats(); r2 != reused || b2 != 2 {
-		t.Errorf("cache hit touched the pool: reused %d->%d, built 2->%d", reused, r2, b2)
+	if r3, b3 := r.PoolStats(); r3 != reused2 || b3 != built2 {
+		t.Errorf("cache hit touched the pool: reused %d->%d, built %d->%d", reused2, r3, built2, b3)
 	}
 }
 
@@ -72,7 +88,7 @@ func TestPoolReusesInstances(t *testing.T) {
 // the panicking compute seam here bypasses the pool, so that drop
 // path is enforced structurally rather than end to end.)
 func TestPoolReusesAfterWatchdogError(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	quietPool(t)
 	r := NewRunner()
 	r.SetJobs(1)
 	spec, err := workload.Build("oltp", workload.ScaleTest)
@@ -97,17 +113,17 @@ func TestPoolReusesAfterWatchdogError(t *testing.T) {
 		t.Errorf("run after watchdog error diverges from fresh: pooled %d/%d, fresh %d/%d",
 			out.Cycles, out.Retired, fresh.Cycles, fresh.Retired)
 	}
-	if reused, built := r.PoolStats(); built != 1 || reused != 1 {
+	reused, built := r.PoolStats()
+	if built+reused != 2 || !raceDetectorOn && built != 1 {
 		t.Errorf("want the errored instance recycled (1 built, 1 reused), got %d built, %d reused", built, reused)
 	}
 }
 
 // TestPoolBoundsShapes: the pool keeps instances for at most maxShapes
 // shapes, evicting the least recently used, so a grid touching many
-// shapes once each does not hold every machine it ever built. GC is
-// paused, as above.
+// shapes once each does not hold every machine it ever built.
 func TestPoolBoundsShapes(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	quietPool(t)
 	r := NewRunner()
 	r.SetJobs(1)
 	spec := testSpec(t)

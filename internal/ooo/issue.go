@@ -6,23 +6,31 @@ import (
 )
 
 // issue selects up to IssueWidth ready instructions among the IQSize
-// oldest unissued entries and executes them, returning how many issued.
+// oldest unissued entries, in age order, and executes them, returning
+// how many issued. The scan starts at the oldest unissued entry; an
+// entry whose wait record still holds counts toward IQSize but is
+// skipped without resolving its operands.
 func (c *Core) issue(now uint64) int {
 	issued := 0
 	examined := 0
-	for i := 0; i < c.count && issued < c.cfg.IssueWidth && examined < c.cfg.IQSize; i++ {
-		e := c.at(i)
+	c.wakeMin = 0
+	// A squash inside tryExecute lowers nextSeq; the bound is re-read.
+	for seq := c.issueSeq; seq < c.nextSeq && issued < c.cfg.IssueWidth && examined < c.cfg.IQSize; seq++ {
+		e := c.slot(seq)
 		if e.issued {
 			continue
 		}
 		examined++
-		if c.tryExecute(e, i, now) {
+		if !c.waiting(e, now) && c.tryExecute(e, now) {
 			issued++
-			// Squashes invalidate iteration state: restart scan.
-			if int(e.seq-c.headSeq) >= c.count {
-				break
-			}
+			continue
 		}
+		if e.wakeAt > now && (c.wakeMin == 0 || e.wakeAt < c.wakeMin) {
+			c.wakeMin = e.wakeAt
+		}
+	}
+	for c.issueSeq < c.nextSeq && c.slot(c.issueSeq).issued {
+		c.issueSeq++
 	}
 	if issued == 0 && c.count > 0 {
 		c.stats.EmptyIssueCycles++
@@ -30,42 +38,57 @@ func (c *Core) issue(now uint64) int {
 	return issued
 }
 
-// operand returns the value of source s of entry e if it is available at
-// cycle now.
-func (c *Core) operand(e *robEntry, s int, now uint64) (int64, bool) {
-	src := &e.src[s]
-	if !src.hasTag {
-		if src.reg == isa.RegZero {
-			return 0, true
+// waiting reports whether e's wait record says an operand is still not
+// ready at cycle now, clearing a producer wait once the producer has
+// executed or left its slot.
+func (c *Core) waiting(e *robEntry, now uint64) bool {
+	if now < e.wakeAt {
+		return true
+	}
+	if e.waitProd {
+		if p := c.slot(e.waitSeq); p.seq == e.waitSeq && !p.executed {
+			return true
 		}
-		return c.regs[src.reg], true
+		e.waitProd = false
 	}
-	p := c.entryBySeq(src.tag)
-	if p == nil {
-		// Producer already committed; its value is architectural.
-		return c.regs[src.reg], true
-	}
-	if p.executed && p.readyAt <= now {
-		return p.value, true
-	}
-	return 0, false
+	return false
 }
 
+// operands returns the source values of e at cycle now. When one is not
+// available it writes e's wait record and returns false.
 func (c *Core) operands(e *robEntry, now uint64) ([3]int64, bool) {
 	var vals [3]int64
 	for i := 0; i < e.nsrc; i++ {
-		v, ok := c.operand(e, i, now)
-		if !ok {
-			return vals, false
+		src := &e.src[i]
+		if !src.hasTag {
+			if src.reg != isa.RegZero {
+				vals[i] = c.regs[src.reg]
+			}
+			continue
 		}
-		vals[i] = v
+		if src.tag < c.headSeq {
+			// Producer already committed; its value is architectural.
+			vals[i] = c.regs[src.reg]
+			continue
+		}
+		p := c.slot(src.tag)
+		switch {
+		case !p.executed:
+			e.waitSeq, e.waitProd = src.tag, true
+			return vals, false
+		case p.readyAt > now:
+			e.wakeAt = p.readyAt
+			return vals, false
+		default:
+			vals[i] = p.value
+		}
 	}
 	return vals, true
 }
 
-// tryExecute attempts to issue entry e (at ROB index idx). It returns
-// true if the entry issued this cycle.
-func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
+// tryExecute attempts to issue entry e. It returns true if the entry
+// issued this cycle.
+func (c *Core) tryExecute(e *robEntry, now uint64) bool {
 	in := e.in
 	vals, ready := c.operands(e, now)
 	if !ready {
@@ -77,7 +100,7 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 		e.readyAt = now
 	case isa.ClassBarrier:
 		// Serializing: only at the head.
-		if idx != 0 {
+		if e.seq != c.headSeq {
 			return false
 		}
 		e.readyAt = now + 1
@@ -85,7 +108,7 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 		e.value = isa.ALUResult(in, vals[0], vals[1])
 		e.readyAt = now + uint64(in.Op.Latency())
 	case isa.ClassLoad:
-		return c.issueLoad(e, idx, vals[0], now)
+		return c.issueLoad(e, vals[0], now)
 	case isa.ClassStore:
 		e.addr = uint64(vals[0] + int64(in.Imm))
 		e.msize = in.Op.MemWidth()
@@ -94,7 +117,7 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 		e.readyAt = now + 1
 		e.issued = true
 		e.executed = true
-		c.checkViolations(e, idx, now)
+		c.checkViolations(e, now)
 		return true
 	case isa.ClassBranch:
 		taken := isa.BranchTaken(in.Op, vals[0], vals[1])
@@ -135,7 +158,7 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 		return true
 	case isa.ClassAtomic:
 		// Atomics execute non-speculatively at the ROB head.
-		if idx != 0 {
+		if e.seq != c.headSeq {
 			return false
 		}
 		addr := uint64(vals[0])
@@ -165,22 +188,19 @@ func (c *Core) tryExecute(e *robEntry, idx int, now uint64) bool {
 }
 
 // issueLoad handles disambiguation, forwarding and timing for a load.
-func (c *Core) issueLoad(e *robEntry, idx int, base int64, now uint64) bool {
+func (c *Core) issueLoad(e *robEntry, base int64, now uint64) bool {
 	in := e.in
 	addr := uint64(base + int64(in.Imm))
 	size := in.Op.MemWidth()
 
-	// Disambiguation against older stores.
-	for i := 0; i < idx; i++ {
-		s := c.at(i)
-		if !s.in.Op.IsStore() {
-			continue
-		}
-		if !s.addrValid {
-			if c.cfg.SpecLoads {
-				continue // speculate past it; violation check will catch
+	// Conservative disambiguation: wait until every older store has
+	// issued. With SpecLoads the load speculates past them instead and
+	// the violation check catches a conflict.
+	if !c.cfg.SpecLoads && c.stores > 0 {
+		for s := c.headSeq; s < e.seq; s++ {
+			if st := c.slot(s); st.in.Op.IsStore() && !st.addrValid {
+				return false
 			}
-			return false // conservative: wait for the store to issue
 		}
 	}
 
@@ -197,12 +217,12 @@ func (c *Core) issueLoad(e *robEntry, idx int, base int64, now uint64) bool {
 		buf[i] = byte(raw >> (8 * i))
 	}
 	forwardedAll := size > 0
-	for i := 0; i < idx; i++ {
-		s := c.at(i)
-		if !s.in.Op.IsStore() || !s.addrValid {
-			continue
+	if c.stores > 0 {
+		for s := c.headSeq; s < e.seq; s++ {
+			if st := c.slot(s); st.in.Op.IsStore() && st.addrValid {
+				overlayStore(buf, fromStore, addr, st.addr, st.msize, st.storeVal)
+			}
 		}
-		overlayStore(buf, fromStore, addr, s.addr, s.msize, s.storeVal)
 	}
 	for _, f := range fromStore {
 		if !f {
@@ -246,12 +266,12 @@ func overlayStore(buf []byte, from []bool, base, saddr uint64, ssize int, sval i
 // checkViolations detects younger loads that issued speculatively past
 // this store and read stale data; the oldest violator and everything
 // younger are squashed and refetched.
-func (c *Core) checkViolations(st *robEntry, idx int, now uint64) {
+func (c *Core) checkViolations(st *robEntry, now uint64) {
 	if !c.cfg.SpecLoads {
 		return
 	}
-	for i := idx + 1; i < c.count; i++ {
-		l := c.at(i)
+	for s := st.seq + 1; s < c.nextSeq; s++ {
+		l := c.slot(s)
 		if !l.in.Op.IsLoad() || !l.issued || !l.addrValid {
 			continue
 		}

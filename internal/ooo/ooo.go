@@ -78,23 +78,36 @@ func (s *Stats) PublishObs(r *obs.Registry) {
 }
 
 type source struct {
-	reg    uint8
 	tag    uint64 // producing seq, valid when hasTag
+	reg    uint8
 	hasTag bool
 }
 
+// robEntry leads with what the issue scan reads on every entry it
+// passes (and on a waiting entry's producer), so a scan step touches
+// one cache line of the entry, not several.
 type robEntry struct {
-	seq uint64
-	in  isa.Inst
-	pc  uint64
+	seq      uint64
+	issued   bool
+	executed bool // result value computed
+
+	// Wait record, written when an operand is found not ready: the entry
+	// cannot issue before cycle wakeAt (its producer has executed and the
+	// result lands then) nor, while waitProd, as long as the ROB slot of
+	// seq waitSeq still holds that producer unexecuted. A producer leaves
+	// its slot only by committing (a squash that removes it removes this
+	// younger entry too), so a seq mismatch means the value is ready.
+	waitProd bool
+	wakeAt   uint64
+	waitSeq  uint64
+
+	readyAt uint64 // cycle the result is usable / entry committable
+	value   int64  // destination value
+	in      isa.Inst
+	pc      uint64
 
 	src  [3]source
 	nsrc int
-
-	issued   bool
-	executed bool   // result value computed
-	readyAt  uint64 // cycle the result is usable / entry committable
-	value    int64  // destination value
 
 	// Memory state.
 	addrValid bool
@@ -118,12 +131,20 @@ type Core struct {
 	regTag [isa.NumRegs]uint64
 	tagOK  [isa.NumRegs]bool
 
-	rob     []robEntry // ring buffer
-	head    int
-	count   int
-	headSeq uint64 // seq of rob[head]
-	nextSeq uint64
-	memOps  int // loads+stores currently in the ROB
+	// rob is a ring indexed by seq&mask: its length is ROBSize rounded up
+	// to a power of two, while occupancy stays capped at ROBSize.
+	rob      []robEntry
+	mask     uint64
+	count    int
+	headSeq  uint64 // seq of the oldest entry
+	nextSeq  uint64
+	memOps   int    // loads+stores currently in the ROB
+	stores   int    // stores currently in the ROB
+	issueSeq uint64 // seq of the oldest unissued entry (nextSeq if none)
+	// wakeMin is the earliest wakeAt after the cycle among the entries
+	// the last issue scan examined (0 = none): the cycle at which one of
+	// them can next issue.
+	wakeMin uint64
 
 	// Fetch blocking conditions.
 	fetchBlockedSeq uint64 // waiting for this jalr to resolve
@@ -184,11 +205,16 @@ func New(m *cpu.Machine, cfg Config, entry uint64) *Core {
 	if cfg.LSQSize < 1 {
 		cfg.LSQSize = 1
 	}
+	n := 1
+	for n < cfg.ROBSize {
+		n <<= 1
+	}
 	return &Core{
-		cfg: cfg,
-		m:   m,
-		fe:  cpu.NewFrontend(m, entry),
-		rob: make([]robEntry, cfg.ROBSize),
+		cfg:  cfg,
+		m:    m,
+		fe:   cpu.NewFrontend(m, entry),
+		rob:  make([]robEntry, n),
+		mask: uint64(n - 1),
 	}
 }
 
@@ -213,20 +239,9 @@ func (c *Core) Err() error { return c.err }
 // Regs returns the committed register file (for test validation).
 func (c *Core) Regs() [isa.NumRegs]int64 { return c.regs }
 
-func (c *Core) at(i int) *robEntry { return &c.rob[(c.head+i)%len(c.rob)] }
-
-// entryBySeq returns the ROB entry with the given seq, or nil if it has
-// already committed or been squashed.
-func (c *Core) entryBySeq(seq uint64) *robEntry {
-	if seq < c.headSeq {
-		return nil
-	}
-	i := int(seq - c.headSeq)
-	if i >= c.count {
-		return nil
-	}
-	return c.at(i)
-}
+// slot returns the ring slot of seq; it holds that entry while seq is in
+// [headSeq, nextSeq).
+func (c *Core) slot(seq uint64) *robEntry { return &c.rob[seq&c.mask] }
 
 // Step advances the core one cycle: commit, issue/execute, fetch.
 func (c *Core) Step() {
@@ -285,12 +300,16 @@ func (c *Core) stallBucket(outstanding int) cpu.Bucket {
 	}
 }
 
-// nextTimer returns the earliest cycle strictly after now at which any
-// pending completion lands: an executed ROB entry's result (which can
-// unblock commit or a dependent issue), a fetch-line delivery, or an
-// in-flight L1D fill expiring (which changes MLP accounting). 0 = no
-// timer pending; a wedged core then falls back to naive stepping and the
-// livelock watchdog.
+// nextTimer returns the earliest cycle strictly after now at which a
+// pure stall can end: the head's result landing (which unblocks
+// commit), an examined entry's wait record expiring (which unblocks
+// issue), a fetch-line delivery, or an in-flight L1D fill expiring
+// (which changes MLP accounting). Nothing else can change first: every
+// other examined entry waits on an unexecuted producer that must issue
+// first, or on reaching the head, and entries outside the issue window
+// enter it only when an older one issues. 0 = no timer pending; a
+// wedged core then falls back to naive stepping and the livelock
+// watchdog.
 func (c *Core) nextTimer(now uint64) uint64 {
 	var next uint64
 	bound := func(t uint64) {
@@ -298,11 +317,10 @@ func (c *Core) nextTimer(now uint64) uint64 {
 			next = t
 		}
 	}
-	for i := 0; i < c.count; i++ {
-		if e := c.at(i); e.executed {
-			bound(e.readyAt)
-		}
+	if h := c.slot(c.headSeq); c.count > 0 && h.executed {
+		bound(h.readyAt)
 	}
+	bound(c.wakeMin)
 	bound(c.fe.NextDelivery(now))
 	bound(c.m.Hier.NextDataFill(c.m.CoreID, now))
 	return next
@@ -367,8 +385,11 @@ func (c *Core) fetch(now uint64) {
 			return
 		}
 
-		e := robEntry{seq: c.nextSeq, in: in, pc: pc}
-		c.captureSources(&e)
+		// Build the entry in its free ring slot; count and nextSeq publish
+		// it below.
+		e := c.slot(c.nextSeq)
+		*e = robEntry{seq: c.nextSeq, in: in, pc: pc}
+		c.captureSources(e)
 		redirected := false
 
 		switch in.Op.Class() {
@@ -418,7 +439,11 @@ func (c *Core) fetch(now uint64) {
 		if in.Op.IsMem() {
 			c.memOps++
 		}
-		c.push(e)
+		if in.Op.IsStore() {
+			c.stores++
+		}
+		c.count++
+		c.nextSeq++
 		if !redirected {
 			c.fe.Advance()
 		}
@@ -444,16 +469,10 @@ func (c *Core) captureSources(e *robEntry) {
 	}
 }
 
-func (c *Core) push(e robEntry) {
-	c.rob[(c.head+c.count)%len(c.rob)] = e
-	c.count++
-	c.nextSeq++
-}
-
 // commit retires up to CommitWidth completed instructions from the head.
 func (c *Core) commit(now uint64) {
 	for n := 0; n < c.cfg.CommitWidth && c.count > 0; n++ {
-		e := c.at(0)
+		e := c.slot(c.headSeq)
 		if !e.executed || e.readyAt > now {
 			return
 		}
@@ -470,6 +489,7 @@ func (c *Core) commit(now uint64) {
 			c.m.Hier.Access(c.m.CoreID, mem.AccWrite, e.addr, now)
 			c.m.StoreVisible(e.addr)
 			c.stats.Stores++
+			c.stores--
 		case isa.ClassAtomic:
 			// The memory side already executed at issue (head-only).
 			c.stats.Stores++
@@ -480,7 +500,6 @@ func (c *Core) commit(now uint64) {
 		if in.Op.IsMem() {
 			c.memOps--
 		}
-		c.head = (c.head + 1) % len(c.rob)
 		c.count--
 		c.headSeq++
 		if c.done {
@@ -496,31 +515,35 @@ func (c *Core) squashAfter(seq uint64, target uint64, now, penalty uint64) {
 	if keep < 0 {
 		keep = 0
 	}
-	for i := keep; i < c.count; i++ {
-		e := c.at(i)
+	end := c.headSeq + uint64(keep)
+	for s := end; s < c.nextSeq; s++ {
+		e := c.slot(s)
 		if e.in.Op.IsMem() {
 			c.memOps--
+		}
+		if e.in.Op.IsStore() {
+			c.stores--
 		}
 		c.stats.WrongPathInsts++
 	}
 	c.count = keep
-	c.nextSeq = c.headSeq + uint64(keep)
+	c.nextSeq = end
+	// issueSeq needs no clamp: a squash comes from an entry issuing, at
+	// or after the cursor, and that entry survives.
 	// Rebuild the rename map from surviving entries.
 	for i := range c.tagOK {
 		c.tagOK[i] = false
 	}
-	for i := 0; i < c.count; i++ {
-		e := c.at(i)
+	c.fetchBlocked = false
+	c.fetchGarbage = false
+	c.haltFetched = false
+	for s := c.headSeq; s < end; s++ {
+		e := c.slot(s)
 		if rd, has := e.in.DestReg(); has {
 			c.regTag[rd] = e.seq
 			c.tagOK[rd] = true
 		}
-	}
-	c.fetchBlocked = false
-	c.fetchGarbage = false
-	c.haltFetched = false
-	for i := 0; i < c.count; i++ {
-		if c.at(i).in.Op.Class() == isa.ClassHalt {
+		if e.in.Op.Class() == isa.ClassHalt {
 			c.haltFetched = true
 		}
 	}

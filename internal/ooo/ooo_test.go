@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"reflect"
 	"testing"
 
 	"rocksim/internal/asm"
@@ -20,7 +21,7 @@ func testHier() mem.HierConfig {
 	}
 }
 
-func build(t *testing.T, cfg Config, gen func(b *asm.Builder)) (*Core, *cpu.Machine) {
+func assemble(t *testing.T, gen func(b *asm.Builder)) *asm.Program {
 	t.Helper()
 	b := asm.NewBuilder(asm.DefaultTextBase)
 	gen(b)
@@ -28,6 +29,12 @@ func build(t *testing.T, cfg Config, gen func(b *asm.Builder)) (*Core, *cpu.Mach
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prog
+}
+
+func build(t *testing.T, cfg Config, gen func(b *asm.Builder)) (*Core, *cpu.Machine) {
+	t.Helper()
+	prog := assemble(t, gen)
 	m := mem.NewSparse()
 	prog.Load(m)
 	mach, err := cpu.NewMachine(m, testHier(), bpred.DefaultConfig())
@@ -274,5 +281,175 @@ func TestLSQCapacityBlocksFetch(t *testing.T) {
 	mustRun(t, c, 100_000)
 	if c.Retired() != 10 {
 		t.Errorf("retired = %d", c.Retired())
+	}
+}
+
+// stepUntil steps c one cycle at a time until cond holds, failing the
+// test if the core halts or runs 10k cycles first.
+func stepUntil(t *testing.T, c *Core, what string, cond func() bool) {
+	t.Helper()
+	for !cond() {
+		if c.Done() || c.Cycle() >= 10_000 {
+			t.Fatalf("cycle %d: never reached %s", c.Cycle(), what)
+		}
+		c.Step()
+	}
+}
+
+func TestIssuedHeadTakesNoIQSlot(t *testing.T) {
+	// With a one-entry issue window, a load that has issued but waits at
+	// the head for a memory miss must not occupy the window: the four
+	// independent movis behind it issue one per cycle under the miss.
+	// The load-only program commits load and halt together in the cycle
+	// T the data lands. With the movis, commit (two wide) retires load
+	// and movi 1 at T, movis 2-3 at T+1 and movi 4 with the halt at T+2:
+	// exactly two cycles more. Had the issued load held the window, each
+	// movi would issue only after the previous one committed.
+	cfg := SmallConfig()
+	cfg.IQSize = 1
+	cfg.IssueWidth = 1
+	run := func(movis int) uint64 {
+		c, _ := build(t, cfg, func(b *asm.Builder) {
+			b.Movi(1, 0x20000)
+			b.Ld(isa.OpLd64, 2, 1, 0)
+			for i := 0; i < movis; i++ {
+				b.Movi(uint8(3+i), int32(i))
+			}
+			b.Halt()
+		})
+		mustRun(t, c, 10_000)
+		return c.Cycle()
+	}
+	loadOnly, withMovis := run(0), run(4)
+	if want := loadOnly + 2; withMovis != want {
+		t.Errorf("cycles = %d, want %d (load-only run %d + 2)", withMovis, want, loadOnly)
+	}
+}
+
+// squashGen builds a divide-fed branch that the cold predictor guesses
+// taken but that falls through. The taken path sits in the already
+// fetched first I-cache line; the branch and its fall-through share the
+// second. Seqs: 0-2 the prologue, 3 div, 4 beq, then on the wrong path
+// 5 a missing load P, 6 its consumer C, 7 a store, 8 halt; after the
+// squash the fall-through reuses seqs (and slots) 5 and 6 for P' and C'.
+func squashGen(b *asm.Builder) {
+	b.Movi(1, 0x20000)
+	b.Movi(8, 7)
+	b.Jmp("main")
+	b.Label("wrong")
+	b.Ld(isa.OpLd64, 3, 1, 0)  // P: misses to DRAM
+	b.Opi(isa.OpAddi, 4, 3, 1) // C: waits for P's data
+	b.St(isa.OpSt64, 8, 1, 8)
+	b.Halt()
+	b.Nop() // pads main to the start of the second line
+	b.Label("main")
+	b.Op(isa.OpDiv, 2, 8, 8) // r2 = 1 after 20 cycles
+	b.Br(isa.OpBeq, 2, isa.RegZero, "wrong")
+	b.Movi(6, 5)               // P'
+	b.Opi(isa.OpAddi, 7, 6, 1) // C'
+	b.Halt()
+}
+
+func TestSquashedWaiterSlotReissuesOnTime(t *testing.T) {
+	c, _ := build(t, SmallConfig(), squashGen)
+	const cSeq = 6
+	// Run until the wrong-path consumer waits for its load's data.
+	stepUntil(t, c, "a waiting wrong-path consumer", func() bool {
+		e := c.slot(cSeq)
+		return c.nextSeq > cSeq && e.seq == cSeq && !e.issued && e.wakeAt > c.Cycle()
+	})
+	stale := c.slot(cSeq).wakeAt
+	stepUntil(t, c, "the mispredict squash", func() bool { return c.stats.Squashes > 0 })
+	if c.nextSeq > cSeq {
+		t.Fatalf("consumer slot not squashed: nextSeq = %d", c.nextSeq)
+	}
+	stepUntil(t, c, "the refetch of C'", func() bool { return c.nextSeq > cSeq })
+	stepUntil(t, c, "the issue of C'", func() bool { return c.slot(cSeq).issued })
+	issuedAt := c.Cycle() - 1
+	// C' issues in the cycle P''s result lands, long before the data the
+	// squashed consumer was waiting for.
+	if want := c.slot(cSeq - 1).readyAt; issuedAt != want {
+		t.Errorf("C' issued at cycle %d, want %d (when P' lands)", issuedAt, want)
+	}
+	if issuedAt >= stale {
+		t.Errorf("C' issued at %d, not before the squashed consumer's wake cycle %d", issuedAt, stale)
+	}
+	mustRun(t, c, 10_000)
+	if r := c.Regs(); r[7] != 6 || r[4] != 0 {
+		t.Errorf("r7 = %d, r4 = %d; want 6 and 0", r[7], r[4])
+	}
+}
+
+func TestROBNonPowerOfTwoCapacity(t *testing.T) {
+	// A ROB of 24 lives in a 32-slot ring but must fill at 24 behind a
+	// pointer chase of DRAM misses at the head.
+	cfg := SmallConfig()
+	cfg.ROBSize = 24
+	cfg.IQSize = 24
+	c, mach := build(t, cfg, func(b *asm.Builder) {
+		b.Movi(1, 0x20000)
+		for i := 0; i < 6; i++ {
+			b.Ld(isa.OpLd64, 1, 1, 0)
+		}
+		for i := 0; i < 40; i++ {
+			b.Movi(uint8(2+i%20), int32(i))
+		}
+		b.Halt()
+	})
+	for i := uint64(0); i < 6; i++ {
+		mach.Mem.Write(0x20000+i<<12, 8, 0x20000+(i+1)<<12)
+	}
+	most := 0
+	stepUntil(t, c, "the halt", func() bool {
+		most = max(most, c.count)
+		return c.Done()
+	})
+	if len(c.rob) != 32 {
+		t.Errorf("ring has %d slots, want 32", len(c.rob))
+	}
+	if most != 24 {
+		t.Errorf("peak occupancy %d, want 24", most)
+	}
+	if c.Stats().ROBFullCycles == 0 {
+		t.Error("ROB never reported full")
+	}
+	if c.Regs()[1] != 0x26000 {
+		t.Errorf("r1 = %#x, want 0x26000", c.Regs()[1])
+	}
+}
+
+func TestResetMidSquashMatchesFresh(t *testing.T) {
+	// Stop a run while its mispredicted path is in flight — the load,
+	// the consumer waiting for it and the store — before the squash
+	// lands, then reset: the core must equal, and run exactly like, a
+	// fresh one.
+	used, mach := build(t, SmallConfig(), squashGen)
+	stepUntil(t, used, "the in-flight wrong path", func() bool {
+		return used.stores > 0 && used.slot(6).wakeAt > used.Cycle()
+	})
+	if used.stats.Squashes != 0 || used.issueSeq == 0 || used.wakeMin == 0 {
+		t.Fatalf("not mid-squash: squashes=%d issueSeq=%d wakeMin=%d",
+			used.stats.Squashes, used.issueSeq, used.wakeMin)
+	}
+	fresh, _ := build(t, SmallConfig(), squashGen)
+	prog := assemble(t, squashGen)
+	mach.Reset()
+	prog.Load(mach.Mem)
+	used.Reset(prog.Entry)
+
+	// Ring slots may keep stale entries (fetch overwrites a slot whole);
+	// everything else must match, the frontend's decode memo aside.
+	strip := func(c *Core) Core {
+		s := *c
+		s.m, s.fe, s.rob = nil, nil, nil
+		return s
+	}
+	if a, b := strip(used), strip(fresh); !reflect.DeepEqual(a, b) {
+		t.Errorf("reset core differs from fresh:\n%+v\n%+v", a, b)
+	}
+	mustRun(t, used, 10_000)
+	mustRun(t, fresh, 10_000)
+	if !reflect.DeepEqual(used.Stats(), fresh.Stats()) || used.Regs() != fresh.Regs() {
+		t.Errorf("reset run differs from fresh:\n%+v\n%+v", *used.Stats(), *fresh.Stats())
 	}
 }

@@ -16,20 +16,23 @@ func (c Config) Fingerprint() string {
 
 // Reset returns the core to its freshly constructed state, executing
 // from entry, without reallocating. The ROB ring's entries are not
-// zeroed: push() fully overwrites a slot on allocation and head/count
-// make stale slots unreachable, so clearing them would only burn
-// cycles. The caller resets the shared machine separately (see
-// cpu.Machine.Reset) and reinstalls per-run sinks afterwards.
+// zeroed: fetch fully overwrites a slot (wait record included) on
+// allocation and headSeq/nextSeq make stale slots unreachable, so
+// clearing them would only burn cycles. The caller resets the shared
+// machine separately (see cpu.Machine.Reset) and reinstalls per-run
+// sinks afterwards.
 func (c *Core) Reset(entry uint64) {
 	c.fe.Reset(entry)
 	c.regs = [isa.NumRegs]int64{}
 	c.regTag = [isa.NumRegs]uint64{}
 	c.tagOK = [isa.NumRegs]bool{}
-	c.head = 0
 	c.count = 0
 	c.headSeq = 0
 	c.nextSeq = 0
 	c.memOps = 0
+	c.stores = 0
+	c.issueSeq = 0
+	c.wakeMin = 0
 	c.fetchBlockedSeq = 0
 	c.fetchBlocked = false
 	c.fetchGarbage = false
