@@ -25,7 +25,6 @@ import (
 	"rocksim/internal/faults"
 	"rocksim/internal/inorder"
 	"rocksim/internal/obs"
-	"rocksim/internal/ooo"
 	"rocksim/internal/sim"
 	"rocksim/internal/stats"
 	"rocksim/internal/workload"
@@ -277,7 +276,7 @@ func writeMetricsProm(path string, m map[string]*obs.Registry) {
 }
 
 func report(w *workload.Spec, out sim.Outcome) {
-	b := out.Core.Base()
+	b := &out.Base
 	fmt.Printf("== %s on %v ==\n", w.Name, out.Kind)
 	if w.Description != "" {
 		fmt.Printf("   %s\n", w.Description)
@@ -290,8 +289,7 @@ func report(w *workload.Spec, out sim.Outcome) {
 	fmt.Printf("stores        %d\n", b.Stores)
 	fmt.Printf("branches      %d (mispred %.2f%%)\n", b.Branches, stats.Pct(b.BranchMispred, b.Branches))
 	fmt.Printf("MLP           %.2f\n", b.MLP())
-	l1 := out.Mach.Hier.L1D(0).Stats
-	l2 := out.Mach.Hier.L2().Stats
+	l1, l2 := out.Hier.L1D[0], out.Hier.L2
 	fmt.Printf("L1D miss%%     %.2f   L2 miss%% %.2f\n", 100*l1.MissRate(), 100*l2.MissRate())
 	fmt.Printf("cpi stack     ")
 	for bk := cpu.Bucket(0); bk < cpu.NumBuckets; bk++ {
@@ -301,9 +299,9 @@ func report(w *workload.Spec, out sim.Outcome) {
 	}
 	fmt.Printf("(top loss %s)\n", sim.TopLoss(b))
 
-	switch c := out.Core.(type) {
-	case *core.Core:
-		s := c.Stats()
+	switch {
+	case out.SST != nil:
+		s := out.SST
 		fmt.Printf("checkpoints   %d taken, %d commits, %d rollbacks (branch %d, jalr %d, ssb %d, scout %d)\n",
 			s.CheckpointsTaken, s.EpochCommits, s.Rollbacks,
 			s.RollbacksBy[core.RbBranch], s.RollbacksBy[core.RbJalr],
@@ -322,13 +320,13 @@ func report(w *workload.Spec, out sim.Outcome) {
 		fmt.Println()
 		fmt.Printf("stall cycles  dq-full %d, ssb-full %d, atomic %d\n",
 			s.DQFullStallCycles, s.SSBFullStallCycles, s.AtomicStallCycles)
-	case *ooo.Core:
-		s := c.Stats()
+	case out.OOO != nil:
+		s := out.OOO
 		fmt.Printf("squashes      %d (memorder %d), wrong-path insts %d\n",
 			s.Squashes, s.MemOrderViolations, s.WrongPathInsts)
 		fmt.Printf("rob-full      %d cycles, fetch-stall %d cycles\n", s.ROBFullCycles, s.FetchStallCycles)
-	case *inorder.Core:
-		s := c.Stats()
+	case out.InOrder != nil:
+		s := out.InOrder
 		fmt.Printf("stall cycles  fetch %d, redirect %d, data %d, load-limit %d, store-buffer %d\n",
 			s.StallCycles[inorder.StallFetch], s.StallCycles[inorder.StallRedirect],
 			s.StallCycles[inorder.StallData], s.StallCycles[inorder.StallLoadLimit],

@@ -34,7 +34,7 @@ func main() {
 		}
 		for _, kind := range []rocksim.CoreKind{rocksim.InOrder, rocksim.OOOLarge, rocksim.SST} {
 			res := run(kind, w, opts)
-			fmt.Printf("%-8s %-10v %8.3f %6.2f\n", name, kind, res.IPC(), res.Core.Base().MLP())
+			fmt.Printf("%-8s %-10v %8.3f %6.2f\n", name, kind, res.IPC(), res.Base.MLP())
 		}
 	}
 	fmt.Println("\nrandarr: every load is independent — SST overlaps them (high MLP).")
@@ -52,7 +52,7 @@ func main() {
 		o := rocksim.DefaultOptions()
 		o.SST.DQSize = dq
 		res := run(rocksim.SST, w, o)
-		fmt.Printf("%6d %8.3f %6.2f\n", dq, res.IPC(), res.Core.Base().MLP())
+		fmt.Printf("%6d %8.3f %6.2f\n", dq, res.IPC(), res.Base.MLP())
 	}
 	fmt.Println("\nDQ=0 degenerates to hardware scout (prefetch + re-execute).")
 }

@@ -40,7 +40,7 @@ func main() {
 			baseIPC = res.IPC()
 		}
 		fmt.Printf("%-10v %12d %8.3f %9.2fx %6.2f\n",
-			kind, res.Cycles, res.IPC(), res.IPC()/baseIPC, res.Core.Base().MLP())
+			kind, res.Cycles, res.IPC(), res.IPC()/baseIPC, res.Base.MLP())
 	}
 
 	// Why SST wins here: the deferred queue turns a pointer-dependent

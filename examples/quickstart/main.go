@@ -44,7 +44,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8v  %8d cycles  %6d insts  IPC %.3f  MLP %.2f\n",
-			kind, res.Cycles, res.Retired, res.IPC(), res.Core.Base().MLP())
+			kind, res.Cycles, res.Retired, res.IPC(), res.Base.MLP())
 		if st, ok := rocksim.SSTStats(res); ok {
 			fmt.Printf("          %d checkpoints, %d epoch commits, %d deferrals, %d replays, %d rollbacks\n",
 				st.CheckpointsTaken, st.EpochCommits, st.Deferrals, st.Replays, st.Rollbacks)

@@ -381,13 +381,6 @@ func (p *Predictor) Reset() {
 	p.Stats = Stats{}
 }
 
-// Detach returns a frozen stats-only copy safe to cache indefinitely:
-// configuration and counters, no tables. Prediction methods must not be
-// called on a detached predictor (see sim.Instance.Run).
-func (p *Predictor) Detach() *Predictor {
-	return &Predictor{cfg: p.cfg, Stats: p.Stats}
-}
-
 // gshareIndex is the classic gshare hash of pc against the full global
 // history (plus the strand salt under ShareHashed).
 func (p *Predictor) gshareIndex(pc uint64) uint64 {

@@ -463,9 +463,7 @@ type Core struct {
 	// detection (the purity snapshot in skip.go) only runs on a cycle
 	// whose predecessor was already quiet, keeping the snapshot off the
 	// busy path. A stall window is merely detected one cycle later.
-	// snapBuf is the reused snapshot buffer for those detection cycles.
-	quiet   bool
-	snapBuf stepSnap
+	quiet bool
 
 	// feStall records that the ahead strand broke on the frontend this
 	// Step (redirect bubble, line fill, or wrong-path garbage), for the
@@ -499,6 +497,11 @@ type Core struct {
 	ffMLP      int
 
 	stats Stats
+
+	// snapBuf is the reused snapshot buffer for the detection cycles. It
+	// holds a whole Stats block, so it sits last, away from the fields
+	// every Step touches.
+	snapBuf stepSnap
 }
 
 // New creates an SST core executing from entry.

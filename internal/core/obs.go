@@ -2,12 +2,11 @@ package core
 
 import "rocksim/internal/obs"
 
-// PublishObs publishes the SST core's counters into the registry: the
-// uniform cross-model core set (cycles, insts, checkpoint counts, DQ
-// high-water mark — see cpu.BaseStats.PublishObs) plus the SST-specific
-// breakdown under the "sst/" prefix.
-func (c *Core) PublishObs(r *obs.Registry) {
-	s := &c.stats
+// PublishObs publishes the SST counters into the registry: the uniform
+// cross-model core set (cycles, insts, checkpoint counts, DQ high-water
+// mark — see cpu.BaseStats.PublishObs) plus the SST-specific breakdown
+// under the "sst/" prefix.
+func (s *Stats) PublishObs(r *obs.Registry) {
 	s.BaseStats.PublishObs(r)
 
 	// Uniform checkpoint/DQ counters (zero-valued placeholders were
@@ -44,4 +43,15 @@ func (c *Core) PublishObs(r *obs.Registry) {
 	r.PutHist("sst/ssb_occupancy", s.SSBOcc)
 	r.PutHist("sst/ckpt_occupancy", s.CkptOcc)
 	r.PutHist("sst/ckpt_lifetime", s.CkptLife)
+}
+
+// Clone deep-copies the statistics block, histograms included, so the
+// copy stays exact while the core it came from is reset and reused.
+func (s *Stats) Clone() *Stats {
+	c := *s
+	c.DQOcc = s.DQOcc.Clone()
+	c.SSBOcc = s.SSBOcc.Clone()
+	c.CkptOcc = s.CkptOcc.Clone()
+	c.CkptLife = s.CkptLife.Clone()
+	return &c
 }

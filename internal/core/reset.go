@@ -89,28 +89,3 @@ func (c *Core) Reset(entry uint64) {
 		c.installInvalListener()
 	}
 }
-
-// Detach returns a frozen stats-only copy of the core in the same *Core
-// shape: configuration, registers, clock and a deep copy of the
-// statistics (occupancy and lifetime histograms cloned). It shares no
-// mutable state with the live core, so long-lived consumers — reports,
-// cached outcomes, published registries — keep exact figures while the
-// pool resets and reuses the live core. Stats accessors (Base, Stats,
-// Regs, Mode, Cycle, Retired, Done, Err, PublishObs) work on a detached
-// core; Step must not be called on one.
-func (c *Core) Detach() *Core {
-	d := &Core{
-		cfg:   c.cfg,
-		regs:  c.regs,
-		mode:  c.mode,
-		done:  c.done,
-		err:   c.err,
-		cycle: c.cycle,
-		stats: c.stats,
-	}
-	d.stats.DQOcc = c.stats.DQOcc.Clone()
-	d.stats.SSBOcc = c.stats.SSBOcc.Clone()
-	d.stats.CkptOcc = c.stats.CkptOcc.Clone()
-	d.stats.CkptLife = c.stats.CkptLife.Clone()
-	return d
-}

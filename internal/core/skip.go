@@ -14,91 +14,96 @@ import (
 //
 // Purity is established by snapshotting — at Step entry — every piece
 // of state a stall cycle is forbidden to touch, and comparing at Step
-// exit. The set errs on the side of inclusion: any delivery, replay,
-// commit, rollback, checkpoint take, scout entry, mode change,
-// transaction event, predictor access (a deferred-branch retry consults
-// the direction predictor every cycle; a jalr retry may pop the RAS) or
+// exit. The set errs on the side of inclusion: it is the whole
+// statistics block except a short declared list of time-indexed fields
+// (see adoptTimeIndexed), so any replay, commit, rollback, checkpoint
+// take, scout entry or transaction event — and any counter added later —
+// marks the cycle unskippable, as do a delivery, a mode change, a
+// predictor access (a deferred-branch retry consults the direction
+// predictor every cycle; a jalr retry may pop the RAS) or a
 // fault-injector query (clamp probes record per retry inside an active
-// window) marks the cycle unskippable. What remains — the genuinely
-// replicable stalls — mutates only time-indexed accounting, which
-// SkipTo replays in closed form.
+// window). What remains — the genuinely replicable stalls — mutates only
+// time-indexed accounting, which SkipTo replays in closed form.
 
 var _ cpu.FastForwarder = (*Core)(nil)
 
-// stepSnap is the Step-entry snapshot backing the purity check.
+// stepSnap is the Step-entry snapshot backing the purity check: the
+// whole statistics block plus the non-statistics state a stall cycle
+// must not touch.
 type stepSnap struct {
-	seq          uint64
-	mode         Mode
-	pendLen      int
-	rollbacks    uint64
-	commits      uint64
-	ckptsTaken   uint64
-	retired      uint64
-	scoutEntries uint64
-	tx           TxStats
-	pred         bpred.Stats
-	ghr          uint64
-	fltMut       uint64
-	dqStall      uint64
-	ssbStall     uint64
-	atStall      uint64
-	secDelay     uint64
-	secNoFwd     uint64
-	secSSB       uint64
-	secRel       uint64
+	stats   Stats
+	seq     uint64
+	mode    Mode
+	pendLen int
+	pred    bpred.Stats
+	ghr     uint64
+	fltMut  uint64
 }
 
 // snapInto fills s with the Step-entry state. It writes through a
-// pointer (the caller reuses one buffer) so the hot path never copies or
-// zeroes the struct.
+// pointer into the one buffer the core reuses, which Step fills only on
+// detection cycles.
 func (c *Core) snapInto(s *stepSnap) {
+	s.stats = c.stats
 	s.seq = c.seq
 	s.mode = c.mode
 	s.pendLen = len(c.pend)
-	s.rollbacks = c.stats.Rollbacks
-	s.commits = c.stats.EpochCommits
-	s.ckptsTaken = c.stats.CheckpointsTaken
-	s.retired = c.stats.Retired
-	s.scoutEntries = c.stats.ScoutEntries
-	s.tx = c.stats.Tx
 	s.pred = c.m.Pred.Stats
 	s.ghr = c.m.Pred.History()
 	s.fltMut = c.flt.Mutations()
-	s.dqStall = c.stats.DQFullStallCycles
-	s.ssbStall = c.stats.SSBFullStallCycles
-	s.atStall = c.stats.AtomicStallCycles
-	s.secDelay = c.stats.SecureDelayStallCycles
-	s.secNoFwd = c.stats.SecureNoFwdStallCycles
-	s.secSSB = c.stats.SecureSSBStallCycles
-	s.secRel = c.stats.SecureReleases
+}
+
+// adoptTimeIndexed copies from's time-indexed fields into s: the ones a
+// pure stall cycle legitimately advances and SkipTo replays in closed
+// form (the clock, the CPI stack, MLP samples, mode cycles, the
+// per-cycle stall counters; the occupancy histograms are pointers and
+// compare equal). This is the whole declared list. Every other field —
+// any counter added to Stats later included — must hold still across a
+// skippable cycle, so noteStall adopts these into the Step-entry
+// snapshot and then compares the blocks whole.
+func (s *Stats) adoptTimeIndexed(from *Stats) {
+	s.Cycles = from.Cycles
+	s.CPI = from.CPI
+	s.MLPSamples, s.MLPSum = from.MLPSamples, from.MLPSum
+	s.ModeCycles = from.ModeCycles
+	s.DQFullStallCycles, s.SSBFullStallCycles, s.AtomicStallCycles =
+		from.DQFullStallCycles, from.SSBFullStallCycles, from.AtomicStallCycles
+	s.SecureDelayStallCycles, s.SecureNoFwdStallCycles, s.SecureSSBStallCycles =
+		from.SecureDelayStallCycles, from.SecureNoFwdStallCycles, from.SecureSSBStallCycles
 }
 
 // noteStall runs at the end of Step: if the cycle was a replicable pure
 // stall it records the per-cycle credit deltas and the skip horizon,
-// otherwise it leaves fast-forwarding disabled.
+// otherwise it leaves fast-forwarding disabled. It consumes the
+// snapshot (the time-indexed fields are overwritten).
 func (c *Core) noteStall(s *stepSnap, executed, replayed int, kind CycleKind, bucket cpu.Bucket, outstanding int, now uint64) {
 	if executed != 0 || replayed != 0 || c.done || c.err != nil ||
 		c.seq != s.seq || c.mode != s.mode || len(c.pend) != s.pendLen ||
-		c.stats.Rollbacks != s.rollbacks || c.stats.EpochCommits != s.commits ||
-		c.stats.CheckpointsTaken != s.ckptsTaken || c.stats.Retired != s.retired ||
-		c.stats.ScoutEntries != s.scoutEntries || c.stats.Tx != s.tx ||
 		c.m.Pred.Stats != s.pred || c.m.Pred.History() != s.ghr ||
-		c.flt.Mutations() != s.fltMut ||
-		// A secure-mode release performs an access or forwards a value —
-		// never replicable, even though the pend length may not change.
-		c.stats.SecureReleases != s.secRel {
+		c.flt.Mutations() != s.fltMut {
+		return
+	}
+	// A horizon of now+1 (or none) opens no skip window; settle that
+	// before the whole-block comparison.
+	next := c.nextTimer(now)
+	if next <= now+1 {
+		return
+	}
+	st, was := &c.stats, &s.stats
+	dq, ssb, at := st.DQFullStallCycles-was.DQFullStallCycles,
+		st.SSBFullStallCycles-was.SSBFullStallCycles, st.AtomicStallCycles-was.AtomicStallCycles
+	sd, snf, sfl := st.SecureDelayStallCycles-was.SecureDelayStallCycles,
+		st.SecureNoFwdStallCycles-was.SecureNoFwdStallCycles, st.SecureSSBStallCycles-was.SecureSSBStallCycles
+	was.adoptTimeIndexed(st)
+	if *st != *was {
 		return
 	}
 	c.ffKind = kind
 	c.ffBucket = bucket
-	c.ffDQStall = c.stats.DQFullStallCycles - s.dqStall
-	c.ffSSBStall = c.stats.SSBFullStallCycles - s.ssbStall
-	c.ffAtStall = c.stats.AtomicStallCycles - s.atStall
-	c.ffSecDelay = c.stats.SecureDelayStallCycles - s.secDelay
-	c.ffSecNoFwd = c.stats.SecureNoFwdStallCycles - s.secNoFwd
-	c.ffSecSSB = c.stats.SecureSSBStallCycles - s.secSSB
+	c.ffDQStall, c.ffSSBStall, c.ffAtStall = dq, ssb, at
+	c.ffSecDelay, c.ffSecNoFwd, c.ffSecSSB = sd, snf, sfl
 	c.ffMLP = outstanding
-	c.ffNext = c.nextTimer(now)
+	c.ffNext = next
 }
 
 // nextTimer returns the earliest cycle strictly after now at which the

@@ -70,7 +70,7 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 			t1.AddRow(fillErr([]any{wname, kname}, 5, errs1[i])...)
 			continue
 		}
-		s := outs[i].SSTStats()
+		s := outs[i].SST
 		t1.AddRow(wname, kname, s.DeferredBranches, s.DeferredBranchMispred,
 			pct(s.DeferredBranchMispred, s.DeferredBranches),
 			s.RollbacksBy[core.RbBranch], outs[i].IPC())
@@ -102,7 +102,7 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 	// smtRate is a pair's aggregate direction-mispredict rate.
 	smtRate := func(out sim.Outcome) float64 {
 		var look, mis uint64
-		for _, th := range out.Threads() {
+		for _, th := range out.Threads {
 			look += th.Pred.DirLookups
 			mis += th.Pred.DirMispredict
 		}
@@ -161,7 +161,7 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 				continue
 			}
 			var def, mis, rb uint64
-			for _, th := range cmpOuts[i].Threads() {
+			for _, th := range cmpOuts[i].Threads {
 				def += th.SST.DeferredBranches
 				mis += th.SST.DeferredBranchMispred
 				rb += th.SST.RollbacksBy[core.RbBranch]
@@ -187,7 +187,7 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 		if gi < 0 || errs1[gi] != nil || errs1[ti] != nil {
 			continue
 		}
-		gs, ts := outs[gi].SSTStats(), outs[ti].SSTStats()
+		gs, ts := outs[gi].SST, outs[ti].SST
 		notes = append(notes, fmt.Sprintf(
 			"%s: tage cuts the deferred mispredict rate %.2f%% -> %.2f%% (rb-branch %d -> %d), ipc %.3f -> %.3f (%+.1f%%)",
 			w,

@@ -52,7 +52,7 @@ func (r *Runner) HTMContention(scale workload.Scale) (*Result, error) {
 		}
 		htm := outs[2*ci]
 		var aborts, commits uint64
-		for _, th := range htm.Threads() {
+		for _, th := range htm.Threads {
 			aborts += th.SST.Tx.Aborts
 			commits += th.SST.Tx.Commits
 		}

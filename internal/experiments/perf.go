@@ -10,14 +10,6 @@ import (
 	"rocksim/internal/workload"
 )
 
-// sstStats extracts the SST statistics block from an outcome (the SST,
-// SST-EA and scout kinds all use the core package). Remote cells —
-// computed on another shard, reconstructed from a CellStats snapshot —
-// answer through the same accessor.
-func sstStats(out sim.Outcome) *core.Stats {
-	return out.SSTStats()
-}
-
 // PerfComparison regenerates Figure 1, the headline result: per-thread
 // performance of each machine on the commercial suite, normalized to the
 // in-order core. The paper's claim: certain SST implementations are ~18%
@@ -124,7 +116,7 @@ func (r *Runner) ModeBreakdown(scale workload.Scale) (*Result, error) {
 			t.AddRow(fillErr(row, int(core.NumCycleKinds)+1, errs[i])...)
 			continue
 		}
-		st := sstStats(outs[i])
+		st := outs[i].SST
 		for k := core.CycleKind(0); k < core.NumCycleKinds; k++ {
 			row = append(row, stats.Pct(st.ModeCycles[k], st.Cycles))
 		}
@@ -161,7 +153,7 @@ func (r *Runner) MLPComparison(scale workload.Scale) (*Result, error) {
 			if errs[i] != nil {
 				row = append(row, errCell(errs[i]))
 			} else {
-				row = append(row, outs[i].BaseStats().MLP())
+				row = append(row, outs[i].Base.MLP())
 			}
 			i++
 		}
@@ -259,7 +251,7 @@ func (r *Runner) RollbackAccounting(scale workload.Scale) (*Result, error) {
 			t.AddRow(fillErr(row, len(headers)-1, errs[i])...)
 			continue
 		}
-		st := sstStats(outs[i])
+		st := outs[i].SST
 		row = append(row, st.CheckpointsTaken, st.EpochCommits, st.Rollbacks)
 		for cse := core.RollbackCause(0); cse < core.NumRollbackCauses; cse++ {
 			row = append(row, st.RollbacksBy[cse])

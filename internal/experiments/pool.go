@@ -119,11 +119,10 @@ func (r *Runner) PoolStats() (reused, built uint64) {
 // is dropped, never pooled; a run that merely errored (watchdog trip)
 // is fully cleared by the next Reset and goes back.
 //
-// Instance.Run returns a detached outcome — stats-only copies of the
-// core and hierarchy, or the statistics snapshot of a multi-threaded
-// cell — so the run cache and its consumers (reports, registries, the
-// service layer) hold exact frozen figures while the live instance is
-// reset and reused.
+// Instance.Run returns an outcome whose statistics are a snapshot
+// detached from the live machine, so the run cache and its consumers
+// (reports, registries, the service layer) hold exact frozen figures
+// while the live instance is reset and reused.
 func (r *Runner) compute(ctx context.Context, c sim.Cell, opts sim.Options) (out sim.Outcome, err error) {
 	s := c.Shape()
 	defer func() {

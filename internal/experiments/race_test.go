@@ -88,7 +88,7 @@ func TestRunCacheSharesCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Core != b.Core {
+	if a.SST != b.SST {
 		t.Error("identical cells did not share one cached run")
 	}
 	opts2 := sim.DefaultOptions()
@@ -97,7 +97,7 @@ func TestRunCacheSharesCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Core == a.Core {
+	if c.SST == a.SST {
 		t.Error("cells with different options collided in the cache")
 	}
 }

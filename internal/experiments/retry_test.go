@@ -86,7 +86,7 @@ func TestTransientPanicRecovers(t *testing.T) {
 		if computes.Add(1) == 1 {
 			return sim.Outcome{}, &PanicError{Value: "transient", Stack: []byte("stack")}
 		}
-		return sim.Outcome{Cycles: 1234}, nil
+		return sim.Outcome{CellStats: sim.CellStats{Cycles: 1234}}, nil
 	}
 	errs := r.forEachErrs(4, func(i int) error {
 		out, err := r.run(sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions())

@@ -48,7 +48,7 @@ func (r *Runner) SMTMode(scale workload.Scale) (*Result, error) {
 			continue
 		}
 		sstA, sstB, smt := outs[3*i].IPC(), outs[3*i+1].IPC(), outs[3*i+2]
-		th := smt.Threads()
+		th := smt.Threads
 		smtA := float64(th[0].Base.Retired) / float64(smt.Cycles)
 		smtB := float64(th[1].Base.Retired) / float64(smt.Cycles)
 		t.AddRow(name, sstA, sstB, smtA, smtB, smtA+smtB, sstA/smtA)

@@ -207,7 +207,7 @@ func (r *Runner) BranchSweep(scale workload.Scale) (*Result, error) {
 			if errs[i] != nil {
 				row = fillErr(row, 2, errs[i])
 			} else {
-				st := sstStats(outs[i])
+				st := outs[i].SST
 				row = append(row, outs[i].IPC(), st.Rollbacks)
 			}
 			i++

@@ -72,9 +72,9 @@ func (r *Runner) WorkloadTable(scale workload.Scale) (*Result, error) {
 			continue
 		}
 		out := outs[i]
-		b := out.BaseStats()
-		l1 := out.L1DStats()
-		l2 := out.L2Stats()
+		b := &out.Base
+		l1 := out.Hier.L1D[0]
+		l2 := out.Hier.L2
 		t.AddRow(w.Name, w.Class.String(), w.Standin, out.Retired,
 			stats.Pct(b.Loads, out.Retired),
 			stats.Pct(b.Stores, out.Retired),

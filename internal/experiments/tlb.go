@@ -50,8 +50,8 @@ func (r *Runner) TLBSensitivity(scale workload.Scale) (*Result, error) {
 				cols = fillErr(cols, 3, cerr)
 				continue
 			}
-			if tlb := out.DTLBStats(); tlb != nil {
-				missPct = 100 * tlb.MissRate()
+			if tlb := out.Hier.DTLB; tlb != nil {
+				missPct = 100 * tlb[0].MissRate()
 			}
 			cols = append(cols, base.IPC(), out.IPC(), 100*(base.IPC()/out.IPC()-1))
 		}

@@ -421,11 +421,7 @@ func (g *Gateway) cellBackend(ctx context.Context, scale workload.Scale, st *fan
 							return sim.Outcome{}, err
 						}
 						g.reg.Counter("gate/cells_remote").Inc()
-						out, err := resp.Cell.AsOutcome()
-						if err != nil {
-							st.fail(err)
-						}
-						return out, err
+						return sim.Outcome{CellStats: *resp.Cell}, nil
 					}
 					var busy *client.BusyError
 					if errors.As(err, &busy) {

@@ -35,19 +35,3 @@ func (c *Core) Reset(entry uint64) {
 	c.ffStall = StallNone
 	c.ffMLP = 0
 }
-
-// Detach returns a frozen stats-only copy of the core in the same *Core
-// shape, safe to hand to long-lived consumers (reports, cached
-// outcomes) while the live core is reset and reused by the pool. Stats
-// accessors (Base, Stats, Regs, Cycle, Retired, Done, Err, PublishObs)
-// work on a detached core; Step must not be called on one.
-func (c *Core) Detach() *Core {
-	return &Core{
-		cfg:   c.cfg,
-		regs:  c.regs,
-		cycle: c.cycle,
-		done:  c.done,
-		err:   c.err,
-		stats: c.stats,
-	}
-}

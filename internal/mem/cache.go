@@ -56,9 +56,8 @@ func (s CacheStats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-// PublishObs publishes the cache's counters under name (e.g. "mem/l1d").
-func (c *Cache) PublishObs(r *obs.Registry, name string) {
-	s := c.Stats
+// PublishObs publishes the counters under name (e.g. "mem/l1d").
+func (s CacheStats) PublishObs(r *obs.Registry, name string) {
 	r.Counter(name + "/hits").Set(s.Hits)
 	r.Counter(name + "/misses").Set(s.Misses)
 	r.Counter(name + "/fills").Set(s.Fills)

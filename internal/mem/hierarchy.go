@@ -220,32 +220,6 @@ func (h *Hierarchy) LoadMissLatency() *stats.Hist { return h.latD }
 // FetchMissLatency returns the instruction-miss latency histogram.
 func (h *Hierarchy) FetchMissLatency() *stats.Hist { return h.latI }
 
-// PublishObs publishes every cache level, DRAM and hierarchy-wide
-// counters plus the miss-latency histograms. Single-core hierarchies use
-// the flat "mem/l1d" names; CMP hierarchies add a per-core component.
-func (h *Hierarchy) PublishObs(r *obs.Registry) {
-	for i := range h.cores {
-		prefix := "mem/"
-		if len(h.cores) > 1 {
-			prefix = fmt.Sprintf("mem/core%d/", i)
-		}
-		h.cores[i].l1d.PublishObs(r, prefix+"l1d")
-		h.cores[i].l1i.PublishObs(r, prefix+"l1i")
-	}
-	h.l2.PublishObs(r, "mem/l2")
-	r.Counter("mem/dram/reads").Set(h.dram.Stats.Reads)
-	r.Counter("mem/dram/writes").Set(h.dram.Stats.Writes)
-	r.Counter("mem/dram/bank_conflicts").Set(h.dram.Stats.BankConflicts)
-	r.Counter("mem/dram/busy_cycles").Set(h.dram.Stats.BusyCycles)
-	r.Counter("mem/coherence_invals").Set(h.Stats.CoherenceInvals)
-	r.Counter("mem/prefetches").Set(h.Stats.Prefetches)
-	r.Counter("leak/tainted_accesses").Set(h.Stats.TaintedSpecAccesses)
-	r.Counter("leak/squashed_spec_fills").Set(h.Stats.SquashedSpecFills)
-	r.Counter("leak/oracle_checks").Set(h.Stats.OracleChecks)
-	r.PutHist("mem/load_miss_latency", h.latD)
-	r.PutHist("mem/fetch_miss_latency", h.latI)
-}
-
 // NumCores returns the number of cores the hierarchy serves.
 func (h *Hierarchy) NumCores() int { return len(h.cores) }
 

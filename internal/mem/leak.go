@@ -145,10 +145,6 @@ func (h *Hierarchy) NoteSquashedSpecFills(n int) {
 	h.Stats.SquashedSpecFills += uint64(n)
 }
 
-// NoteOracleCheck records one differential digest comparison performed
-// by the leakage oracle against this hierarchy.
-func (h *Hierarchy) NoteOracleCheck() { h.Stats.OracleChecks++ }
-
 // SpecProbeLoad probes core's L1D (and its MSHR file, for merges with
 // already-in-flight fills) for addr at cycle now with no observable side
 // effects: no LRU touch, no fill, no MSHR allocation, no prefetcher

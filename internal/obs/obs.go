@@ -193,6 +193,10 @@ func (r *Registry) SampleEvery() uint64 {
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.counterLocked(name)
+}
+
+func (r *Registry) counterLocked(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
@@ -205,6 +209,10 @@ func (r *Registry) Counter(name string) *Counter {
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.gaugeLocked(name)
+}
+
+func (r *Registry) gaugeLocked(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
@@ -249,6 +257,10 @@ func (r *Registry) PutHist(name string, h *stats.Hist) {
 func (r *Registry) Timeline(name string) *Timeline {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.timelineLocked(name)
+}
+
+func (r *Registry) timelineLocked(name string) *Timeline {
 	if t, ok := r.timelines[name]; ok {
 		return t
 	}
@@ -259,54 +271,64 @@ func (r *Registry) Timeline(name string) *Timeline {
 
 // Merge folds other's metrics into r, deterministically: counters add,
 // gauges adopt the later value and the larger high-water mark,
-// histograms merge losslessly (clamping only tail resolution), and
-// timelines interleave in cycle order. other must be quiescent — the
-// run that filled it has finished. This is how per-run registries from
-// a parallel sweep become one export: identical merge inputs produce
-// byte-identical exports regardless of worker scheduling.
+// histograms merge losslessly (clamping only tail resolution; the
+// first histogram under a name is cloned, never aliased), and timelines
+// interleave in cycle order. Every name merges independently of the
+// others, so the export does not depend on iteration order. other must
+// be quiescent — the run that filled it has finished. This is how
+// per-run registries from a parallel sweep become one export, and how
+// the daemon folds every served run into /metrics: identical merge
+// inputs produce byte-identical exports regardless of worker
+// scheduling.
 func (r *Registry) Merge(other *Registry) {
 	if other == nil || other == r {
 		return
 	}
+	type namedHist struct {
+		name string
+		h    *stats.Hist
+	}
 	other.mu.Lock()
-	counters := make(map[string]uint64, len(other.counters))
-	for n, c := range other.counters {
-		counters[n] = c.Value()
+	counters := make([]*Counter, 0, len(other.counters))
+	for _, c := range other.counters {
+		counters = append(counters, c)
 	}
-	gauges := make(map[string]GaugeSnap, len(other.gauges))
-	for n, g := range other.gauges {
-		gauges[n] = GaugeSnap{Value: g.Value(), High: g.High()}
+	gauges := make([]*Gauge, 0, len(other.gauges))
+	for _, g := range other.gauges {
+		gauges = append(gauges, g)
 	}
-	hists := make(map[string]*stats.Hist, len(other.hists))
+	hists := make([]namedHist, 0, len(other.hists))
 	for n, h := range other.hists {
-		hists[n] = h.Clone()
+		hists = append(hists, namedHist{n, h})
 	}
-	timelines := make(map[string]*Timeline, len(other.timelines))
-	for n, t := range other.timelines {
-		timelines[n] = t
+	timelines := make([]*Timeline, 0, len(other.timelines))
+	for _, t := range other.timelines {
+		timelines = append(timelines, t)
 	}
 	other.mu.Unlock()
 
-	for _, n := range sortedKeys(counters) {
-		r.Counter(n).Add(counters[n])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range counters {
+		r.counterLocked(c.name).Add(c.Value())
 	}
-	for _, n := range sortedKeys(gauges) {
-		g := r.Gauge(n)
+	for _, o := range gauges {
+		g := r.gaugeLocked(o.name)
 		// Raise the high-water mark first, then adopt the value (a
 		// gauge's high is never below its value, so the second Set
 		// cannot lower the mark).
-		g.Set(gauges[n].High)
-		g.Set(gauges[n].Value)
+		g.Set(o.High())
+		g.Set(o.Value())
 	}
-	for _, n := range sortedKeys(hists) {
-		r.PutHist(n, hists[n])
+	for _, nh := range hists {
+		if have, ok := r.hists[nh.name]; ok {
+			have.Merge(nh.h)
+		} else {
+			r.hists[nh.name] = nh.h.Clone()
+		}
 	}
-	for _, n := range sortedKeys(timelines) {
-		o := timelines[n]
-		t := r.Timeline(n)
-		r.mu.Lock()
-		t.mergeFrom(o)
-		r.mu.Unlock()
+	for _, t := range timelines {
+		r.timelineLocked(t.name).mergeFrom(t)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"rocksim/internal/stats"
@@ -69,6 +70,51 @@ func TestObsPutHistMerges(t *testing.T) {
 	}
 	if hs.Count != 3 || hs.Max != 3 {
 		t.Errorf("merged hist count %d max %d, want 3 and 3", hs.Count, hs.Max)
+	}
+}
+
+// TestObsMergeConcurrent: the daemon folds every served run's registry
+// into one service registry from concurrent handlers, often the same
+// cached run's registry many times at once. Merging from several
+// goroutines must equal merging serially, and must neither alias nor
+// modify the source.
+func TestObsMergeConcurrent(t *testing.T) {
+	src := NewRegistry()
+	src.Counter("c").Add(3)
+	src.Gauge("g").Set(9)
+	src.Gauge("g").Set(4)
+	src.Hist("h", 8).Add(5)
+	src.Timeline("t").Sample(0, 7)
+
+	const n = 16
+	serial, shared := NewRegistry(), NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		serial.Merge(src)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared.Merge(src)
+		}()
+	}
+	wg.Wait()
+
+	var want, got bytes.Buffer
+	if err := serial.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Errorf("concurrent merge differs from serial:\n%s\nvs\n%s", got.Bytes(), want.Bytes())
+	}
+	snap := shared.Snapshot()
+	if snap.Counters["c"] != 3*n || snap.Gauges["g"] != (GaugeSnap{Value: 4, High: 9}) || snap.Histograms["h"].Count != n {
+		t.Errorf("merged snapshot %+v", snap)
+	}
+	if h := src.Hist("h", 8); h.Count() != 1 || shared.Hist("h", 8) == h {
+		t.Errorf("merge modified or aliased the source histogram (count %d)", h.Count())
 	}
 }
 

@@ -70,9 +70,9 @@ func TestCellSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.SnapshotCell(out)
+	want := out.CellStats
 	if cr.Cell.Cycles != want.Cycles || cr.Cell.Retired != want.Retired || cr.Cell.Kind != want.Kind {
-		t.Fatalf("snapshot differs from local run: got (%s,%d,%d) want (%s,%d,%d)",
+		t.Fatalf("snapshot differs from local run: got (%v,%d,%d) want (%v,%d,%d)",
 			cr.Cell.Kind, cr.Cell.Cycles, cr.Cell.Retired, want.Kind, want.Cycles, want.Retired)
 	}
 	if cr.Cell.Base != want.Base {

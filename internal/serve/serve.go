@@ -55,7 +55,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rocksim/internal/bpred"
 	"rocksim/internal/cpu"
 	"rocksim/internal/experiments"
 	"rocksim/internal/faults"
@@ -414,43 +413,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bs.End()
-	s.publishRunCPI(out)
+	s.foldRun(out)
 	s.reg.Counter("serve/cells_served").Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf.Bytes())
 }
 
-// publishRunCPI folds a served cell's cycle-accounting stack,
-// transient-leakage counters and branch-predictor counters into the
-// service metrics, so /metrics exposes where the daemon's simulated
-// cycles went — and how much secret-tainted speculation and deferred-
-// branch training it executed — across all requests (cached cells count
-// once per serve, matching cells_served). The predictor counters are
-// whatever bpred.Stats publishes, summed over a cell's threads.
-func (s *Server) publishRunCPI(out sim.Outcome) {
-	b := out.BaseStats()
-	for bk := cpu.Bucket(0); bk < cpu.NumBuckets; bk++ {
-		if b.CPI[bk] > 0 {
-			s.reg.Counter("sim/cpi/" + bk.String()).Add(b.CPI[bk])
-		}
+// foldRun merges a served cell's run registry into the service
+// metrics, so /metrics exposes every counter a run publishes — where the
+// daemon's simulated cycles went, the cache, predictor and leak counters
+// — summed across all requests (cached cells count once per serve,
+// matching cells_served). A cell computed without a registry publishes
+// its snapshot into a fresh one first.
+func (s *Server) foldRun(out sim.Outcome) {
+	reg := out.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+		out.PublishObs(reg)
 	}
-	if out.Mach != nil && out.Mach.Hier != nil {
-		hs := out.Mach.Hier.Stats
-		s.reg.Counter("leak/tainted_accesses").Add(hs.TaintedSpecAccesses)
-		s.reg.Counter("leak/squashed_spec_fills").Add(hs.SquashedSpecFills)
-		s.reg.Counter("leak/oracle_checks").Add(hs.OracleChecks)
-	}
-	fold := func(ps bpred.Stats) {
-		pr := obs.NewRegistry()
-		ps.PublishObs(pr)
-		s.reg.Merge(pr)
-	}
-	if out.Mach != nil && out.Mach.Pred != nil {
-		fold(out.Mach.Pred.Stats)
-	}
-	for _, th := range out.Threads() {
-		fold(th.Pred)
-	}
+	s.reg.Merge(reg)
 }
 
 // handleCell computes one cell for a fleet router. Admission control,
@@ -503,9 +484,9 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.publishRunCPI(out)
+	s.foldRun(out)
 	s.reg.Counter("serve/cells_served").Inc()
-	json.NewEncoder(w).Encode(CellResponse{Cell: sim.SnapshotCell(out)})
+	json.NewEncoder(w).Encode(CellResponse{Cell: &out.CellStats})
 }
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {

@@ -471,3 +471,42 @@ func TestMetricsCarryEveryPredictorCounter(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsCarryEveryRunCounter: /metrics merges each served run's
+// whole registry, so after one served cell every counter in that run's
+// own metrics block appears on /metrics under the same name with the
+// same value — no hand-picked subset can fall behind the models.
+func TestMetricsCarryEveryRunCounter(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL, "/v1/run", `{"kind":"sst","workload":"chase","scale":"test"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
+	}
+	var rep sim.Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Metrics == nil || len(rep.Metrics.Counters) == 0 {
+		t.Fatal("report carries no run metrics")
+	}
+	_, metrics := get(t, ts.URL, "/metrics")
+
+	scratch := obs.NewRegistry()
+	for name, v := range rep.Metrics.Counters {
+		scratch.Counter(name).Set(v)
+	}
+	var buf bytes.Buffer
+	if err := scratch.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if !strings.Contains(string(metrics), "\n"+line+"\n") {
+			t.Errorf("/metrics lacks run counter sample %q", line)
+		}
+	}
+}

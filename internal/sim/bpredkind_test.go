@@ -22,11 +22,10 @@ func sstWithPredKind(t *testing.T, name string, kind bpred.Kind) (*core.Stats, O
 	if err != nil {
 		t.Fatalf("run %s kind=%v: %v", name, kind, err)
 	}
-	cc, ok := out.Core.(*core.Core)
-	if !ok {
-		t.Fatalf("run %s: core is %T, want *core.Core", name, out.Core)
+	if out.SST == nil {
+		t.Fatalf("run %s: no SST statistics", name)
 	}
-	return cc.Stats(), out
+	return out.SST, out
 }
 
 // TestTageBeatsGshareOnDeferredBranches pins the B1 headline: on the

@@ -115,7 +115,7 @@ func TestPooledDeferredRollbackDifferential(t *testing.T) {
 			checkPooledSeedWith(t, in, w.Program, nil, opts)
 		}
 		out, _, _ := pooledRunWith(t, in, w.Program, nil, opts)
-		s := out.SSTStats()
+		s := out.SST
 		if s == nil || s.RollbacksBy[core.RbBranch] == 0 {
 			t.Fatalf("kind=%v: workload produced no RbBranch rollbacks — the restore path went unexercised", kind)
 		}

@@ -1,112 +1,101 @@
 package sim
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
 	"rocksim/internal/workload"
 )
 
-// TestCellStatsRoundTrip: a snapshot survives JSON and its rebuilt
-// Outcome view answers every table-assembly accessor identically to
-// the live outcome — the property the fleet router's byte-identity
-// rests on.
+// TestCellStatsRoundTrip: a snapshot survives JSON — the decoded
+// outcome renders the identical report and re-encodes to the identical
+// bytes, the property the fleet router's byte-identity rests on.
 func TestCellStatsRoundTrip(t *testing.T) {
-	spec, err := workload.Build("chase", workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(KindSST, spec.Program, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cs := SnapshotCell(out)
-	enc, err := json.Marshal(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back CellStats
-	if err := json.Unmarshal(enc, &back); err != nil {
-		t.Fatal(err)
-	}
-	remote, err := back.AsOutcome()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if remote.Kind != out.Kind || remote.Cycles != out.Cycles || remote.Retired != out.Retired {
-		t.Fatalf("identity fields differ: got (%v,%d,%d) want (%v,%d,%d)",
-			remote.Kind, remote.Cycles, remote.Retired, out.Kind, out.Cycles, out.Retired)
-	}
-	if remote.IPC() != out.IPC() {
-		t.Errorf("IPC %v != %v", remote.IPC(), out.IPC())
-	}
-	if *remote.BaseStats() != *out.BaseStats() {
-		t.Errorf("BaseStats differ:\nremote %+v\nlive   %+v", *remote.BaseStats(), *out.BaseStats())
-	}
-	if remote.L1DStats() != out.L1DStats() {
-		t.Errorf("L1DStats differ: %+v vs %+v", remote.L1DStats(), out.L1DStats())
-	}
-	if remote.L2Stats() != out.L2Stats() {
-		t.Errorf("L2Stats differ: %+v vs %+v", remote.L2Stats(), out.L2Stats())
-	}
-	lt, rt := out.DTLBStats(), remote.DTLBStats()
-	if (lt == nil) != (rt == nil) {
-		t.Fatalf("DTLBStats presence differs: live %v remote %v", lt, rt)
-	}
-	if lt != nil && *lt != *rt {
-		t.Errorf("DTLBStats differ: %+v vs %+v", *rt, *lt)
-	}
-
-	ls, rs := out.SSTStats(), remote.SSTStats()
-	if ls == nil || rs == nil {
-		t.Fatalf("SST stats missing: live %v remote %v", ls, rs)
-	}
-	if ls.CheckpointsTaken != rs.CheckpointsTaken || ls.Rollbacks != rs.Rollbacks {
-		t.Errorf("SST scalar stats differ: %+v vs %+v", rs, ls)
-	}
-	for name, pair := range map[string][2]interface{ Mean() float64 }{
-		"DQOcc":    {ls.DQOcc, rs.DQOcc},
-		"SSBOcc":   {ls.SSBOcc, rs.SSBOcc},
-		"CkptOcc":  {ls.CkptOcc, rs.CkptOcc},
-		"CkptLife": {ls.CkptLife, rs.CkptLife},
-	} {
-		if pair[0].Mean() != pair[1].Mean() {
-			t.Errorf("%s histogram mean differs after round-trip: %v vs %v", name, pair[1].Mean(), pair[0].Mean())
+	for _, k := range []Kind{KindSST, KindOOOLarge, KindInOrder} {
+		spec, err := workload.Build("chase", workload.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		opts := DefaultOptions()
+		opts.Hier.DTLB.Entries = 64
+		out, err := Run(k, spec.Program, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Re-snapshotting the reconstructed view is stable (the router can
-	// snapshot what it received without losing anything).
-	again := SnapshotCell(remote)
-	enc2, err := json.Marshal(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(enc2) != string(enc) {
-		t.Errorf("re-snapshot changed the encoding:\nfirst  %s\nsecond %s", enc, enc2)
+		enc, err := json.Marshal(out.CellStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var remote Outcome
+		if err := json.Unmarshal(enc, &remote.CellStats); err != nil {
+			t.Fatal(err)
+		}
+		if remote.Kind != out.Kind || remote.Cycles != out.Cycles || remote.Retired != out.Retired {
+			t.Fatalf("%v: identity fields differ: got (%v,%d,%d) want (%v,%d,%d)", k,
+				remote.Kind, remote.Cycles, remote.Retired, out.Kind, out.Cycles, out.Retired)
+		}
+		if remote.Base != out.Base || remote.Pred != out.Pred {
+			t.Errorf("%v: base or predictor stats differ:\nremote %+v\nlive   %+v", k, remote.ThreadStats, out.ThreadStats)
+		}
+		if len(remote.Hier.DTLB) != 1 || remote.Hier.DTLB[0] != out.Hier.DTLB[0] {
+			t.Errorf("%v: DTLB stats differ: %+v vs %+v", k, remote.Hier.DTLB, out.Hier.DTLB)
+		}
+		var lr, rr bytes.Buffer
+		if err := NewReport(out).WriteJSON(&lr); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewReport(remote).WriteJSON(&rr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(lr.Bytes(), rr.Bytes()) {
+			t.Errorf("%v: report of the decoded snapshot differs: %s", k, firstDiff(lr.Bytes(), rr.Bytes()))
+		}
+		// Re-encoding the decoded snapshot is stable (the router can
+		// forward what it received without losing anything).
+		enc2, err := json.Marshal(remote.CellStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Errorf("%v: re-encoding changed the snapshot: %s", k, firstDiff(enc, enc2))
+		}
 	}
 }
 
-// TestSnapshotDetaches: mutating the snapshot must not reach the live
-// core's histograms (the pool reuses cores across runs).
+// TestSnapshotDetaches: an outcome's statistics share no storage with
+// the live machine — mutating one run's histograms must not reach the
+// next run on the same (pooled) instance.
 func TestSnapshotDetaches(t *testing.T) {
 	spec, err := workload.Build("chase", workload.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(KindSST, spec.Program, DefaultOptions())
+	in, err := NewInstance(Shape{Kind: KindSST}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := SnapshotCell(out)
-	if cs.SST == nil || cs.SST.DQOcc == nil {
-		t.Fatal("no SST histograms in snapshot")
+	run := func() Outcome {
+		out, err := in.Run(context.Background(), CoreCell(KindSST, spec.Program), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	before := out.SSTStats().DQOcc.Mean()
-	cs.SST.DQOcc.Add(1_000_000)
-	if got := out.SSTStats().DQOcc.Mean(); got != before {
-		t.Fatalf("snapshot shares histogram storage with the live core: mean %v -> %v", before, got)
+	first := run()
+	if first.SST == nil || first.SST.DQOcc == nil || first.Hier.LoadMissLat == nil {
+		t.Fatal("no histograms in snapshot")
+	}
+	dq, lat := first.SST.DQOcc.Mean(), first.Hier.LoadMissLat.Mean()
+	first.SST.DQOcc.Add(1_000_000)
+	first.Hier.LoadMissLat.Add(1_000_000)
+	second := run()
+	if got := second.SST.DQOcc.Mean(); got != dq {
+		t.Errorf("snapshot shares DQ histogram storage with the live core: mean %v -> %v", dq, got)
+	}
+	if got := second.Hier.LoadMissLat.Mean(); got != lat {
+		t.Errorf("snapshot shares miss-latency storage with the live hierarchy: mean %v -> %v", lat, got)
 	}
 }

@@ -59,7 +59,7 @@ func TestCPISumInvariant(t *testing.T) {
 					if plan != nil {
 						label += "+faults"
 					}
-					checkCPISum(t, label, out.Core.Base())
+					checkCPISum(t, label, &out.Base)
 				}
 			}
 		})
@@ -155,7 +155,7 @@ func TestCPISumInvariantTage(t *testing.T) {
 				if plan != nil {
 					label += "+faults"
 				}
-				checkCPISum(t, label, out.Core.Base())
+				checkCPISum(t, label, &out.Base)
 			}
 		}
 	}

@@ -109,10 +109,11 @@ func ffRunWith(t *testing.T, k Kind, prog *asm.Program, plan *faults.Plan, noFF 
 	return out, m, tr
 }
 
-// threadsJSON serializes a cell's per-thread statistics for comparison.
-func threadsJSON(t *testing.T, out Outcome) []byte {
+// statsJSON serializes a run's whole statistics snapshot — every model,
+// predictor, hierarchy and per-thread block — for comparison.
+func statsJSON(t *testing.T, out Outcome) []byte {
 	t.Helper()
-	b, err := json.Marshal(out.Threads())
+	b, err := json.Marshal(out.CellStats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func checkFFCell(t *testing.T, c Cell, plan *faults.Plan) {
 	if naive.Regs != fast.Regs {
 		t.Errorf("%v: architectural registers diverge under fast-forward", s)
 	}
-	nb, fb := naive.BaseStats(), fast.BaseStats()
+	nb, fb := &naive.Base, &fast.Base
 	if nb.CPI != fb.CPI {
 		t.Errorf("%v: cycle-accounting buckets diverge under fast-forward:\n naive %v\n fast  %v",
 			s, nb.CPI, fb.CPI)
@@ -177,8 +178,8 @@ func checkFFCell(t *testing.T, c Cell, plan *faults.Plan) {
 			}
 		}
 	}
-	if nj, fj := threadsJSON(t, naive), threadsJSON(t, fast); !bytes.Equal(nj, fj) {
-		t.Errorf("%v: per-thread statistics diverge under fast-forward: %s", s, firstDiff(nj, fj))
+	if nj, fj := statsJSON(t, naive), statsJSON(t, fast); !bytes.Equal(nj, fj) {
+		t.Errorf("%v: statistics snapshot diverges under fast-forward: %s", s, firstDiff(nj, fj))
 	}
 	if !bytes.Equal(nm, fm) {
 		t.Errorf("%v: metrics JSON diverges under fast-forward: %s", s, firstDiff(nm, fm))

@@ -26,11 +26,9 @@ import (
 // options (programs, watchdogs, faults, observability hooks) are applied
 // by each Run.
 //
-// Run returns a detached outcome safe to cache and consume indefinitely
-// while the live structures are reset for the next run: a single core's
-// outcome carries the same concrete core and hierarchy types with
-// deep-copied statistics; a multi-threaded cell's outcome carries its
-// statistics snapshot (Outcome.Cell, per-thread blocks included). The
+// Run returns an outcome whose statistics are a snapshot (CellStats,
+// per-thread blocks included), safe to cache and consume indefinitely
+// while the live structures are reset for the next run. The
 // pooled-vs-fresh differential fuzz in this package proves a reused
 // Instance is byte-identical to a fresh construction — outcome, metrics
 // JSON and Chrome trace — clean and under fault plans, for every shape.
@@ -201,11 +199,10 @@ func (in *Instance) armFaults(opts Options) []*faults.Injector {
 }
 
 // runLive prepares the instance, executes cell c to completion and
-// returns an outcome whose Core/Mach/Mem point at the instance's live
-// structures (a multi-threaded cell also gets its statistics snapshot
-// in Cell). It is the single execution path shared by the fresh
-// RunContext and the pooled Instance.Run, so the two cannot drift. The
-// caller publishes metrics and (for pooling) detaches.
+// returns its outcome: the statistics snapshot, and Mem pointing at the
+// instance's live memory. It is the single execution path shared by the
+// fresh RunContext and the pooled Instance.Run, so the two cannot
+// drift. The caller publishes metrics and (for pooling) drops Mem.
 func (in *Instance) runLive(ctx context.Context, c Cell, opts Options) (Outcome, error) {
 	ctx, span := obs.StartSpan(ctx, "sim-run")
 	span.SetAttr("kind", in.shape.Kind.String())
@@ -224,18 +221,23 @@ func (in *Instance) runLive(ctx context.Context, c Cell, opts Options) (Outcome,
 	span.SetAttr("cycles", fmt.Sprint(in.top.Cycle()))
 	span.SetAttr("retired", fmt.Sprint(in.top.Retired()))
 	out := Outcome{
-		Kind:    in.shape.Kind,
-		Cycles:  in.top.Cycle(),
-		Retired: in.top.Retired(),
-		Core:    in.top,
-		Mach:    in.machs[0],
-		Mem:     in.machs[0].Mem,
+		CellStats: CellStats{
+			Kind:    in.shape.Kind,
+			Cycles:  in.top.Cycle(),
+			Retired: in.top.Retired(),
+			Hier:    in.hier().Snapshot(),
+		},
+		Mem: in.machs[0].Mem,
 	}
 	if in.shape.Topo == TopoCore {
+		out.ThreadStats = snapshotThread(in.top, in.machs[0])
 		out.Regs = coreRegs(in.top)
 	} else {
-		out.Cell = SnapshotCell(out)
-		out.Cell.Threads = in.threadStats()
+		out.Base = *in.top.Base()
+		out.Threads = make([]ThreadStats, len(in.cores))
+		for i, cr := range in.cores {
+			out.Threads[i] = snapshotThread(cr, in.machs[i])
+		}
 	}
 	return out, nil
 }
@@ -257,27 +259,10 @@ func RunCore(ctx context.Context, c cpu.Core, opts Options) error {
 	})
 }
 
-// threadStats snapshots every hardware thread's statistics, detached
-// from the live models.
-func (in *Instance) threadStats() []ThreadStats {
-	ts := make([]ThreadStats, len(in.cores))
-	for i, c := range in.cores {
-		ts[i] = ThreadStats{Base: *c.Base(), Pred: in.machs[i].Pred.Stats}
-		if cc, ok := c.(*core.Core); ok {
-			ts[i].SST = cloneSSTStats(cc.Stats())
-		}
-	}
-	return ts
-}
-
-// Run executes cell c on the pooled instance and returns a detached
-// outcome safe to cache and read indefinitely; Mem is nil — a detached
-// outcome carries no memory image, since the live one is about to be
-// reused. A single core's Core and Mach are frozen stats-only copies
-// (same concrete types, deep-copied counters and histograms); a
-// multi-threaded cell answers from its Cell snapshot, with Mach holding
-// a frozen copy of the shared hierarchy's statistics. Metrics are
-// published from the detached copies, so a registry snapshot taken long
+// Run executes cell c on the pooled instance and returns its outcome,
+// safe to cache and read indefinitely: the statistics are a snapshot,
+// and Mem is nil — the live memory image is about to be reused. Metrics
+// are published from the snapshot, so a registry snapshot taken long
 // after the run still reflects exactly this run.
 //
 // A leak-check cell runs the transient-leakage oracle instead: its
@@ -291,43 +276,16 @@ func (in *Instance) Run(ctx context.Context, c Cell, opts Options) (Outcome, err
 		if err := c.Validate(); err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{Kind: in.shape.Kind}, in.CheckTransientLeakage(ctx, c.Progs[0], opts)
+		return Outcome{CellStats: CellStats{Kind: in.shape.Kind}}, in.CheckTransientLeakage(ctx, c.Progs[0], opts)
 	}
 	out, err := in.runLive(ctx, c, opts)
 	if err != nil {
 		return out, err
 	}
-	h := in.hier()
-	if in.shape.Topo == TopoCore {
-		out.Core = detachCore(in.top)
-		out.Mach = &cpu.Machine{
-			Hier:     h.Detach(),
-			Pred:     in.machs[0].Pred.Detach(),
-			CoreID:   in.machs[0].CoreID,
-			Coherent: in.machs[0].Coherent,
-		}
-	} else {
-		out.Core = nil
-		out.Mach = &cpu.Machine{Hier: h.Detach()}
-	}
 	out.Mem = nil
 	out.Obs = opts.Metrics
 	out.PublishObs(opts.Metrics)
 	return out, nil
-}
-
-// detachCore freezes a core model into a stats-only carrier of the same
-// concrete type (see each model's Detach).
-func detachCore(c cpu.Core) cpu.Core {
-	switch cc := c.(type) {
-	case *core.Core:
-		return cc.Detach()
-	case *inorder.Core:
-		return cc.Detach()
-	case *ooo.Core:
-		return cc.Detach()
-	}
-	return c
 }
 
 // ShapeFingerprint returns the canonical encoding of the construction-

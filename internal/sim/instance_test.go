@@ -60,15 +60,15 @@ func checkPooledCell(t *testing.T, in *Instance, c Cell, plan *faults.Plan, opts
 	if fresh.Regs != pooled.Regs {
 		t.Errorf("%v: architectural registers diverge on a pooled instance", s)
 	}
-	fb, pb := fresh.BaseStats(), pooled.BaseStats()
+	fb, pb := &fresh.Base, &pooled.Base
 	if *fb != *pb {
 		t.Errorf("%v: base stats diverge on a pooled instance:\n fresh  %+v\n pooled %+v", s, *fb, *pb)
 	}
 	if c.Topo == TopoCore {
 		checkCPISum(t, s.String()+" pooled", pb)
 	}
-	if fj, pj := threadsJSON(t, fresh), threadsJSON(t, pooled); !bytes.Equal(fj, pj) {
-		t.Errorf("%v: per-thread statistics diverge on a pooled instance: %s", s, firstDiff(fj, pj))
+	if fj, pj := statsJSON(t, fresh), statsJSON(t, pooled); !bytes.Equal(fj, pj) {
+		t.Errorf("%v: statistics snapshot diverges on a pooled instance: %s", s, firstDiff(fj, pj))
 	}
 	for i := range fmems {
 		if !fmems[i].Equal(pmems[i]) {
@@ -217,7 +217,7 @@ func TestPooledSecretDifferential(t *testing.T) {
 	}
 }
 
-// TestPooledDetachedOutcomeIsFrozen: the detached outcome a pooled run
+// TestPooledDetachedOutcomeIsFrozen: the outcome a pooled run
 // returns must keep its figures forever, even after the instance runs
 // something else — the run cache and the service layer hold these
 // outcomes indefinitely.
@@ -235,7 +235,7 @@ func TestPooledDetachedOutcomeIsFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	outA, ma, _ := pooledRun(t, in, progA, nil)
-	cyclesA, baseA := outA.Cycles, *outA.Core.Base()
+	cyclesA, baseA := outA.Cycles, *&outA.Base
 
 	// Overwrite the live machine with a different program.
 	var mb []byte
@@ -246,7 +246,7 @@ func TestPooledDetachedOutcomeIsFrozen(t *testing.T) {
 		t.Fatal("test needs two programs with different metrics")
 	}
 
-	if outA.Cycles != cyclesA || *outA.Core.Base() != baseA {
+	if outA.Cycles != cyclesA || *&outA.Base != baseA {
 		t.Error("detached outcome mutated by a later run on the same instance")
 	}
 	// Run A's registry — the one the service layer snapshots on a cache

@@ -41,8 +41,7 @@ func TestWorkloadsAllCoresEquivalent(t *testing.T) {
 				}
 				cycles[k] = out.Cycles
 
-				if st, ok := out.Core.(*core.Core); ok {
-					s := st.Stats()
+				if s := out.SST; s != nil {
 					// Conservation: every taken checkpoint is either
 					// committed or rolled back (none leak).
 					if s.CheckpointsTaken != s.EpochCommits+rollbackSum(s) {
@@ -147,8 +146,8 @@ func TestSSTBeatsInOrderOnMLPWorkload(t *testing.T) {
 	if sst.IPC() < 1.5*io.IPC() {
 		t.Errorf("sst IPC %.3f not well above inorder %.3f on randarr", sst.IPC(), io.IPC())
 	}
-	if sst.Core.Base().MLP() <= io.Core.Base().MLP() {
-		t.Errorf("sst MLP %.2f <= inorder %.2f", sst.Core.Base().MLP(), io.Core.Base().MLP())
+	if sst.Base.MLP() <= io.Base.MLP() {
+		t.Errorf("sst MLP %.2f <= inorder %.2f", sst.Base.MLP(), io.Base.MLP())
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"rocksim/internal/cpu"
 	"rocksim/internal/inorder"
 	"rocksim/internal/obs"
-	"rocksim/internal/ooo"
 )
 
 // Report is the machine-readable summary of one run, for downstream
@@ -130,10 +129,11 @@ func TopLoss(b *cpu.BaseStats) string {
 	return fmt.Sprintf("%s:%.1f%%", top, pct(topv, b.Cycles))
 }
 
-// NewReport builds the machine-readable summary of a finished run.
+// NewReport builds the machine-readable summary of a finished
+// single-core run.
 func NewReport(out Outcome) Report {
-	b := out.Core.Base()
-	h := out.Mach.Hier
+	b := &out.Base
+	h := &out.Hier
 	r := Report{
 		Kind:          out.Kind.String(),
 		Cycles:        out.Cycles,
@@ -148,15 +148,15 @@ func NewReport(out Outcome) Report {
 		LoadL2Pct:     pct(b.LoadL2Hits, b.Loads),
 		LoadMemPct:    pct(b.LoadMemHits, b.Loads),
 		Caches: CacheReport{
-			L1DMissPct:  100 * h.L1D(out.Mach.CoreID).Stats.MissRate(),
-			L1IMissPct:  100 * h.L1I(out.Mach.CoreID).Stats.MissRate(),
-			L2MissPct:   100 * h.L2().Stats.MissRate(),
-			DRAMReads:   h.DRAM().Stats.Reads,
-			DRAMWrites:  h.DRAM().Stats.Writes,
-			Prefetches:  h.Stats.Prefetches,
-			LoadMissP50: h.LoadMissLatency().Quantile(0.50),
-			LoadMissP95: h.LoadMissLatency().Quantile(0.95),
-			LoadMissP99: h.LoadMissLatency().Quantile(0.99),
+			L1DMissPct:  100 * h.L1D[0].MissRate(),
+			L1IMissPct:  100 * h.L1I[0].MissRate(),
+			L2MissPct:   100 * h.L2.MissRate(),
+			DRAMReads:   h.DRAM.Reads,
+			DRAMWrites:  h.DRAM.Writes,
+			Prefetches:  h.Hier.Prefetches,
+			LoadMissP50: h.LoadMissLat.Quantile(0.50),
+			LoadMissP95: h.LoadMissLat.Quantile(0.95),
+			LoadMissP99: h.LoadMissLat.Quantile(0.99),
 		},
 	}
 	r.CPIStack = map[string]uint64{}
@@ -170,9 +170,9 @@ func NewReport(out Outcome) Report {
 		snap := out.Obs.Snapshot()
 		r.Metrics = &snap
 	}
-	switch c := out.Core.(type) {
-	case *core.Core:
-		s := c.Stats()
+	switch {
+	case out.SST != nil:
+		s := out.SST
 		byCause := map[string]uint64{}
 		for cause := core.RollbackCause(0); cause < core.NumRollbackCauses; cause++ {
 			if s.RollbacksBy[cause] > 0 {
@@ -206,16 +206,16 @@ func NewReport(out Outcome) Report {
 			TxCommits:        s.Tx.Commits,
 			TxAborts:         s.Tx.Aborts,
 		}
-	case *ooo.Core:
-		s := c.Stats()
+	case out.OOO != nil:
+		s := out.OOO
 		r.OOO = &OOOReport{
 			Squashes:           s.Squashes,
 			MemOrderViolations: s.MemOrderViolations,
 			WrongPathInsts:     s.WrongPathInsts,
 			ROBFullCycles:      s.ROBFullCycles,
 		}
-	case *inorder.Core:
-		s := c.Stats()
+	case out.InOrder != nil:
+		s := out.InOrder
 		r.InOrder = &InOrderReport{
 			StallFetch:    s.StallCycles[inorder.StallFetch],
 			StallRedirect: s.StallCycles[inorder.StallRedirect],

@@ -59,6 +59,22 @@ func (k Kind) String() string {
 	return "?"
 }
 
+// MarshalText encodes the kind by name, so snapshots on the wire read
+// "sst", not a number.
+func (k Kind) MarshalText() ([]byte, error) {
+	if k.String() == "?" {
+		return nil, fmt.Errorf("sim: bad core kind %d", k)
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText decodes a kind name (see KindByName).
+func (k *Kind) UnmarshalText(b []byte) error {
+	v, err := KindByName(string(b))
+	*k = v
+	return err
+}
+
 // KindByName parses a core-kind name.
 func KindByName(s string) (Kind, error) {
 	for _, k := range Kinds {
@@ -176,30 +192,27 @@ func DefaultOptions() Options {
 	}
 }
 
-// Outcome summarizes one finished run. For a chip Cycles is the lockstep
-// count and Retired the total over cores, so IPC is chip throughput.
+// Outcome is one finished run: its statistics snapshot, plus the
+// architectural results a caller may inspect. For a chip Cycles is the
+// lockstep count and Retired the total over cores, so IPC is chip
+// throughput.
 type Outcome struct {
-	Kind    Kind
-	Cycles  uint64
-	Retired uint64
-	Core    cpu.Core // the core model, for detailed stats
-	Mach    *cpu.Machine
-	Mem     *mem.Sparse
-	Regs    [isa.NumRegs]int64
+	CellStats
+	// Mem is the final functional memory image (thread 0's, the whole
+	// image of a single core or a shared chip). Only a fresh Run's
+	// outcome carries it — the caller owns that machine; a pooled run's
+	// memory is about to be reused, and a remote cell's never crossed the
+	// wire.
+	Mem *mem.Sparse
+	// Regs is a single core's final architectural register file.
+	Regs [isa.NumRegs]int64
 	// Obs is the run's metrics registry (Options.Metrics), when one was
 	// attached; reports embed its snapshot.
 	Obs *obs.Registry
-	// Cell, when non-nil, is the outcome's statistics snapshot (see
-	// CellStats), and the table-assembly accessors (BaseStats, SSTStats,
-	// L1DStats, L2Stats, DTLBStats, Threads) answer from it. It is set on
-	// a multi-threaded cell's outcome, and on the view of a cell computed
-	// on another rocksimd shard, where only the snapshot crossed the
-	// wire and Core, Mach and Mem are nil.
-	Cell *CellStats
 }
 
 // IPC returns retired instructions per cycle.
-func (o Outcome) IPC() float64 {
+func (o *CellStats) IPC() float64 {
 	if o.Cycles == 0 {
 		return 0
 	}
@@ -258,7 +271,7 @@ func RunContext(ctx context.Context, k Kind, prog *asm.Program, opts Options) (O
 	// A fresh run is a pooled run with pool size zero: build an Instance
 	// and drive the exact execution path a reused one takes (runLive),
 	// so the fresh and pooled flavors cannot drift. The returned outcome
-	// keeps the live structures — callers of Run/RunContext own them.
+	// keeps the live memory image — callers of Run/RunContext own it.
 	inst, err := NewInstance(Shape{Kind: k}, opts)
 	if err != nil {
 		return Outcome{}, err
@@ -297,47 +310,23 @@ func newChip(c Cell, opts Options) (*cmp.Chip, error) {
 	return in.top.(*cmp.Chip), nil
 }
 
-// PublishObs publishes the finished run's counters — the core model's
-// and the memory hierarchy's — into r. No-op when r is nil. sim.Run
-// calls this automatically when Options.Metrics is set. A
-// multi-threaded cell publishes its aggregate core counters, the
-// hierarchy's (per-core names) and its threads' predictor counters
-// summed; the per-thread blocks stay in Threads.
-func (o Outcome) PublishObs(r *obs.Registry) {
+// PublishObs publishes the run's statistics snapshot — the core
+// model's counters, the predictor's and the memory hierarchy's — into
+// r. No-op when r is nil. sim.Run calls this automatically when
+// Options.Metrics is set. A multi-threaded cell publishes its aggregate
+// core counters, the hierarchy's (per-core names) and its threads'
+// predictor counters summed; the per-thread blocks stay in Threads.
+func (o *CellStats) PublishObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	if th := o.Threads(); th != nil {
-		o.Cell.Base.PublishObs(r)
-		for i := range th {
-			pr := obs.NewRegistry()
-			th[i].Pred.PublishObs(pr)
-			r.Merge(pr)
-		}
-		if o.Mach != nil {
-			o.Mach.Hier.PublishObs(r)
-		}
-		return
+	o.ThreadStats.publishObs(r)
+	for i := range o.Threads {
+		pr := obs.NewRegistry()
+		o.Threads[i].Pred.PublishObs(pr)
+		r.Merge(pr)
 	}
-	if o.Core == nil {
-		return
-	}
-	switch c := o.Core.(type) {
-	case *core.Core:
-		c.PublishObs(r)
-	case *inorder.Core:
-		c.Stats().PublishObs(r)
-	case *ooo.Core:
-		c.Stats().PublishObs(r)
-	default:
-		o.Core.Base().PublishObs(r)
-	}
-	if o.Mach != nil {
-		o.Mach.Hier.PublishObs(r)
-		if o.Mach.Pred != nil {
-			o.Mach.Pred.Stats.PublishObs(r)
-		}
-	}
+	o.Hier.PublishObs(r)
 }
 
 func coreRegs(c cpu.Core) [isa.NumRegs]int64 {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rocksim/internal/cpu"
-	"rocksim/internal/ooo"
 	"rocksim/internal/workload"
 )
 
@@ -22,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite testdata/timing.golden")
 // the emulator differentials; this pins the model's timing, so a
 // scheduler change that keeps results right but moves a cycle shows.
 func timingLine(name string, k Kind, out Outcome) string {
-	b := out.Core.Base()
+	b := &out.Base
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s %s cycles=%d retired=%d cpi{", name, k, b.Cycles, b.Retired)
 	sep := ""
@@ -33,8 +32,7 @@ func timingLine(name string, k Kind, out Outcome) string {
 		}
 	}
 	sb.WriteString("}")
-	if c, ok := out.Core.(*ooo.Core); ok {
-		s := c.Stats()
+	if s := out.OOO; s != nil {
 		fmt.Fprintf(&sb, " squash=%d memorder=%d wrongpath=%d robfull=%d fetchstall=%d emptyissue=%d",
 			s.Squashes, s.MemOrderViolations, s.WrongPathInsts,
 			s.ROBFullCycles, s.FetchStallCycles, s.EmptyIssueCycles)

@@ -143,11 +143,7 @@ func BuildWorkload(name string, scale workload.Scale) (*Workload, error) {
 // SSTStats returns the SST-specific statistics of a result, if the run
 // used an SST-family core (SST, ExecuteAhead, Scout).
 func SSTStats(r Result) (*core.Stats, bool) {
-	c, ok := r.Core.(*core.Core)
-	if !ok {
-		return nil, false
-	}
-	return c.Stats(), true
+	return r.SST, r.SST != nil
 }
 
 // SSTStatsBlock re-exports the SST statistics type.
