@@ -8,7 +8,7 @@
 # coverage-guided differential fuzz session (fuzz-short), and the
 # rocksimd service
 # smoke (serve-smoke: load, grid byte-identity, SIGTERM drain), the
-# fleet smoke (fleet-smoke: 3 shards behind rockgate, grid
+# fleet smoke (fleet-smoke: 3 shards behind rockgate, /v1/run load, grid
 # byte-identity, loss-free drain of all four processes), and the
 # rockbench golden digests of every experiment's text (rockbench-test);
 # determinism re-runs the observability tests twice in one process to
@@ -92,9 +92,10 @@ serve-smoke:
 	echo "serve-smoke: grid byte-identical to sstbench; daemon drained cleanly on SIGTERM"
 
 # Fleet smoke: boot 3 rocksimd shards and a rockgate router in front,
-# prove the gateway's /v1/grid (every cell fanned out by cache key,
-# F12's SMT pairs included) is byte-identical to sstbench, then SIGTERM
-# all four processes and require clean (exit 0) drains.
+# load the gateway's /v1/run proxy with rockload (every request must
+# succeed), prove the gateway's /v1/grid (every cell fanned out by cache
+# key, F12's SMT pairs included) is byte-identical to sstbench, then
+# SIGTERM all four processes and require clean (exit 0) drains.
 fleet-smoke:
 	$(GO) build -o /tmp/rocksimd-smoke ./cmd/rocksimd
 	$(GO) build -o /tmp/rockgate-smoke ./cmd/rockgate
@@ -112,13 +113,14 @@ fleet-smoke:
 	for i in $$(seq 1 50); do \
 		/tmp/rockload-smoke -addr http://127.0.0.1:8330 -healthz >/dev/null 2>&1 && break; sleep 0.2; \
 	done; \
+	/tmp/rockload-smoke -addr http://127.0.0.1:8330 -n 60 -c 4 -scale test; \
 	/tmp/rockload-smoke -addr http://127.0.0.1:8330 -scale test -grid-exps T1,F3,F12 -grid-out /tmp/fleet-grid.txt; \
 	/tmp/sstbench-smoke -scale test -j 1 -exp T1,F3,F12 | grep -v 'regenerated in' > /tmp/fleet-grid-ref.txt; \
 	diff -u /tmp/fleet-grid-ref.txt /tmp/fleet-grid.txt; \
 	kill -TERM $$pg; wait $$pg; \
 	kill -TERM $$p0 $$p1 $$p2; wait $$p0; wait $$p1; wait $$p2; \
 	trap - EXIT; \
-	echo "fleet-smoke: 3-shard grid byte-identical to sstbench; gateway and shards drained cleanly"
+	echo "fleet-smoke: /v1/run proxied cleanly; 3-shard grid byte-identical to sstbench; gateway and shards drained cleanly"
 
 # Predictor-grid smoke: the B1 kind-x-sharing grid must be byte-
 # identical serial vs -j 4 through sstbench, byte-identical again

@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -74,7 +73,7 @@ func main() {
 		base.Timeout = *timeout
 	}
 	if *faultSpec != "" {
-		plan, err := parseFaults(*faultSpec)
+		plan, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rockgate: bad -faults:", err)
 			os.Exit(2)
@@ -135,17 +134,4 @@ func splitTargets(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseFaults accepts the same forms as the rocksimd/sstsim -faults
-// flag.
-func parseFaults(spec string) (*faults.Plan, error) {
-	if rest, ok := strings.CutPrefix(spec, "random:"); ok {
-		seed, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad random faults seed %q: %v", rest, err)
-		}
-		return faults.Random(seed, 1_000_000), nil
-	}
-	return faults.Parse(spec)
 }

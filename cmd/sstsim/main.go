@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"rocksim/internal/asm"
@@ -96,12 +95,15 @@ func main() {
 	if *memlat > 0 {
 		opts.Hier.DRAM.Latency = *memlat
 	}
+	// -pipeview tees onto every run's sink; PipeView renders only the
+	// SST-family cores, so other kinds print no pipeline lines.
+	var pv obs.Sink
 	if *pipeview > 0 {
-		opts.Probe = &core.PipeView{W: os.Stdout, MaxCycles: *pipeview}
+		pv = &core.PipeView{W: os.Stdout, MaxCycles: *pipeview}
 	}
 	opts.Timeout = *timeout
 	if *faultsFlag != "" {
-		plan, err := parseFaults(*faultsFlag)
+		plan, err := faults.ParseSpec(*faultsFlag)
 		if err != nil {
 			fatal(err)
 		}
@@ -162,6 +164,7 @@ func main() {
 				col.SampleEvery = *sampleEvery
 				ropts.Sink = col
 			}
+			ropts.Sink = obs.Tee(pv, ropts.Sink)
 			out, err := sim.RunContext(runCtx, kind, w.Program, ropts)
 			if err != nil {
 				fatal(err)
@@ -333,21 +336,6 @@ func report(w *workload.Spec, out sim.Outcome) {
 			s.StallCycles[inorder.StallStoreBuffer])
 	}
 	fmt.Println()
-}
-
-// parseFaults parses the -faults flag: either a literal plan string
-// (faults.Parse syntax) or "random:SEED" for a generated benign plan.
-func parseFaults(s string) (*faults.Plan, error) {
-	if rest, ok := strings.CutPrefix(s, "random:"); ok {
-		seed, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -faults random seed %q: %v", rest, err)
-		}
-		// A modest horizon keeps the generated events inside the span a
-		// typical run actually executes.
-		return faults.Random(seed, 1_000_000), nil
-	}
-	return faults.Parse(s)
 }
 
 func fatal(err error) {

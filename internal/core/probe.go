@@ -8,21 +8,6 @@ import (
 	"rocksim/internal/obs"
 )
 
-// Probe observes the SST core cycle by cycle, for pipeline visualization
-// and debugging. All hooks are optional-cost: nothing is computed when
-// no probe is installed.
-//
-// Probe predates the unified observability layer; it is kept for
-// backward compatibility and routed through an obs.Sink adapter (see
-// ProbeSink). New instrumentation should use SetSink directly.
-type Probe interface {
-	// CycleState is called at the end of every cycle with the mode and
-	// per-strand progress.
-	CycleState(now uint64, mode Mode, executed, replayed, dq, ssb, ckpts, pend int)
-	// Event is called at significant microarchitectural events.
-	Event(now uint64, kind, detail string)
-}
-
 // sstOccNames names the occupancy channels the SST core reports to its
 // sink, in CycleState occ order.
 var sstOccNames = []string{"dq", "ssb", "ckpts", "pend"}
@@ -38,54 +23,15 @@ func (c *Core) SetSink(s obs.Sink) {
 // Sink returns the installed sink (nil when observation is disabled).
 func (c *Core) Sink() obs.Sink { return c.sink }
 
-// SetProbe installs (or clears, with nil) a legacy probe, routed through
-// the obs.Sink adapter.
-func (c *Core) SetProbe(p Probe) {
-	if p == nil {
-		c.SetSink(nil)
-		return
-	}
-	c.SetSink(ProbeSink(p))
-}
-
-// ProbeSink adapts a legacy Probe to the obs.Sink interface: cycle
-// state and instantaneous events are forwarded, span traffic is dropped
-// (the probe API has no notion of durations).
-func ProbeSink(p Probe) obs.Sink { return probeSink{p} }
-
-type probeSink struct{ p Probe }
-
-func (s probeSink) Attach(string, []string) {}
-
-func (s probeSink) CycleState(now uint64, mode string, executed, replayed int, occ []int) {
-	var o [4]int
-	copy(o[:], occ)
-	s.p.CycleState(now, modeByName(mode), executed, replayed, o[0], o[1], o[2], o[3])
-}
-
-func (s probeSink) Event(now uint64, cat, name, detail string) { s.p.Event(now, name, detail) }
-
-func (s probeSink) SpanBegin(uint64, string, string, uint64) {}
-func (s probeSink) SpanEnd(uint64, string, uint64)           {}
-func (s probeSink) Span(uint64, uint64, string, string)      {}
-
-func modeByName(s string) Mode {
-	switch s {
-	case "spec":
-		return ModeSpec
-	case "scout":
-		return ModeScout
-	}
-	return ModeNormal
-}
-
-// PipeView is a Probe that renders a compact one-line-per-cycle pipeline
-// trace, in the spirit of pipetrace viewers:
+// PipeView is an obs.Sink that renders a compact one-line-per-cycle
+// pipeline trace of the SST core, in the spirit of pipetrace viewers:
 //
 //	cycle   mode  A R |DQ......  |SSB..    |CK##    events
 //
 // A/R columns show ahead-strand and replay-strand instruction counts for
-// the cycle; the bars show queue occupancies.
+// the cycle; the bars show queue occupancies. It renders only while
+// attached to the "sst" model, so teeing it onto a run's sink leaves
+// other core models (and span traffic) silent.
 type PipeView struct {
 	W io.Writer
 	// MaxCycles stops output after this many cycles (0 = unlimited).
@@ -93,13 +39,16 @@ type PipeView struct {
 	// OnlyEvents suppresses per-cycle lines, printing events only.
 	OnlyEvents bool
 
-	lines uint64
-	done  bool // cap reached: short-circuit all further work
+	on   bool // attached to the SST core
+	done bool // cap reached: short-circuit all further work
 }
 
-// CycleState implements Probe.
-func (v *PipeView) CycleState(now uint64, mode Mode, executed, replayed, dq, ssb, ckpts, pend int) {
-	if v.done || v.OnlyEvents {
+// Attach implements obs.Sink.
+func (v *PipeView) Attach(model string, _ []string) { v.on = model == "sst" }
+
+// CycleState implements obs.Sink; occ is in sstOccNames order.
+func (v *PipeView) CycleState(now uint64, mode string, executed, replayed int, occ []int) {
+	if !v.on || v.done || v.OnlyEvents {
 		return
 	}
 	if v.MaxCycles > 0 && now >= v.MaxCycles {
@@ -114,18 +63,26 @@ func (v *PipeView) CycleState(now uint64, mode Mode, executed, replayed, dq, ssb
 	}
 	fmt.Fprintf(v.W, "%8d %-7s A%d R%d |DQ%s|SSB%s|CK%s|M%d\n",
 		now, mode, executed, replayed,
-		bar(dq/4, 16), bar(ssb/2, 8), bar(ckpts, 4), pend)
-	v.lines++
+		bar(occ[0]/4, 16), bar(occ[1]/2, 8), bar(occ[2], 4), occ[3])
 }
 
-// Event implements Probe.
-func (v *PipeView) Event(now uint64, kind, detail string) {
-	if v.done {
+// Event implements obs.Sink.
+func (v *PipeView) Event(now uint64, _, name, detail string) {
+	if !v.on || v.done {
 		return
 	}
 	if v.MaxCycles > 0 && now >= v.MaxCycles {
 		v.done = true
 		return
 	}
-	fmt.Fprintf(v.W, "%8d * %-10s %s\n", now, kind, detail)
+	fmt.Fprintf(v.W, "%8d * %-10s %s\n", now, name, detail)
 }
+
+// SpanBegin implements obs.Sink; spans are not rendered.
+func (v *PipeView) SpanBegin(uint64, string, string, uint64) {}
+
+// SpanEnd implements obs.Sink.
+func (v *PipeView) SpanEnd(uint64, string, uint64) {}
+
+// Span implements obs.Sink.
+func (v *PipeView) Span(uint64, uint64, string, string) {}

@@ -16,7 +16,7 @@ func TestPipeViewRendersCyclesAndEvents(t *testing.T) {
 		b.Halt()
 	})
 	var sb strings.Builder
-	c.SetProbe(&PipeView{W: &sb, MaxCycles: 100000})
+	c.SetSink(&PipeView{W: &sb, MaxCycles: 100000})
 	run(t, c, 100_000)
 	out := sb.String()
 	for _, want := range []string{"checkpoint", "commit", "normal", "spec", "|DQ"} {
@@ -33,7 +33,7 @@ func TestPipeViewOnlyEvents(t *testing.T) {
 		b.Halt()
 	})
 	var sb strings.Builder
-	c.SetProbe(&PipeView{W: &sb, OnlyEvents: true})
+	c.SetSink(&PipeView{W: &sb, OnlyEvents: true})
 	run(t, c, 100_000)
 	out := sb.String()
 	if !strings.Contains(out, "checkpoint") {
@@ -53,7 +53,7 @@ func TestPipeViewMaxCyclesBounds(t *testing.T) {
 		b.Halt()
 	})
 	var sb strings.Builder
-	c.SetProbe(&PipeView{W: &sb, MaxCycles: 10})
+	c.SetSink(&PipeView{W: &sb, MaxCycles: 10})
 	run(t, c, 1_000_000)
 	lines := strings.Count(sb.String(), "\n")
 	if lines > 12 { // 10 cycle lines plus possible early events

@@ -207,6 +207,24 @@ func Parse(s string) (*Plan, error) {
 	return p, nil
 }
 
+// randomHorizon is the horizon of a "random:SEED" plan: it keeps the
+// generated events inside the span a typical run actually executes.
+const randomHorizon = 1_000_000
+
+// ParseSpec decodes a user-facing fault spec, as the -faults flags and
+// the /v1/run "faults" option take it: either the Parse grammar, or
+// "random:SEED" for Random(SEED, randomHorizon).
+func ParseSpec(spec string) (*Plan, error) {
+	if rest, ok := strings.CutPrefix(spec, "random:"); ok {
+		seed, err := strconv.ParseInt(rest, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad random faults seed %q: %v", rest, err)
+		}
+		return Random(seed, randomHorizon), nil
+	}
+	return Parse(spec)
+}
+
 // Random generates a benign fault plan from seed: one to five events of
 // the architecture-preserving kinds, scheduled within the first horizon
 // cycles. SkipRestore is never generated — random plans feed the

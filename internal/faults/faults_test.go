@@ -57,6 +57,35 @@ func TestParseEmpty(t *testing.T) {
 	}
 }
 
+func TestParseSpec(t *testing.T) {
+	for _, tc := range []struct {
+		spec, want string // want is the canonical plan; "ERR" expects an error
+	}{
+		{"seed=7;ckpt-deny@100-200", "seed=7;ckpt-deny@100-200"},
+		{"random:7", Random(7, randomHorizon).String()},
+		{"random:-2", Random(-2, randomHorizon).String()},
+		{"", ""},
+		{"random:x", "ERR"},
+		{"random:", "ERR"},
+		{"bogus@5", "ERR"},
+	} {
+		p, err := ParseSpec(tc.spec)
+		if tc.want == "ERR" {
+			if err == nil {
+				t.Errorf("ParseSpec(%q) accepted: %v", tc.spec, p)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", tc.spec, err)
+			continue
+		}
+		if got := p.String(); got != tc.want {
+			t.Errorf("ParseSpec(%q) = %q, want %q", tc.spec, got, tc.want)
+		}
+	}
+}
+
 // TestNilSafety: a nil plan yields a nil injector whose every method
 // returns the no-fault answer.
 func TestNilSafety(t *testing.T) {

@@ -1,31 +1,30 @@
-// Package gate is the stateless fleet router of the simulation
-// service: the HTTP tier cmd/rockgate serves in front of N rocksimd
-// shards. It exposes the same API as a single daemon — /v1/run,
-// /v1/grid (sync and async), /v1/result, /metrics, /healthz — with the
-// same response bytes, so clients cannot tell a fleet from one node.
+// Package gate is the fleet backend of the simulation service: what
+// cmd/rockgate serves in front of N rocksimd shards. The HTTP front end
+// is internal/serve's, the same one a single daemon runs — request ids,
+// tracing, admission, drain, the async job store and the /v1/grid and
+// /v1/result handlers — so clients cannot tell a fleet from one node,
+// and the response bytes are the same.
 //
-// Routing is cache-affine: every request's cells hash onto the shard
-// ring by the same content-addressed key the shards use for their run
-// caches (experiments.CellKey), so a popular cell lands on one shard
-// and is computed once per fleet. /v1/run proxies whole to the owner;
-// /v1/grid decomposes every experiment into its cells — single cores,
-// SMT pairs, chips and leak-oracle checks alike — fanned out cell by
-// cell (bounded per-shard concurrency, reassembled here in presentation
-// order), and the assembled body is byte-identical to a single node's.
+// What is the gateway's own is the routing. It is cache-affine: every
+// request's cells hash onto the shard ring by the same
+// content-addressed key the shards use for their run caches
+// (experiments.CellKey), so a popular cell lands on one shard and is
+// computed once per fleet. /v1/run proxies whole to the owner; /v1/grid
+// decomposes every experiment into its cells — single cores, SMT pairs,
+// chips and leak-oracle checks alike — fanned out cell by cell (bounded
+// per-shard concurrency, reassembled here in presentation order), and
+// the assembled body is byte-identical to a single node's.
 //
 // The gateway holds no durable state: membership is health-driven
-// (startup check, background re-probe, request-path ejection), a dead
-// shard's keys re-home to ring successors mid-grid, and saturation is
-// surfaced honestly — when every shard answers 429, the gateway
-// returns 429 with the largest Retry-After it saw rather than queueing
-// or hanging. SIGTERM drain mirrors rocksimd: new work refused with
-// 503, admitted work (including async grids) runs to completion.
+// (startup check, background re-probe, request-path ejection), a dead or
+// draining shard's keys re-home to ring successors mid-request, and
+// saturation is surfaced honestly — when every shard answers 429, the
+// gateway returns 429 with the largest Retry-After it saw rather than
+// queueing or hanging.
 package gate
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,12 +33,9 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"rocksim/internal/cpu"
 	"rocksim/internal/experiments"
-	"rocksim/internal/fleet"
 	"rocksim/internal/obs"
 	"rocksim/internal/serve"
 	"rocksim/internal/serve/client"
@@ -55,8 +51,6 @@ const (
 	// DefaultBusyWait caps the per-attempt sleep on a shard 429; the
 	// shard's Retry-After is honored up to this.
 	DefaultBusyWait = 2 * time.Second
-	// maxFinishedJobs bounds retained async results, as in serve.
-	maxFinishedJobs = 64
 )
 
 // Config parameterizes a Gateway.
@@ -92,31 +86,14 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Gateway is the fleet router HTTP handler.
+// Gateway is the fleet router: the serve front end over the fleet
+// backend.
 type Gateway struct {
+	*serve.Server
 	cfg Config
 	fl  *client.Fleet
-	mux *http.ServeMux
 	reg *obs.Registry
 	log *slog.Logger
-
-	sem      chan struct{}
-	draining atomic.Bool
-	wg       sync.WaitGroup
-	reqID    atomic.Uint64
-
-	mu     sync.Mutex
-	jobs   map[string]*gridJob
-	order  []string
-	nextID uint64
-}
-
-// gridJob is one async grid computation.
-type gridJob struct {
-	done       chan struct{}
-	status     int
-	retryAfter time.Duration
-	body       []byte
 }
 
 // New builds a Gateway over cfg.Targets and runs one synchronous
@@ -129,12 +106,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = cfg.PerShard * len(cfg.Targets)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = serve.DefaultQueueDepth
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = serve.DefaultRetryAfter
 	}
 	if cfg.BusyAttempts <= 0 {
 		cfg.BusyAttempts = DefaultBusyAttempts
@@ -150,23 +121,13 @@ func New(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Gateway{
-		cfg:  cfg,
-		fl:   fl,
-		mux:  http.NewServeMux(),
-		reg:  obs.NewRegistry(),
-		log:  cfg.Logger,
-		sem:  make(chan struct{}, cfg.QueueDepth),
-		jobs: make(map[string]*gridJob),
-	}
-	if g.log == nil {
-		g.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	g.mux.HandleFunc("POST /v1/run", g.handleRun)
-	g.mux.HandleFunc("POST /v1/grid", g.handleGrid)
-	g.mux.HandleFunc("GET /v1/result/{id}", g.handleResult)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
+	g := &Gateway{cfg: cfg, fl: fl}
+	g.Server = serve.NewFront(serve.Config{
+		QueueDepth: cfg.QueueDepth,
+		RetryAfter: cfg.RetryAfter,
+		Logger:     cfg.Logger,
+	}, backend{g})
+	g.reg, g.log = g.Registry(), g.Logger()
 	fl.Monitor().Check()
 	return g, nil
 }
@@ -178,83 +139,19 @@ func (g *Gateway) Fleet() *client.Fleet { return g.fl }
 // Close stops probing and releases idle shard connections.
 func (g *Gateway) Close() { g.fl.Close() }
 
-// StartDrain puts the gateway in lame-duck mode: new work refused with
-// 503, admitted work (including async grids) runs to completion.
-func (g *Gateway) StartDrain() {
-	if !g.draining.Swap(true) {
-		g.log.Info("drain start", "queued", len(g.sem))
-	}
-}
+// backend is the serve.Backend the gateway's front end calls.
+type backend struct{ *Gateway }
 
-// Draining reports whether StartDrain has been called.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
+func (backend) Names() (metrics, queue string) { return "gate", "gateway queue" }
 
-// Wait blocks until every admitted request has finished.
-func (g *Gateway) Wait() { g.wg.Wait() }
-
-// ServeHTTP assigns (or echoes) X-Request-ID and logs the request,
-// mirroring the single-daemon middleware.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := r.Header.Get("X-Request-ID")
-	if id == "" {
-		id = fmt.Sprintf("g%08d", g.reqID.Add(1))
-	}
-	w.Header().Set("X-Request-ID", id)
-	g.log.LogAttrs(r.Context(), slog.LevelInfo, "request start",
-		slog.String("id", id), slog.String("method", r.Method), slog.String("path", r.URL.Path))
-	start := time.Now()
-	g.mux.ServeHTTP(w, r)
-	g.log.LogAttrs(r.Context(), slog.LevelInfo, "request end",
-		slog.String("id", id), slog.Int64("dur_us", time.Since(start).Microseconds()))
-}
-
-// admit mirrors the shard-side admission control: 503 while draining,
-// 429 with a Retry-After hint when the gateway's own queue is full.
-func (g *Gateway) admit(w http.ResponseWriter) (release func(), ok bool) {
-	if g.draining.Load() {
-		g.reg.Counter("gate/rejected_draining").Inc()
-		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new work")
-		return nil, false
-	}
-	select {
-	case g.sem <- struct{}{}:
-	default:
-		g.reg.Counter("gate/rejected_busy").Inc()
-		secs := retryAfterSecs(g.cfg.RetryAfter)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("gateway queue full (%d in flight); retry after %ds", g.cfg.QueueDepth, secs))
-		return nil, false
-	}
-	g.wg.Add(1)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			<-g.sem
-			g.wg.Done()
-		})
-	}, true
-}
-
-// handleRun proxies one cell to its owning shard (ring successors on
-// transport failure), streaming back the shard's body and compute
+// Run proxies one cell to its owning shard (ring successors when a
+// shard is down or draining), passing back the shard's body and compute
 // header so the response is byte-identical to asking that shard — or
 // any single daemon — directly.
-func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gate/run_requests").Inc()
-	release, ok := g.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	var req serve.RunRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	res, target, err := g.fl.Run(r.Context(), req)
+func (b backend) Run(ctx context.Context, w http.ResponseWriter, req serve.RunRequest) {
+	res, target, err := b.fl.Run(ctx, req)
 	if err != nil {
-		g.writeUpstreamError(w, err)
+		b.upstreamRefusal(err).Write(w)
 		return
 	}
 	w.Header().Set("X-Shard", target)
@@ -263,131 +160,63 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Write(res.Body)
 }
 
-// writeUpstreamError maps a fleet request failure onto the gateway's
-// response: shard 429s propagate with their Retry-After, shard HTTP
+// upstreamRefusal maps a fleet request failure onto the gateway's
+// answer: shard 429s propagate with their Retry-After, shard HTTP
 // errors keep their status and message, transport-level exhaustion is
 // a 502.
-func (g *Gateway) writeUpstreamError(w http.ResponseWriter, err error) {
+func (g *Gateway) upstreamRefusal(err error) *serve.Refusal {
 	var busy *client.BusyError
 	if errors.As(err, &busy) {
 		g.reg.Counter("gate/upstream_busy").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(busy.RetryAfter)))
-		httpError(w, http.StatusTooManyRequests, err.Error())
-		return
+		return &serve.Refusal{Code: http.StatusTooManyRequests, RetryAfter: busy.RetryAfter, Msg: err.Error()}
 	}
 	var se *client.StatusError
 	if errors.As(err, &se) {
-		httpError(w, se.Code, se.Message)
-		return
+		return &serve.Refusal{Code: se.Code, Msg: se.Message}
 	}
 	g.reg.Counter("gate/upstream_down").Inc()
-	httpError(w, http.StatusBadGateway, err.Error())
+	return &serve.Refusal{Code: http.StatusBadGateway, Msg: err.Error()}
 }
 
-func (g *Gateway) handleGrid(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gate/grid_requests").Inc()
-	release, ok := g.admit(w)
-	if !ok {
-		return
-	}
-	var req serve.GridRequest
-	if err := decodeJSON(r, &req); err != nil {
-		release()
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ids := req.Exps
-	if len(ids) == 0 {
-		ids = experiments.All
-	}
-	for _, id := range ids {
-		if !knownExperiment(id) {
-			release()
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown experiment %q", id))
-			return
-		}
-	}
-	scale, err := parseScale(req.Scale)
-	if err != nil {
-		release()
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	if req.Async {
-		job, id := g.newJob()
-		// The fan-out must outlive this handler's request context.
-		ctx := context.WithoutCancel(r.Context())
-		go func() {
-			defer release()
-			status, retry, body := g.computeGrid(ctx, ids, scale)
-			g.finishJob(id, job, status, retry, body)
-		}()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(serve.AsyncAccepted{ID: id, Result: "/v1/result/" + id})
-		return
-	}
-
-	defer release()
-	status, retry, body := g.computeGrid(r.Context(), ids, scale)
-	writeGridResult(w, status, retry, body)
-}
-
-func writeGridResult(w http.ResponseWriter, status int, retry time.Duration, body []byte) {
-	if status != http.StatusOK {
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(retry)))
-		}
-		httpError(w, status, string(body))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(body)
-}
-
-// computeGrid assembles the listed experiments in presentation order on
-// a per-request experiments.Runner whose compute backend fans cells out
-// to their owning shards — the Runner's cache and singleflight
-// deduplicate repeated cells within the request, the worker pool bounds
-// fleet-wide fan-out, and presentation-order assembly keeps the bytes
-// identical to a single node. Every cell carries its complete options,
-// so the shards' own base options never matter. The gateway holds no
-// cross-request cache: the shards' caches are the fleet's state.
-func (g *Gateway) computeGrid(ctx context.Context, ids []string, scale workload.Scale) (status int, retry time.Duration, body []byte) {
+// Grid assembles experiments on a per-request experiments.Runner whose
+// compute backend fans cells out to their owning shards — the Runner's
+// cache and singleflight deduplicate repeated cells within the request,
+// the worker pool bounds fleet-wide fan-out, and presentation-order
+// assembly keeps the bytes identical to a single node. Every cell
+// carries its complete options, so the shards' own base options never
+// matter. The gateway holds no cross-request cache: the shards' caches
+// are the fleet's state.
+func (b backend) Grid(ctx context.Context, scale workload.Scale) serve.GridRunner {
 	st := &fanout{}
 	r := experiments.NewRunner()
-	r.SetJobs(g.cfg.Jobs)
-	r.SetBaseOptions(g.baseOptions())
-	r.SetComputeBackend(g.cellBackend(ctx, scale, st))
-	var buf bytes.Buffer
-	for _, id := range ids {
-		res, err := r.Run(id, scale)
-		if s, ra, msg, fatal := st.takeFatal(); fatal {
-			return s, ra, msg
-		}
-		if err != nil {
-			g.reg.Counter("gate/grid_errors").Inc()
-			if errors.Is(err, cpu.ErrDeadline) {
-				return http.StatusGatewayTimeout, 0, []byte(err.Error())
-			}
-			return http.StatusInternalServerError, 0, []byte(err.Error())
-		}
-		res.Fprint(&buf)
-		fmt.Fprintln(&buf)
+	r.SetJobs(b.cfg.Jobs)
+	r.SetBaseOptions(b.baseOptions())
+	r.SetComputeBackend(b.cellBackend(ctx, scale, st))
+	return fanoutRunner{r, st}
+}
+
+// fanoutRunner ends a grid with the fan-out's verdict once one is in.
+type fanoutRunner struct {
+	r  *experiments.Runner
+	st *fanout
+}
+
+func (f fanoutRunner) Run(id string, scale workload.Scale) (*experiments.Result, error) {
+	res, err := f.r.Run(id, scale)
+	if rf := f.st.refusal(); rf != nil {
+		return nil, rf
 	}
-	g.reg.Counter("gate/grids_served").Inc()
-	return http.StatusOK, 0, buf.Bytes()
+	return res, err
 }
 
 // cellBackend builds the per-request compute backend: each cache miss
 // on the assembly Runner becomes a /v1/cell call to the cell's owning
-// shard, with ring-successor failover on transport errors, lame-duck
-// ejection on 503, and bounded Retry-After waits on 429. A cell's
+// shard, with ring-successor failover when the shard is down or
+// draining, and bounded Retry-After waits on 429. A cell's
 // deterministic failure comes back as a RemoteError, which the drivers
 // render as the same ERR cell a local run would produce. Gateway-level
 // failures (no shards left, fleet saturated) are recorded in st — the
-// grid handler turns them into 502/429 instead of a wrong table.
+// grid turns them into 502/429 instead of a wrong table.
 func (g *Gateway) cellBackend(ctx context.Context, scale workload.Scale, st *fanout) experiments.ComputeBackend {
 	return func(_ context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
 		req := serve.NewCellRequest(c, scaleName(scale), opts)
@@ -433,13 +262,18 @@ func (g *Gateway) cellBackend(ctx context.Context, scale workload.Scale, st *fan
 						if attempt+1 >= g.cfg.BusyAttempts {
 							break // give this owner up; try a successor's spare capacity
 						}
-						if !sleepCtx(ctx, minDuration(busy.RetryAfter, g.cfg.BusyWait)) {
+						if !sleepCtx(ctx, min(busy.RetryAfter, g.cfg.BusyWait)) {
 							st.fail(ctx.Err())
 							return sim.Outcome{}, ctx.Err()
 						}
 						continue
 					}
-					if !g.shardUnavailable(target, err) {
+					unavailable, ejected := g.fl.Eject(ctx, target, err)
+					if ejected {
+						g.reg.Counter("gate/ejections").Inc()
+						g.log.Warn("shard ejected", "shard", target, "err", err)
+					}
+					if !unavailable {
 						// The shard answered with a real HTTP error (bad
 						// request, fingerprint mismatch): a gateway bug, not
 						// a shard outage. Fail the grid loudly.
@@ -458,32 +292,6 @@ func (g *Gateway) cellBackend(ctx context.Context, scale workload.Scale, st *fan
 		st.fail(err)
 		return sim.Outcome{}, err
 	}
-}
-
-// shardUnavailable classifies an upstream error and ejects the shard
-// when it means "unavailable": transport failures and drain refusals
-// re-home the shard's keys; HTTP-level answers do not.
-func (g *Gateway) shardUnavailable(target string, err error) bool {
-	var se *client.StatusError
-	if errors.As(err, &se) {
-		if se.Code == http.StatusServiceUnavailable {
-			if g.fl.Monitor().MarkDown(target, fleet.ErrDraining) {
-				g.reg.Counter("gate/ejections").Inc()
-				g.log.Warn("shard draining; ejected", "shard", target)
-			}
-			return true
-		}
-		return false
-	}
-	var busy *client.BusyError
-	if errors.As(err, &busy) {
-		return false
-	}
-	if g.fl.Monitor().MarkDown(target, err) {
-		g.reg.Counter("gate/ejections").Inc()
-		g.log.Warn("shard down; ejected", "shard", target, "err", err)
-	}
-	return true
 }
 
 // fanout accumulates gateway-level failures across a grid's cells.
@@ -514,45 +322,26 @@ func (f *fanout) fail(err error) {
 	}
 }
 
-// takeFatal reports the accumulated verdict: hard failures beat
-// saturation (a dead fleet is not "retry later"), saturation maps to
-// 429 with the largest Retry-After any shard hinted.
-func (f *fanout) takeFatal() (status int, retry time.Duration, msg []byte, fatal bool) {
+// refusal reports the accumulated verdict, nil while there is none:
+// hard failures beat saturation (a dead fleet is not "retry later"),
+// saturation maps to 429 with the largest Retry-After any shard hinted.
+func (f *fanout) refusal() *serve.Refusal {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.err != nil {
-		return http.StatusBadGateway, 0, []byte(f.err.Error()), true
+		return &serve.Refusal{Code: http.StatusBadGateway, Msg: f.err.Error()}
 	}
 	if f.busy {
-		return http.StatusTooManyRequests, f.maxWait,
-			[]byte(fmt.Sprintf("fleet saturated; retry after %v", f.maxWait)), true
+		return &serve.Refusal{Code: http.StatusTooManyRequests, RetryAfter: f.maxWait,
+			Msg: fmt.Sprintf("fleet saturated; retry after %v", f.maxWait)}
 	}
-	return 0, 0, nil, false
+	return nil
 }
 
-func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	g.mu.Lock()
-	job := g.jobs[id]
-	g.mu.Unlock()
-	if job == nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown result id %q", id))
-		return
-	}
-	select {
-	case <-job.done:
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]string{"state": "running"})
-		return
-	}
-	writeGridResult(w, job.status, job.retryAfter, job.body)
-}
-
-// handleHealthz reports the gateway's own state plus every shard's.
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	shards := g.fl.Monitor().Snapshot()
+// Health reports every shard's state; the gateway is up while any shard
+// is.
+func (b backend) Health(body map[string]any) bool {
+	shards := b.fl.Monitor().Snapshot()
 	type shardView struct {
 		Target    string `json:"target"`
 		Up        bool   `json:"up"`
@@ -571,42 +360,30 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Ejections: s.Ejections, LastErr: s.LastErr,
 		})
 	}
-	body := map[string]any{
-		"ok":        !g.draining.Load() && up > 0,
-		"draining":  g.draining.Load(),
-		"ring_size": g.ringSize(),
-		"shards_up": up,
-		"shards":    views,
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if g.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	} else if up == 0 {
-		w.WriteHeader(http.StatusBadGateway)
-	}
-	json.NewEncoder(w).Encode(body)
+	body["ring_size"] = b.ringSize()
+	body["shards_up"] = up
+	body["shards"] = views
+	return up > 0
 }
 
-// handleMetrics serves the gateway's own counters plus the
+// WriteMetrics serves the gateway's own counters plus the
 // fleet-aggregated view: per-shard up/ejection gauges and the summed
 // shard samples (cache traffic, pool reuse, cells served) under a
 // fleet_ prefix, so one scrape shows the whole tier.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g.reg.Gauge("gate/ring_size").Set(int64(g.ringSize()))
-	for i, s := range g.fl.Monitor().Snapshot() {
+func (b backend) WriteMetrics(w io.Writer) error {
+	b.reg.Gauge("gate/ring_size").Set(int64(b.ringSize()))
+	for i, s := range b.fl.Monitor().Snapshot() {
 		upVal := int64(0)
 		if s.Up {
 			upVal = 1
 		}
-		g.reg.Gauge(fmt.Sprintf("gate/shard%d/up", i)).Set(upVal)
-		g.reg.Counter(fmt.Sprintf("gate/shard%d/ejections", i)).Set(s.Ejections)
+		b.reg.Gauge(fmt.Sprintf("gate/shard%d/up", i)).Set(upVal)
+		b.reg.Counter(fmt.Sprintf("gate/shard%d/ejections", i)).Set(s.Ejections)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := g.reg.WriteProm(w); err != nil {
-		g.reg.Counter("gate/metrics_errors").Inc()
-		return
+	if err := b.reg.WriteProm(w); err != nil {
+		return err
 	}
-	agg := g.fl.MetricsAll()
+	agg := b.fl.MetricsAll()
 	names := make([]string, 0, len(agg))
 	for name := range agg {
 		names = append(names, name)
@@ -616,6 +393,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, name := range names {
 		fmt.Fprintf(w, "fleet_%s %g\n", name, agg[name])
 	}
+	return nil
 }
 
 func (g *Gateway) ringSize() int { return g.fl.Monitor().Ring().Size() }
@@ -627,91 +405,11 @@ func (g *Gateway) baseOptions() sim.Options {
 	return sim.DefaultOptions()
 }
 
-// newJob and finishJob mirror the single daemon's bounded async-result
-// retention.
-func (g *Gateway) newJob() (*gridJob, string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.nextID++
-	id := fmt.Sprintf("g%06d", g.nextID)
-	job := &gridJob{done: make(chan struct{})}
-	g.jobs[id] = job
-	g.order = append(g.order, id)
-	return job, id
-}
-
-func (g *Gateway) finishJob(id string, job *gridJob, status int, retry time.Duration, body []byte) {
-	g.mu.Lock()
-	job.status, job.retryAfter, job.body = status, retry, body
-	finished := 0
-	for _, jid := range g.order {
-		if j := g.jobs[jid]; j != nil && (j == job || jobDone(j)) {
-			finished++
-		}
-	}
-	for i := 0; i < len(g.order) && finished > maxFinishedJobs; {
-		jid := g.order[i]
-		j := g.jobs[jid]
-		if j != nil && j != job && jobDone(j) {
-			delete(g.jobs, jid)
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			finished--
-			continue
-		}
-		i++
-	}
-	g.mu.Unlock()
-	close(job.done)
-}
-
-func jobDone(j *gridJob) bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
-	}
-}
-
-func knownExperiment(id string) bool {
-	for _, k := range experiments.All {
-		if k == id {
-			return true
-		}
-	}
-	return false
-}
-
-func parseScale(s string) (workload.Scale, error) {
-	switch s {
-	case "", "full":
-		return workload.ScaleFull, nil
-	case "test":
-		return workload.ScaleTest, nil
-	}
-	return 0, fmt.Errorf("bad scale %q (want test or full)", s)
-}
-
 func scaleName(s workload.Scale) string {
 	if s == workload.ScaleTest {
 		return "test"
 	}
 	return "full"
-}
-
-func retryAfterSecs(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 0 {
-		secs = 0
-	}
-	return secs
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sleepCtx sleeps for d or until ctx ends; false means the context won.
@@ -727,19 +425,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %v", err)
-	}
-	return nil
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

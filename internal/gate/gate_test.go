@@ -351,7 +351,7 @@ func TestAllShardsSaturated(t *testing.T) {
 		secs := i + 1 // Retry-After 1s, 2s, 3s
 		targets[i] = fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", fmt.Sprint(secs))
-			httpError(w, http.StatusTooManyRequests, "queue full")
+			serve.HTTPError(w, http.StatusTooManyRequests, "queue full")
 		}, nil).URL
 	}
 	g := newGateway(t, Config{

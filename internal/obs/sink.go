@@ -1,8 +1,8 @@
 package obs
 
-// Sink receives the event stream of a running model. It generalizes the
-// SST core's original Probe hook so that every core model and the memory
-// hierarchy can be observed through one interface. All hooks are
+// Sink receives the event stream of a running model: every core model
+// and the memory hierarchy are observed through this one interface
+// (the SST pipeline viewer core.PipeView is a Sink too). All hooks are
 // optional-cost: a model emits nothing when its sink is nil, and the
 // per-cycle hook passes only interned strings and a scratch slice, so
 // the enabled path allocates nothing per cycle either.
@@ -98,7 +98,7 @@ func (t tee) CycleState(now uint64, mode string, executed, replayed int, occ []i
 }
 
 // CycleRun implements BulkSink by dispatching per sub-sink, so a tee of
-// a Collector and a legacy probe bulk-credits the former and replays the
+// a Collector and a PipeView bulk-credits the former and replays the
 // per-cycle loop only for the latter.
 func (t tee) CycleRun(start, end uint64, mode string, occ []int) {
 	for _, s := range t {

@@ -55,29 +55,36 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// post sends a JSON body and returns the raw response body for the
-// listed acceptable statuses; other statuses map to BusyError (429) or
-// StatusError.
-func (c *Client) post(path string, req any, okStatus ...int) (int, []byte, error) {
+// post sends req as JSON to path under ctx and returns the response
+// with its body read, and the time from sending until the response
+// headers arrived. A status other than want maps to BusyError (429) or
+// StatusError. When ctx ends the request is abandoned, and the daemon
+// sees its own request context end.
+func (c *Client) post(ctx context.Context, path string, req any, want int) (*http.Response, []byte, time.Duration, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, 0, err
 	}
-	resp, err := c.http().Post(c.Base+path, "application/json", bytes.NewReader(payload))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(payload))
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, 0, err
 	}
+	hreq.Header.Set("Content-Type", "application/json")
+	t0 := time.Now()
+	resp, err := c.http().Do(hreq)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	ttfb := time.Since(t0)
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return resp.StatusCode, nil, err
+		return nil, nil, 0, err
 	}
-	for _, s := range okStatus {
-		if resp.StatusCode == s {
-			return resp.StatusCode, body, nil
-		}
+	if resp.StatusCode != want {
+		return nil, nil, 0, responseError(resp, body)
 	}
-	return resp.StatusCode, body, responseError(resp, body)
+	return resp, body, ttfb, nil
 }
 
 func responseError(resp *http.Response, body []byte) error {
@@ -150,23 +157,14 @@ type RunResult struct {
 // RunDetail executes one cell like Run but also surfaces the request
 // id and timing split (client TTFB vs server-reported compute).
 func (c *Client) RunDetail(req serve.RunRequest) (*RunResult, error) {
-	payload, err := json.Marshal(req)
+	return c.runDetail(context.Background(), req)
+}
+
+// runDetail is RunDetail under ctx.
+func (c *Client) runDetail(ctx context.Context, req serve.RunRequest) (*RunResult, error) {
+	resp, body, ttfb, err := c.post(ctx, "/v1/run", req, http.StatusOK)
 	if err != nil {
 		return nil, err
-	}
-	t0 := time.Now()
-	resp, err := c.http().Post(c.Base+"/v1/run", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	ttfb := time.Since(t0)
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, responseError(resp, body)
 	}
 	res := &RunResult{Body: body, RequestID: resp.Header.Get("X-Request-ID"), TTFB: ttfb}
 	if us, err := strconv.ParseInt(resp.Header.Get("X-Compute-Us"), 10, 64); err == nil {
@@ -183,26 +181,9 @@ func (c *Client) RunDetail(req serve.RunRequest) (*RunResult, error) {
 // (connection refused, 429 BusyError, 503 draining); a deterministic
 // simulation failure arrives as a nil error with resp.ErrClass set.
 func (c *Client) Cell(ctx context.Context, req serve.CellRequest) (*serve.CellResponse, error) {
-	payload, err := json.Marshal(req)
+	_, body, _, err := c.post(ctx, "/v1/cell", req, http.StatusOK)
 	if err != nil {
 		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/cell", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, responseError(resp, body)
 	}
 	var out serve.CellResponse
 	if err := json.Unmarshal(body, &out); err != nil {
@@ -215,7 +196,7 @@ func (c *Client) Cell(ctx context.Context, req serve.CellRequest) (*serve.CellRe
 // report (byte-identical to sstbench output minus wall-clock lines).
 func (c *Client) Grid(req serve.GridRequest) ([]byte, error) {
 	req.Async = false
-	_, body, err := c.post("/v1/grid", req, http.StatusOK)
+	_, body, _, err := c.post(context.Background(), "/v1/grid", req, http.StatusOK)
 	return body, err
 }
 
@@ -223,7 +204,7 @@ func (c *Client) Grid(req serve.GridRequest) ([]byte, error) {
 // result id to poll with Result.
 func (c *Client) GridAsync(req serve.GridRequest) (string, error) {
 	req.Async = true
-	_, body, err := c.post("/v1/grid", req, http.StatusAccepted)
+	_, body, _, err := c.post(context.Background(), "/v1/grid", req, http.StatusAccepted)
 	if err != nil {
 		return "", err
 	}

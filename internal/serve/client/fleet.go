@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -121,9 +122,33 @@ func (f *Fleet) Acquire(ctx context.Context, target string) (release func(), err
 	}
 }
 
-// MarkDown ejects a shard on request-path evidence, so the very next
-// routing decision avoids it rather than waiting for a probe tick.
-func (f *Fleet) MarkDown(target string, err error) { f.mon.MarkDown(target, err) }
+// Eject classifies err, from a request to target made under ctx, and
+// takes the shard out of the ring when it could not take the request: a
+// transport failure, or a 503 from a draining shard (recorded as
+// fleet.ErrDraining). Its keys then re-home to ring successors at the
+// very next routing decision rather than at the next probe tick. Every
+// other answer reached a live shard and would be the same on any other:
+// a 429 means wait for the owner, which holds the cache line; another
+// HTTP status belongs to the request; and an ended ctx is the caller
+// giving up. unavailable reports whether to fail over, ejected whether
+// this call took target out of the ring.
+func (f *Fleet) Eject(ctx context.Context, target string, err error) (unavailable, ejected bool) {
+	if ctx.Err() != nil {
+		return false, false
+	}
+	var busy *BusyError
+	var se *StatusError
+	switch {
+	case errors.As(err, &busy):
+		return false, false
+	case errors.As(err, &se):
+		if se.Code != http.StatusServiceUnavailable {
+			return false, false
+		}
+		err = fleet.ErrDraining
+	}
+	return true, f.mon.MarkDown(target, err)
+}
 
 // RunKey is the deterministic routing key for a /v1/run request: any
 // stable function of the request works (placement only has to be
@@ -138,11 +163,12 @@ func RunKey(req serve.RunRequest) string {
 	return string(b)
 }
 
-// Run routes one /v1/run to the cell's owning shard, failing over to
-// ring successors on transport-level errors (ejecting the dead shard
-// as it goes). Admission 429s and HTTP-level errors are returned, not
-// failed over: the owner holds the cache line, and recomputing a busy
-// shard's cell elsewhere would defeat fleet-wide deduplication.
+// Run routes one /v1/run to the cell's owning shard under ctx, failing
+// over to ring successors when a shard is down or draining (ejecting it
+// as it goes; see Eject). Admission 429s and other HTTP-level errors are
+// returned, not failed over: the owner holds the cache line, and
+// recomputing a busy shard's cell elsewhere would defeat fleet-wide
+// deduplication.
 func (f *Fleet) Run(ctx context.Context, req serve.RunRequest) (*RunResult, string, error) {
 	key := RunKey(req)
 	owners := f.Owners(key, f.mon.Ring().Size())
@@ -155,30 +181,17 @@ func (f *Fleet) Run(ctx context.Context, req serve.RunRequest) (*RunResult, stri
 		if err != nil {
 			return nil, target, err
 		}
-		res, err := f.clients[target].RunDetail(req)
+		res, err := f.clients[target].runDetail(ctx, req)
 		release()
 		if err == nil {
 			return res, target, nil
 		}
-		if !transportLevel(err) {
+		if unavailable, _ := f.Eject(ctx, target, err); !unavailable {
 			return nil, target, err
 		}
-		f.MarkDown(target, err)
 		lastErr = err
 	}
 	return nil, "", fmt.Errorf("all shards failed for key: %w", lastErr)
-}
-
-// transportLevel reports whether err means "this shard is unavailable"
-// (fail over) as opposed to "this request is bad or must wait" (do
-// not). HTTP-level responses — 4xx/5xx including 429 — reached a live
-// shard and are answers; anything else is a connection problem.
-func transportLevel(err error) bool {
-	switch err.(type) {
-	case *BusyError, *StatusError:
-		return false
-	}
-	return true
 }
 
 // HealthAll fetches every configured shard's /healthz in target order;

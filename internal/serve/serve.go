@@ -1,29 +1,32 @@
-// Package serve is the HTTP front-end of rocksimd: simulation as a
-// service over the shared experiments.Runner. One daemon hosts the
-// content-addressed run cache, so repeated cells across clients —
-// CI shards regenerating overlapping figures, developers probing one
-// configuration — deduplicate onto single simulations exactly as they
-// do inside one sstbench process.
+// Package serve is the HTTP front end of the simulation service. One
+// front end serves both binaries; they differ only in the Backend it
+// calls. rocksimd's backend (New) computes on the shared
+// experiments.Runner, whose content-addressed run cache deduplicates
+// repeated cells across clients — CI shards regenerating overlapping
+// figures, developers probing one configuration — exactly as they do
+// inside one sstbench process. rockgate's backend (internal/gate)
+// routes the same requests over a fleet of rocksimd shards.
 //
 // The API surfaces the two existing CLI shapes byte-for-byte:
 //
 //	POST /v1/run     one (kind, workload, options) cell; the response
 //	                 body is identical to `sstsim -json` for that cell.
-//	POST /v1/cell    the fleet-internal cell endpoint: any cell shape
-//	                 (one core, an SMT pair, a chip, a leak-oracle check)
-//	                 with named programs and full wire options in, a
-//	                 CellStats snapshot (or classified cell error) out.
-//	                 Deterministic simulation failures are 200s with an
-//	                 error body — only transport/admission problems use
-//	                 HTTP status — so a router can tell "this cell fails
-//	                 everywhere" from "this shard is unavailable".
+//	POST /v1/cell    the fleet-internal cell endpoint (rocksimd only):
+//	                 any cell shape (one core, an SMT pair, a chip, a
+//	                 leak-oracle check) with named programs and full wire
+//	                 options in, a CellStats snapshot (or classified cell
+//	                 error) out. Deterministic simulation failures are
+//	                 200s with an error body — only transport/admission
+//	                 problems use HTTP status — so a router can tell "this
+//	                 cell fails everywhere" from "this shard is
+//	                 unavailable".
 //	POST /v1/grid    one or more experiments; the body is identical to
 //	                 `sstbench` output minus its wall-clock lines.
 //	                 {"async": true} returns 202 with a result id.
 //	GET  /v1/result/{id}   poll an async grid (202 running, 200 done).
 //	GET  /v1/trace/{id}    a traced request's span tree (Chrome JSON, or
 //	                       the flat list with ?format=spans).
-//	GET  /metrics    Prometheus text (service counters + run metrics).
+//	GET  /metrics    Prometheus text (service counters + backend samples).
 //	GET  /healthz    liveness; 503 once draining.
 //
 // Every response echoes (or assigns) X-Request-ID. Requests are traced
@@ -31,13 +34,13 @@
 // changes headers and the /v1/trace ring only, never a response body.
 //
 // Backpressure is admission-controlled: at most Config.QueueDepth run
-// and grid requests may be in flight (executing on the Runner's worker
-// pool or queued for it); beyond that the service answers 429 with a
-// Retry-After hint instead of building an unbounded backlog. StartDrain
-// flips the service into lame-duck mode — new work is refused with 503,
-// in-flight and queued async work runs to completion — and Wait blocks
-// until the last admitted request finishes, which is how rocksimd turns
-// SIGTERM into a loss-free shutdown.
+// and grid requests may be in flight (executing on the backend or queued
+// for it); beyond that the service answers 429 with a Retry-After hint
+// instead of building an unbounded backlog. StartDrain flips the service
+// into lame-duck mode — new work is refused with 503, in-flight and
+// queued async work runs to completion — and Wait blocks until the last
+// admitted request finishes, which is how both binaries turn SIGTERM
+// into a loss-free shutdown.
 package serve
 
 import (
@@ -50,16 +53,13 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rocksim/internal/cpu"
 	"rocksim/internal/experiments"
-	"rocksim/internal/faults"
 	"rocksim/internal/obs"
-	"rocksim/internal/sim"
 	"rocksim/internal/workload"
 )
 
@@ -93,28 +93,69 @@ type Config struct {
 	// TraceRing bounds retained finished traces (0 = DefaultTraceRing).
 	TraceRing int
 	// Logger receives the structured request/drain log lines; nil
-	// discards them (tests), rocksimd passes its process logger.
+	// discards them (tests), the binaries pass their process logger.
 	Logger *slog.Logger
 	// Clock feeds span timestamps; nil means time.Now. Tests inject a
 	// fake incrementing clock to make trace exports byte-deterministic.
 	Clock func() time.Time
 }
 
-// runner is the slice of *experiments.Runner the service consumes.
-// It is an interface so the backpressure and drain tests can inject a
-// blocking fake; production code always passes the real Runner.
-type runner interface {
-	RunCellCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error)
-	Run(id string, scale workload.Scale) (*experiments.Result, error)
-	BaseOptions() sim.Options
-	CacheStats() (hits, misses uint64)
-	PoolStats() (reused, built uint64)
+// Backend is what a front end serves requests with: the local
+// experiments.Runner for rocksimd (New), the shard fleet for rockgate
+// (internal/gate). The front end owns everything else — request ids,
+// logging and tracing, admission and drain, the async job store, and
+// the /v1/grid and /v1/result handlers.
+type Backend interface {
+	// Names returns the metric namespace of the front end's counters
+	// ("serve" exports rocksim_serve_*) and the name of its admission
+	// queue in 429 refusals.
+	Names() (metrics, queue string)
+	// Run answers one admitted /v1/run request.
+	Run(ctx context.Context, w http.ResponseWriter, req RunRequest)
+	// Grid returns what one grid request regenerates its experiments
+	// on, at scale. A *Refusal from its Run ends the grid with that
+	// answer instead of a 500.
+	Grid(ctx context.Context, scale workload.Scale) GridRunner
+	// Health adds the backend's fields to a /healthz body and reports
+	// whether it can serve (false answers 502).
+	Health(body map[string]any) (up bool)
+	// WriteMetrics writes the /metrics exposition: the front end's
+	// registry plus the backend's own samples.
+	WriteMetrics(w io.Writer) error
 }
 
-// Server is the rocksimd HTTP handler.
+// GridRunner regenerates one experiment; *experiments.Runner is one.
+type GridRunner interface {
+	Run(id string, scale workload.Scale) (*experiments.Result, error)
+}
+
+// Refusal is an answer that is not a result: the HTTP status, its
+// message and, with 429, the Retry-After hint.
+type Refusal struct {
+	Code       int
+	RetryAfter time.Duration
+	Msg        string
+}
+
+func (r *Refusal) Error() string { return r.Msg }
+
+// retrySecs rounds a Retry-After hint up to whole seconds.
+func retrySecs(d time.Duration) int { return max(int((d+time.Second-1)/time.Second), 0) }
+
+// Write sends the refusal as a JSON error body.
+func (r *Refusal) Write(w http.ResponseWriter) {
+	if r.Code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(retrySecs(r.RetryAfter)))
+	}
+	HTTPError(w, r.Code, r.Msg)
+}
+
+// Server is the service's HTTP handler.
 type Server struct {
 	cfg   Config
-	run   runner
+	back  Backend
+	ns    string // metric namespace
+	queue string // the admission queue's name in 429 refusals
 	reg   *obs.Registry
 	mux   *http.ServeMux
 	log   *slog.Logger
@@ -130,8 +171,8 @@ type Server struct {
 	wg sync.WaitGroup
 	// reqID numbers requests that arrive without an X-Request-ID.
 	reqID atomic.Uint64
-	// inflight counts simulations executing right now (inside the
-	// runner), as opposed to len(sem) which also counts queued work.
+	// inflight counts computations executing right now (inside the
+	// backend), as opposed to len(sem) which also counts queued work.
 	inflight atomic.Int64
 
 	mu         sync.Mutex
@@ -144,17 +185,13 @@ type Server struct {
 
 // gridJob is one async grid computation.
 type gridJob struct {
-	done   chan struct{}
-	status int
-	body   []byte
+	done    chan struct{}
+	body    []byte
+	refused *Refusal
 }
 
-// New builds a Server over the real experiments Runner.
-func New(cfg Config, r *experiments.Runner) *Server {
-	return newServer(cfg, r)
-}
-
-func newServer(cfg Config, r runner) *Server {
+// NewFront builds a front end over backend b.
+func NewFront(cfg Config, b Backend) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
@@ -163,7 +200,7 @@ func newServer(cfg Config, r runner) *Server {
 	}
 	s := &Server{
 		cfg:    cfg,
-		run:    r,
+		back:   b,
 		reg:    obs.NewRegistry(),
 		mux:    http.NewServeMux(),
 		log:    cfg.Logger,
@@ -172,6 +209,7 @@ func newServer(cfg Config, r runner) *Server {
 		jobs:   make(map[string]*gridJob),
 		traces: make(map[string]*obs.Tracer),
 	}
+	s.ns, s.queue = b.Names()
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -179,7 +217,6 @@ func newServer(cfg Config, r runner) *Server {
 		s.clock = time.Now
 	}
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/cell", s.handleCell)
 	s.mux.HandleFunc("POST /v1/grid", s.handleGrid)
 	s.mux.HandleFunc("GET /v1/result/{id}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
@@ -187,6 +224,16 @@ func newServer(cfg Config, r runner) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s
 }
+
+// Registry returns the front end's metrics registry, which backends
+// add their own samples to.
+func (s *Server) Registry() *obs.Registry { return s.reg }
+
+// Logger returns the front end's logger.
+func (s *Server) Logger() *slog.Logger { return s.log }
+
+// count returns the front end's counter name in its namespace.
+func (s *Server) count(name string) *obs.Counter { return s.reg.Counter(s.ns + "/" + name) }
 
 // StartDrain puts the service in lame-duck mode: subsequent run/grid
 // requests are refused with 503 while already-admitted work (including
@@ -222,7 +269,7 @@ type RunOptions struct {
 	MemLat    *int   `json:"memlat,omitempty"`
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	Timeout   string `json:"timeout,omitempty"` // Go duration, e.g. "30s"
-	Faults    string `json:"faults,omitempty"`  // faults.Parse syntax or "random:SEED"
+	Faults    string `json:"faults,omitempty"`  // faults.ParseSpec syntax
 }
 
 // GridRequest is the body of POST /v1/grid.
@@ -250,86 +297,23 @@ func parseScale(s string) (workload.Scale, error) {
 	return 0, fmt.Errorf("bad scale %q (want test or full)", s)
 }
 
-// buildOptions applies a request's overrides to the runner's base
-// options, exactly as sstsim maps its flags, refusing sizes outside
-// [0, MaxSize].
-func (s *Server) buildOptions(ro *RunOptions) (sim.Options, error) {
-	opts := s.run.BaseOptions()
-	if ro == nil {
-		return opts, nil
-	}
-	for _, f := range []struct {
-		name string
-		v    *int
-	}{{"dq", ro.DQ}, {"ckpt", ro.Ckpt}, {"ssb", ro.SSB}, {"memlat", ro.MemLat}} {
-		if f.v != nil {
-			if err := checkSize(f.name, *f.v); err != nil {
-				return opts, err
-			}
-		}
-	}
-	if ro.DQ != nil {
-		opts.SST.DQSize = *ro.DQ
-	}
-	if ro.Ckpt != nil {
-		opts.SST.Checkpoints = *ro.Ckpt
-	}
-	if ro.SSB != nil {
-		opts.SST.SSBSize = *ro.SSB
-	}
-	if ro.MemLat != nil && *ro.MemLat > 0 {
-		opts.Hier.DRAM.Latency = *ro.MemLat
-	}
-	if ro.MaxCycles > 0 {
-		opts.MaxCycles = ro.MaxCycles
-	}
-	if ro.Timeout != "" {
-		d, err := time.ParseDuration(ro.Timeout)
-		if err != nil {
-			return opts, fmt.Errorf("bad timeout: %v", err)
-		}
-		opts.Timeout = d
-	}
-	if ro.Faults != "" {
-		plan, err := parseFaults(ro.Faults)
-		if err != nil {
-			return opts, err
-		}
-		opts.Faults = plan
-	}
-	return opts, nil
-}
-
-// parseFaults accepts the same forms as the sstsim -faults flag.
-func parseFaults(spec string) (*faults.Plan, error) {
-	if rest, ok := strings.CutPrefix(spec, "random:"); ok {
-		seed, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad random faults seed %q: %v", rest, err)
-		}
-		return faults.Random(seed, 1_000_000), nil
-	}
-	return faults.Parse(spec)
-}
-
 // admit takes an admission slot, or explains over HTTP why it could
 // not. The caller must release() exactly when ok.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func(), ok bool) {
 	if s.draining.Load() {
-		s.reg.Counter("serve/rejected_draining").Inc()
+		s.count("rejected_draining").Inc()
 		s.log.Warn("request refused: draining", "id", RequestID(ctx))
-		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new work")
+		HTTPError(w, http.StatusServiceUnavailable, "draining: not accepting new work")
 		return nil, false
 	}
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		s.reg.Counter("serve/rejected_busy").Inc()
-		secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
+		s.count("rejected_busy").Inc()
+		secs := retrySecs(s.cfg.RetryAfter)
 		s.log.Warn("request refused: queue full", "id", RequestID(ctx), "retry_after_s", secs)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("queue full (%d in flight); retry after %ds", s.cfg.QueueDepth, secs))
+		(&Refusal{Code: http.StatusTooManyRequests, RetryAfter: s.cfg.RetryAfter,
+			Msg: fmt.Sprintf("%s full (%d in flight); retry after %ds", s.queue, s.cfg.QueueDepth, secs)}).Write(w)
 		return nil, false
 	}
 	s.wg.Add(1)
@@ -344,7 +328,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	s.reg.Counter("serve/run_requests").Inc()
+	s.count("run_requests").Inc()
 	_, as := obs.StartSpan(ctx, "admission")
 	release, ok := s.admit(ctx, w)
 	as.End()
@@ -355,142 +339,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	var req RunRequest
 	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	kind, err := sim.KindByName(req.Kind)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	scale, err := parseScale(req.Scale)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	spec, err := workload.Build(req.Workload, scale)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	opts, err := s.buildOptions(req.Options)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Fresh per-cell registry, exactly like sstsim -json: the report's
-	// metrics block comes from the run itself. On a cache hit the cached
-	// outcome carries the registry of the original compute — same
-	// deterministic contents, so hit and miss responses are identical.
-	reg := obs.NewRegistry()
-	opts.Metrics = reg
-
-	s.inflight.Add(1)
-	t0 := time.Now()
-	out, err := s.run.RunCellCtx(ctx, sim.CoreCell(kind, spec.Program), opts)
-	computeUs := time.Since(t0).Microseconds()
-	s.inflight.Add(-1)
-	// X-Compute-Us is the server-side cell time (queue wait + cache or
-	// compute), traced or not; rockload subtracts it from client TTFB to
-	// separate network/daemon overhead from simulation time.
-	w.Header().Set("X-Compute-Us", strconv.FormatInt(computeUs, 10))
-	if err != nil {
-		s.reg.Counter("serve/run_errors").Inc()
-		s.log.Error("run failed", "id", RequestID(ctx), "kind", req.Kind,
-			"workload", req.Workload, "err", err)
-		code := http.StatusInternalServerError
-		if errors.Is(err, cpu.ErrDeadline) {
-			code = http.StatusGatewayTimeout
-		}
-		httpError(w, code, err.Error())
-		return
-	}
-	_, bs := obs.StartSpan(ctx, "assemble")
-	var buf bytes.Buffer
-	if err := sim.NewReport(out).WriteJSON(&buf); err != nil {
-		bs.End()
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	bs.End()
-	s.foldRun(out)
-	s.reg.Counter("serve/cells_served").Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
-}
-
-// foldRun merges a served cell's run registry into the service
-// metrics, so /metrics exposes every counter a run publishes — where the
-// daemon's simulated cycles went, the cache, predictor and leak counters
-// — summed across all requests (cached cells count once per serve,
-// matching cells_served). A cell computed without a registry publishes
-// its snapshot into a fresh one first.
-func (s *Server) foldRun(out sim.Outcome) {
-	reg := out.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-		out.PublishObs(reg)
-	}
-	s.reg.Merge(reg)
-}
-
-// handleCell computes one cell for a fleet router. Admission control,
-// drain behavior, X-Compute-Us and the cancellation path are identical
-// to /v1/run; what differs is the payload: complete options arrive on
-// the wire (no base-option merge, so the router's per-cell overrides
-// survive exactly) and a sim.CellStats snapshot goes back instead of
-// the rendered report. A simulation error that would render as an
-// ERR(reason) cell is returned as a 200 with the class and exact
-// message in the body; the router rebuilds it with
-// experiments.NewRemoteError so the assembled grid is byte-identical
-// to a single-node run.
-func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	s.reg.Counter("serve/cell_requests").Inc()
-	release, ok := s.admit(ctx, w)
-	if !ok {
-		return
-	}
-	defer release()
-
-	var req CellRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	c, opts, err := req.Resolve()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	s.inflight.Add(1)
-	t0 := time.Now()
-	out, err := s.run.RunCellCtx(ctx, c, opts)
-	computeUs := time.Since(t0).Microseconds()
-	s.inflight.Add(-1)
-	w.Header().Set("X-Compute-Us", strconv.FormatInt(computeUs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	if err != nil {
-		// Deliberately 200: the failure is a property of the cell, not of
-		// this shard, and must not trigger router failover (which would
-		// recompute the same failure elsewhere).
-		s.reg.Counter("serve/cell_errors").Inc()
-		s.log.Warn("cell failed", "id", RequestID(ctx), "kind", req.Kind,
-			"programs", c.Desc(), "err", err)
-		json.NewEncoder(w).Encode(CellResponse{
-			ErrClass: experiments.ErrClass(err),
-			ErrMsg:   err.Error(),
-		})
-		return
-	}
-	s.foldRun(out)
-	s.reg.Counter("serve/cells_served").Inc()
-	json.NewEncoder(w).Encode(CellResponse{Cell: &out.CellStats})
+	s.back.Run(ctx, w, req)
 }
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("serve/grid_requests").Inc()
+	s.count("grid_requests").Inc()
 	release, ok := s.admit(r.Context(), w)
 	if !ok {
 		return
@@ -499,7 +355,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	var req GridRequest
 	if err := decodeJSON(r, &req); err != nil {
 		release()
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ids := req.Exps
@@ -509,23 +365,25 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	for _, id := range ids {
 		if !knownExperiment(id) {
 			release()
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown experiment %q", id))
+			HTTPError(w, http.StatusBadRequest, fmt.Sprintf("unknown experiment %q", id))
 			return
 		}
 	}
 	scale, err := parseScale(req.Scale)
 	if err != nil {
 		release()
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
 	if req.Async {
 		job, id := s.newJob()
+		// The computation must outlive this handler's request context.
+		ctx := context.WithoutCancel(r.Context())
 		go func() {
 			defer release()
-			status, body := s.computeGrid(ids, scale)
-			s.finishJob(id, job, status, body)
+			body, refused := s.computeGrid(ctx, ids, scale)
+			s.finishJob(id, job, body, refused)
 		}()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
@@ -534,38 +392,49 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 
 	defer release()
-	status, body := s.computeGrid(ids, scale)
-	if status != http.StatusOK {
-		httpError(w, status, string(body))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(body)
+	body, refused := s.computeGrid(r.Context(), ids, scale)
+	writeGrid(w, body, refused)
 }
 
 // computeGrid regenerates the listed experiments in order. The success
 // body is byte-identical to `sstbench -exp <ids>` with the wall-clock
 // "(… regenerated in …)" lines removed: each result rendered by
 // Result.Fprint followed by the blank separator line.
-func (s *Server) computeGrid(ids []string, scale workload.Scale) (status int, body []byte) {
+func (s *Server) computeGrid(ctx context.Context, ids []string, scale workload.Scale) ([]byte, *Refusal) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
+	run := s.back.Grid(ctx, scale)
 	var buf bytes.Buffer
 	for _, id := range ids {
-		res, err := s.run.Run(id, scale)
+		res, err := run.Run(id, scale)
 		if err != nil {
-			s.reg.Counter("serve/grid_errors").Inc()
-			s.log.Error("grid failed", "exp", id, "err", err)
-			if errors.Is(err, cpu.ErrDeadline) {
-				return http.StatusGatewayTimeout, []byte(err.Error())
+			var rf *Refusal
+			if errors.As(err, &rf) {
+				return nil, rf
 			}
-			return http.StatusInternalServerError, []byte(err.Error())
+			s.count("grid_errors").Inc()
+			s.log.Error("grid failed", "exp", id, "err", err)
+			code := http.StatusInternalServerError
+			if errors.Is(err, cpu.ErrDeadline) {
+				code = http.StatusGatewayTimeout
+			}
+			return nil, &Refusal{Code: code, Msg: err.Error()}
 		}
 		res.Fprint(&buf)
 		fmt.Fprintln(&buf)
 	}
-	s.reg.Counter("serve/grids_served").Inc()
-	return http.StatusOK, buf.Bytes()
+	s.count("grids_served").Inc()
+	return buf.Bytes(), nil
+}
+
+// writeGrid answers with a grid's text, or with its refusal.
+func writeGrid(w http.ResponseWriter, body []byte, refused *Refusal) {
+	if refused != nil {
+		refused.Write(w)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Write(body)
 }
 
 func knownExperiment(id string) bool {
@@ -591,9 +460,9 @@ func (s *Server) newJob() (*gridJob, string) {
 
 // finishJob publishes an async result and evicts the oldest finished
 // results beyond the retention bound.
-func (s *Server) finishJob(id string, job *gridJob, status int, body []byte) {
+func (s *Server) finishJob(id string, job *gridJob, body []byte, refused *Refusal) {
 	s.mu.Lock()
-	job.status, job.body = status, body
+	job.body, job.refused = body, refused
 	finished := 0
 	for _, jid := range s.order {
 		if j := s.jobs[jid]; j != nil && (j == job || isDone(j)) {
@@ -630,7 +499,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	job := s.jobs[id]
 	s.mu.Unlock()
 	if job == nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown result id %q", id))
+		HTTPError(w, http.StatusNotFound, fmt.Sprintf("unknown result id %q", id))
 		return
 	}
 	if !isDone(job) {
@@ -639,48 +508,27 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"state": "running"})
 		return
 	}
-	if job.status != http.StatusOK {
-		httpError(w, job.status, string(job.body))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(job.body)
+	writeGrid(w, job.body, job.refused)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.run.CacheStats()
-	reused, built := s.run.PoolStats()
-	s.reg.Counter("serve/cache_hits").Set(hits)
-	s.reg.Counter("serve/cache_misses").Set(misses)
-	s.reg.Counter("serve/pool_reused").Set(reused)
-	s.reg.Counter("serve/pool_built").Set(built)
-	s.reg.Gauge("serve/queue_depth").Set(int64(len(s.sem)))
-	s.reg.Gauge("serve/inflight_runs").Set(s.inflight.Load())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.reg.WriteProm(w); err != nil {
+	if err := s.back.WriteMetrics(w); err != nil {
 		// Headers are gone; nothing more to do than note it.
-		s.reg.Counter("serve/metrics_errors").Inc()
+		s.count("metrics_errors").Inc()
 	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	draining := s.draining.Load()
+	body := map[string]any{"draining": draining}
+	up := s.back.Health(body)
+	body["ok"] = !draining && up
 	w.Header().Set("Content-Type", "application/json")
-	hits, misses := s.run.CacheStats()
-	reused, built := s.run.PoolStats()
-	body := map[string]any{
-		"ok":            !s.draining.Load(),
-		"draining":      s.draining.Load(),
-		"shard_id":      s.cfg.ShardID,
-		"queue_depth":   len(s.sem),
-		"queue_limit":   s.cfg.QueueDepth,
-		"inflight_runs": s.inflight.Load(),
-		"cache_hits":    hits,
-		"cache_misses":  misses,
-		"pool_reused":   reused,
-		"pool_built":    built,
-	}
-	if s.draining.Load() {
+	if draining {
 		w.WriteHeader(http.StatusServiceUnavailable)
+	} else if !up {
+		w.WriteHeader(http.StatusBadGateway)
 	}
 	json.NewEncoder(w).Encode(body)
 }
@@ -696,8 +544,8 @@ func decodeJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, code int, msg string) {
+// HTTPError writes a JSON error body with the given status.
+func HTTPError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})

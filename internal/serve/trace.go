@@ -118,7 +118,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.traces[id]
 	s.mu.Unlock()
 	if tr == nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no trace for request id %q (traced requests only; ring keeps the last %d)", id, s.traceRing()))
+		HTTPError(w, http.StatusNotFound, fmt.Sprintf("no trace for request id %q (traced requests only; ring keeps the last %d)", id, s.traceRing()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -129,6 +129,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		err = tr.WriteChrome(w)
 	}
 	if err != nil {
-		s.reg.Counter("serve/trace_errors").Inc()
+		s.count("trace_errors").Inc()
 	}
 }

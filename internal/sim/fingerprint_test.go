@@ -39,7 +39,6 @@ func TestFingerprintGolden(t *testing.T) {
 func TestFingerprintNoAddresses(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Faults = faults.Random(7, 200_000)
-	opts.Probe = nopProbe{}
 	opts.Sink = obs.NewCollector(obs.NewTrace(), obs.NewRegistry())
 	opts.Metrics = obs.NewRegistry()
 	opts.MaxCycles = 123456
@@ -61,7 +60,6 @@ func TestFingerprintStableAndDiscriminating(t *testing.T) {
 	// Observability hooks and NoFastForward must not enter the key: they
 	// observe or pace a run without changing its simulated outcome.
 	hooked := opts
-	hooked.Probe = nopProbe{}
 	hooked.Sink = obs.NewCollector(obs.NewTrace(), obs.NewRegistry())
 	hooked.Metrics = obs.NewRegistry()
 	hooked.NoFastForward = true
@@ -113,7 +111,7 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		{"sim.Options", reflect.TypeOf(Options{}), 14},
+		{"sim.Options", reflect.TypeOf(Options{}), 13},
 		{"mem.HierConfig", reflect.TypeOf(mem.HierConfig{}), 8},
 		{"mem.CacheConfig", reflect.TypeOf(mem.CacheConfig{}), 6},
 		{"mem.DRAMConfig", reflect.TypeOf(mem.DRAMConfig{}), 3},
@@ -131,10 +129,3 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		}
 	}
 }
-
-// nopProbe satisfies core.Probe for hook-exclusion tests.
-type nopProbe struct{}
-
-func (nopProbe) CycleState(now uint64, mode core.Mode, executed, replayed, dq, ssb, ckpts, pend int) {
-}
-func (nopProbe) Event(now uint64, kind, detail string) {}

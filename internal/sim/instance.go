@@ -8,10 +8,8 @@ import (
 	"rocksim/internal/core"
 	"rocksim/internal/cpu"
 	"rocksim/internal/faults"
-	"rocksim/internal/inorder"
 	"rocksim/internal/mem"
 	"rocksim/internal/obs"
-	"rocksim/internal/ooo"
 	"rocksim/internal/smt"
 )
 
@@ -145,27 +143,12 @@ func (in *Instance) prepare(c Cell, opts Options) ([]*faults.Injector, error) {
 	}
 	h.SetSink(opts.Sink)
 	for _, cr := range in.cores {
-		installSink(cr, opts)
+		// Every core model takes the run's sink.
+		if s, ok := cr.(interface{ SetSink(obs.Sink) }); ok {
+			s.SetSink(opts.Sink)
+		}
 	}
 	return in.armFaults(opts), nil
-}
-
-// installSink wires the per-run observability sinks onto a core model.
-func installSink(c cpu.Core, opts Options) {
-	switch cc := c.(type) {
-	case *core.Core:
-		var probe obs.Sink
-		if opts.Probe != nil {
-			probe = core.ProbeSink(opts.Probe)
-		}
-		if s := obs.Tee(probe, opts.Sink); s != nil {
-			cc.SetSink(s)
-		}
-	case *inorder.Core:
-		cc.SetSink(opts.Sink)
-	case *ooo.Core:
-		cc.SetSink(opts.Sink)
-	}
 }
 
 // armFaults installs the run's fault injectors. A single core shares one

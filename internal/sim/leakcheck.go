@@ -73,7 +73,7 @@ func (in *Instance) CheckTransientLeakage(ctx context.Context, prog *asm.Program
 	// and its snapshot is what the check counts and metrics below
 	// describe.
 	quiet := opts
-	quiet.Probe, quiet.Sink, quiet.Metrics = nil, nil, nil
+	quiet.Sink, quiet.Metrics = nil, nil
 	alt, err := in.leakRun(ctx, perturbed, quiet)
 	if err != nil {
 		return fmt.Errorf("leak oracle (perturbed run): %w", err)

@@ -111,9 +111,6 @@ type Options struct {
 	// jitter, mispredict storms — exactly, so faulted runs are as
 	// reproducible and cacheable as clean ones.
 	Faults *faults.Plan
-	// Probe, when non-nil, is installed on SST-family cores for
-	// pipeline visualization (see core.PipeView).
-	Probe core.Probe
 	// Sink, when non-nil, observes the run's event stream: it is
 	// installed on the core model (every kind) and the memory hierarchy.
 	// Use an obs.Collector to feed a Chrome trace and/or registry
@@ -131,7 +128,7 @@ type Options struct {
 }
 
 // Fingerprint returns a canonical string covering every simulation-
-// affecting field of the options. The observability hooks (Probe, Sink,
+// affecting field of the options. The observability hooks (Sink,
 // Metrics) are excluded: they observe a run without changing its
 // timing. Two Options with equal fingerprints produce identical
 // outcomes on the same program, so harnesses use the fingerprint as a
@@ -139,8 +136,8 @@ type Options struct {
 // The encoding is explicit, field by field (each config contributes its
 // own Fingerprint method): no pointer addresses, no reflection-derived
 // struct dumps, so the string is stable across process runs and across
-// refactors that merely reorder fields. The observability hooks (Probe,
-// Sink, Metrics) never appear: they observe a run without changing its
+// refactors that merely reorder fields. The observability hooks (Sink,
+// Metrics) never appear: they observe a run without changing its
 // timing. NoFastForward is likewise excluded — fast-forwarding changes
 // wall-clock speed, never the outcome, so two runs differing only in it
 // share a cache entry.
