@@ -445,3 +445,75 @@ func TestAssembleTransactionErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestCoversTheImage: the digest changes with the entry point and
+// every segment's address, length and bytes and every secret region,
+// and ignores the name and symbols. A finished program memoizes it; a
+// copy edited afterwards rehashes instead of carrying the original's.
+func TestDigestCoversTheImage(t *testing.T) {
+	b := NewBuilder(DefaultTextBase)
+	b.Nop()
+	b.Halt()
+	b.Data(0x200000, []byte{1, 2, 3, 4})
+	b.Data(0x300000, []byte{5, 6})
+	b.Secret(0x200000, 2)
+	p, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := p.Digest()
+	if p.Digest() != d {
+		t.Fatal("digest unstable")
+	}
+	edits := map[string]func(q *Program){
+		"entry":      func(q *Program) { q.Entry += 4 },
+		"seg addr":   func(q *Program) { q.Segments[1].Addr++ },
+		"seg byte":   func(q *Program) { q.Segments[1].Data = []byte{1, 2, 3, 5} },
+		"seg length": func(q *Program) { q.Segments[1].Data = []byte{1, 2, 3, 4, 0} },
+		// The same bytes split differently between two segments.
+		"boundary": func(q *Program) {
+			q.Segments[1].Data = []byte{1, 2, 3}
+			q.Segments = append(q.Segments, Segment{Addr: 0x200003, Data: []byte{4}})
+		},
+		"secret addr": func(q *Program) { q.Secrets = []SecretRegion{{Addr: 0x200001, Len: 2}} },
+		"secret len":  func(q *Program) { q.Secrets = []SecretRegion{{Addr: 0x200000, Len: 3}} },
+	}
+	for name, edit := range edits {
+		q := *p
+		q.Segments = append([]Segment(nil), p.Segments...)
+		edit(&q)
+		if q.Digest() == d {
+			t.Errorf("%s: an edited copy has the original's digest", name)
+		}
+	}
+	// Moving bytes across a segment boundary, with the address word in
+	// between, keeps the concatenated stream; only the lengths tell the
+	// two images apart.
+	word := func(v uint64) []byte {
+		b := make([]byte, 8)
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		return b
+	}
+	joinA := &Program{Segments: []Segment{
+		{Addr: 0x1000, Data: append(append([]byte{1}, word(0x2000)...), 2)},
+		{Addr: 0x3000, Data: []byte{3}},
+	}}
+	joinB := &Program{Segments: []Segment{
+		{Addr: 0x1000, Data: []byte{1}},
+		{Addr: 0x2000, Data: append(append([]byte{2}, word(0x3000)...), 3)},
+	}}
+	if joinA.Digest() == joinB.Digest() {
+		t.Error("segments are not length-delimited: a moved boundary keeps the digest")
+	}
+
+	q := *p
+	q.Name, q.Symbols = "renamed", nil
+	if q.Digest() != d {
+		t.Error("name or symbols changed the digest")
+	}
+	if p.Digest() != d {
+		t.Error("editing copies changed the original's digest")
+	}
+}

@@ -4,8 +4,11 @@
 package asm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"rocksim/internal/isa"
 )
@@ -29,7 +32,9 @@ type SecretRegion struct {
 }
 
 // Program is a loadable RK64 program image: code and data segments plus
-// the entry point and the symbol table.
+// the entry point and the symbol table. A finished program is immutable:
+// harnesses share one image across runs, goroutines and caches, so
+// derive a modified program from a copy (see Digest).
 type Program struct {
 	Entry    uint64
 	Segments []Segment
@@ -40,6 +45,61 @@ type Program struct {
 	// Name optionally identifies the program (e.g. the workload name);
 	// harness errors use it to attribute failures (see Desc).
 	Name string
+
+	// digest memoizes Digest for the program Finish returned; a copy of
+	// the struct carries the pointer but is not its owner.
+	digest *digestMemo
+}
+
+// Digest is a program image's content identity (see Program.Digest).
+type Digest [sha256.Size]byte
+
+type digestMemo struct {
+	once  sync.Once
+	owner *Program
+	sum   Digest
+}
+
+// Digest returns the SHA-256 of everything that decides how the image
+// runs: the entry point, each segment's address, length and bytes, and
+// each secret region. Every field is fixed-width or length-prefixed, so
+// no two different images share an encoding. The name and symbols are
+// labels, not content, and stay out.
+//
+// A program from Finish hashes once, on the first call, and returns the
+// memoized sum after that. Any other program — a struct literal, or a
+// copy being edited the way the leakage oracle perturbs secrets —
+// rehashes on every call, so a copy never carries its original's digest.
+func (p *Program) Digest() Digest {
+	if m := p.digest; m != nil && m.owner == p {
+		m.once.Do(func() { m.sum = p.hash() })
+		return m.sum
+	}
+	return p.hash()
+}
+
+func (p *Program) hash() Digest {
+	h := sha256.New()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	word(p.Entry)
+	word(uint64(len(p.Segments)))
+	for _, s := range p.Segments {
+		word(s.Addr)
+		word(uint64(len(s.Data)))
+		h.Write(s.Data)
+	}
+	word(uint64(len(p.Secrets)))
+	for _, s := range p.Secrets {
+		word(s.Addr)
+		word(uint64(s.Len))
+	}
+	var d Digest
+	h.Sum(d[:0])
+	return d
 }
 
 // Desc returns the program's name when one was set, and its entry
@@ -313,7 +373,9 @@ func (b *Builder) Finish() (*Program, error) {
 	}
 	secrets := append([]SecretRegion(nil), b.secrets...)
 	sort.Slice(secrets, func(i, j int) bool { return secrets[i].Addr < secrets[j].Addr })
-	return &Program{Entry: entry, Segments: segs, Symbols: syms, Secrets: secrets}, nil
+	p := &Program{Entry: entry, Segments: segs, Symbols: syms, Secrets: secrets, digest: &digestMemo{}}
+	p.digest.owner = p
+	return p, nil
 }
 
 // NumInsts returns the number of instructions emitted so far.

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"rocksim/internal/cpu"
 	"rocksim/internal/obs"
@@ -138,8 +140,11 @@ type Runner struct {
 	// pool recycles fully constructed simulators across cache misses,
 	// keyed by (machine shape, options shape); see pool.go. Cache misses
 	// that share a shape skip the whole construction cost and only pay
-	// for a reset.
-	pool simPool
+	// for a reset. It is the process-wide instances, shared by every
+	// Runner; poolReused and poolBuilt count this Runner's share of its
+	// traffic (PoolStats).
+	pool                  *simPool
+	poolReused, poolBuilt atomic.Uint64
 
 	// computeFn, when non-nil, replaces the compute function for cache
 	// fills. Test seam: the retry/singleflight tests inject counting and
@@ -158,7 +163,7 @@ type cacheEntry struct {
 
 // NewRunner returns a Runner with one worker per available CPU.
 func NewRunner() *Runner {
-	return &Runner{jobs: runtime.GOMAXPROCS(0), cache: make(map[string]*cacheEntry)}
+	return &Runner{jobs: runtime.GOMAXPROCS(0), cache: make(map[string]*cacheEntry), pool: &instances}
 }
 
 // SetJobs bounds the worker pool to n concurrent simulation runs
@@ -301,34 +306,26 @@ func firstErr(errs []error) error {
 }
 
 // cacheKey derives the run-cache key from the cell's full contents: the
-// machine shape, every program image with its secret declarations, a
-// shared chip's entry points, the leak-check flag and every
-// simulation-affecting option (sim.Options.Fingerprint). Call sites
-// never encode varied options into hand-written key strings, so two
-// cells that run the same simulation always share one cache slot and
-// two that differ never collide.
+// machine shape, every program's content digest (image and secret
+// declarations, asm.Program.Digest), a shared chip's entry points, the
+// leak-check flag and every option that can change a run of the cell's
+// kind (sim.Options.KindFingerprint). Call sites never encode varied
+// options into hand-written key strings, so two cells that run the same
+// simulation always share one cache slot and two that differ never
+// collide. A built program hashes its image once, so keying a cell
+// costs the same whatever its programs' sizes.
 func cacheKey(c sim.Cell, opts sim.Options) string {
 	h := fnv.New64a()
-	for i, p := range c.Progs {
-		if i > 0 {
-			h.Write([]byte("#"))
-		}
-		fmt.Fprintf(h, "%#x|", p.Entry)
-		for _, s := range p.Segments {
-			fmt.Fprintf(h, "%#x:", s.Addr)
-			h.Write(s.Data)
-		}
-		// Secret declarations change observable behavior (tainted-access
-		// accounting, digest scoping) without changing a single program
-		// byte, so they are part of the identity.
-		for _, sec := range p.Secrets {
-			fmt.Fprintf(h, "|sec%#x+%d", sec.Addr, sec.Len)
-		}
+	for _, p := range c.Progs {
+		d := p.Digest()
+		h.Write(d[:])
 	}
+	var buf [8]byte
 	for _, e := range c.Entries {
-		fmt.Fprintf(h, "|entry%#x", e)
+		binary.LittleEndian.PutUint64(buf[:], e)
+		h.Write(buf[:])
 	}
-	fmt.Fprintf(h, "|%s", opts.Fingerprint())
+	io.WriteString(h, opts.KindFingerprint(c.Kind))
 	shape := c.Shape().String()
 	if c.LeakCheck {
 		shape += " leak-check"

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"rocksim/internal/asm"
 	"rocksim/internal/sim"
@@ -111,14 +112,37 @@ var counterKernels = map[string]string{
 	`,
 }
 
-// counterProgram assembles a counter kernel with its per-core increment
-// count for scale.
-func counterProgram(name, src string, scale workload.Scale) (*asm.Program, error) {
+// counterProgram returns a counter kernel with its per-core increment
+// count for scale. Each (kernel, scale) is assembled once per process
+// and shared, immutable, by every caller.
+func counterProgram(name string, scale workload.Scale) (*asm.Program, error) {
+	if build, ok := counterBuilt[counterKey{name, scale}]; ok {
+		return build()
+	}
+	return assembleCounter(name, scale)
+}
+
+type counterKey struct {
+	name  string
+	scale workload.Scale
+}
+
+var counterBuilt = func() map[counterKey]func() (*asm.Program, error) {
+	m := make(map[counterKey]func() (*asm.Program, error), 2*len(counterKernels))
+	for name := range counterKernels {
+		for _, s := range []workload.Scale{workload.ScaleTest, workload.ScaleFull} {
+			m[counterKey{name, s}] = sync.OnceValues(func() (*asm.Program, error) { return assembleCounter(name, s) })
+		}
+	}
+	return m
+}()
+
+func assembleCounter(name string, scale workload.Scale) (*asm.Program, error) {
 	perCore := 150
 	if scale == workload.ScaleFull {
 		perCore = 1000
 	}
-	p, err := asm.Assemble(fmt.Sprintf(src, perCore))
+	p, err := asm.Assemble(fmt.Sprintf(counterKernels[name], perCore))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}

@@ -17,9 +17,16 @@ import (
 // Shapes are keyed by sim.PoolKey, which covers exactly the
 // construction-affecting options; per-run options (programs, watchdogs,
 // faults, observability) are applied by Instance.Run, so two cells
-// differing only in those share one sync.Pool. Each instance serves one
-// run at a time; the GC reclaims idle ones, which is the correct
-// behavior for a cache of reconstructible machines.
+// differing only in those share one sync.Pool. A single-core instance
+// serves every core kind, so the pool key of a single core leaves the
+// kind out and all seven kinds of one options shape share one machine.
+// Each instance serves one run at a time; the GC reclaims idle ones,
+// which is the correct behavior for a cache of reconstructible
+// machines.
+//
+// The pool belongs to the process (instances), not to a Runner: a new
+// Runner — a service set-up, a grid pass — reuses the idle machines a
+// finished one left behind instead of building its own beside them.
 //
 // Only the maxShapes most recently used shapes keep a pool. An instance
 // holds megabytes (the default L2's tag store alone is 2 MB) and a grid
@@ -29,10 +36,6 @@ import (
 type simPool struct {
 	mu     sync.Mutex
 	shapes []pooledShape // least recently used first
-
-	// reused counts runs served by a recycled instance; built counts
-	// instance constructions. Read via Runner.PoolStats.
-	reused, built uint64
 }
 
 type pooledShape struct {
@@ -40,8 +43,14 @@ type pooledShape struct {
 	pool *sync.Pool
 }
 
-// maxShapes bounds the shapes a pool keeps: every core kind of one
-// options shape (the service's steady /v1/run traffic), plus one.
+// instances is the process's simulator pool, which every Runner draws
+// from.
+var instances simPool
+
+// maxShapes bounds the shapes a pool keeps: the shapes one experiment
+// sweeps at a time — S1's five secure modes, a sweep's handful of sizes,
+// the SMT pairs and chips beside a single core's shape — so that
+// consecutive cells of one experiment rarely rebuild a machine.
 const maxShapes = 8
 
 // shape returns key's pool, marking it most recently used. A new key
@@ -66,26 +75,19 @@ func (p *simPool) shape(key string) *sync.Pool {
 	return sp
 }
 
-// get returns a ready instance for the cell's shape: a recycled one
-// when the pool has one idle, a freshly built one otherwise.
-func (p *simPool) get(s sim.Shape, opts sim.Options) (*sim.Instance, error) {
+// get returns a ready instance for the cell's shape and whether it was
+// recycled: a pooled one when the pool has one idle, a freshly built
+// one otherwise.
+func (p *simPool) get(s sim.Shape, opts sim.Options) (in *sim.Instance, reused bool, err error) {
 	key := sim.PoolKey(s, opts)
 	p.mu.Lock()
 	sp := p.shape(key)
 	p.mu.Unlock()
 	if in, _ := sp.Get().(*sim.Instance); in != nil {
-		p.mu.Lock()
-		p.reused++
-		p.mu.Unlock()
-		return in, nil
+		return in, true, nil
 	}
-	in, err := sim.NewInstance(s, opts)
-	if err == nil {
-		p.mu.Lock()
-		p.built++
-		p.mu.Unlock()
-	}
-	return in, err
+	in, err = sim.NewInstance(s, opts)
+	return in, false, err
 }
 
 // put returns an instance to its shape's pool after a successful (or
@@ -102,13 +104,11 @@ func (p *simPool) put(s sim.Shape, opts sim.Options, in *sim.Instance) {
 	sp.Put(in)
 }
 
-// PoolStats reports simulator-pool traffic since the Runner was
-// created: reused (runs served by a recycled instance) and built
-// (instance constructions).
+// PoolStats reports the Runner's simulator-pool traffic since it was
+// created: reused (its runs served by a recycled instance, whichever
+// Runner left it idle) and built (instance constructions for its runs).
 func (r *Runner) PoolStats() (reused, built uint64) {
-	r.pool.mu.Lock()
-	defer r.pool.mu.Unlock()
-	return r.pool.reused, r.pool.built
+	return r.poolReused.Load(), r.poolBuilt.Load()
 }
 
 // compute runs one simulation cell on a pooled instance, converting a
@@ -131,9 +131,14 @@ func (r *Runner) compute(ctx context.Context, c sim.Cell, opts sim.Options) (out
 				&PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
-	in, err := r.pool.get(s, opts)
+	in, reused, err := r.pool.get(s, opts)
 	if err != nil {
 		return sim.Outcome{}, fmt.Errorf("experiments: %v on %s: %w", s, c.Desc(), err)
+	}
+	if reused {
+		r.poolReused.Add(1)
+	} else {
+		r.poolBuilt.Add(1)
 	}
 	out, err = in.Run(ctx, c, opts)
 	r.pool.put(s, opts, in)

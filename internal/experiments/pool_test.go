@@ -30,6 +30,7 @@ func quietPool(t *testing.T) {
 func TestPoolReusesInstances(t *testing.T) {
 	quietPool(t)
 	r := NewRunner()
+	r.pool = new(simPool) // private: the process-wide pool holds other tests' instances
 	r.SetJobs(1)
 	spec, err := workload.Build("oltp", workload.ScaleTest)
 	if err != nil {
@@ -90,6 +91,7 @@ func TestPoolReusesInstances(t *testing.T) {
 func TestPoolReusesAfterWatchdogError(t *testing.T) {
 	quietPool(t)
 	r := NewRunner()
+	r.pool = new(simPool) // private: the process-wide pool holds other tests' instances
 	r.SetJobs(1)
 	spec, err := workload.Build("oltp", workload.ScaleTest)
 	if err != nil {
@@ -125,6 +127,7 @@ func TestPoolReusesAfterWatchdogError(t *testing.T) {
 func TestPoolBoundsShapes(t *testing.T) {
 	quietPool(t)
 	r := NewRunner()
+	r.pool = new(simPool) // private: the process-wide pool holds other tests' instances
 	r.SetJobs(1)
 	spec := testSpec(t)
 	opts := sim.DefaultOptions()
@@ -153,5 +156,35 @@ func TestPoolBoundsShapes(t *testing.T) {
 	// Under the race detector sync.Pool drops a random share of Puts.
 	if reused, _ := rerun(8 + maxShapes); reused != 1 && !raceDetectorOn {
 		t.Errorf("%d reused; want the newest shape's instance reused once", reused)
+	}
+}
+
+// TestPoolOutlivesRunner: the instance pool belongs to the process, and
+// a single-core instance serves every kind, so a new Runner's cell of
+// another kind runs on the machine a finished Runner left idle.
+func TestPoolOutlivesRunner(t *testing.T) {
+	quietPool(t)
+	if NewRunner().pool != NewRunner().pool {
+		t.Fatal("two Runners draw from different pools")
+	}
+	shared := new(simPool)
+	spec := testSpec(t)
+	opts := sim.DefaultOptions()
+	first := NewRunner()
+	first.pool = shared
+	if _, err := first.RunCell(sim.CoreCell(sim.KindSST, spec.Program), opts); err != nil {
+		t.Fatal(err)
+	}
+	second := NewRunner()
+	second.pool = shared
+	if _, err := second.RunCell(sim.CoreCell(sim.KindInOrder, spec.Program), opts); err != nil {
+		t.Fatal(err)
+	}
+	reused, built := second.PoolStats()
+	if reused+built != 1 || !raceDetectorOn && reused != 1 {
+		t.Errorf("the second Runner's in-order cell took %d builds and %d reuses; want the first Runner's idle machine", built, reused)
+	}
+	if r1, b1 := first.PoolStats(); r1 != 0 || b1 != 1 {
+		t.Errorf("the first Runner's stats moved with the second's traffic: %d reused, %d built", r1, b1)
 	}
 }

@@ -34,11 +34,12 @@ import (
 // itself, cell by cell.
 
 // CellKey returns the content-addressed run-cache key of one cell: FNV
-// over every program image with its secret declarations, the machine
-// shape, a shared chip's entry points and the canonical options
-// fingerprint. The fleet router hashes this key onto the shard ring, so
-// cache placement and request routing agree byte for byte; a shard
-// recomputes it to check that it resolved the cell the router meant.
+// over each program's content digest (image and secret declarations),
+// the machine shape, a shared chip's entry points and the canonical
+// fingerprint of the options the cell's kind reads. The fleet router
+// hashes this key onto the shard ring, so cache placement and request
+// routing agree byte for byte; a shard recomputes it to check that it
+// resolved the cell the router meant.
 func CellKey(c sim.Cell, opts sim.Options) string {
 	return cacheKey(c, opts)
 }
@@ -128,7 +129,7 @@ func (e *RemoteError) Is(target error) bool {
 // Program resolves a program name the way a shard resolves the names
 // of a /v1/cell request: a built-in workload at scale, one of F16's
 // contended-counter kernels sized for scale, or a transient-leakage
-// gadget.
+// gadget. Every one is built once per process and shared, immutable.
 func Program(name string, scale workload.Scale) (*asm.Program, error) {
 	if _, ok := workload.ByName[name]; ok {
 		w, err := workload.Build(name, scale)
@@ -137,8 +138,8 @@ func Program(name string, scale workload.Scale) (*asm.Program, error) {
 		}
 		return w.Program, nil
 	}
-	if src, ok := counterKernels[name]; ok {
-		return counterProgram(name, src, scale)
+	if _, ok := counterKernels[name]; ok {
+		return counterProgram(name, scale)
 	}
 	gadgets, err := sim.LeakGadgets()
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"embed"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
+	"sync"
 
 	"rocksim/internal/asm"
 )
@@ -18,9 +20,16 @@ import (
 //go:embed testdata/gadget_spectre_load.rk testdata/gadget_spectre_store.rk
 var gadgetFS embed.FS
 
-// LeakGadgets assembles the built-in transient-leakage gadget corpus,
+// LeakGadgets returns the built-in transient-leakage gadget corpus,
 // sorted by name. The programs carry their file names in Program.Name.
+// The corpus is assembled once per process; every call returns a fresh
+// slice of the same shared, immutable programs.
 func LeakGadgets() ([]*asm.Program, error) {
+	progs, err := gadgets()
+	return slices.Clone(progs), err
+}
+
+var gadgets = sync.OnceValues(func() ([]*asm.Program, error) {
 	entries, err := gadgetFS.ReadDir("testdata")
 	if err != nil {
 		return nil, err
@@ -40,4 +49,4 @@ func LeakGadgets() ([]*asm.Program, error) {
 		progs = append(progs, prog)
 	}
 	return progs, nil
-}
+})

@@ -18,22 +18,30 @@ import (
 // shape: one core, an SMT pair or a chip — that can be reset and reused
 // across runs, eliminating the per-run construction cost (~8.6k
 // allocations for one core) that dominates short, service-shaped
-// workloads. An Instance is built for one (shape, options-shape) pair:
-// the construction-affecting options (Hier, Pred and the core configs —
-// see Options.ShapeFingerprint) are fixed at NewInstance; the per-run
+// workloads. An Instance is built for one options shape: the
+// construction-affecting options (Hier, Pred and the core configs — see
+// Options.ShapeFingerprint) are fixed at NewInstance; the per-run
 // options (programs, watchdogs, faults, observability hooks) are applied
 // by each Run.
+//
+// A single-core Instance serves every core kind: it holds one machine
+// and builds each kind's core model over it on the first run of that
+// kind, and every run resets the machine and the kind's model together.
+// An SMT pair or a chip is built for its one kind, topology and width.
 //
 // Run returns an outcome whose statistics are a snapshot (CellStats,
 // per-thread blocks included), safe to cache and consume indefinitely
 // while the live structures are reset for the next run. The
 // pooled-vs-fresh differential fuzz in this package proves a reused
 // Instance is byte-identical to a fresh construction — outcome, metrics
-// JSON and Chrome trace — clean and under fault plans, for every shape.
+// JSON and Chrome trace — clean and under fault plans, for every shape
+// and after a run of any other kind.
 //
 // An Instance is not safe for concurrent use; the pool in
 // internal/experiments hands each one to a single run at a time.
 type Instance struct {
+	// shape is the machine shape; a single core's Kind is the kind of
+	// its current core model.
 	shape Shape
 	// top is what the run loop steps: the core model itself, the
 	// smt.Core pair or the cmp.Chip.
@@ -44,12 +52,20 @@ type Instance struct {
 	machs []*cpu.Machine
 	// entries is the chip reset's scratch buffer.
 	entries []uint64
+	// kinds are a single core's models by kind, built on first use from
+	// opts, the construction options with the per-run hooks dropped.
+	kinds [numKinds]cpu.Core
+	opts  Options
 }
+
+// numKinds is the number of core kinds (see Kinds).
+const numKinds = int(KindScout) + 1
 
 // NewInstance builds a reusable simulator for one machine shape and one
 // options shape. Only the construction-affecting option fields are
 // consulted (see Options.ShapeFingerprint); per-run fields are ignored
-// here and honored by Run. An SMT pair's strands are in-order cores.
+// here and honored by Run. An SMT pair's strands are in-order cores. A
+// single core starts as s.Kind and switches kind with the cells it runs.
 func NewInstance(s Shape, opts Options) (*Instance, error) {
 	in := &Instance{shape: s}
 	switch s.Topo {
@@ -59,11 +75,13 @@ func NewInstance(s Shape, opts Options) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := newCore(s.Kind, mach, opts, 0)
-		if err != nil {
+		in.opts = opts
+		in.opts.Faults, in.opts.Sink, in.opts.Metrics = nil, nil, nil
+		in.machs = []*cpu.Machine{mach}
+		in.cores = make([]cpu.Core, 1)
+		if err := in.use(s.Kind); err != nil {
 			return nil, err
 		}
-		in.top, in.cores, in.machs = c, []cpu.Core{c}, []*cpu.Machine{mach}
 	case TopoSMT:
 		if s.Kind != KindInOrder || s.Width != 2 {
 			return nil, fmt.Errorf("sim: an SMT pair is two in-order strands, not %v", s)
@@ -93,7 +111,30 @@ func NewInstance(s Shape, opts Options) (*Instance, error) {
 	return in, nil
 }
 
-// Kind returns the core kind the instance simulates.
+// use makes kind k a single core's current model, building it over the
+// machine on k's first use. Other topologies keep their kind.
+func (in *Instance) use(k Kind) error {
+	if in.shape.Topo != TopoCore || (in.top != nil && k == in.shape.Kind) {
+		return nil
+	}
+	if k < 0 || int(k) >= numKinds {
+		return fmt.Errorf("sim: bad core kind %d", k)
+	}
+	c := in.kinds[k]
+	if c == nil {
+		var err error
+		if c, err = newCore(k, in.machs[0], in.opts, 0); err != nil {
+			return err
+		}
+		in.kinds[k] = c
+	}
+	in.shape.Kind, in.top, in.cores[0] = k, c, c
+	return nil
+}
+
+// Kind returns the core kind the instance simulates: for a single core,
+// the kind of its most recent run (the kind it was built for before
+// any).
 func (in *Instance) Kind() Kind { return in.shape.Kind }
 
 // Mem returns the instance's live functional memory — thread 0's, the
@@ -126,6 +167,9 @@ func (in *Instance) reset(c Cell) {
 // It returns the injectors it armed, for publishing their counts.
 func (in *Instance) prepare(c Cell, opts Options) ([]*faults.Injector, error) {
 	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if err := in.use(c.Kind); err != nil {
 		return nil, err
 	}
 	if s := c.Shape(); s != in.shape {
@@ -188,7 +232,7 @@ func (in *Instance) armFaults(opts Options) []*faults.Injector {
 // drift. The caller publishes metrics and (for pooling) drops Mem.
 func (in *Instance) runLive(ctx context.Context, c Cell, opts Options) (Outcome, error) {
 	ctx, span := obs.StartSpan(ctx, "sim-run")
-	span.SetAttr("kind", in.shape.Kind.String())
+	span.SetAttr("kind", c.Kind.String())
 	span.SetAttr("program", c.Desc())
 	defer span.End()
 	injs, err := in.prepare(c, opts)
@@ -205,7 +249,7 @@ func (in *Instance) runLive(ctx context.Context, c Cell, opts Options) (Outcome,
 	span.SetAttr("retired", fmt.Sprint(in.top.Retired()))
 	out := Outcome{
 		CellStats: CellStats{
-			Kind:    in.shape.Kind,
+			Kind:    c.Kind,
 			Cycles:  in.top.Cycle(),
 			Retired: in.top.Retired(),
 			Hier:    in.hier().Snapshot(),
@@ -259,7 +303,10 @@ func (in *Instance) Run(ctx context.Context, c Cell, opts Options) (Outcome, err
 		if err := c.Validate(); err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{CellStats: CellStats{Kind: in.shape.Kind}}, in.CheckTransientLeakage(ctx, c.Progs[0], opts)
+		if err := in.use(c.Kind); err != nil {
+			return Outcome{}, err
+		}
+		return Outcome{CellStats: CellStats{Kind: c.Kind}}, in.CheckTransientLeakage(ctx, c.Progs[0], opts)
 	}
 	out, err := in.runLive(ctx, c, opts)
 	if err != nil {
@@ -278,7 +325,8 @@ func (in *Instance) Run(ctx context.Context, c Cell, opts Options) (Outcome, err
 // most in per-run fields (programs, watchdog bounds, faults,
 // observability), so harnesses use (Shape, options shape) as the
 // simulator-pool key. Compare Fingerprint, which additionally covers the
-// per-run simulation-affecting fields and keys the run cache.
+// per-run simulation-affecting fields, and KindFingerprint, its
+// narrowing to one kind, which keys the run cache.
 func (o Options) ShapeFingerprint() string {
 	return o.Hier.Fingerprint() + "|" + o.Pred.Fingerprint() + "|" +
 		o.InOrder.Fingerprint() + "|" + o.OOO.Fingerprint() + "|" +
@@ -286,10 +334,11 @@ func (o Options) ShapeFingerprint() string {
 }
 
 // PoolKey returns the simulator-pool key for a (machine shape, options)
-// pair.
+// pair. A single core's key leaves out the kind: one Instance serves
+// every kind of an options shape.
 func PoolKey(s Shape, o Options) string {
 	if s.Topo == TopoCore {
-		return s.Kind.String() + "|" + o.ShapeFingerprint()
+		return "core|" + o.ShapeFingerprint()
 	}
 	return s.String() + "|" + o.ShapeFingerprint()
 }

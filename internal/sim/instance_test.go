@@ -262,3 +262,65 @@ func TestPooledDetachedOutcomeIsFrozen(t *testing.T) {
 			firstDiff(ma, again.Bytes()))
 	}
 }
+
+// TestPooledKindSwitchDifferential: a single-core instance serves every
+// kind, so the run before any run may have been another kind's on the
+// same machine. For every ordered pair (A, B) of kinds, B run right
+// after A on one instance must match a fresh B run byte for byte —
+// snapshot, metrics JSON and Chrome trace — clean and under a fault
+// plan.
+func TestPooledKindSwitchDifferential(t *testing.T) {
+	for _, a := range Kinds {
+		a := a
+		t.Run(a.String(), func(t *testing.T) {
+			t.Parallel()
+			in, err := NewInstance(Shape{Kind: a}, fuzzFaultOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range Kinds {
+				seed := int64(10 + i)
+				for _, plan := range []*faults.Plan{nil, faults.Random(seed, faultHorizon)} {
+					prev := genCell(t, Shape{Kind: a}, seed+100, genFaultProgram, 70)
+					cellRun(t, in, prev, plan, false, fuzzFaultOpts())
+					if in.Kind() != a {
+						t.Fatalf("instance reports kind %v after a %v run", in.Kind(), a)
+					}
+					c := genCell(t, Shape{Kind: b}, seed, genFaultProgram, 70)
+					checkPooledCell(t, in, c, plan, fuzzFaultOpts())
+				}
+			}
+		})
+	}
+}
+
+// TestPooledLeakCheckAfterOtherKind: a leak-check cell on a single-core
+// instance whose previous run was a plain run of another kind reaches
+// the fresh oracle's verdict, and its outcome names the cell's kind.
+func TestPooledLeakCheckAfterOtherKind(t *testing.T) {
+	opts := leakOpts("none")
+	in, err := NewInstance(Shape{Kind: KindInOrder}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := genProgram(4, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gadgetFiles {
+		prog := loadGadget(t, g)
+		for _, k := range []Kind{KindSST, KindScout, KindOOOLarge} {
+			if _, err := in.Run(context.Background(), CoreCell(KindInOrder, plain), opts); err != nil {
+				t.Fatal(err)
+			}
+			fresh := CheckTransientLeakage(k, prog, opts)
+			out, pooled := in.Run(context.Background(), Cell{Kind: k, Progs: []*asm.Program{prog}, LeakCheck: true}, opts)
+			if (fresh == nil) != (pooled == nil) || fresh != nil && fresh.Error() != pooled.Error() {
+				t.Errorf("%s on %v after an in-order run: fresh oracle says %v, pooled says %v", g, k, fresh, pooled)
+			}
+			if out.Kind != k {
+				t.Errorf("%s on %v: leak-check outcome names kind %v", g, k, out.Kind)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"rocksim/internal/asm"
@@ -346,5 +347,58 @@ func TestLeakFuzzNoFalsePositives(t *testing.T) {
 				checkLeakSeed(t, k, seed, 60, leakFuzzPlan(seed))
 			}
 		})
+	}
+}
+
+// TestLeakGadgetsBuiltOnce: the embedded corpus is assembled once per
+// process; sequential and concurrent calls (run under -race) all return
+// the same programs.
+func TestLeakGadgetsBuiltOnce(t *testing.T) {
+	first, err := LeakGadgets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([][]*asm.Program, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = LeakGadgets()
+		}(i)
+	}
+	wg.Wait()
+	for _, gs := range got {
+		if len(gs) != len(first) {
+			t.Fatalf("%d gadgets, then %d", len(first), len(gs))
+		}
+		for j := range gs {
+			if gs[j] != first[j] {
+				t.Fatalf("gadget %s assembled twice", first[j].Name)
+			}
+		}
+	}
+}
+
+// TestPerturbedCopyDigest: the oracle's perturbed copy of a program
+// never carries the original's digest (which keys the run cache), and
+// making it leaves the original's digest as it was.
+func TestPerturbedCopyDigest(t *testing.T) {
+	gadgets, err := LeakGadgets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gadgets {
+		d := g.Digest()
+		p, err := perturbSecrets(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Digest() == d {
+			t.Errorf("%s: the perturbed copy has the original's digest", g.Name)
+		}
+		if g.Digest() != d {
+			t.Errorf("%s: perturbing a copy changed the original's digest", g.Name)
+		}
 	}
 }

@@ -131,8 +131,9 @@ type Options struct {
 // affecting field of the options. The observability hooks (Sink,
 // Metrics) are excluded: they observe a run without changing its
 // timing. Two Options with equal fingerprints produce identical
-// outcomes on the same program, so harnesses use the fingerprint as a
-// run-cache key.
+// outcomes on the same program, so the wire form carries it as a
+// round-trip guard; the run cache keys by its per-kind narrowing,
+// KindFingerprint.
 // The encoding is explicit, field by field (each config contributes its
 // own Fingerprint method): no pointer addresses, no reflection-derived
 // struct dumps, so the string is stable across process runs and across
@@ -142,9 +143,13 @@ type Options struct {
 // wall-clock speed, never the outcome, so two runs differing only in it
 // share a cache entry.
 func (o Options) Fingerprint() string {
-	return fmt.Sprintf("%s|run{cycles=%d timeout=%d livelock=%d}|faults{%s}",
-		o.ShapeFingerprint(), o.MaxCycles, int64(o.Timeout), o.LivelockWindow,
-		o.Faults.String())
+	return o.ShapeFingerprint() + o.runFingerprint()
+}
+
+// runFingerprint encodes the per-run simulation-affecting fields.
+func (o Options) runFingerprint() string {
+	return fmt.Sprintf("|run{cycles=%d timeout=%d livelock=%d}|faults{%s}",
+		o.MaxCycles, int64(o.Timeout), o.LivelockWindow, o.Faults.String())
 }
 
 // DefaultMaxCycles bounds runaway simulations.
@@ -216,29 +221,32 @@ func (o *CellStats) IPC() float64 {
 	return float64(o.Retired) / float64(o.Cycles)
 }
 
-// newCore builds a core of the given kind over machine m. An unknown
-// kind returns an error (a caller-supplied kind must not crash a
+// coreConfig returns the configuration a kind-k core is built from — an
+// inorder.Config, an ooo.Config or a core.Config derived from opts. newCore
+// constructs from it and KindFingerprint keys the run cache by it, so
+// what a cell is keyed by and what it builds cannot drift apart. An
+// unknown kind returns an error (a caller-supplied kind must not crash a
 // harness).
-func newCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, error) {
+func coreConfig(k Kind, opts Options) (interface{ Fingerprint() string }, error) {
 	switch k {
 	case KindInOrder:
-		return inorder.New(m, opts.InOrder, entry), nil
+		return opts.InOrder, nil
 	case KindOOOSmall:
-		return ooo.New(m, opts.OOO, entry), nil
+		return opts.OOO, nil
 	case KindOOOLarge:
-		return ooo.New(m, opts.OOOLg, entry), nil
+		return opts.OOOLg, nil
 	case KindSST:
-		return core.New(m, opts.SST, entry), nil
+		return opts.SST, nil
 	case KindSSTBig:
 		cfg := opts.SST
 		cfg.DQSize = 2 * opts.SST.DQSize
 		cfg.Checkpoints = 2 * opts.SST.Checkpoints
 		cfg.SSBSize = 2 * opts.SST.SSBSize
-		return core.New(m, cfg, entry), nil
+		return cfg, nil
 	case KindSSTEA:
 		cfg := opts.SST
 		cfg.SecondStrand = false
-		return core.New(m, cfg, entry), nil
+		return cfg, nil
 	case KindScout:
 		cfg := core.ScoutConfig()
 		cfg.Width = opts.SST.Width
@@ -248,9 +256,41 @@ func newCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, erro
 		cfg.SecureDelayOnMiss = opts.SST.SecureDelayOnMiss
 		cfg.SecureNoNAForward = opts.SST.SecureNoNAForward
 		cfg.SecureEagerSSBFlush = opts.SST.SecureEagerSSBFlush
-		return core.New(m, cfg, entry), nil
+		return cfg, nil
 	}
 	return nil, fmt.Errorf("sim: bad core kind %d", k)
+}
+
+// newCore builds a core of the given kind over machine m.
+func newCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, error) {
+	cfg, err := coreConfig(k, opts)
+	if err != nil {
+		return nil, err
+	}
+	switch cfg := cfg.(type) {
+	case inorder.Config:
+		return inorder.New(m, cfg, entry), nil
+	case ooo.Config:
+		return ooo.New(m, cfg, entry), nil
+	default:
+		return core.New(m, cfg.(core.Config), entry), nil
+	}
+}
+
+// KindFingerprint is Fingerprint narrowed to what a kind-k cell runs
+// on: the hierarchy, the predictor, the one core configuration kind k
+// builds (coreConfig) and the per-run fields. The other kinds' configs
+// cannot change a kind-k outcome, so the run cache keys cells by this —
+// an in-order cell under an SST secure mode shares the unmitigated
+// in-order result instead of recomputing it.
+func (o Options) KindFingerprint(k Kind) string {
+	var kc string
+	if cfg, err := coreConfig(k, o); err == nil {
+		kc = cfg.Fingerprint()
+	} else {
+		kc = fmt.Sprintf("kind{%d}", int(k))
+	}
+	return o.Hier.Fingerprint() + "|" + o.Pred.Fingerprint() + "|" + kc + o.runFingerprint()
 }
 
 // Run loads the program into a fresh machine, executes it to completion

@@ -11,6 +11,7 @@ package workload
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"rocksim/internal/asm"
 )
@@ -147,12 +148,25 @@ var LoopHeavyNames = []string{"brfield", "loopnest", "gcc", "dense"}
 // headline suite).
 var CommercialNames = []string{"oltp", "jbb", "web", "erp"}
 
-// Build generates the named workload.
+// Build returns the named workload at scale s. A built-in workload at
+// ScaleTest or ScaleFull is generated once per process, on first
+// request and safely under concurrency, and every later call returns
+// the same *Spec: the spec and its program are shared and immutable, so
+// callers must not modify them. The memo holds at most the 16 built-in
+// workloads per scale — about 6.3 MB of images at test scale and 109 MB
+// at full scale — and unknown names never enter it.
 func Build(name string, s Scale) (*Spec, error) {
 	g, ok := ByName[name]
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown workload %q", name)
 	}
+	if build, ok := built[buildKey{name, s}]; ok {
+		return build()
+	}
+	return generate(g, s)
+}
+
+func generate(g Generator, s Scale) (*Spec, error) {
 	w, err := g(s)
 	if err != nil {
 		return nil, err
@@ -162,6 +176,23 @@ func Build(name string, s Scale) (*Spec, error) {
 	}
 	return w, nil
 }
+
+type buildKey struct {
+	name  string
+	scale Scale
+}
+
+// built has one memoized generator per built-in workload and scale,
+// made up front so the map itself is read-only.
+var built = func() map[buildKey]func() (*Spec, error) {
+	m := make(map[buildKey]func() (*Spec, error), 2*len(ByName))
+	for name, g := range ByName {
+		for _, s := range []Scale{ScaleTest, ScaleFull} {
+			m[buildKey{name, s}] = sync.OnceValues(func() (*Spec, error) { return generate(g, s) })
+		}
+	}
+	return m
+}()
 
 // BuildAll generates every workload in Names order.
 func BuildAll(s Scale) ([]*Spec, error) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"rocksim/internal/isa"
@@ -43,14 +44,15 @@ func TestAllWorkloadsTerminate(t *testing.T) {
 }
 
 // TestWorkloadsDeterministic: generating a workload twice produces
-// byte-identical programs.
+// byte-identical programs. It calls the generators, since Build hands
+// out one memoized spec.
 func TestWorkloadsDeterministic(t *testing.T) {
 	for _, name := range Names {
-		a, err := Build(name, ScaleTest)
+		a, err := ByName[name](ScaleTest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Build(name, ScaleTest)
+		b, err := ByName[name](ScaleTest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,6 +110,40 @@ func TestCommercialFootprintsExceedCaches(t *testing.T) {
 func TestUnknownWorkload(t *testing.T) {
 	if _, err := Build("nope", ScaleTest); err == nil {
 		t.Error("accepted unknown workload")
+	}
+	if len(built) != 2*len(ByName) {
+		t.Errorf("the build memo holds %d entries, want one per built-in workload and scale", len(built))
+	}
+}
+
+// TestBuildOnce: concurrent and repeated Builds of one (name, scale)
+// return one shared spec (run under -race), and the scales are built
+// apart.
+func TestBuildOnce(t *testing.T) {
+	specs := make([]*Spec, 8)
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			specs[i], _ = Build("oltp", ScaleTest)
+		}(i)
+	}
+	wg.Wait()
+	again, err := Build("oltp", ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range specs {
+		if w != again {
+			t.Fatal("Build returned two different specs for one (name, scale)")
+		}
+	}
+	if again.Program.Name != "oltp" {
+		t.Errorf("memoized program named %q", again.Program.Name)
+	}
+	if full, err := Build("oltp", ScaleFull); err != nil || full == again {
+		t.Errorf("the full-scale build shares the test-scale spec (err %v)", err)
 	}
 }
 
