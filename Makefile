@@ -16,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test determinism ci bench-overhead golden bench bench-guard profile
+.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test determinism ci golden bench bench-guard profile
 
 all: tier1
 
@@ -197,11 +197,6 @@ determinism:
 	$(GO) test -run TestObs -count=2 ./...
 
 ci: tier1 tier2 determinism
-
-# Guard the near-zero disabled cost of the observability layer: compare
-# ns/op by hand against the seed baseline recorded in ISSUE.md.
-bench-overhead:
-	$(GO) test -bench SimSST -benchtime 2x -run '^$$' .
 
 # Regenerate the Chrome-trace golden file after a deliberate exporter
 # format change.

@@ -28,6 +28,7 @@ package bpred
 
 import (
 	"fmt"
+	"slices"
 
 	"rocksim/internal/obs"
 )
@@ -42,25 +43,35 @@ const (
 	TAGE
 )
 
+var kindNames = [...]string{Gshare: "gshare", TAGE: "tage"}
+
 func (k Kind) String() string {
-	switch k {
-	case Gshare:
-		return "gshare"
-	case TAGE:
-		return "tage"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // KindByName parses a Kind from its String form.
 func KindByName(s string) (Kind, error) {
-	switch s {
-	case "gshare":
-		return Gshare, nil
-	case "tage":
-		return TAGE, nil
+	if i := slices.Index(kindNames[:], s); i >= 0 {
+		return Kind(i), nil
 	}
 	return 0, fmt.Errorf("bpred: unknown predictor kind %q", s)
+}
+
+// MarshalText encodes the kind by name, so options on the wire and in
+// keys read "tage", not a number. An unknown kind is an error: it would
+// run as gshare under a key of its own.
+func (k Kind) MarshalText() ([]byte, error) {
+	_, err := KindByName(k.String())
+	return []byte(k.String()), err
+}
+
+// UnmarshalText decodes a kind name (see KindByName).
+func (k *Kind) UnmarshalText(b []byte) (err error) {
+	*k, err = KindByName(string(b))
+	return err
 }
 
 // ShareMode selects how a group of hardware strands (SMT threads, CMP
@@ -81,29 +92,34 @@ const (
 	ShareHashed
 )
 
+var shareNames = [...]string{SharePartitioned: "part", ShareShared: "shared", ShareHashed: "hashed"}
+
 func (m ShareMode) String() string {
-	switch m {
-	case SharePartitioned:
-		return "part"
-	case ShareShared:
-		return "shared"
-	case ShareHashed:
-		return "hashed"
+	if m >= 0 && int(m) < len(shareNames) {
+		return shareNames[m]
 	}
 	return fmt.Sprintf("share(%d)", int(m))
 }
 
 // ShareModeByName parses a ShareMode from its String form.
 func ShareModeByName(s string) (ShareMode, error) {
-	switch s {
-	case "part":
-		return SharePartitioned, nil
-	case "shared":
-		return ShareShared, nil
-	case "hashed":
-		return ShareHashed, nil
+	if i := slices.Index(shareNames[:], s); i >= 0 {
+		return ShareMode(i), nil
 	}
 	return 0, fmt.Errorf("bpred: unknown share mode %q", s)
+}
+
+// MarshalText encodes the share mode by name. An unknown mode is an
+// error: it would run as another mode under a key of its own.
+func (m ShareMode) MarshalText() ([]byte, error) {
+	_, err := ShareModeByName(m.String())
+	return []byte(m.String()), err
+}
+
+// UnmarshalText decodes a share-mode name (see ShareModeByName).
+func (m *ShareMode) UnmarshalText(b []byte) (err error) {
+	*m, err = ShareModeByName(string(b))
+	return err
 }
 
 // Config sizes the predictor structures.
@@ -171,16 +187,6 @@ func (c Config) withDefaults() Config {
 		c.TageTagBits = 15
 	}
 	return c
-}
-
-// Fingerprint canonically encodes the predictor configuration for
-// run-cache and pool keys, field by field (see sim.Options.Fingerprint).
-// Every knob discriminates: two runs differing only in kind or share
-// mode can never share a cache or pool entry.
-func (c Config) Fingerprint() string {
-	return fmt.Sprintf("bpred{kind=%s share=%s gshare=%d btb=%d ras=%d tagetbl=%d tagebits=%d tagetag=%d}",
-		c.Kind, c.Share, c.GshareBits, c.BTBEntries, c.RASDepth,
-		c.TageTables, c.TageTableBits, c.TageTagBits)
 }
 
 // Stats counts predictor events. It stays a flat comparable struct: the

@@ -1,21 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"rocksim/internal/isa"
-)
-
-// Fingerprint canonically encodes the SST configuration for run-cache
-// keys, field by field (see sim.Options.Fingerprint).
-func (c Config) Fingerprint() string {
-	return fmt.Sprintf("sst{width=%d replay=%d ckpts=%d dq=%d ssb=%d strand2=%t scoutdq=%t deferlong=%t longmin=%d ckptmiss=%t ckptbr=%t taken=%d mispred=%d rollback=%d secdelay=%t secnofwd=%t secssb=%t}",
-		c.Width, c.ReplayWidth, c.Checkpoints, c.DQSize, c.SSBSize,
-		c.SecondStrand, c.ScoutOnDQFull, c.DeferLongOps, c.LongOpMinLatency,
-		c.CheckpointPerMiss, c.CheckpointOnDeferredBranch,
-		c.TakenPenalty, c.MispredictPenalty, c.RollbackPenalty,
-		c.SecureDelayOnMiss, c.SecureNoNAForward, c.SecureEagerSSBFlush)
-}
+import "rocksim/internal/isa"
 
 // Reset returns the core to its freshly constructed state, executing
 // from entry, without reallocating: every speculative structure (DQ,

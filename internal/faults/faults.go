@@ -134,8 +134,8 @@ type Plan struct {
 //
 //	seed=7;ckpt-deny@100-200;rollback@500;mem-jitter@0-:16
 //
-// Options fingerprints embed this string, so it must (and does) cover
-// every behavior-affecting field.
+// A plan's wire form and options keys are this string (MarshalText),
+// so it must (and does) cover every behavior-affecting field.
 func (p *Plan) String() string {
 	if p == nil {
 		return ""
@@ -146,6 +146,20 @@ func (p *Plan) String() string {
 		parts = append(parts, e.String())
 	}
 	return strings.Join(parts, ";")
+}
+
+// MarshalText encodes the plan in its canonical grammar (String).
+func (p *Plan) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText decodes the canonical grammar (Parse); an empty text is
+// the empty plan.
+func (p *Plan) UnmarshalText(b []byte) error {
+	q, err := Parse(string(b))
+	if q == nil {
+		q = &Plan{}
+	}
+	*p = *q
+	return err
 }
 
 // Parse decodes the plan grammar produced by String: semicolon-separated

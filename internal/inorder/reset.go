@@ -1,17 +1,6 @@
 package inorder
 
-import (
-	"fmt"
-
-	"rocksim/internal/isa"
-)
-
-// Fingerprint canonically encodes the in-order configuration for
-// run-cache keys, field by field (see sim.Options.Fingerprint).
-func (c Config) Fingerprint() string {
-	return fmt.Sprintf("inorder{width=%d loads=%d sb=%d taken=%d mispred=%d}",
-		c.Width, c.MaxOutstandingLoads, c.StoreBufferSize, c.TakenPenalty, c.MispredictPenalty)
-}
+import "rocksim/internal/isa"
 
 // Reset returns the core to its freshly constructed state, executing
 // from entry, without reallocating: registers, scoreboard, load/store

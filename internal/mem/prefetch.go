@@ -1,5 +1,10 @@
 package mem
 
+import (
+	"fmt"
+	"slices"
+)
+
 // PrefetchKind selects the hardware prefetcher attached to each L1D.
 type PrefetchKind uint8
 
@@ -13,16 +18,34 @@ const (
 	PrefetchStride
 )
 
+var prefetchNames = [...]string{PrefetchNone: "none", PrefetchNextLine: "nextline", PrefetchStride: "stride"}
+
 func (k PrefetchKind) String() string {
-	switch k {
-	case PrefetchNone:
-		return "none"
-	case PrefetchNextLine:
-		return "nextline"
-	case PrefetchStride:
-		return "stride"
+	if int(k) < len(prefetchNames) {
+		return prefetchNames[k]
 	}
-	return "?"
+	return fmt.Sprintf("prefetch(%d)", k)
+}
+
+// PrefetchKindByName parses a PrefetchKind from its String form.
+func PrefetchKindByName(s string) (PrefetchKind, error) {
+	if i := slices.Index(prefetchNames[:], s); i >= 0 {
+		return PrefetchKind(i), nil
+	}
+	return 0, fmt.Errorf("mem: unknown prefetcher %q", s)
+}
+
+// MarshalText encodes the prefetcher by name. An unknown kind is an
+// error: it would run as no prefetcher under a key of its own.
+func (k PrefetchKind) MarshalText() ([]byte, error) {
+	_, err := PrefetchKindByName(k.String())
+	return []byte(k.String()), err
+}
+
+// UnmarshalText decodes a prefetcher name (see PrefetchKindByName).
+func (k *PrefetchKind) UnmarshalText(b []byte) (err error) {
+	*k, err = PrefetchKindByName(string(b))
+	return err
 }
 
 // StridePrefetcherConfig sizes the stride prefetcher.

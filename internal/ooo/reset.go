@@ -1,18 +1,6 @@
 package ooo
 
-import (
-	"fmt"
-
-	"rocksim/internal/isa"
-)
-
-// Fingerprint canonically encodes the out-of-order configuration for
-// run-cache keys, field by field (see sim.Options.Fingerprint).
-func (c Config) Fingerprint() string {
-	return fmt.Sprintf("ooo{fetch=%d issue=%d commit=%d rob=%d iq=%d lsq=%d spec=%t taken=%d mispred=%d}",
-		c.FetchWidth, c.IssueWidth, c.CommitWidth, c.ROBSize, c.IQSize, c.LSQSize,
-		c.SpecLoads, c.TakenPenalty, c.MispredictPenalty)
-}
+import "rocksim/internal/isa"
 
 // Reset returns the core to its freshly constructed state, executing
 // from entry, without reallocating. The ROB ring's entries are not

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"rocksim/internal/cpu"
@@ -172,5 +173,89 @@ func TestCellFaultPlanRoundTrip(t *testing.T) {
 	if cr.Cell.Cycles != out.Cycles || cr.Cell.Retired != out.Retired {
 		t.Fatalf("faulted cell differs from local faulted run: got (%d,%d) want (%d,%d)",
 			cr.Cell.Cycles, cr.Cell.Retired, out.Cycles, out.Retired)
+	}
+}
+
+// TestCellRejectsUnboundedOptions: every option that sizes an
+// allocation is bounded on /v1/cell — an oversized one is a 400 naming
+// the field, and no machine is built for it.
+func TestCellRejectsUnboundedOptions(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		field string
+		set   func(o *sim.Options)
+	}{
+		{"Pred.GshareBits", func(o *sim.Options) { o.Pred.GshareBits = 40 }},
+		{"Pred.TageTableBits", func(o *sim.Options) { o.Pred.TageTableBits = 40 }},
+		{"Pred.BTBEntries", func(o *sim.Options) { o.Pred.BTBEntries = 1 << 40 }},
+		{"Pred.RASDepth", func(o *sim.Options) { o.Pred.RASDepth = MaxSize + 1 }},
+		{"OOOLg.ROBSize", func(o *sim.Options) { o.OOOLg.ROBSize = 1 << 40 }},
+		{"OOO.LSQSize", func(o *sim.Options) { o.OOO.LSQSize = -1 }},
+		{"InOrder.StoreBufferSize", func(o *sim.Options) { o.InOrder.StoreBufferSize = 1 << 40 }},
+		{"Hier.L2.SizeBytes", func(o *sim.Options) { o.Hier.L2.SizeBytes = 1 << 50 }},
+		{"Hier.L1D.MSHRs", func(o *sim.Options) { o.Hier.L1D.MSHRs = 1 << 40 }},
+		{"Hier.L1D", func(o *sim.Options) { o.Hier.L1D.SizeBytes, o.Hier.L1D.LineBytes = 64<<20, 1 }},
+		{"Hier.L2Banks", func(o *sim.Options) { o.Hier.L2Banks = 1 << 40 }},
+		{"Hier.DRAM.Banks", func(o *sim.Options) { o.Hier.DRAM.Banks = 1 << 40 }},
+		{"Hier.Stride.Entries", func(o *sim.Options) { o.Hier.Stride.Entries = 1 << 40 }},
+		{"Hier.DTLB.Entries", func(o *sim.Options) { o.Hier.DTLB.Entries = 1 << 40 }},
+		{"Hier.DTLB.PageBits", func(o *sim.Options) { o.Hier.DTLB.PageBits = 40 }},
+	} {
+		opts := sim.DefaultOptions()
+		tc.set(&opts)
+		resp, body := postJSON(t, ts.URL, "/v1/cell", cellBody(t, opts))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", tc.field, resp.StatusCode, body)
+		} else if !strings.Contains(string(body), tc.field) {
+			t.Errorf("%s: refusal does not name the field: %s", tc.field, body)
+		}
+	}
+	if _, built := r.PoolStats(); built != 0 {
+		t.Errorf("refused cells built %d machines", built)
+	}
+}
+
+// TestCellRejectsUnknownEnums: an enum value outside its names is a 400
+// on the wire — never a run of another predictor, share mode or
+// prefetcher under a key of its own — and the sender cannot encode one.
+func TestCellRejectsUnknownEnums(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+
+	body := cellBody(t, sim.DefaultOptions())
+	for _, tc := range []struct{ valid, bad string }{
+		{`"Kind":"gshare"`, `"Kind":"bogus"`},
+		{`"Kind":"gshare"`, `"Kind":7`},
+		{`"Share":"part"`, `"Share":"bogus"`},
+		{`"Share":"part"`, `"Share":7`},
+		{`"Prefetch":"none"`, `"Prefetch":"bogus"`},
+		{`"Prefetch":"none"`, `"Prefetch":7`},
+	} {
+		if strings.Count(body, tc.valid) != 1 {
+			t.Fatalf("wire body does not carry %s exactly once: %s", tc.valid, body)
+		}
+		resp, got := postJSON(t, ts.URL, "/v1/cell", strings.Replace(body, tc.valid, tc.bad, 1))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", tc.bad, resp.StatusCode, got)
+		}
+	}
+	if _, built := r.PoolStats(); built != 0 {
+		t.Errorf("refused cells built %d machines", built)
+	}
+
+	for name, set := range map[string]func(o *sim.Options){
+		"pred kind":  func(o *sim.Options) { o.Pred.Kind = 7 },
+		"share mode": func(o *sim.Options) { o.Pred.Share = 7 },
+		"prefetcher": func(o *sim.Options) { o.Hier.Prefetch = 7 },
+	} {
+		opts := sim.DefaultOptions()
+		set(&opts)
+		if _, err := json.Marshal(WireFromOptions(opts)); err == nil {
+			t.Errorf("%s 7 encoded for the wire", name)
+		}
 	}
 }

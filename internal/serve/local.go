@@ -80,7 +80,7 @@ func (l *local) resolve(req RunRequest) (sim.Cell, sim.Options, error) {
 		v    *int
 	}{{"dq", ro.DQ}, {"ckpt", ro.Ckpt}, {"ssb", ro.SSB}, {"memlat", ro.MemLat}} {
 		if f.v != nil {
-			if err := checkSize(f.name, *f.v); err != nil {
+			if err := checkSize(f.name, *f.v, MaxSize); err != nil {
 				return c, opts, err
 			}
 		}

@@ -1,27 +1,25 @@
 package serve
 
 import (
+	"encoding"
 	"errors"
 	"fmt"
-	"time"
+	"reflect"
+	"strings"
 
 	"rocksim/internal/asm"
-	"rocksim/internal/bpred"
-	"rocksim/internal/core"
 	"rocksim/internal/experiments"
-	"rocksim/internal/faults"
-	"rocksim/internal/inorder"
 	"rocksim/internal/mem"
-	"rocksim/internal/ooo"
 	"rocksim/internal/sim"
 )
 
-// WireOptions is the full sim.Options on the wire: every simulation-
-// affecting field, none of the observability hooks (a run is identical
-// with or without them). The fleet router sends a grid cell's complete
-// options to the owning shard through this shape, so per-cell overrides
-// a driver applied (a DQ sweep's sizes, a security mode's switches, a
-// fault plan) survive the hop exactly.
+// WireOptions is the full sim.Options on the wire, in the options' own
+// JSON form: every field but the observability hooks (a run is
+// identical with or without them), flat beside the guard. The fleet
+// router sends a grid cell's complete options to the owning shard
+// through this shape, so per-cell overrides a driver applied (a DQ
+// sweep's sizes, a security mode's switches, a fault plan) survive the
+// hop exactly.
 //
 // Fingerprint is a consistency guard, not data: the sender records
 // opts.Fingerprint() and the receiver recomputes it after decoding.
@@ -29,91 +27,83 @@ import (
 // a protocol bug that must surface as a hard error, never as a silently
 // different simulation.
 type WireOptions struct {
-	Hier           mem.HierConfig `json:"hier"`
-	Pred           bpred.Config   `json:"pred"`
-	InOrder        inorder.Config `json:"inorder"`
-	OOO            ooo.Config     `json:"ooo"`
-	OOOLg          ooo.Config     `json:"ooo_lg"`
-	SST            core.Config    `json:"sst"`
-	MaxCycles      uint64         `json:"max_cycles,omitempty"`
-	TimeoutNS      int64          `json:"timeout_ns,omitempty"`
-	LivelockWindow uint64         `json:"livelock_window,omitempty"`
-	// Faults is the plan in its canonical grammar (faults.Plan.String);
-	// empty means no plan.
-	Faults        string `json:"faults,omitempty"`
-	NoFastForward bool   `json:"no_fast_forward,omitempty"`
-	Fingerprint   string `json:"fingerprint"`
+	sim.Options
+	Fingerprint string `json:"fingerprint"`
 }
 
 // WireFromOptions encodes options for the wire, stamping the canonical
 // fingerprint the receiver will verify.
 func WireFromOptions(o sim.Options) WireOptions {
-	return WireOptions{
-		Hier:           o.Hier,
-		Pred:           o.Pred,
-		InOrder:        o.InOrder,
-		OOO:            o.OOO,
-		OOOLg:          o.OOOLg,
-		SST:            o.SST,
-		MaxCycles:      o.MaxCycles,
-		TimeoutNS:      int64(o.Timeout),
-		LivelockWindow: o.LivelockWindow,
-		Faults:         o.Faults.String(),
-		NoFastForward:  o.NoFastForward,
-		Fingerprint:    o.Fingerprint(),
-	}
+	return WireOptions{Options: o, Fingerprint: o.Fingerprint()}
 }
 
-// MaxSize bounds the dq, ckpt, ssb and memlat options, on /v1/run and
-// on the wire alike. The models size queues, tables and histograms from
-// these values at construction, so one unbounded request could exhaust
-// the daemon's memory; negative values are refused too, since the
-// models would clamp them into a simulation another key already names.
-const MaxSize = 1 << 16
+// Size bounds of wire options. The models size queues, tables, caches
+// and histograms from the options at construction, so one unbounded
+// request could exhaust the daemon's memory; negative values are
+// refused too, since the models would clamp them into a simulation
+// another key already names.
+const (
+	// MaxSize bounds every int option: counts (entries, ways, MSHRs,
+	// ROB/IQ/LSQ, banks, RAS, stride, DQ, checkpoints, SSB) and
+	// latencies. /v1/run applies it to dq, ckpt, ssb and memlat.
+	MaxSize = 1 << 16
+	// maxLog2 bounds the log2 widths, the int options named *Bits.
+	maxLog2 = 24
+	// maxCacheBytes bounds a cache's SizeBytes, and maxCacheLines its
+	// line count (SizeBytes/LineBytes): 64 MiB of 64-byte lines.
+	maxCacheBytes = 64 << 20
+	maxCacheLines = maxCacheBytes / 64
+)
 
-// checkSize refuses a sized option outside [0, MaxSize].
-func checkSize(name string, v int) error {
-	if v < 0 || v > MaxSize {
-		return fmt.Errorf("%s %d out of range [0, %d]", name, v, MaxSize)
+// checkSize refuses a sized option outside [0, max].
+func checkSize(name string, v, max int) error {
+	if v < 0 || v > max {
+		return fmt.Errorf("%s %d out of range [0, %d]", name, v, max)
 	}
 	return nil
 }
 
-// checkSizes applies checkSize to every sized option.
+var textMarshaler = reflect.TypeFor[encoding.TextMarshaler]()
+
+// checkSizes bounds every int field of the options, at any depth, so a
+// field added to a configuration is bounded without an edit here:
+// SizeBytes by maxCacheBytes, *Bits by maxLog2, any other by MaxSize.
+// Enums (text-marshaled ints) are checked by decoding instead. A cache
+// also may not hold more than maxCacheLines lines.
 func checkSizes(o sim.Options) error {
-	return errors.Join(
-		checkSize("dq", o.SST.DQSize),
-		checkSize("ckpt", o.SST.Checkpoints),
-		checkSize("ssb", o.SST.SSBSize),
-		checkSize("memlat", o.Hier.DRAM.Latency))
+	var errs []error
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		if c, ok := v.Interface().(mem.CacheConfig); ok && c.LineBytes > 0 && c.SizeBytes/c.LineBytes > maxCacheLines {
+			errs = append(errs, fmt.Errorf("%s holds %d lines, more than %d", strings.TrimSuffix(path, "."), c.SizeBytes/c.LineBytes, maxCacheLines))
+		}
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			switch {
+			case fv.Kind() == reflect.Struct:
+				walk(path+f.Name+".", fv)
+			case fv.Kind() == reflect.Int && !f.Type.Implements(textMarshaler):
+				max := MaxSize
+				if f.Name == "SizeBytes" {
+					max = maxCacheBytes
+				} else if strings.HasSuffix(f.Name, "Bits") {
+					max = maxLog2
+				}
+				errs = append(errs, checkSize(path+f.Name, int(fv.Int()), max))
+			}
+		}
+	}
+	walk("", reflect.ValueOf(o))
+	return errors.Join(errs...)
 }
 
-// Options decodes the wire form and verifies the fingerprint guard and
-// the size bounds.
-func (w WireOptions) Options() (sim.Options, error) {
-	o := sim.Options{
-		Hier:           w.Hier,
-		Pred:           w.Pred,
-		InOrder:        w.InOrder,
-		OOO:            w.OOO,
-		OOOLg:          w.OOOLg,
-		SST:            w.SST,
-		MaxCycles:      w.MaxCycles,
-		Timeout:        time.Duration(w.TimeoutNS),
-		LivelockWindow: w.LivelockWindow,
-		NoFastForward:  w.NoFastForward,
+// Verify checks the decoded options against the sender's fingerprint
+// and the size bounds, and returns them.
+func (w WireOptions) Verify() (sim.Options, error) {
+	if got := w.Options.Fingerprint(); got != w.Fingerprint {
+		return w.Options, fmt.Errorf("options fingerprint mismatch after decode: got %q want %q (a simulation-affecting field failed to round-trip)", got, w.Fingerprint)
 	}
-	if w.Faults != "" {
-		plan, err := faults.Parse(w.Faults)
-		if err != nil {
-			return o, fmt.Errorf("bad wire fault plan: %v", err)
-		}
-		o.Faults = plan
-	}
-	if got := o.Fingerprint(); got != w.Fingerprint {
-		return o, fmt.Errorf("options fingerprint mismatch after decode: got %q want %q (a simulation-affecting field failed to round-trip)", got, w.Fingerprint)
-	}
-	return o, checkSizes(o)
+	return w.Options, checkSizes(w.Options)
 }
 
 // CellRequest is the body of POST /v1/cell: one grid cell computed for
@@ -183,7 +173,7 @@ func (r CellRequest) Resolve() (sim.Cell, sim.Options, error) {
 	if err != nil {
 		return sim.Cell{}, sim.Options{}, err
 	}
-	opts, err := r.Options.Options()
+	opts, err := r.Options.Verify()
 	if err != nil {
 		return sim.Cell{}, sim.Options{}, err
 	}

@@ -1,30 +1,24 @@
 package sim
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"rocksim/internal/bpred"
-	"rocksim/internal/core"
 	"rocksim/internal/faults"
-	"rocksim/internal/inorder"
-	"rocksim/internal/mem"
 	"rocksim/internal/obs"
-	"rocksim/internal/ooo"
 )
 
 // goldenDefaultFingerprint is the canonical fingerprint of
 // DefaultOptions, frozen. A run cache is only content-addressed if its
 // keys are stable across process runs and binary rebuilds — a
-// fingerprint that drifts (as the old reflection-based "%+v" encoding
-// did when a config struct gained a pointer field, printing its hex
-// address) silently turns every cached entry into a miss, or worse,
-// keys distinct configurations identically. If a deliberate
-// configuration or encoding change lands, update this constant in the
-// same commit.
-const goldenDefaultFingerprint = "hier{l1i=cache{name=L1I size=32768 ways=4 line=64 hitlat=1 mshrs=4} l1d=cache{name=L1D size=32768 ways=4 line=64 hitlat=2 mshrs=8} l2=cache{name=L2 size=4194304 ways=8 line=64 hitlat=20 mshrs=32} l2banks=8 dram{lat=300 banks=16 busy=24} prefetch=none stride{entries=0 degree=0 minconf=0} dtlb=tlb{entries=0 ways=0 pagebits=0 misslat=0}}|bpred{kind=gshare share=part gshare=14 btb=2048 ras=8 tagetbl=4 tagebits=10 tagetag=9}|inorder{width=2 loads=4 sb=8 taken=2 mispred=8}|ooo{fetch=2 issue=2 commit=2 rob=32 iq=16 lsq=16 spec=true taken=1 mispred=10}|ooo{fetch=4 issue=4 commit=4 rob=128 iq=64 lsq=64 spec=true taken=1 mispred=14}|sst{width=2 replay=2 ckpts=4 dq=64 ssb=32 strand2=true scoutdq=false deferlong=true longmin=10 ckptmiss=true ckptbr=true taken=2 mispred=8 rollback=6 secdelay=false secnofwd=false secssb=false}|run{cycles=0 timeout=0 livelock=0}|faults{}"
+// fingerprint that drifts (as an old "%+v" encoding did when a config
+// struct gained a pointer field, printing its hex address) silently
+// turns every cached entry into a miss, or worse, keys distinct
+// configurations identically. If a deliberate configuration or encoding
+// change lands, update this constant in the same commit.
+const goldenDefaultFingerprint = `{"hier":{"L1I":{"Name":"L1I","SizeBytes":32768,"Ways":4,"LineBytes":64,"HitLatency":1,"MSHRs":4},"L1D":{"Name":"L1D","SizeBytes":32768,"Ways":4,"LineBytes":64,"HitLatency":2,"MSHRs":8},"L2":{"Name":"L2","SizeBytes":4194304,"Ways":8,"LineBytes":64,"HitLatency":20,"MSHRs":32},"L2Banks":8,"DRAM":{"Latency":300,"Banks":16,"BankBusy":24},"Prefetch":"none","Stride":{"Entries":0,"Degree":0,"MinConfidence":0},"DTLB":{"Entries":0,"Ways":0,"PageBits":0,"MissLatency":0}},"pred":{"Kind":"gshare","Share":"part","GshareBits":14,"BTBEntries":2048,"RASDepth":8,"TageTables":4,"TageTableBits":10,"TageTagBits":9},"inorder":{"Width":2,"MaxOutstandingLoads":4,"StoreBufferSize":8,"TakenPenalty":2,"MispredictPenalty":8},"ooo":{"FetchWidth":2,"IssueWidth":2,"CommitWidth":2,"ROBSize":32,"IQSize":16,"LSQSize":16,"SpecLoads":true,"TakenPenalty":1,"MispredictPenalty":10},"ooo_lg":{"FetchWidth":4,"IssueWidth":4,"CommitWidth":4,"ROBSize":128,"IQSize":64,"LSQSize":64,"SpecLoads":true,"TakenPenalty":1,"MispredictPenalty":14},"sst":{"Width":2,"ReplayWidth":2,"Checkpoints":4,"DQSize":64,"SSBSize":32,"SecondStrand":true,"ScoutOnDQFull":false,"DeferLongOps":true,"LongOpMinLatency":10,"CheckpointPerMiss":true,"CheckpointOnDeferredBranch":true,"TakenPenalty":2,"MispredictPenalty":8,"RollbackPenalty":6,"SecureDelayOnMiss":false,"SecureNoNAForward":false,"SecureEagerSSBFlush":false},"max_cycles":0,"timeout_ns":0,"livelock_window":0,"faults":null}`
 
 func TestFingerprintGolden(t *testing.T) {
 	got := DefaultOptions().Fingerprint()
@@ -95,37 +89,6 @@ func TestFingerprintStableAndDiscriminating(t *testing.T) {
 		mutate(&m)
 		if m.Fingerprint() == opts.Fingerprint() {
 			t.Errorf("mutating %s did not change the fingerprint", name)
-		}
-	}
-}
-
-// TestFingerprintCoversEveryField pins the field count of Options and
-// of every configuration struct it embeds. Adding a field to any of
-// them fails this test until the corresponding Fingerprint method (and
-// the golden above) is updated — the explicit encodings can no longer
-// silently fall out of sync with the structs the way "%+v" silently
-// fell into printing addresses.
-func TestFingerprintCoversEveryField(t *testing.T) {
-	counts := []struct {
-		name string
-		typ  reflect.Type
-		want int
-	}{
-		{"sim.Options", reflect.TypeOf(Options{}), 13},
-		{"mem.HierConfig", reflect.TypeOf(mem.HierConfig{}), 8},
-		{"mem.CacheConfig", reflect.TypeOf(mem.CacheConfig{}), 6},
-		{"mem.DRAMConfig", reflect.TypeOf(mem.DRAMConfig{}), 3},
-		{"mem.TLBConfig", reflect.TypeOf(mem.TLBConfig{}), 4},
-		{"mem.StridePrefetcherConfig", reflect.TypeOf(mem.StridePrefetcherConfig{}), 3},
-		{"bpred.Config", reflect.TypeOf(bpred.Config{}), 8},
-		{"inorder.Config", reflect.TypeOf(inorder.Config{}), 5},
-		{"ooo.Config", reflect.TypeOf(ooo.Config{}), 9},
-		{"core.Config", reflect.TypeOf(core.Config{}), 17},
-	}
-	for _, c := range counts {
-		if got := c.typ.NumField(); got != c.want {
-			t.Errorf("%s has %d fields, fingerprint encodes %d: update the Fingerprint method, the golden constant and this count together",
-				c.name, got, c.want)
 		}
 	}
 }

@@ -318,21 +318,6 @@ func (in *Instance) Run(ctx context.Context, c Cell, opts Options) (Outcome, err
 	return out, nil
 }
 
-// ShapeFingerprint returns the canonical encoding of the construction-
-// affecting options only — the hierarchy, predictor and core
-// configurations. Two Options with equal shape fingerprints build
-// interchangeable machines (for a given machine Shape), differing at
-// most in per-run fields (programs, watchdog bounds, faults,
-// observability), so harnesses use (Shape, options shape) as the
-// simulator-pool key. Compare Fingerprint, which additionally covers the
-// per-run simulation-affecting fields, and KindFingerprint, its
-// narrowing to one kind, which keys the run cache.
-func (o Options) ShapeFingerprint() string {
-	return o.Hier.Fingerprint() + "|" + o.Pred.Fingerprint() + "|" +
-		o.InOrder.Fingerprint() + "|" + o.OOO.Fingerprint() + "|" +
-		o.OOOLg.Fingerprint() + "|" + o.SST.Fingerprint()
-}
-
 // PoolKey returns the simulator-pool key for a (machine shape, options)
 // pair. A single core's key leaves out the kind: one Instance serves
 // every kind of an options shape.

@@ -85,71 +85,52 @@ func KindByName(s string) (Kind, error) {
 	return 0, fmt.Errorf("sim: unknown core kind %q", s)
 }
 
-// Options configures a simulation run.
+// Options configures a simulation run. Its JSON form is the wire form
+// and the source of every key (keys.go), so a field added anywhere in
+// it is keyed and crosses the wire with no other edit. The key tag
+// narrows a field's role: "run" is per-run (not in the pool key),
+// "core" a core configuration (narrowed to one kind's in the cache
+// key), "-" never keyed. An untagged field is keyed by every view:
+// over-keying only costs cache hits.
 type Options struct {
-	Hier    mem.HierConfig
-	Pred    bpred.Config
-	InOrder inorder.Config
-	OOO     ooo.Config // used for KindOOOSmall unless overridden
-	OOOLg   ooo.Config
-	SST     core.Config
+	Hier    mem.HierConfig `json:"hier"`
+	Pred    bpred.Config   `json:"pred"`
+	InOrder inorder.Config `json:"inorder" key:"core"`
+	OOO     ooo.Config     `json:"ooo" key:"core"` // used for KindOOOSmall unless overridden
+	OOOLg   ooo.Config     `json:"ooo_lg" key:"core"`
+	SST     core.Config    `json:"sst" key:"core"`
 	// MaxCycles bounds the run (0 = DefaultMaxCycles).
-	MaxCycles uint64
+	MaxCycles uint64 `json:"max_cycles,omitempty" key:"run"`
 	// Timeout bounds the run in wall-clock time (0 = none): RunContext
 	// arms a context deadline and returns a watchdog error when it
 	// expires. Wall clock does not affect the simulated outcome — a
 	// timed-out run errors, a finished one is bit-identical regardless.
-	Timeout time.Duration
+	Timeout time.Duration `json:"timeout_ns,omitempty" key:"run"`
 	// LivelockWindow is the no-forward-progress watchdog: a run in which
 	// the core executes nothing — no retire, load, store or branch —
 	// for this many consecutive cycles errors instead of spinning on to
 	// MaxCycles (0 = DefaultLivelockWindow).
-	LivelockWindow uint64
+	LivelockWindow uint64 `json:"livelock_window,omitempty" key:"run"`
 	// Faults, when non-nil, is a deterministic fault-injection schedule
 	// (see internal/faults): the run replays the plan's perturbations —
 	// denied checkpoints, spurious rollbacks, capacity clamps, memory
 	// jitter, mispredict storms — exactly, so faulted runs are as
 	// reproducible and cacheable as clean ones.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"faults,omitempty" key:"run"`
 	// Sink, when non-nil, observes the run's event stream: it is
 	// installed on the core model (every kind) and the memory hierarchy.
 	// Use an obs.Collector to feed a Chrome trace and/or registry
 	// timelines; remember to Flush it after the run.
-	Sink obs.Sink
+	Sink obs.Sink `json:"-"`
 	// Metrics, when non-nil, receives every model's counters at the end
 	// of the run (see PublishObs).
-	Metrics *obs.Registry
+	Metrics *obs.Registry `json:"-"`
 	// NoFastForward steps the core cycle by cycle even when it supports
 	// event-driven stall skipping (see cpu.FastForwarder). Skipping is
 	// bit-identical to naive stepping — the differential fuzz in this
 	// package proves it — so this knob exists for that proof and for
 	// debugging, not for accuracy.
-	NoFastForward bool
-}
-
-// Fingerprint returns a canonical string covering every simulation-
-// affecting field of the options. The observability hooks (Sink,
-// Metrics) are excluded: they observe a run without changing its
-// timing. Two Options with equal fingerprints produce identical
-// outcomes on the same program, so the wire form carries it as a
-// round-trip guard; the run cache keys by its per-kind narrowing,
-// KindFingerprint.
-// The encoding is explicit, field by field (each config contributes its
-// own Fingerprint method): no pointer addresses, no reflection-derived
-// struct dumps, so the string is stable across process runs and across
-// refactors that merely reorder fields. The observability hooks (Sink,
-// Metrics) never appear: they observe a run without changing its
-// timing. NoFastForward is likewise excluded — fast-forwarding changes
-// wall-clock speed, never the outcome, so two runs differing only in it
-// share a cache entry.
-func (o Options) Fingerprint() string {
-	return o.ShapeFingerprint() + o.runFingerprint()
-}
-
-// runFingerprint encodes the per-run simulation-affecting fields.
-func (o Options) runFingerprint() string {
-	return fmt.Sprintf("|run{cycles=%d timeout=%d livelock=%d}|faults{%s}",
-		o.MaxCycles, int64(o.Timeout), o.LivelockWindow, o.Faults.String())
+	NoFastForward bool `json:"no_fast_forward,omitempty" key:"-"`
 }
 
 // DefaultMaxCycles bounds runaway simulations.
@@ -227,7 +208,7 @@ func (o *CellStats) IPC() float64 {
 // what a cell is keyed by and what it builds cannot drift apart. An
 // unknown kind returns an error (a caller-supplied kind must not crash a
 // harness).
-func coreConfig(k Kind, opts Options) (interface{ Fingerprint() string }, error) {
+func coreConfig(k Kind, opts Options) (any, error) {
 	switch k {
 	case KindInOrder:
 		return opts.InOrder, nil
@@ -275,22 +256,6 @@ func newCore(k Kind, m *cpu.Machine, opts Options, entry uint64) (cpu.Core, erro
 	default:
 		return core.New(m, cfg.(core.Config), entry), nil
 	}
-}
-
-// KindFingerprint is Fingerprint narrowed to what a kind-k cell runs
-// on: the hierarchy, the predictor, the one core configuration kind k
-// builds (coreConfig) and the per-run fields. The other kinds' configs
-// cannot change a kind-k outcome, so the run cache keys cells by this —
-// an in-order cell under an SST secure mode shares the unmitigated
-// in-order result instead of recomputing it.
-func (o Options) KindFingerprint(k Kind) string {
-	var kc string
-	if cfg, err := coreConfig(k, o); err == nil {
-		kc = cfg.Fingerprint()
-	} else {
-		kc = fmt.Sprintf("kind{%d}", int(k))
-	}
-	return o.Hier.Fingerprint() + "|" + o.Pred.Fingerprint() + "|" + kc + o.runFingerprint()
 }
 
 // Run loads the program into a fresh machine, executes it to completion
