@@ -61,16 +61,16 @@ func (c *Core) ahead(now uint64, budget int) int {
 // aheadInst handles one instruction. It returns cont=false when the
 // instruction could not be consumed this cycle (stall), and redirected
 // when fetch was steered.
-func (c *Core) aheadInst(in isa.Inst, pc uint64, now uint64) (cont, redirected bool) {
+func (c *Core) aheadInst(in *isa.Inst, pc uint64, now uint64) (cont, redirected bool) {
 	seq := c.seq
-	srcs, n := in.SrcRegs()
+	n := in.NumSrcs()
 	var vals [3]int64
 	var isNA [3]bool
 	anyNA := false
 	// r0 never has its NA bit set and c.regs[0] is never written, so the
 	// gather needs no zero-register special case.
 	for i := 0; i < n; i++ {
-		r := srcs[i]
+		r := in.Src(i)
 		if c.na[r] {
 			isNA[i] = true
 			anyNA = true
@@ -88,7 +88,7 @@ func (c *Core) aheadInst(in isa.Inst, pc uint64, now uint64) (cont, redirected b
 		// Short-wait scoreboard: stall-on-use for L1 hits and busy ALUs
 		// (readyAt[0] is permanently zero, na bits are all clear here).
 		for i := 0; i < n; i++ {
-			if c.readyAt[srcs[i]] > now {
+			if c.readyAt[in.Src(i)] > now {
 				return false, false
 			}
 		}
@@ -201,7 +201,7 @@ func (c *Core) write(rd uint8, v int64, ready uint64, seq uint64) {
 	}
 }
 
-func (c *Core) aheadALU(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
+func (c *Core) aheadALU(in *isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
 	if anyNA {
 		if c.mode == ModeScout {
 			c.markNA(in.Rd, seq)
@@ -209,7 +209,7 @@ func (c *Core) aheadALU(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA 
 		}
 		return c.deferToDQ(in, pc, seq, vals, isNA, false, 0), false
 	}
-	v := isa.ALUResult(in, vals[0], vals[1])
+	v := isa.ALUResult(*in, vals[0], vals[1])
 	lat := uint64(in.Op.Latency())
 	if c.cfg.DeferLongOps && in.Op.IsLongLatency() && in.Op.Latency() >= c.cfg.LongOpMinLatency {
 		// Divides and friends are long-latency events: defer the result
@@ -222,7 +222,7 @@ func (c *Core) aheadALU(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA 
 	return true, false
 }
 
-func (c *Core) aheadLoad(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
+func (c *Core) aheadLoad(in *isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
 	if anyNA {
 		// Address unknown: the load itself is deferred.
 		if c.mode == ModeScout {
@@ -277,7 +277,7 @@ func (c *Core) aheadLoad(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA
 // isMiss reports whether an access result represents a long-latency
 // event (beyond the L1 hit window).
 func (c *Core) isMiss(res mem.Result, now uint64) bool {
-	return res.Ready > now+uint64(c.m.Hier.Config().L1D.HitLatency)
+	return res.Ready > now+c.l1dHit
 }
 
 // deferResult records an in-flight deferred value (miss load or long
@@ -311,17 +311,14 @@ func (c *Core) deferResult(rd uint8, val int64, ready uint64, pc uint64, seq uin
 		// Scouting: results still arrive and unblock dependents.
 	}
 	c.markNA(rd, seq)
-	if len(c.pend) == 0 || ready < c.pendMin {
-		c.pendMin = ready
-	}
-	c.pend = append(c.pend, pendingResult{seq: seq, rd: rd, val: val, ready: ready})
+	c.pushPend(pendingResult{seq: seq, rd: rd, val: val, ready: ready})
 	c.stats.PendingMisses++
 	return true
 }
 
 // deferToDQ appends an instruction to the Deferred Queue. Returns false
 // when the instruction could not be consumed (DQ full → stall or scout).
-func (c *Core) deferToDQ(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, predTaken bool, predTarget uint64) bool {
+func (c *Core) deferToDQ(in *isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, predTaken bool, predTarget uint64) bool {
 	limit := c.cfg.DQSize
 	if c.flt != nil {
 		limit = c.flt.ClampDQ(c.cycle, limit)
@@ -337,18 +334,18 @@ func (c *Core) deferToDQ(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA
 		}
 		return false
 	}
-	e := dqEntry{seq: seq, in: in, pc: pc, predTaken: predTaken, predTarget: predTarget}
-	srcs, n := in.SrcRegs()
-	e.nsrc = n
-	for i := 0; i < n; i++ {
-		e.vals[i] = vals[i]
+	k, e := c.dqAppend()
+	*e = dqEntry{seq: seq, in: *in, pc: pc, vals: vals, nsrc: in.NumSrcs(), predTaken: predTaken, predTarget: predTarget}
+	ready := true
+	for i := 0; i < e.nsrc; i++ {
 		if isNA[i] {
 			e.isNA[i] = true
-			e.dep[i] = c.lastWriter[srcs[i]]
+			e.dep[i] = c.lastWriter[in.Src(i)]
+			c.waitOn(k, i, e.dep[i])
+			ready = false
 		}
 	}
-	c.dq = append(c.dq, e)
-	if !(e.isNA[0] || e.isNA[1] || e.isNA[2]) {
+	if ready {
 		// Deferral is always keyed on an NA operand today, but keep the
 		// ready count correct if an always-ready entry ever lands here.
 		c.dqReady++
@@ -363,7 +360,7 @@ func (c *Core) deferToDQ(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA
 	return true
 }
 
-func (c *Core) aheadStore(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
+func (c *Core) aheadStore(in *isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
 	addr := uint64(vals[0] + int64(in.Imm))
 	switch c.mode {
 	case ModeNormal:
@@ -402,7 +399,7 @@ func (c *Core) aheadStore(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isN
 			// later loads can disambiguate against it. A store whose
 			// address is NA is verified against the read set at replay
 			// instead.
-			e := &c.dq[len(c.dq)-1]
+			e := &c.dqSlots[c.dq[len(c.dq)-1]]
 			if !isNA[0] {
 				e.memAddrKnown = true
 				e.memAddr = addr
@@ -425,7 +422,7 @@ func (c *Core) aheadStore(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isN
 	}
 }
 
-func (c *Core) aheadBranch(in isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
+func (c *Core) aheadBranch(in *isa.Inst, pc uint64, seq uint64, vals [3]int64, isNA [3]bool, anyNA bool, now uint64) (bool, bool) {
 	if anyNA {
 		// Deferred branch: follow the prediction; replay verifies.
 		predTaken := c.m.Pred.PredictDir(pc)
@@ -476,7 +473,7 @@ func (c *Core) aheadBranch(in isa.Inst, pc uint64, seq uint64, vals [3]int64, is
 	return true, false
 }
 
-func (c *Core) aheadJump(in isa.Inst, pc uint64, seq uint64, vals [3]int64, anyNA bool, now uint64) (bool, bool) {
+func (c *Core) aheadJump(in *isa.Inst, pc uint64, seq uint64, vals [3]int64, anyNA bool, now uint64) (bool, bool) {
 	link := int64(pc + isa.InstSize)
 	if in.Op == isa.OpJal {
 		if in.Rd == isa.RegRA {
@@ -503,7 +500,7 @@ func (c *Core) aheadJump(in isa.Inst, pc uint64, seq uint64, vals [3]int64, anyN
 		if c.mode != ModeScout {
 			var isNA [3]bool
 			isNA[0] = true
-			if !c.deferToDQ(isa.Inst{Op: in.Op, Rs1: in.Rs1, Imm: in.Imm}, pc, seq, vals, isNA, false, predicted) {
+			if !c.deferToDQ(&isa.Inst{Op: in.Op, Rs1: in.Rs1, Imm: in.Imm}, pc, seq, vals, isNA, false, predicted) {
 				return false, false
 			}
 		}

@@ -53,33 +53,29 @@ func (c *Core) epochOf(seq uint64) int {
 
 // oldestUnresolvedSeq returns the smallest sequence number that is still
 // speculative: an unreplayed DQ entry or an undelivered pending result.
-// Returns c.seq when everything has resolved.
+// Returns c.seq when everything has resolved. The DQ is seq-ordered, so
+// its oldest entry is its head, and pendSeqMin tracks the pending side:
+// the secure modes ask every cycle without walking either list.
 func (c *Core) oldestUnresolvedSeq() uint64 {
 	oldest := c.seq
-	for i := range c.dq {
-		if c.dq[i].seq < oldest {
-			oldest = c.dq[i].seq
-		}
+	if len(c.dq) > 0 {
+		oldest = min(oldest, c.dqSlots[c.dq[0]].seq)
 	}
-	for i := range c.pend {
-		if c.pend[i].seq < oldest {
-			oldest = c.pend[i].seq
-		}
+	if len(c.pend) > 0 {
+		oldest = min(oldest, c.pendSeqMin)
 	}
 	return oldest
 }
 
 // commitEpochs retires fully resolved epochs from oldest to youngest:
 // buffered stores drain to memory and the checkpoint is freed. When the
-// last epoch commits, the core returns to normal mode.
+// last epoch commits, the core returns to normal mode. Step calls it
+// only in spec mode with resolveDirty set: while that is clear nothing
+// has resolved or been squashed since the last blocked scan, so the
+// oldest unresolved seq is unchanged, the epoch boundary only moves up
+// and the commit gate still fails.
 func (c *Core) commitEpochs(now uint64) {
-	if c.mode != ModeSpec || len(c.ckpts) == 0 {
-		return
-	}
-	if !c.resolveDirty {
-		// Nothing has resolved or been squashed since the last blocked
-		// scan: the oldest unresolved seq is unchanged and the epoch
-		// boundary only moves up, so the commit gate still fails.
+	if len(c.ckpts) == 0 {
 		return
 	}
 	oldest := c.oldestUnresolvedSeq()
@@ -194,21 +190,7 @@ func (c *Core) rollback(idx int, now uint64, cause RollbackCause) {
 
 	// Squash speculative state younger than the checkpoint.
 	cut := ck.startSeq
-	dq := c.dq[:0]
-	c.dqStores = 0
-	c.dqReady = 0
-	for _, e := range c.dq {
-		if e.seq < cut {
-			dq = append(dq, e)
-			if e.in.Op.IsStore() {
-				c.dqStores++
-			}
-			if !(e.isNA[0] || e.isNA[1] || e.isNA[2]) {
-				c.dqReady++
-			}
-		}
-	}
-	c.dq = dq
+	c.dqSquash(cut)
 	rs := c.readSet[:0]
 	for _, r := range c.readSet {
 		if r.seq < cut {
@@ -228,6 +210,9 @@ func (c *Core) rollback(idx int, now uint64, cause RollbackCause) {
 	c.secPending = 0
 	for _, p := range c.pend {
 		if p.seq < cut {
+			if len(pend) == 0 || p.seq < c.pendSeqMin {
+				c.pendSeqMin = p.seq
+			}
 			pend = append(pend, p)
 			if pendMin == 0 || p.ready < pendMin {
 				pendMin = p.ready
@@ -294,19 +279,23 @@ func (c *Core) enterScout() {
 }
 
 // armScoutTrigger picks the oldest outstanding pending result as the
-// scout-exit trigger.
+// scout-exit trigger and records when it arrives.
 func (c *Core) armScoutTrigger() {
 	c.scoutArmed = false
 	for _, p := range c.pend {
 		if !c.scoutArmed || p.seq < c.scoutTriggerSeq {
 			c.scoutTriggerSeq = p.seq
+			c.scoutTriggerReady = p.ready
 			c.scoutArmed = true
 		}
 	}
 }
 
 // maybeScoutRollback exits scout mode once the trigger miss has been
-// delivered (or if nothing is outstanding at all).
+// delivered (or if nothing is outstanding at all). The trigger holds no
+// secure-mode hold (enterScout drops them first, and scout takes no new
+// ones), so deliver retires it exactly at its ready cycle: Step calls
+// this only from that cycle on, and the pend scan confirms.
 func (c *Core) maybeScoutRollback(now uint64) {
 	if c.scoutArmed {
 		for _, p := range c.pend {
@@ -326,8 +315,8 @@ func (c *Core) loadBlockedByDeferredStore(addr uint64, size int) bool {
 	if c.dqStores == 0 {
 		return false
 	}
-	for i := range c.dq {
-		e := &c.dq[i]
+	for _, k := range c.dq {
+		e := &c.dqSlots[k]
 		if !e.memAddrKnown {
 			continue
 		}

@@ -31,6 +31,12 @@ import (
 	"rocksim/internal/stats"
 )
 
+// snapAfterQuiet is how many consecutive quiet cycles must precede a
+// Step before it takes the purity snapshot: one more than the two quiet
+// cycles of a taken-branch redirect (the bubble, then the refetch's L1I
+// hit). See the skip.go header.
+const snapAfterQuiet = 3
+
 // ckptLifeLimit bounds the checkpoint-lifetime histogram; longer
 // lifetimes clamp into the overflow bucket.
 const ckptLifeLimit = 4096
@@ -366,9 +372,10 @@ type readRec struct {
 
 // Core is the SST pipeline model.
 type Core struct {
-	cfg Config
-	m   *cpu.Machine
-	fe  *cpu.Frontend
+	cfg    Config
+	m      *cpu.Machine
+	fe     *cpu.Frontend
+	l1dHit uint64 // the L1D hit latency: a data access slower than it is a miss
 
 	regs       [isa.NumRegs]int64
 	na         [isa.NumRegs]bool
@@ -378,15 +385,29 @@ type Core struct {
 	mode  Mode
 	seq   uint64 // next sequence number (monotonic, never rewinds)
 	ckpts []checkpoint
-	dq    []dqEntry
+	dq    []int32 // live DQ slots in program order (see dq.go)
 	ssb   []ssbEntry
 	pend  []pendingResult
+
+	// The deferred queue's stable slots, its free-slot stack and the
+	// wakeup chains of its waiting operands (see dq.go). Sized once at
+	// construction, cleared in place by Reset.
+	dqSlots  []dqEntry
+	dqFree   []int32
+	waitHead []int32
+	waitNext []int32
+	waitMask uint64
 
 	// pendMin is the earliest ready cycle among pend entries (meaningful
 	// only while pend is non-empty); deliver scans the list only once the
 	// clock reaches it. Maintained on append (aheadLoad/replay misses,
 	// long ops), on delivery and on rollback squash.
 	pendMin uint64
+
+	// pendSeqMin is the smallest seq among pend entries (meaningful only
+	// while pend is non-empty), maintained at the same points as pendMin.
+	// With the seq-ordered DQ's head it makes oldestUnresolvedSeq O(1).
+	pendSeqMin uint64
 
 	// sbHorizon is a monotonic upper bound on every readyAt value the
 	// scoreboard has ever held. Once the clock passes it, no register is
@@ -415,8 +436,9 @@ type Core struct {
 	// count advances from it at epoch commits.
 	processed uint64
 
-	scoutTriggerSeq uint64 // pending seq whose delivery triggers rollback
-	scoutArmed      bool
+	scoutTriggerSeq   uint64 // pending seq whose delivery triggers rollback
+	scoutTriggerReady uint64 // its arrival cycle: no exit check before it
+	scoutArmed        bool
 
 	// Forward-progress guarantee: after a rollback the triggering
 	// instruction executes without opening new speculation, so that a
@@ -459,11 +481,10 @@ type Core struct {
 	// and the epoch boundary only moves up, so the scan is skipped.
 	resolveDirty bool
 
-	// quiet records that the previous Step made no progress; stall
-	// detection (the purity snapshot in skip.go) only runs on a cycle
-	// whose predecessor was already quiet, keeping the snapshot off the
-	// busy path. A stall window is merely detected one cycle later.
-	quiet bool
+	// quiet counts the consecutive Steps, up to snapAfterQuiet, that made
+	// no progress; stall detection (the purity snapshot in skip.go) only
+	// runs once it is full. See snapAfterQuiet.
+	quiet uint8
 
 	// feStall records that the ahead strand broke on the frontend this
 	// Step (redirect bubble, line fill, or wrong-path garbage), for the
@@ -519,13 +540,15 @@ func New(m *cpu.Machine, cfg Config, entry uint64) *Core {
 		cfg.DQSize = 0
 	}
 	c := &Core{
-		cfg: cfg,
-		m:   m,
-		fe:  cpu.NewFrontend(m, entry),
+		cfg:    cfg,
+		m:      m,
+		fe:     cpu.NewFrontend(m, entry),
+		l1dHit: uint64(m.Hier.Config().L1D.HitLatency),
 	}
 	if cfg.Checkpoints > 0 {
 		c.ckpts = make([]checkpoint, 0, cfg.Checkpoints)
 	}
+	c.dqInit(cfg.DQSize)
 	c.seq = 1 // seq 0 reserved so lastWriter==0 means "no producer"
 	if m.Coherent {
 		// Shared-memory chip: watch remote stores so speculative loads
@@ -585,7 +608,7 @@ func (c *Core) Step() {
 	c.feStall = false
 	dq0, ssb0, at0 := c.stats.DQFullStallCycles, c.stats.SSBFullStallCycles, c.stats.AtomicStallCycles
 	sd0, snf0, sfl0 := c.stats.SecureDelayStallCycles, c.stats.SecureNoFwdStallCycles, c.stats.SecureSSBStallCycles
-	checkStall := c.quiet
+	checkStall := c.quiet >= snapAfterQuiet
 	if checkStall {
 		c.snapInto(&c.snapBuf)
 	}
@@ -623,9 +646,13 @@ func (c *Core) Step() {
 		return
 	}
 
-	c.commitEpochs(now)
+	if c.mode == ModeSpec && c.resolveDirty {
+		c.commitEpochs(now)
+	}
 
-	if c.mode == ModeScout {
+	if c.mode == ModeScout && !(c.scoutArmed && now < c.scoutTriggerReady) {
+		// Before its ready cycle the scout trigger is certainly still
+		// outstanding (see maybeScoutRollback).
 		c.maybeScoutRollback(now)
 	}
 
@@ -651,7 +678,12 @@ func (c *Core) Step() {
 	c.stats.CkptOcc.Add(len(c.ckpts))
 	c.stats.Cycles++
 	c.cycle++
-	c.quiet = executed == 0 && replayed == 0 && !c.done
+	switch {
+	case executed != 0 || replayed != 0 || c.done:
+		c.quiet = 0
+	case c.quiet < snapAfterQuiet:
+		c.quiet++
+	}
 	if checkStall {
 		c.noteStall(&c.snapBuf, executed, replayed, kind, bucket, outstanding, now)
 	}
@@ -735,6 +767,9 @@ func (c *Core) deliver(now uint64) {
 	var min uint64
 	for _, p := range c.pend {
 		if p.ready > now || p.blocked || p.quarantined {
+			if len(live) == 0 || p.seq < c.pendSeqMin {
+				c.pendSeqMin = p.seq
+			}
 			live = append(live, p)
 			if min == 0 || p.ready < min {
 				min = p.ready
@@ -747,6 +782,17 @@ func (c *Core) deliver(now uint64) {
 	}
 	c.pend = live
 	c.pendMin = min
+}
+
+// pushPend records a new pending result, keeping pendMin and pendSeqMin.
+func (c *Core) pushPend(p pendingResult) {
+	if len(c.pend) == 0 || p.ready < c.pendMin {
+		c.pendMin = p.ready
+	}
+	if len(c.pend) == 0 || p.seq < c.pendSeqMin {
+		c.pendSeqMin = p.seq
+	}
+	c.pend = append(c.pend, p)
 }
 
 // deliverRF writes a resolved value into the architectural register file

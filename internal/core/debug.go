@@ -15,7 +15,8 @@ func (c *Core) DebugDump() string {
 		fmt.Fprintf(&b, " {start=%d pc=%#x}", ck.startSeq, ck.pc)
 	}
 	fmt.Fprintf(&b, "\ndq=%d:", len(c.dq))
-	for i, e := range c.dq {
+	for i, k := range c.dq {
+		e := &c.dqSlots[k]
 		if i >= 8 {
 			fmt.Fprintf(&b, " ...")
 			break

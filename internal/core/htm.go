@@ -53,7 +53,7 @@ func (c *Core) lineAddr(addr uint64) uint64 {
 }
 
 // aheadTx handles txbegin/txcommit on the ahead strand.
-func (c *Core) aheadTx(in isa.Inst, pc uint64, seq uint64, now uint64) (cont, redirected bool) {
+func (c *Core) aheadTx(in *isa.Inst, pc uint64, seq uint64, now uint64) (cont, redirected bool) {
 	if c.mode != ModeNormal {
 		// Serialize with SST speculation: wait until every epoch
 		// commits (or scout rolls back) before touching transactions.

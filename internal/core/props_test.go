@@ -162,8 +162,13 @@ func TestOldestUnresolvedSeq(t *testing.T) {
 	if got := c.oldestUnresolvedSeq(); got != 100 {
 		t.Errorf("empty = %d", got)
 	}
-	c.dq = append(c.dq, dqEntry{seq: 42})
-	c.pend = append(c.pend, pendingResult{seq: 17})
+	_, e := c.dqAppend()
+	e.seq = 42
+	if got := c.oldestUnresolvedSeq(); got != 42 {
+		t.Errorf("DQ only: got %d, want 42", got)
+	}
+	c.pushPend(pendingResult{seq: 50})
+	c.pushPend(pendingResult{seq: 17})
 	if got := c.oldestUnresolvedSeq(); got != 17 {
 		t.Errorf("got %d, want 17", got)
 	}
@@ -233,7 +238,7 @@ func TestIsaQuickRandomInstructionsNeverPanic(t *testing.T) {
 			return true
 		}
 		_ = in.String()
-		_, n := in.SrcRegs()
+		n := in.NumSrcs()
 		return n >= 0 && n <= 3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -20,20 +20,19 @@ import (
 func (c *Core) replay(now uint64, budget int) int {
 	replayed := 0
 	for replayed < budget && c.mode == ModeSpec && len(c.dq) > 0 {
-		idx, vals, ok := c.nextReplayable()
+		i, ok := c.nextReplayable()
 		if !ok {
 			break
 		}
-		e := c.dq[idx]
 		// Remove the entry before executing it so a rollback triggered
 		// by the entry itself sees a consistent queue.
-		c.dq = append(c.dq[:idx], c.dq[idx+1:]...)
+		e := c.dqRemove(i)
 		c.dqReady--
 		c.resolveDirty = true
 		if e.in.Op.IsStore() {
 			c.dqStores--
 		}
-		rolledBack := c.replayEntry(&e, vals, now)
+		rolledBack := c.replayEntry(e, now)
 		replayed++
 		c.stats.Replays++
 		if rolledBack {
@@ -43,61 +42,13 @@ func (c *Core) replay(now uint64, budget int) int {
 	return replayed
 }
 
-// nextReplayable finds the oldest DQ entry whose operands have all
-// resolved. Resolved values are forwarded into waiting entries at
-// delivery time (see forward), so readiness is a pure NA-flag scan.
-// There is no ordering gate between deferred memory operations: loads
-// replay optimistically (joining the read set) and stores — whose SSB
-// slots are sequence-sorted — verify against the read set when their
-// addresses resolve, rolling back on a true conflict. Independent miss
-// chains therefore replay fully in parallel.
-func (c *Core) nextReplayable() (idx int, vals [3]int64, ok bool) {
-	if c.dqReady == 0 {
-		return 0, vals, false
-	}
-	for i := range c.dq {
-		e := &c.dq[i]
-		if e.isNA[0] || e.isNA[1] || e.isNA[2] {
-			continue
-		}
-		return i, e.vals, true
-	}
-	return 0, vals, false
-}
-
-// forward broadcasts a freshly resolved value to every DQ entry waiting
-// on the producing sequence number, clearing the operand's NA flag. This
-// is the DQ half of the hardware's fill broadcast (deliverRF is the
-// register-file half): values land in consumers when they resolve, so
-// the replay scan never needs a seq→value lookup table. An entry
-// deferred after its producer resolved cannot exist — deferral captures
-// a dependence only while the register's NA bit is set, and delivery
-// clears that bit everywhere (including checkpoint copies) before any
-// later instruction can observe it.
-func (c *Core) forward(seq uint64, v int64) {
-	for i := range c.dq {
-		e := &c.dq[i]
-		cleared := false
-		for s := 0; s < e.nsrc; s++ {
-			if e.isNA[s] && e.dep[s] == seq {
-				e.vals[s] = v
-				e.isNA[s] = false
-				cleared = true
-			}
-		}
-		if cleared && !(e.isNA[0] || e.isNA[1] || e.isNA[2]) {
-			c.dqReady++
-		}
-	}
-}
-
 // replayEntry executes one resolved DQ entry (already dequeued).
 // It reports whether the entry failed speculation and rolled back.
-func (c *Core) replayEntry(e *dqEntry, vals [3]int64, now uint64) (rolledBack bool) {
-	in := e.in
+func (c *Core) replayEntry(e *dqEntry, now uint64) (rolledBack bool) {
+	in, vals := &e.in, &e.vals
 	switch in.Op.Class() {
 	case isa.ClassALU:
-		v := isa.ALUResult(in, vals[0], vals[1])
+		v := isa.ALUResult(*in, vals[0], vals[1])
 		c.forward(e.seq, v)
 		c.deliverRF(e.seq, in.Rd, v, now)
 
@@ -119,10 +70,7 @@ func (c *Core) replayEntry(e *dqEntry, vals [3]int64, now uint64) (rolledBack bo
 		if c.isMiss(res, now) {
 			// A dependent miss: becomes a pending result; consumers in
 			// the DQ keep waiting on this seq.
-			if len(c.pend) == 0 || res.Ready < c.pendMin {
-				c.pendMin = res.Ready
-			}
-			c.pend = append(c.pend, pendingResult{seq: e.seq, rd: in.Rd, val: v, ready: res.Ready})
+			c.pushPend(pendingResult{seq: e.seq, rd: in.Rd, val: v, ready: res.Ready})
 			c.stats.PendingMisses++
 			return false
 		}

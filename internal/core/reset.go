@@ -21,16 +21,16 @@ func (c *Core) Reset(entry uint64) {
 	c.mode = ModeNormal
 	c.seq = 1
 	c.ckpts = c.ckpts[:0]
-	c.dq = c.dq[:0]
+	c.dqClear()
 	c.ssb = c.ssb[:0]
 	c.pend = c.pend[:0]
 	c.pendMin = 0
+	c.pendSeqMin = 0
 	c.sbHorizon = 0
-	c.dqStores = 0
-	c.dqReady = 0
 	c.readSet = c.readSet[:0]
 	c.processed = 0
 	c.scoutTriggerSeq = 0
+	c.scoutTriggerReady = 0
 	c.scoutArmed = false
 	c.forceProgress = false
 	c.forceProgressPC = 0
@@ -43,7 +43,7 @@ func (c *Core) Reset(entry uint64) {
 	c.err = nil
 	c.cycle = 0
 	c.resolveDirty = false
-	c.quiet = false
+	c.quiet = 0
 	c.snapBuf = stepSnap{}
 	c.feStall = false
 	c.ffNext = 0

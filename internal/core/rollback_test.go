@@ -53,8 +53,8 @@ func TestRollbackRestoresStateAllCauses(t *testing.T) {
 					t.Errorf("speculative SSB entry (seq %d) survived rollback", e.seq)
 				}
 			}
-			for _, e := range c.dq {
-				if e.seq >= ck.startSeq {
+			for _, k := range c.dq {
+				if e := c.dqSlots[k]; e.seq >= ck.startSeq {
 					t.Errorf("speculative DQ entry (seq %d) survived rollback", e.seq)
 				}
 			}

@@ -121,6 +121,9 @@ func (c *Core) secureRelease(now uint64) {
 		if min == 0 || c.pend[i].ready < min {
 			min = c.pend[i].ready
 		}
+		if i == 0 || c.pend[i].seq < c.pendSeqMin {
+			c.pendSeqMin = c.pend[i].seq
+		}
 	}
 	c.pendMin = min
 }
@@ -134,10 +137,7 @@ func (c *Core) secureBlock(op isa.Op, rd uint8, pc, seq, addr uint64, ssbCause, 
 		c.takeCheckpoint(pc) // best effort; epochs merge when full
 	}
 	c.markNA(rd, seq)
-	if len(c.pend) == 0 {
-		c.pendMin = secureHold
-	}
-	c.pend = append(c.pend, pendingResult{
+	c.pushPend(pendingResult{
 		seq: seq, rd: rd, ready: secureHold,
 		op: op, addr: addr, pc: pc,
 		blocked: true, secSSB: ssbCause,
@@ -152,10 +152,7 @@ func (c *Core) secureBlock(op isa.Op, rd uint8, pc, seq, addr uint64, ssbCause, 
 // quarantined when SecureNoNAForward demands it. The caller marks the
 // destination NA (ahead strand) or relies on the defer-time NA (replay).
 func (c *Core) securePend(seq uint64, rd uint8, v int64, ready uint64, miss, quarantine bool) {
-	if len(c.pend) == 0 || ready < c.pendMin {
-		c.pendMin = ready
-	}
-	c.pend = append(c.pend, pendingResult{seq: seq, rd: rd, val: v, ready: ready, quarantined: quarantine})
+	c.pushPend(pendingResult{seq: seq, rd: rd, val: v, ready: ready, quarantined: quarantine})
 	if quarantine {
 		c.secPending++
 		c.stats.SecureQuarantined++
@@ -188,6 +185,9 @@ func (c *Core) dropSecureHolds() {
 	for _, p := range c.pend {
 		if p.blocked || p.quarantined {
 			continue
+		}
+		if len(live) == 0 || p.seq < c.pendSeqMin {
+			c.pendSeqMin = p.seq
 		}
 		live = append(live, p)
 		if min == 0 || p.ready < min {
@@ -234,7 +234,7 @@ func (c *Core) noteSpecAccess(addr uint64, seq uint64, res mem.Result) {
 // speculative load with a known address (mode is ModeSpec or ModeScout).
 // Returns true when the load was fully handled here; false falls
 // through to the unmitigated path.
-func (c *Core) secureLoadGate(in isa.Inst, pc, seq, addr uint64, size int, now uint64) bool {
+func (c *Core) secureLoadGate(in *isa.Inst, pc, seq, addr uint64, size int, now uint64) bool {
 	if c.cfg.SecureEagerSSBFlush && c.ssbOverlaps(addr, size, seq) {
 		// No store-to-load forwarding out of the speculative SSB: hold
 		// the load until it is oldest-unresolved (scout just poisons).
@@ -318,7 +318,7 @@ func (c *Core) secureLoadGate(in isa.Inst, pc, seq, addr uint64, size int, now u
 // the read set and dequeued the entry; its destination is already NA
 // from defer time. Returns true when handled.
 func (c *Core) secureReplayLoad(e *dqEntry, addr uint64, size int, now uint64) bool {
-	in := e.in
+	in := &e.in
 	if c.cfg.SecureEagerSSBFlush && c.ssbOverlaps(addr, size, e.seq) {
 		c.stats.Loads++
 		c.stats.CountLoadLevel(mem.LvlMem)

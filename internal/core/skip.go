@@ -24,6 +24,13 @@ import (
 // fault-injector query (clamp probes record per retry inside an active
 // window). What remains — the genuinely replicable stalls — mutates only
 // time-indexed accounting, which SkipTo replays in closed form.
+//
+// The snapshot copies the whole statistics block, so Step takes it only
+// after snapAfterQuiet consecutive quiet cycles — longer than the two
+// quiet cycles of a taken-branch redirect. A busy loop of progress and
+// redirects then never pays for it, and a real stall opens its window
+// two cycles later than a check after one quiet cycle would. That delay
+// is unobservable: a skipped cycle is bit-identical to a stepped one.
 
 var _ cpu.FastForwarder = (*Core)(nil)
 

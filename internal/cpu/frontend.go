@@ -97,9 +97,16 @@ func (f *Frontend) Advance() { f.pc += isa.InstSize }
 // Next returns the instruction at the current PC if it can be delivered
 // at cycle now. ok is false while the frontend is stalled on a redirect
 // bubble or an instruction-cache fill.
-func (f *Frontend) Next(now uint64) (in isa.Inst, pc uint64, ok bool, err error) {
+//
+// The instruction is returned by reference into the decode memo, so the
+// caller reads it in place instead of receiving (and spilling) the
+// decoded fields by value. The pointer is valid only until the next
+// call: a later fetch may overwrite the memo slot, so anything that
+// keeps an instruction past the current cycle (the SST deferred queue,
+// the OOO window) copies it.
+func (f *Frontend) Next(now uint64) (in *isa.Inst, pc uint64, ok bool, err error) {
 	if now < f.stallUntil {
-		return isa.Inst{}, 0, false, nil
+		return nil, 0, false, nil
 	}
 	line := f.l1i.LineAddr(f.pc)
 	if !f.haveLine || f.lineAddr != line {
@@ -109,7 +116,7 @@ func (f *Frontend) Next(now uint64) (in isa.Inst, pc uint64, ok bool, err error)
 		f.haveLine = true
 	}
 	if now < f.lineReady {
-		return isa.Inst{}, 0, false, nil
+		return nil, 0, false, nil
 	}
 	var w uint64
 	off := f.pc & (mem.PageSize - 1)
@@ -123,14 +130,14 @@ func (f *Frontend) Next(now uint64) (in isa.Inst, pc uint64, ok bool, err error)
 	}
 	e := &f.memo[(f.pc/isa.InstSize)%decodeMemoSize]
 	if e.valid && e.pc == f.pc && e.word == w {
-		return e.in, f.pc, true, nil
+		return &e.in, f.pc, true, nil
 	}
-	in, derr := isa.DecodeWord(w)
+	dec, derr := isa.DecodeWord(w)
 	if derr != nil {
-		return in, f.pc, false, fmt.Errorf("cpu: fetch at pc=%#x: %w", f.pc, derr)
+		return nil, f.pc, false, fmt.Errorf("cpu: fetch at pc=%#x: %w", f.pc, derr)
 	}
-	*e = decodeMemoEntry{pc: f.pc, word: w, in: in, valid: true}
-	return in, f.pc, true, nil
+	*e = decodeMemoEntry{pc: f.pc, word: w, in: dec, valid: true}
+	return &e.in, f.pc, true, nil
 }
 
 // NextDelivery returns the earliest cycle strictly after now at which

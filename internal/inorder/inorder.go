@@ -218,7 +218,7 @@ issueLoop:
 			stall = StallRedirect
 			break
 		}
-		in, pc, ok, err := c.fe.Next(now)
+		next, pc, ok, err := c.fe.Next(now)
 		if err != nil {
 			c.err = err
 			return
@@ -227,10 +227,10 @@ issueLoop:
 			stall = StallFetch
 			break
 		}
+		in := *next
 		// Scoreboard check: stall-on-use.
-		srcs, n := in.SrcRegs()
-		for i := 0; i < n; i++ {
-			if srcs[i] != isa.RegZero && c.readyAt[srcs[i]] > now {
+		for i, n := 0, in.NumSrcs(); i < n; i++ {
+			if r := in.Src(i); r != isa.RegZero && c.readyAt[r] > now {
 				stall = StallData
 				break issueLoop
 			}

@@ -75,8 +75,9 @@ func DecodeWord(w uint64) (Inst, error) {
 }
 
 // srcCount maps each opcode to how many of the ordered source slots
-// (rs1, rs2, rd) it reads; SrcRegs is on every core model's issue path,
-// so the per-class switches are folded into one table lookup.
+// (rs1, rs2, rd) it reads; every core model calls NumSrcs for every
+// instruction it dispatches, so the per-class switches are folded into
+// one table lookup.
 var srcCount = func() (t [NumOps]uint8) {
 	for op := Op(0); int(op) < NumOps; op++ {
 		switch op.Class() {
@@ -103,17 +104,29 @@ var srcCount = func() (t [NumOps]uint8) {
 	return t
 }()
 
-// SrcRegs returns the architectural source registers read by the
-// instruction. n is the number of valid entries (0..3); slots beyond n
-// are unspecified. The third source slot is used only by cas (which
-// reads rd as the swap-in value) and by stores (data register rs2 is
-// reported alongside the address rs1).
-func (in Inst) SrcRegs() (srcs [3]uint8, n int) {
+// NumSrcs returns how many architectural source registers the
+// instruction reads (0..3); Src(i) names source i for i < NumSrcs. The
+// third source slot is used only by cas (which reads rd as the swap-in
+// value) and by stores (data register rs2 is reported alongside the
+// address rs1).
+func (in Inst) NumSrcs() int {
 	if !in.Op.Valid() {
-		return srcs, 0
+		return 0
 	}
-	srcs[0], srcs[1], srcs[2] = in.Rs1, in.Rs2, in.Rd
-	return srcs, int(srcCount[in.Op])
+	return int(srcCount[in.Op])
+}
+
+// Src returns source register i in the ordered slots (rs1, rs2, rd).
+// Reading sources by index rather than as an array keeps the dispatch
+// paths free of a byte-array spill and reload.
+func (in Inst) Src(i int) uint8 {
+	switch i {
+	case 0:
+		return in.Rs1
+	case 1:
+		return in.Rs2
+	}
+	return in.Rd
 }
 
 // DestReg returns the destination register and whether the instruction

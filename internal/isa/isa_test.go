@@ -132,9 +132,11 @@ func TestSrcRegsAndDest(t *testing.T) {
 		{Inst{Op: OpPrefetch, Rs1: 4}, 1, false},
 	}
 	for _, c := range cases {
-		_, n := c.in.SrcRegs()
-		if n != c.nsrc {
+		if n := c.in.NumSrcs(); n != c.nsrc {
 			t.Errorf("%v: nsrc = %d, want %d", c.in, n, c.nsrc)
+		}
+		if got := [3]uint8{c.in.Src(0), c.in.Src(1), c.in.Src(2)}; got != [3]uint8{c.in.Rs1, c.in.Rs2, c.in.Rd} {
+			t.Errorf("%v: source slots = %v, want rs1, rs2, rd", c.in, got)
 		}
 		_, has := c.in.DestReg()
 		if has != c.hasRd {

@@ -369,7 +369,7 @@ func (c *Core) fetch(now uint64) {
 		if c.fe.Stalled(now) {
 			return
 		}
-		in, pc, ok, err := c.fe.Next(now)
+		next, pc, ok, err := c.fe.Next(now)
 		if err != nil {
 			// Decode failure: assume wrong-path garbage and wait for a
 			// squash to redirect fetch. A genuine illegal instruction
@@ -381,6 +381,7 @@ func (c *Core) fetch(now uint64) {
 			c.stats.FetchStallCycles++
 			return
 		}
+		in := *next
 		if in.Op.IsMem() && c.memOps >= c.cfg.LSQSize {
 			return
 		}
@@ -457,10 +458,10 @@ func (c *Core) fetch(now uint64) {
 // on an in-flight producer or the fact that the committed register file
 // will hold the value.
 func (c *Core) captureSources(e *robEntry) {
-	srcs, n := e.in.SrcRegs()
+	n := e.in.NumSrcs()
 	e.nsrc = n
 	for i := 0; i < n; i++ {
-		r := srcs[i]
+		r := e.in.Src(i)
 		e.src[i] = source{reg: r}
 		if r != isa.RegZero && c.tagOK[r] {
 			e.src[i].tag = c.regTag[r]

@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"rocksim/internal/asm"
 	"rocksim/internal/cpu"
 	"rocksim/internal/experiments"
 	"rocksim/internal/faults"
+	"rocksim/internal/mem"
 	"rocksim/internal/sim"
 	"rocksim/internal/workload"
 )
@@ -215,6 +217,63 @@ func TestCellRejectsUnboundedOptions(t *testing.T) {
 	}
 	if _, built := r.PoolStats(); built != 0 {
 		t.Errorf("refused cells built %d machines", built)
+	}
+}
+
+// TestCellRejectsUnboundedChip: every cache of a chip may sit within
+// its own bound while the chip's total does not — 64 cores of two
+// 64 MiB L1s would build about 7 GB of tag store. /v1/cell bounds the
+// cache lines summed over the cell's cores and the shared L2, and a
+// refused chip builds nothing.
+func TestCellRejectsUnboundedChip(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+
+	spec, err := workload.Build("chase", workload.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := func(topo sim.Topology, cores int) sim.Cell {
+		c := sim.Cell{Kind: sim.KindInOrder, Topo: topo}
+		for i := 0; i < cores; i++ {
+			if topo == sim.TopoSharedCMP {
+				c.Entries = append(c.Entries, spec.Program.Entry)
+				continue
+			}
+			c.Progs = append(c.Progs, spec.Program)
+		}
+		if topo == sim.TopoSharedCMP {
+			c.Progs = []*asm.Program{spec.Program}
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		cell sim.Cell
+		set  func(h *mem.HierConfig)
+	}{
+		{"cmp-64 of 64 MiB L1s", chip(sim.TopoCMP, 64), func(h *mem.HierConfig) {
+			h.L1I.SizeBytes, h.L1D.SizeBytes = 64<<20, 64<<20
+		}},
+		{"shared-cmp-64 of 64 MiB L1s", chip(sim.TopoSharedCMP, 64), func(h *mem.HierConfig) {
+			h.L1I.SizeBytes, h.L1D.SizeBytes = 64<<20, 64<<20
+		}},
+		{"cmp-4 of 64 MiB L1Ds and L2", chip(sim.TopoCMP, 4), func(h *mem.HierConfig) {
+			h.L1D.SizeBytes, h.L2.SizeBytes = 64<<20, 64<<20
+		}},
+	} {
+		opts := sim.DefaultOptions()
+		tc.set(&opts.Hier)
+		resp, body := postJSON(t, ts.URL, "/v1/cell", cellJSON(t, NewCellRequest(tc.cell, "test", opts)))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", tc.name, resp.StatusCode, body)
+		} else if !strings.Contains(string(body), "cache lines") {
+			t.Errorf("%s: refusal does not name the cache-line bound: %s", tc.name, body)
+		}
+	}
+	if _, built := r.PoolStats(); built != 0 {
+		t.Errorf("refused chips built %d machines", built)
 	}
 }
 

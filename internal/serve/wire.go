@@ -53,6 +53,12 @@ const (
 	// line count (SizeBytes/LineBytes): 64 MiB of 64-byte lines.
 	maxCacheBytes = 64 << 20
 	maxCacheLines = maxCacheBytes / 64
+	// maxCellLines bounds the cache lines a whole cell builds, summed
+	// over every core's L1I and L1D and the shared L2. The per-cache
+	// bound multiplies with the core count (64 cores of two 64 MiB L1s
+	// would be about 7 GB of tag store); four caches' worth still admits
+	// one core with every cache at its own maximum.
+	maxCellLines = 4 * maxCacheLines
 )
 
 // checkSize refuses a sized option outside [0, max].
@@ -195,10 +201,30 @@ func (r CellRequest) Resolve() (sim.Cell, sim.Options, error) {
 	if err := c.Validate(); err != nil {
 		return sim.Cell{}, sim.Options{}, err
 	}
+	if n := cellLines(c, opts.Hier); n > maxCellLines {
+		return sim.Cell{}, sim.Options{}, fmt.Errorf("cell builds %d cache lines over its cores and L2, more than %d", n, maxCellLines)
+	}
 	if key := experiments.CellKey(c, opts); key != r.Key {
 		return sim.Cell{}, sim.Options{}, fmt.Errorf("cell key mismatch after resolving programs: got %q want %q", key, r.Key)
 	}
 	return c, opts, nil
+}
+
+// cellLines counts the cache lines cell c builds under h: each core's
+// L1I and L1D plus the one shared L2. A single core and an SMT pair
+// build one core's caches, a chip one set per core.
+func cellLines(c sim.Cell, h mem.HierConfig) int {
+	cores := 1
+	if c.Topo == sim.TopoCMP || c.Topo == sim.TopoSharedCMP {
+		cores = c.Shape().Width
+	}
+	lines := func(cc mem.CacheConfig) int {
+		if cc.LineBytes <= 0 {
+			return 0 // refused by the hierarchy's own validation
+		}
+		return cc.SizeBytes / cc.LineBytes
+	}
+	return cores*(lines(h.L1I)+lines(h.L1D)) + lines(h.L2)
 }
 
 // CellResponse is the body of a 200 from POST /v1/cell. Exactly one of

@@ -273,9 +273,17 @@ func TestFastForwardEngages(t *testing.T) {
 	build("inorder", func(m *cpu.Machine) cpu.FastForwarder {
 		return inorder.New(m, opts.InOrder, w.Program.Entry)
 	})
-	build("sst", func(m *cpu.Machine) cpu.FastForwarder {
-		return core.New(m, opts.SST, w.Program.Entry)
-	})
+	// The SST family's purity snapshot is gated on a run of quiet cycles
+	// (core.snapAfterQuiet); the gate must leave every variant skipping.
+	for _, k := range []Kind{KindSST, KindSSTEA, KindSSTBig} {
+		cfg, err := coreConfig(k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build(k.String(), func(m *cpu.Machine) cpu.FastForwarder {
+			return core.New(m, cfg.(core.Config), w.Program.Entry)
+		})
+	}
 }
 
 // smtPair builds one SMT physical core running two workloads.

@@ -8,11 +8,12 @@ import (
 
 	"rocksim/internal/asm"
 	"rocksim/internal/isa"
+	"rocksim/internal/progen"
 )
 
 // Native coverage-guided fuzzing of the differential oracle. The fuzz
 // input is not a serialized program (arbitrary bytes rarely assemble);
-// it is the *choice stream* driving progGen: every random decision the
+// it is the *choice stream* driving progen.Gen: every random decision the
 // generator makes consumes input bytes, so the mutator explores program
 // shapes — loop nesting, tx placement, address mixes — through byte
 // edits, while every input still yields a valid, terminating program.
@@ -62,8 +63,7 @@ func (b *byteSource) Int63() int64 { return int64(b.Uint64() >> 1) }
 // fuzzProgram generates the program a fuzz input encodes.
 func fuzzProgram(data []byte) (*asm.Program, error) {
 	nstmt := 8 + len(data)%120
-	g := &progGen{r: rand.New(newByteSource(data)), b: asm.NewBuilder(asm.DefaultTextBase)}
-	return genWith(g, nstmt)
+	return progen.New(rand.New(newByteSource(data)), false).Program(nstmt)
 }
 
 // diffCheck runs prog on the golden emulator and every core model and

@@ -10,6 +10,7 @@ import (
 
 	"rocksim/internal/asm"
 	"rocksim/internal/faults"
+	"rocksim/internal/progen"
 )
 
 // The gadget corpus: Spectre-v1 bounds-check-bypass programs whose
@@ -250,7 +251,7 @@ s:      .quad 0x42
 // --- leak fuzz ---
 
 // leakSecretBase places the fuzz secret outside the generated programs'
-// data window [fuzzDataBase, fuzzDataBase+fuzzDataSize): every load and
+// data window [progen.DataBase, progen.DataBase+progen.DataSize): every load and
 // store address is masked into the window, so no generated program can
 // touch the secret architecturally or speculatively. The invariant is
 // therefore total: the oracle must report such programs clean on every
@@ -260,10 +261,10 @@ s:      .quad 0x42
 const leakSecretBase = 0x218000
 
 func genLeakProgram(seed int64, nstmt int) (*asm.Program, error) {
-	g := &progGen{r: rand.New(rand.NewSource(seed)), b: asm.NewBuilder(asm.DefaultTextBase), noTx: true}
-	g.b.Data(leakSecretBase, []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04})
-	g.b.Secret(leakSecretBase, 8)
-	return genWith(g, nstmt)
+	g := progen.New(rand.New(rand.NewSource(seed)), true)
+	g.Builder().Data(leakSecretBase, []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04})
+	g.Builder().Secret(leakSecretBase, 8)
+	return g.Program(nstmt)
 }
 
 // checkLeakSeed verifies oracle cleanliness for one (program, plan)
