@@ -5,12 +5,13 @@
 # against -j 1, the fault-fuzz smoke (fixed seeds, bounded wall-clock)
 # of the speculation-invisibility oracle, the leak-fuzz smoke (gadget
 # corpus + fixed seeds through the transient-leakage oracle), a bounded
-# coverage-guided differential fuzz session (fuzz-short), and the
-# rocksimd service
-# smoke (serve-smoke: load, grid byte-identity, SIGTERM drain), the
+# coverage-guided differential fuzz session (fuzz-short), the rocksimd
+# service smoke (serve-smoke: load, grid byte-identity, SIGTERM drain), the
 # fleet smoke (fleet-smoke: 3 shards behind rockgate, /v1/run load, grid
-# byte-identity, loss-free drain of all four processes), and the
-# rockbench golden digests of every experiment's text (rockbench-test);
+# byte-identity, loss-free drain of all four processes), the
+# rockbench golden digests of every experiment's text (rockbench-test),
+# and the benchmark guard (bench-guard: three rockbench runs compared
+# against the committed BENCH_rockbench.json, about 6–7 min);
 # determinism re-runs the observability tests twice in one process to
 # prove the exports are byte-stable across map-iteration orders.
 
@@ -83,7 +84,7 @@ serve-smoke:
 	for i in $$(seq 1 50); do \
 		/tmp/rockload-smoke -addr http://127.0.0.1:8321 -healthz >/dev/null 2>&1 && break; sleep 0.2; \
 	done; \
-	/tmp/rockload-smoke -addr http://127.0.0.1:8321 -n 120 -c 8 -scale test -o /tmp/BENCH_serve_smoke.json; \
+	/tmp/rockload-smoke -addr http://127.0.0.1:8321 -n 120 -c 8 -scale test; \
 	/tmp/rockload-smoke -addr http://127.0.0.1:8321 -scale test -grid-exps T1,F3,F12 -grid-out /tmp/serve-grid.txt; \
 	/tmp/sstbench-smoke -scale test -j 1 -exp T1,F3,F12 | grep -v 'regenerated in' > /tmp/serve-grid-ref.txt; \
 	diff -u /tmp/serve-grid-ref.txt /tmp/serve-grid.txt; \
@@ -106,8 +107,10 @@ fleet-smoke:
 	/tmp/rocksimd-smoke -addr 127.0.0.1:8332 -shard-id s1 & p1=$$!; \
 	/tmp/rocksimd-smoke -addr 127.0.0.1:8333 -shard-id s2 & p2=$$!; \
 	trap 'kill $$p0 $$p1 $$p2 $$pg 2>/dev/null || true' EXIT; \
-	for i in $$(seq 1 50); do \
-		/tmp/rockload-smoke -targets http://127.0.0.1:8331,http://127.0.0.1:8332,http://127.0.0.1:8333 -healthz >/dev/null 2>&1 && break; sleep 0.2; \
+	for port in 8331 8332 8333; do \
+		for i in $$(seq 1 50); do \
+			/tmp/rockload-smoke -addr http://127.0.0.1:$$port -healthz >/dev/null 2>&1 && break; sleep 0.2; \
+		done; \
 	done; \
 	/tmp/rockgate-smoke -addr 127.0.0.1:8330 -shards http://127.0.0.1:8331,http://127.0.0.1:8332,http://127.0.0.1:8333 & pg=$$!; \
 	for i in $$(seq 1 50); do \
@@ -141,7 +144,7 @@ bpred-grid-smoke:
 	done; \
 	/tmp/rockload-smoke -addr http://127.0.0.1:8341 -scale test -grid-exps B1 -grid-out /tmp/bpred-grid-serve.txt; \
 	diff -u /tmp/bpred-grid-j1.txt /tmp/bpred-grid-serve.txt; \
-	/tmp/rockload-smoke -addr http://127.0.0.1:8341 -n 20 -c 4 -scale test -o /tmp/BENCH_bpred_smoke.json >/dev/null; \
+	/tmp/rockload-smoke -addr http://127.0.0.1:8341 -n 20 -c 4 -scale test >/dev/null; \
 	curl -sf http://127.0.0.1:8341/metrics | grep -q '^rocksim_bpred_dir_lookups '; \
 	curl -sf http://127.0.0.1:8341/metrics | grep -q '^rocksim_bpred_deferred_dir_trains '; \
 	kill -TERM $$pid; wait $$pid; \
@@ -163,28 +166,41 @@ trace-smoke:
 	/tmp/tracelint -trace /tmp/trace-grid.json
 	@echo "trace-smoke: traces render-valid; cpi_stack sums to cycles"
 
-# Measure simulator throughput (simulated cycles per wall-clock second
-# and allocations per run, every core kind) and record the baseline JSON
-# consumed by bench-guard. Machine-specific: regenerate on the machine
-# that runs the guard.
+# Record the benchmark baseline: ten all-workload rockbench reports
+# (cmd/rockbench/bench.sh, seeds 1-10, the default 25 s per workload),
+# one compact JSON line each, concatenated into BENCH_rockbench.json.
+# A report with wrong output ("correct":false) is refused. Takes about
+# 23 min on a 2-vCPU Xeon VM (one run is about 2.3 min). Work files stay
+# under .bench_build/.
 bench:
-	$(GO) run ./cmd/simthroughput -o BENCH_simthroughput.json
-	$(GO) run ./cmd/rockload -self -n 200 -c 8 -scale test -o BENCH_serve.json
-	$(GO) run ./cmd/rockload -fleet-bench -fleet-sizes 1,2,4 -shard-jobs 1 -n 60 -c 6 -scale test -o BENCH_serve.json
+	@set -e; $(call bench_runs,.bench_build/record,1 2 3 4 5 6 7 8 9 10); \
+	cp .bench_build/record/all.json BENCH_rockbench.json; \
+	echo "bench: wrote BENCH_rockbench.json (10 reports)"
 
-# Fail when any kind runs at <80% of the recorded simcycles/s or
-# allocates >120% of the recorded allocs/op, when a pooled (reused
-# sim.Instance) short-program run exceeds 100 allocs/op — an ABSOLUTE
-# ceiling, independent of the baseline — or falls under 80% of the
-# recorded pooled runs/s, or when the service serves
-# <80% of the recorded req/s (p95 >120% + 5ms also fails); when the
-# baseline carries a "fleet" section, each recorded fleet size is
-# re-measured and must hold >=80% of its recorded cell throughput and
-# scaling factor with no new popular-cell misses; a missing baseline
-# (or missing fleet section) skips the corresponding guard.
+# Defend the baseline: three fresh rockbench runs (seeds 1-3) into
+# .bench_build/guard/, then `bench.sh -compare` against the committed
+# BENCH_rockbench.json. Fails when the baseline is missing, when any
+# fresh report has wrong output ("correct":false), or on any REGRESSION
+# verdict (an end-to-end median worse than its bound in BENCHMARK.json).
+# There is no skip path. Takes about 6–7 min on a 2-vCPU Xeon VM.
 bench-guard:
-	$(GO) run ./cmd/simthroughput -check BENCH_simthroughput.json
-	$(GO) run ./cmd/rockload -check BENCH_serve.json
+	@set -e; \
+	test -f BENCH_rockbench.json || { echo "bench-guard: FAIL: BENCH_rockbench.json is missing (record it with make bench)" >&2; exit 1; }; \
+	$(call bench_runs,.bench_build/guard,1 2 3); \
+	bash cmd/rockbench/bench.sh -compare BENCH_rockbench.json .bench_build/guard/all.json; \
+	echo "bench-guard: no regression against BENCH_rockbench.json"
+
+# bench_runs runs rockbench once per seed in $(2), writing each report
+# into directory $(1) and appending it to $(1)/all.json. It fails the
+# recipe on a report with "correct":false (an operation failed or its
+# simulated output missed the golden digest), for which rockbench itself
+# exits 0.
+bench_runs = rm -rf $(1); mkdir -p $(1); \
+	for s in $(2); do \
+		bash cmd/rockbench/bench.sh -seed $$s -o $(1)/seed$$s.json; \
+		if grep -q '"correct":false' $(1)/seed$$s.json; then echo "bench: FAIL: $(1)/seed$$s.json has wrong output (\"correct\":false)" >&2; exit 1; fi; \
+		cat $(1)/seed$$s.json >> $(1)/all.json; \
+	done
 
 # CPU+heap profile of a test-scale sstbench run, for hot-loop work (see
 # docs/PERFORMANCE.md). Inspect with: go tool pprof cpu.prof

@@ -2,8 +2,8 @@
 // bench regenerates its artifact (at test scale, so the full suite runs
 // in minutes) and reports the headline numbers as custom metrics; the
 // full-scale numbers in EXPERIMENTS.md come from `go run ./cmd/sstbench
-// -scale full`. Simulator-throughput benches at the bottom measure the
-// simulator itself (simulated cycles per wall second).
+// -scale full`. Simulator speed per core kind is measured end to end by
+// cmd/rockbench (sim.mcycles_per_s.<kind>), not here.
 package rocksim_test
 
 import (
@@ -131,35 +131,6 @@ func BenchmarkFigure16HTMContention(b *testing.B) {
 func BenchmarkTable3AreaPowerProxy(b *testing.B) {
 	benchExperiment(b, "T3", nil)
 }
-
-// Simulator-throughput benches: how many simulated cycles and retired
-// instructions per wall-clock second each core model achieves on the
-// OLTP workload. Useful for tracking simulator performance regressions.
-func benchSimulatorThroughput(b *testing.B, kind rocksim.CoreKind) {
-	w, err := rocksim.BuildWorkload("oltp", rocksim.ScaleTest)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := rocksim.DefaultOptions()
-	var cycles, insts uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := rocksim.Run(kind, w.Program, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-		insts += res.Retired
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "siminsts/s")
-}
-
-func BenchmarkSimInOrder(b *testing.B)  { benchSimulatorThroughput(b, rocksim.InOrder) }
-func BenchmarkSimOOOSmall(b *testing.B) { benchSimulatorThroughput(b, rocksim.OOOSmall) }
-func BenchmarkSimOOOLarge(b *testing.B) { benchSimulatorThroughput(b, rocksim.OOOLarge) }
-func BenchmarkSimSST(b *testing.B)      { benchSimulatorThroughput(b, rocksim.SST) }
-func BenchmarkSimScout(b *testing.B)    { benchSimulatorThroughput(b, rocksim.Scout) }
 
 // BenchmarkEmulator measures the golden functional model's speed.
 func BenchmarkEmulator(b *testing.B) {

@@ -16,17 +16,13 @@ import (
 // ring over N rocksimd shards, one shared tuned http.Client (so every
 // per-target connection pool is reused across the whole process), a
 // per-shard concurrency bound, and health-driven membership. rockgate
-// routes through a Fleet, and rockload -targets drives one directly —
-// both agree on placement because both hash the same key space onto
-// the same ring.
+// routes every request through a Fleet.
 type Fleet struct {
 	targets []string
 	clients map[string]*Client
 	sems    map[string]chan struct{}
 	mon     *fleet.Monitor
 	httpc   *http.Client
-	// perShard is the per-shard concurrency bound (semaphore size).
-	perShard int
 }
 
 // FleetConfig parameterizes NewFleet. Zero values get defaults.
@@ -58,11 +54,10 @@ func NewFleet(targets []string, cfg FleetConfig) (*Fleet, error) {
 		httpc = NewHTTPClient(cfg.PerShard)
 	}
 	f := &Fleet{
-		targets:  append([]string(nil), targets...),
-		clients:  make(map[string]*Client, len(targets)),
-		sems:     make(map[string]chan struct{}, len(targets)),
-		httpc:    httpc,
-		perShard: cfg.PerShard,
+		targets: append([]string(nil), targets...),
+		clients: make(map[string]*Client, len(targets)),
+		sems:    make(map[string]chan struct{}, len(targets)),
+		httpc:   httpc,
 	}
 	for _, t := range targets {
 		if f.clients[t] != nil {
@@ -91,13 +86,6 @@ func (f *Fleet) probe(target string) error {
 
 // Monitor exposes the fleet's health state and probe controls.
 func (f *Fleet) Monitor() *fleet.Monitor { return f.mon }
-
-// Targets returns the configured targets in order (membership may be a
-// subset at any moment; see Monitor().Snapshot()).
-func (f *Fleet) Targets() []string { return append([]string(nil), f.targets...) }
-
-// PerShard returns the per-shard concurrency bound.
-func (f *Fleet) PerShard() int { return f.perShard }
 
 // Client returns the per-target client (nil for an unknown target).
 func (f *Fleet) Client(target string) *Client { return f.clients[target] }
@@ -192,21 +180,6 @@ func (f *Fleet) Run(ctx context.Context, req serve.RunRequest) (*RunResult, stri
 		lastErr = err
 	}
 	return nil, "", fmt.Errorf("all shards failed for key: %w", lastErr)
-}
-
-// HealthAll fetches every configured shard's /healthz in target order;
-// a nil entry marks an unreachable shard.
-func (f *Fleet) HealthAll() map[string]*Health {
-	out := make(map[string]*Health, len(f.targets))
-	for _, t := range f.targets {
-		h, err := f.clients[t].Health()
-		if err != nil {
-			out[t] = nil
-			continue
-		}
-		out[t] = h
-	}
-	return out
 }
 
 // MetricsAll scrapes every reachable shard's /metrics and sums the
