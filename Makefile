@@ -214,7 +214,10 @@ determinism:
 
 ci: tier1 tier2 determinism
 
-# Regenerate the Chrome-trace golden file after a deliberate exporter
-# format change.
+# Regenerate golden files after a deliberate output change: the
+# Chrome-trace golden (after an exporter format change) and the
+# experiments' failure-path digests (after a deliberate change to how an
+# experiment renders; TestFailurePathDigests -update).
 golden:
 	$(GO) test ./internal/obs -run TestObsChromeGolden -update
+	$(GO) test ./internal/experiments -run TestFailurePathDigests -update

@@ -33,14 +33,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment ids (T1, T2, F1..F16, S1, T3) or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(experiments.All, ", ")+") or 'all'")
 	scaleFlag := flag.String("scale", "full", "workload scale: test | full")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulation runs (1 = serial; output is identical either way)")
 	chart := flag.Bool("chart", false, "also render each figure as ASCII bar charts")
 	metricsOut := flag.String("metrics", "", "write per-experiment wall-clock and row counters as flat JSON ('-' = stdout)")
 	chromeOut := flag.String("chrome-trace", "", "write a Chrome trace_event JSON of per-experiment wall-clock spans (ts = µs since start)")
 	traceOut := flag.String("trace", "", "write request-scoped spans (grid root + one child per experiment, Chrome JSON) to this file")
-	faultsFlag := flag.String("faults", "", "deterministic fault plan applied to every grid cell (faults.Parse syntax; see docs/ROBUSTNESS.md)")
+	faultsFlag := flag.String("faults", "", "deterministic fault plan applied to every grid cell, e.g. 'seed=7;ckpt-deny@100-200' or 'random:SEED' (see docs/ROBUSTNESS.md)")
 	timeout := flag.Duration("timeout", 0, "wall-clock watchdog per simulation cell (e.g. 30s; 0 = none); a tripped cell renders as ERR(deadline)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after all experiments) to this file")
@@ -104,7 +104,7 @@ func main() {
 		opts := sim.DefaultOptions()
 		opts.Timeout = *timeout
 		if *faultsFlag != "" {
-			plan, err := faults.Parse(*faultsFlag)
+			plan, err := faults.ParseSpec(*faultsFlag)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "sstbench:", err)
 				os.Exit(2)

@@ -377,6 +377,3 @@ func (b *Builder) Finish() (*Program, error) {
 	p.digest.owner = p
 	return p, nil
 }
-
-// NumInsts returns the number of instructions emitted so far.
-func (b *Builder) NumInsts() int { return len(b.insts) }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"rocksim/internal/asm"
 	"rocksim/internal/bpred"
@@ -44,63 +45,58 @@ var bpredSMTPairs = [][2]string{{"gcc", "gcc"}, {"brfield", "brfield"}, {"brfiel
 func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 	opts := r.BaseOptions()
 	names := workload.LoopHeavyNames
-	nk, nm := len(bpredKinds), len(bpredShareModes)
+	specs, err := workload.BuildSuite(names, scale)
+	if err != nil {
+		return nil, err
+	}
+	predOpts := func(k bpred.Kind, m bpred.ShareMode) sim.Options {
+		o := opts
+		o.Pred.Kind, o.Pred.Share = k, m
+		return o
+	}
 
 	// B1a: single SST core per (workload, kind); the share mode is
 	// deliberately left at base (one strand cannot observe sharing), so
 	// these cells dedup with any other experiment touching the same kind.
-	cells := make([]cell, 0, len(names)*nk)
-	for _, n := range names {
-		w, err := workload.Build(n, scale)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range bpredKinds {
-			o := opts
-			o.Pred.Kind = k
-			cells = append(cells, coreCell(sim.KindSST, w, o))
-		}
-	}
-	outs, errs1 := r.runCells(cells)
+	g1 := r.runGrid(len(specs), len(bpredKinds), func(row, col int) cell {
+		return coreCell(sim.KindSST, specs[row], predOpts(bpredKinds[col], opts.Pred.Share))
+	})
 	t1 := stats.NewTable("B1a: deferred-branch prediction, one SST core",
 		"workload", "kind", "deferred", "mispred", "mispred%", "rb-branch", "ipc")
-	for i := range cells {
-		wname, kname := names[i/nk], bpredKinds[i%nk].String()
-		if errs1[i] != nil {
-			t1.AddRow(fillErr([]any{wname, kname}, 5, errs1[i])...)
-			continue
+	for row, n := range names {
+		for col, k := range bpredKinds {
+			vals := []any{n, k.String()}
+			if out, err := g1.at(row, col); err != nil {
+				vals = fillErr(vals, 5, err)
+			} else {
+				s := out.SST
+				vals = append(vals, s.DeferredBranches, s.DeferredBranchMispred,
+					pct(s.DeferredBranchMispred, s.DeferredBranches),
+					s.RollbacksBy[core.RbBranch], out.IPC())
+			}
+			t1.AddRow(vals...)
 		}
-		s := outs[i].SST
-		t1.AddRow(wname, kname, s.DeferredBranches, s.DeferredBranchMispred,
-			pct(s.DeferredBranchMispred, s.DeferredBranches),
-			s.RollbacksBy[core.RbBranch], outs[i].IPC())
 	}
 
-	// B1b: SMT-2 share grid, one pair cell per (pair, kind, mode),
-	// assembled in flat-index order.
-	smtCells := make([]cell, 0, len(bpredSMTPairs)*nk*nm)
-	for _, p := range bpredSMTPairs {
-		wa, err := workload.Build(p[0], scale)
-		if err != nil {
-			return nil, err
-		}
-		wb, err := workload.Build(p[1], scale)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range bpredKinds {
-			for _, m := range bpredShareModes {
-				o := opts
-				o.Pred.Kind = k
-				o.Pred.Share = m
-				smtCells = append(smtCells, cell{sim.Cell{Kind: sim.KindInOrder, Topo: sim.TopoSMT,
-					Progs: []*asm.Program{wa.Program, wb.Program}}, o})
+	// B1b: SMT-2 share grid, one pair cell per mode in each (pair, kind)
+	// row.
+	pairs := make([][]*asm.Program, len(bpredSMTPairs))
+	for i, p := range bpredSMTPairs {
+		for _, n := range p {
+			w, err := workload.Build(n, scale)
+			if err != nil {
+				return nil, err
 			}
+			pairs[i] = append(pairs[i], w.Program)
 		}
 	}
-	smtOuts, errs2 := r.runCells(smtCells)
+	nk := len(bpredKinds)
+	g2 := r.runGrid(len(pairs)*nk, len(bpredShareModes), func(row, col int) cell {
+		return cell{sim.Cell{Kind: sim.KindInOrder, Topo: sim.TopoSMT, Progs: pairs[row/nk]},
+			predOpts(bpredKinds[row%nk], bpredShareModes[col])}
+	})
 	// smtRate is a pair's aggregate direction-mispredict rate.
-	smtRate := func(out sim.Outcome) float64 {
+	smtRate := func(out *sim.Outcome) float64 {
 		var look, mis uint64
 		for _, th := range out.Threads {
 			look += th.Pred.DirLookups
@@ -113,62 +109,37 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 		h2 = append(h2, "misp% "+m.String(), "ipc "+m.String())
 	}
 	t2 := stats.NewTable("B1b: SMT-2 predictor sharing (both strands busy)", h2...)
-	for pi, p := range bpredSMTPairs {
-		for ki, k := range bpredKinds {
-			row := []any{p[0] + "+" + p[1], k.String()}
-			for mi := range bpredShareModes {
-				i := pi*nk*nm + ki*nm + mi
-				if errs2[i] != nil {
-					row = fillErr(row, 2, errs2[i])
-					continue
-				}
-				row = append(row, smtRate(smtOuts[i]), smtOuts[i].IPC())
-			}
-			t2.AddRow(row...)
-		}
+	for row := 0; row < len(pairs)*nk; row++ {
+		p, k := bpredSMTPairs[row/nk], bpredKinds[row%nk]
+		t2.AddRow(g2.row([]any{p[0] + "+" + p[1], k.String()}, row, 2, func(_ int, out *sim.Outcome) []any {
+			return []any{smtRate(out), out.IPC()}
+		})...)
 	}
 
 	// B1c: 4-core SST CMP share grid over the loop-heavy mix.
-	progs := make([]*asm.Program, 0, len(names))
-	for _, n := range names {
-		w, err := workload.Build(n, scale)
-		if err != nil {
-			return nil, err
-		}
+	progs := make([]*asm.Program, 0, len(specs))
+	for _, w := range specs {
 		progs = append(progs, w.Program)
 	}
-	cmpCells := make([]cell, 0, nk*nm)
-	for _, k := range bpredKinds {
-		for _, m := range bpredShareModes {
-			o := opts
-			o.Pred.Kind = k
-			o.Pred.Share = m
-			cmpCells = append(cmpCells, cell{sim.Cell{Kind: sim.KindSST, Topo: sim.TopoCMP, Progs: progs}, o})
-		}
-	}
-	cmpOuts, errs3 := r.runCells(cmpCells)
+	g3 := r.runGrid(nk, len(bpredShareModes), func(row, col int) cell {
+		return cell{sim.Cell{Kind: sim.KindSST, Topo: sim.TopoCMP, Progs: progs},
+			predOpts(bpredKinds[row], bpredShareModes[col])}
+	})
 	h3 := []string{"kind"}
 	for _, m := range bpredShareModes {
 		h3 = append(h3, "dmisp% "+m.String(), "rb-branch "+m.String(), "ipc/chip "+m.String())
 	}
 	t3 := stats.NewTable(fmt.Sprintf("B1c: CMP-%d SST predictor sharing (loop-heavy mix)", len(progs)), h3...)
-	for ki, k := range bpredKinds {
-		row := []any{k.String()}
-		for mi := range bpredShareModes {
-			i := ki*nm + mi
-			if errs3[i] != nil {
-				row = fillErr(row, 3, errs3[i])
-				continue
-			}
+	for row, k := range bpredKinds {
+		t3.AddRow(g3.row([]any{k.String()}, row, 3, func(_ int, out *sim.Outcome) []any {
 			var def, mis, rb uint64
-			for _, th := range cmpOuts[i].Threads {
+			for _, th := range out.Threads {
 				def += th.SST.DeferredBranches
 				mis += th.SST.DeferredBranchMispred
 				rb += th.SST.RollbacksBy[core.RbBranch]
 			}
-			row = append(row, pct(mis, def), rb, cmpOuts[i].IPC())
-		}
-		t3.AddRow(row...)
+			return []any{pct(mis, def), rb, out.IPC()}
+		})...)
 	}
 
 	// Headline: the tage-vs-gshare delta on the two engineered
@@ -178,43 +149,37 @@ func (r *Runner) BpredGrid(scale workload.Scale) (*Result, error) {
 		"one strand cannot observe sharing: partitioned, shared and hashed collapse byte-identically (hashed salts strand 0 with 0)",
 	}
 	for _, w := range []string{"brfield", "loopnest"} {
-		gi, ti := -1, -1
-		for wi, n := range names {
-			if n == w {
-				gi, ti = wi*nk, wi*nk+1
-			}
-		}
-		if gi < 0 || errs1[gi] != nil || errs1[ti] != nil {
+		row := slices.Index(names, w)
+		if row < 0 || g1.rowErr(row) != nil {
 			continue
 		}
-		gs, ts := outs[gi].SST, outs[ti].SST
+		gout, _ := g1.at(row, 0)
+		tout, _ := g1.at(row, 1)
+		gs, ts := gout.SST, tout.SST
 		notes = append(notes, fmt.Sprintf(
 			"%s: tage cuts the deferred mispredict rate %.2f%% -> %.2f%% (rb-branch %d -> %d), ipc %.3f -> %.3f (%+.1f%%)",
 			w,
 			pct(gs.DeferredBranchMispred, gs.DeferredBranches),
 			pct(ts.DeferredBranchMispred, ts.DeferredBranches),
 			gs.RollbacksBy[core.RbBranch], ts.RollbacksBy[core.RbBranch],
-			outs[gi].IPC(), outs[ti].IPC(), 100*(outs[ti].IPC()/outs[gi].IPC()-1)))
+			gout.IPC(), tout.IPC(), 100*(tout.IPC()/gout.IPC()-1)))
 	}
 
-	// Sharing-policy observation, computed from the gshare rows of B1b:
-	// pooling helps a homogeneous coschedule and hurts a phase-shifted
-	// one, while hashing tracks partitioned.
-	if gi := 0; errs2[gi*nk*nm] == nil && errs2[gi*nk*nm+1] == nil {
-		part, shared := smtOuts[gi*nk*nm], smtOuts[gi*nk*nm+1]
+	// Sharing-policy observation, computed from the gshare row of the
+	// first pair in B1b: pooling helps a homogeneous coschedule and hurts
+	// a phase-shifted one, while hashing tracks partitioned.
+	part, perr := g2.at(0, 0)
+	shared, serr := g2.at(0, 1)
+	if perr == nil && serr == nil {
 		notes = append(notes, fmt.Sprintf(
 			"gcc+gcc (gshare): pooled tables share training constructively, mispredict %.2f%% -> %.2f%%",
 			smtRate(part), smtRate(shared)))
 	}
-	var allErrs []error
-	allErrs = append(allErrs, errs1...)
-	allErrs = append(allErrs, errs2...)
-	allErrs = append(allErrs, errs3...)
 	return &Result{
 		ID: "B1", Title: "Branch prediction: kind x sharing grid",
 		Tables: []*stats.Table{t1, t2, t3},
 		Notes:  notes,
-		Errs:   collectErrs(allErrs),
+		Errs:   errLines(g1, g2, g3),
 	}, nil
 }
 

@@ -42,29 +42,19 @@ func (r *Runner) CMPScaling(scale workload.Scale) (*Result, error) {
 		}
 		mixes[ci] = progs
 	}
-	// One chip cell per (count, kind); rows assemble in order.
-	cells := make([]cell, 0, len(counts)*len(kinds))
-	for ci := range counts {
-		for _, k := range kinds {
-			cells = append(cells, cell{sim.Cell{Kind: k, Topo: sim.TopoCMP, Progs: mixes[ci]}, opts})
-		}
-	}
-	outs, errs := r.runCells(cells)
-	for ci, n := range counts {
-		row := []any{n}
-		for ki := range kinds {
-			if err := errs[ci*len(kinds)+ki]; err != nil {
-				row = fillErr(row, 2, err)
-				continue
-			}
-			tp := outs[ci*len(kinds)+ki].IPC()
-			row = append(row, tp, tp/float64(n))
-		}
-		t.AddRow(row...)
+	// One chip cell per (count, kind).
+	g := r.runGrid(len(counts), len(kinds), func(row, col int) cell {
+		return cell{sim.Cell{Kind: kinds[col], Topo: sim.TopoCMP, Progs: mixes[row]}, opts}
+	})
+	for row, n := range counts {
+		t.AddRow(g.row([]any{n}, row, 2, func(_ int, out *sim.Outcome) []any {
+			tp := out.IPC()
+			return []any{tp, tp / float64(n)}
+		})...)
 	}
 	return &Result{
 		ID: "F9", Title: "CMP throughput scaling", Tables: []*stats.Table{t},
 		Notes: []string{"per-core IPC decays with contention; aggregate throughput keeps rising"},
-		Errs:  collectErrs(errs),
+		Errs:  errLines(g),
 	}, nil
 }

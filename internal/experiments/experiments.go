@@ -17,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rocksim/internal/cpu"
 	"rocksim/internal/obs"
 	"rocksim/internal/sim"
 	"rocksim/internal/stats"
@@ -63,24 +62,9 @@ type PanicError struct {
 func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Value) }
 
 // errCell renders a failed cell for a table: a short ERR(reason) tag in
-// place of the number, with the reason classifying the failure.
+// place of the number, with ErrClass's reason.
 func errCell(err error) string {
-	var pe *PanicError
-	var re *RemoteError
-	switch {
-	case errors.Is(err, cpu.ErrLivelock):
-		return "ERR(livelock)"
-	case errors.Is(err, cpu.ErrCycleLimit):
-		return "ERR(cycle-limit)"
-	case errors.Is(err, cpu.ErrDeadline):
-		return "ERR(deadline)"
-	case errors.As(err, &pe):
-		return "ERR(panic)"
-	case errors.As(err, &re) && re.Class == ErrClassPanic:
-		// A panic on a remote shard: same cell text as a local panic.
-		return "ERR(panic)"
-	}
-	return "ERR(run-failed)"
+	return "ERR(" + ErrClass(err) + ")"
 }
 
 // fillErr appends n ERR(reason) cells to a table row whose simulation
@@ -279,30 +263,86 @@ func coreCell(k sim.Kind, w *workload.Spec, opts sim.Options) cell {
 	return cell{sim.CoreCell(k, w.Program), opts}
 }
 
-// runCells executes every cell on the worker pool and returns the
-// outcomes in cell order, so drivers can assemble tables in
-// presentation order independent of completion order. Failures are
-// per-cell: errs[i] non-nil means outs[i] is invalid and the driver
-// should render that cell as errCell(errs[i]); the other cells are
-// computed regardless.
-func (r *Runner) runCells(cells []cell) (outs []sim.Outcome, errs []error) {
-	outs = make([]sim.Outcome, len(cells))
-	errs = r.forEachErrs(len(cells), func(i int) error {
-		out, err := r.run(cells[i].sim, cells[i].opts)
-		outs[i] = out
-		return err
-	})
-	return outs, errs
+// grid is the outcome of an experiment's cells laid out by (row,
+// column). Drivers read it back by coordinate; only the grid knows the
+// order the cells ran in.
+type grid struct {
+	rows, cols int
+	outs       []sim.Outcome
+	errs       []error
 }
 
-// firstErr returns the first non-nil error of a group of cells.
-func firstErr(errs []error) error {
-	for _, err := range errs {
+// runGrid executes the rows x cols cells that cellAt builds on the
+// worker pool. Cells are built and submitted in row-major order, and the
+// outcomes are read back by coordinate, so tables assemble in
+// presentation order independent of completion order. Failures are
+// per-cell: a failed cell reads back with its error and renders as
+// errCell; the other cells are computed regardless.
+func (r *Runner) runGrid(rows, cols int, cellAt func(row, col int) cell) *grid {
+	cells := make([]cell, 0, rows*cols)
+	for row := 0; row < rows; row++ {
+		for col := 0; col < cols; col++ {
+			cells = append(cells, cellAt(row, col))
+		}
+	}
+	g := &grid{rows: rows, cols: cols, outs: make([]sim.Outcome, len(cells))}
+	g.errs = r.forEachErrs(len(cells), func(i int) error {
+		out, err := r.run(cells[i].sim, cells[i].opts)
+		g.outs[i] = out
+		return err
+	})
+	return g
+}
+
+// at returns the outcome of cell (row, col); a non-nil error means the
+// outcome is invalid.
+func (g *grid) at(row, col int) (*sim.Outcome, error) {
+	i := row*g.cols + col
+	return &g.outs[i], g.errs[i]
+}
+
+// rowErr returns the first failure among row's cells, or nil.
+func (g *grid) rowErr(row int) error {
+	for _, err := range g.errs[row*g.cols : (row+1)*g.cols] {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// row appends row's columns to vals, in column order: the values val
+// returns for a computed cell, or width ERR cells for a failed one.
+func (g *grid) row(vals []any, row, width int, val func(col int, out *sim.Outcome) []any) []any {
+	for col := 0; col < g.cols; col++ {
+		out, err := g.at(row, col)
+		if err != nil {
+			vals = fillErr(vals, width, err)
+			continue
+		}
+		vals = append(vals, val(col, out)...)
+	}
+	return vals
+}
+
+// table adds one table row per grid row: label(row), then one value per
+// column, val of the cell's outcome or its ERR cell.
+func (g *grid) table(t *stats.Table, label func(row int) any, val func(out *sim.Outcome) float64) {
+	for row := 0; row < g.rows; row++ {
+		t.AddRow(g.row([]any{label(row)}, row, 1, func(_ int, out *sim.Outcome) []any {
+			return []any{val(out)}
+		})...)
+	}
+}
+
+// errLines returns the attributed report lines of every failed cell of
+// gs, in cell order and deduplicated across all of them.
+func errLines(gs ...*grid) []string {
+	var errs []error
+	for _, g := range gs {
+		errs = append(errs, g.errs...)
+	}
+	return collectErrs(errs)
 }
 
 // cacheKey derives the run-cache key from the cell's full contents: the

@@ -87,6 +87,13 @@ func TestErrCellClassification(t *testing.T) {
 			t.Errorf("errCell(%v) = %q, want %q", c.err, got, c.want)
 		}
 	}
+	// A failure computed on a remote shard renders as its origin would.
+	for _, class := range []string{ErrClassLivelock, ErrClassCycleLimit, ErrClassDeadline,
+		ErrClassPanic, ErrClassRunFailed, ErrClassLeak} {
+		if got, want := errCell(NewRemoteError(class, "remote")), "ERR("+class+")"; got != want {
+			t.Errorf("errCell(remote %s) = %q, want %q", class, got, want)
+		}
+	}
 }
 
 // TestCollectErrsDeduplicates: a shared cache entry surfacing one

@@ -25,52 +25,52 @@ func (r *Runner) HTMContention(scale workload.Scale) (*Result, error) {
 		}
 		kernels[i] = p
 	}
-	// One shared-memory SST chip per (count, kernel): even indices are
-	// the HTM variant, odd the cas variant.
-	opts := r.BaseOptions()
-	cells := make([]cell, 0, 2*len(counts))
-	for _, n := range counts {
-		for _, p := range kernels {
-			entry, ok := p.Symbol("worker")
-			if !ok {
-				return nil, fmt.Errorf("htm experiment: no worker symbol")
-			}
-			entries := make([]uint64, n)
-			for i := range entries {
-				entries[i] = entry
-			}
-			cells = append(cells, cell{sim.Cell{Kind: sim.KindSST, Topo: sim.TopoSharedCMP,
-				Progs: []*asm.Program{p}, Entries: entries}, opts})
+	var workers [len(kernels)]uint64
+	for i, p := range kernels {
+		entry, ok := p.Symbol("worker")
+		if !ok {
+			return nil, fmt.Errorf("htm experiment: no worker symbol")
 		}
+		workers[i] = entry
 	}
-	outs, errs := r.runCells(cells)
+	// One shared-memory SST chip per (count, kernel): column 0 is the HTM
+	// variant, column 1 the cas variant.
+	opts := r.BaseOptions()
+	g := r.runGrid(len(counts), len(kernels), func(row, col int) cell {
+		entries := make([]uint64, counts[row])
+		for i := range entries {
+			entries[i] = workers[col]
+		}
+		return cell{sim.Cell{Kind: sim.KindSST, Topo: sim.TopoSharedCMP,
+			Progs: []*asm.Program{kernels[col]}, Entries: entries}, opts}
+	})
 	t := stats.NewTable("Figure 16 (extension): contended counter — HTM vs cas (lower cycles = better)",
 		"cores", "htm cycles", "htm aborts/commit", "cas cycles", "htm/cas speedup")
-	for ci, n := range counts {
-		if err := errs[2*ci]; err != nil {
+	for row, n := range counts {
+		htm, err := g.at(row, 0)
+		if err != nil {
 			t.AddRow(fillErr([]any{n}, 4, err)...)
 			continue
 		}
-		htm := outs[2*ci]
 		var aborts, commits uint64
 		for _, th := range htm.Threads {
 			aborts += th.SST.Tx.Aborts
 			commits += th.SST.Tx.Commits
 		}
-		if err := errs[2*ci+1]; err != nil {
-			t.AddRow(n, htm.Cycles, stats.Ratio(aborts, commits), errCell(err), errCell(err))
-			continue
+		vals := []any{n, htm.Cycles, stats.Ratio(aborts, commits)}
+		if cas, err := g.at(row, 1); err != nil {
+			vals = fillErr(vals, 2, err)
+		} else {
+			vals = append(vals, cas.Cycles, float64(cas.Cycles)/float64(htm.Cycles))
 		}
-		cas := outs[2*ci+1]
-		t.AddRow(n, htm.Cycles, stats.Ratio(aborts, commits), cas.Cycles,
-			float64(cas.Cycles)/float64(htm.Cycles))
+		t.AddRow(vals...)
 	}
 	return &Result{
 		ID: "F16", Title: "HTM vs atomics under contention", Tables: []*stats.Table{t},
 		Notes: []string{
 			"the transaction is optimistic: uncontended it is lock-free reads+stores; contended, conflict aborts provide the serialization cas provides pessimistically",
 		},
-		Errs: collectErrs(errs),
+		Errs: errLines(g),
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"rocksim/internal/core"
 	"rocksim/internal/cpu"
@@ -20,51 +21,10 @@ func (r *Runner) PerfComparison(scale workload.Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := r.BaseOptions()
-	cells := make([]cell, 0, len(specs)*len(sim.Kinds))
-	for _, w := range specs {
-		for _, k := range sim.Kinds {
-			cells = append(cells, coreCell(k, w, opts))
-		}
-	}
-	outs, errs := r.runCells(cells)
-	t := stats.NewTable("Figure 1: per-thread speedup over in-order (commercial suite)",
-		append([]string{"workload"}, kindNames()...)...)
-	perKind := map[sim.Kind][]float64{}
-	i := 0
-	for _, w := range specs {
-		row := []any{w.Name}
-		var baseIPC float64
-		var baseErr error
-		for _, k := range sim.Kinds {
-			out, cerr := outs[i], errs[i]
-			i++
-			if k == sim.KindInOrder {
-				baseIPC, baseErr = out.IPC(), cerr
-			}
-			if cerr == nil {
-				cerr = baseErr // a failed baseline fails the row's ratios
-			}
-			if cerr != nil {
-				row = append(row, errCell(cerr))
-				continue
-			}
-			sp := out.IPC() / baseIPC
-			perKind[k] = append(perKind[k], sp)
-			row = append(row, sp)
-		}
-		t.AddRow(row...)
-	}
-	row := []any{"geomean"}
-	geo := map[sim.Kind]float64{}
-	for _, k := range sim.Kinds {
-		geo[k] = stats.GeoMean(perKind[k])
-		row = append(row, geo[k])
-	}
-	t.AddRow(row...)
-
-	sstVsOOO := 100 * (geo[sim.KindSST]/geo[sim.KindOOOLarge] - 1)
-	bigVsOOO := 100 * (geo[sim.KindSSTBig]/geo[sim.KindOOOLarge] - 1)
+	t, geo, errs := r.speedups("Figure 1: per-thread speedup over in-order (commercial suite)", specs, sim.Kinds)
+	geoOf := func(k sim.Kind) float64 { return geo[slices.Index(sim.Kinds, k)] }
+	sstVsOOO := 100 * (geoOf(sim.KindSST)/geoOf(sim.KindOOOLarge) - 1)
+	bigVsOOO := 100 * (geoOf(sim.KindSSTBig)/geoOf(sim.KindOOOLarge) - 1)
 	return &Result{
 		ID:     "F1",
 		Title:  "per-thread performance vs in-order",
@@ -72,15 +32,48 @@ func (r *Runner) PerfComparison(scale workload.Scale) (*Result, error) {
 		Notes: []string{
 			fmt.Sprintf("SST vs larger OOO on commercial geomean: %+.1f%% per-thread (paper reports ~+18%% for \"certain SST implementations\")", sstVsOOO),
 			fmt.Sprintf("SST-big vs larger OOO: %+.1f%% — the paper's number sits between the two configurations", bigVsOOO),
-			fmt.Sprintf("SST vs in-order geomean: %.2fx (SST-big %.2fx)", geo[sim.KindSST], geo[sim.KindSSTBig]),
+			fmt.Sprintf("SST vs in-order geomean: %.2fx (SST-big %.2fx)", geoOf(sim.KindSST), geoOf(sim.KindSSTBig)),
 		},
-		Errs: collectErrs(errs),
+		Errs: errs,
 	}, nil
 }
 
-func kindNames() []string {
+// speedups runs every workload on every kind, kinds[0] being the
+// in-order baseline, and tabulates each kind's speedup over that
+// baseline with a closing geomean row. A failed baseline fails its
+// row's ratios. It returns the table, the geomean per kind (in kinds
+// order) and the attributed failures.
+func (r *Runner) speedups(title string, specs []*workload.Spec, kinds []sim.Kind) (*stats.Table, []float64, []string) {
+	opts := r.BaseOptions()
+	g := r.runGrid(len(specs), len(kinds), func(row, col int) cell {
+		return coreCell(kinds[col], specs[row], opts)
+	})
+	t := stats.NewTable(title, append([]string{"workload"}, kindNames(kinds)...)...)
+	acc := make([][]float64, len(kinds))
+	for row, w := range specs {
+		base, baseErr := g.at(row, 0)
+		t.AddRow(g.row([]any{w.Name}, row, 1, func(col int, out *sim.Outcome) []any {
+			if baseErr != nil {
+				return []any{errCell(baseErr)}
+			}
+			sp := out.IPC() / base.IPC()
+			acc[col] = append(acc[col], sp)
+			return []any{sp}
+		})...)
+	}
+	geo := make([]float64, len(kinds))
+	row := []any{"geomean"}
+	for col := range kinds {
+		geo[col] = stats.GeoMean(acc[col])
+		row = append(row, geo[col])
+	}
+	t.AddRow(row...)
+	return t, geo, errLines(g)
+}
+
+func kindNames(kinds []sim.Kind) []string {
 	var out []string
-	for _, k := range sim.Kinds {
+	for _, k := range kinds {
 		out = append(out, k.String())
 	}
 	return out
@@ -99,33 +92,26 @@ func (r *Runner) ModeBreakdown(scale workload.Scale) (*Result, error) {
 	}
 	specs = append(specs, specs2...)
 	opts := r.BaseOptions()
-	cells := make([]cell, 0, len(specs))
-	for _, w := range specs {
-		cells = append(cells, coreCell(sim.KindSST, w, opts))
-	}
-	outs, errs := r.runCells(cells)
+	g := r.runGrid(len(specs), 1, func(row, _ int) cell { return coreCell(sim.KindSST, specs[row], opts) })
 	headers := []string{"workload"}
 	for k := core.CycleKind(0); k < core.NumCycleKinds; k++ {
 		headers = append(headers, k.String()+"%")
 	}
 	headers = append(headers, "top-loss")
 	t := stats.NewTable("Figure 2: SST execution-cycle breakdown", headers...)
-	for i, w := range specs {
-		row := []any{w.Name}
-		if errs[i] != nil {
-			t.AddRow(fillErr(row, int(core.NumCycleKinds)+1, errs[i])...)
-			continue
-		}
-		st := outs[i].SST
-		for k := core.CycleKind(0); k < core.NumCycleKinds; k++ {
-			row = append(row, stats.Pct(st.ModeCycles[k], st.Cycles))
-		}
-		// The cycle-accounting view of the same run: the single bucket
-		// costing the most cycles (rollback causes included).
-		row = append(row, sim.TopLoss(&st.BaseStats))
-		t.AddRow(row...)
+	for row, w := range specs {
+		t.AddRow(g.row([]any{w.Name}, row, int(core.NumCycleKinds)+1, func(_ int, out *sim.Outcome) []any {
+			st := out.SST
+			var vals []any
+			for k := core.CycleKind(0); k < core.NumCycleKinds; k++ {
+				vals = append(vals, stats.Pct(st.ModeCycles[k], st.Cycles))
+			}
+			// The cycle-accounting view of the same run: the single bucket
+			// costing the most cycles (rollback causes included).
+			return append(vals, sim.TopLoss(&st.BaseStats))
+		})...)
 	}
-	return &Result{ID: "F2", Title: "SST execution-time breakdown", Tables: []*stats.Table{t}, Errs: collectErrs(errs)}, nil
+	return &Result{ID: "F2", Title: "SST execution-time breakdown", Tables: []*stats.Table{t}, Errs: errLines(g)}, nil
 }
 
 // MLPComparison regenerates Figure 7: average outstanding misses (over
@@ -137,29 +123,13 @@ func (r *Runner) MLPComparison(scale workload.Scale) (*Result, error) {
 		return nil, err
 	}
 	opts := r.BaseOptions()
-	cells := make([]cell, 0, len(specs)*len(sim.Kinds))
-	for _, w := range specs {
-		for _, k := range sim.Kinds {
-			cells = append(cells, coreCell(k, w, opts))
-		}
-	}
-	outs, errs := r.runCells(cells)
+	g := r.runGrid(len(specs), len(sim.Kinds), func(row, col int) cell {
+		return coreCell(sim.Kinds[col], specs[row], opts)
+	})
 	t := stats.NewTable("Figure 7: memory-level parallelism (mean outstanding L1D misses while missing)",
-		append([]string{"workload"}, kindNames()...)...)
-	i := 0
-	for _, w := range specs {
-		row := []any{w.Name}
-		for range sim.Kinds {
-			if errs[i] != nil {
-				row = append(row, errCell(errs[i]))
-			} else {
-				row = append(row, outs[i].Base.MLP())
-			}
-			i++
-		}
-		t.AddRow(row...)
-	}
-	return &Result{ID: "F7", Title: "memory-level parallelism", Tables: []*stats.Table{t}, Errs: collectErrs(errs)}, nil
+		append([]string{"workload"}, kindNames(sim.Kinds)...)...)
+	g.table(t, func(row int) any { return specs[row].Name }, func(out *sim.Outcome) float64 { return out.Base.MLP() })
+	return &Result{ID: "F7", Title: "memory-level parallelism", Tables: []*stats.Table{t}, Errs: errLines(g)}, nil
 }
 
 // Ablation regenerates Figure 8: how much of SST's win comes from each
@@ -171,50 +141,8 @@ func (r *Runner) Ablation(scale workload.Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := r.BaseOptions()
 	kinds := []sim.Kind{sim.KindInOrder, sim.KindScout, sim.KindSSTEA, sim.KindSST}
-	cells := make([]cell, 0, len(specs)*len(kinds))
-	for _, w := range specs {
-		for _, k := range kinds {
-			cells = append(cells, coreCell(k, w, opts))
-		}
-	}
-	outs, errs := r.runCells(cells)
-	headers := []string{"workload"}
-	for _, k := range kinds {
-		headers = append(headers, k.String())
-	}
-	t := stats.NewTable("Figure 8: ablation — speedup over in-order", headers...)
-	acc := map[sim.Kind][]float64{}
-	i := 0
-	for _, w := range specs {
-		row := []any{w.Name}
-		var base float64
-		var baseErr error
-		for _, k := range kinds {
-			out, cerr := outs[i], errs[i]
-			i++
-			if k == sim.KindInOrder {
-				base, baseErr = out.IPC(), cerr
-			}
-			if cerr == nil {
-				cerr = baseErr
-			}
-			if cerr != nil {
-				row = append(row, errCell(cerr))
-				continue
-			}
-			sp := out.IPC() / base
-			acc[k] = append(acc[k], sp)
-			row = append(row, sp)
-		}
-		t.AddRow(row...)
-	}
-	row := []any{"geomean"}
-	for _, k := range kinds {
-		row = append(row, stats.GeoMean(acc[k]))
-	}
-	t.AddRow(row...)
+	t, _, errs := r.speedups("Figure 8: ablation — speedup over in-order", specs, kinds)
 	return &Result{
 		ID:     "F8",
 		Title:  "mechanism ablation",
@@ -222,7 +150,7 @@ func (r *Runner) Ablation(scale workload.Scale) (*Result, error) {
 		Notes: []string{
 			"expected ordering: in-order <= scout <= execute-ahead <= SST",
 		},
-		Errs: collectErrs(errs),
+		Errs: errs,
 	}, nil
 }
 
@@ -234,40 +162,32 @@ func (r *Runner) RollbackAccounting(scale workload.Scale) (*Result, error) {
 		return nil, err
 	}
 	opts := r.BaseOptions()
-	cells := make([]cell, 0, len(specs))
-	for _, w := range specs {
-		cells = append(cells, coreCell(sim.KindSST, w, opts))
-	}
-	outs, errs := r.runCells(cells)
+	g := r.runGrid(len(specs), 1, func(row, _ int) cell { return coreCell(sim.KindSST, specs[row], opts) })
 	headers := []string{"workload", "checkpoints", "commits", "rollbacks"}
 	for c := core.RollbackCause(0); c < core.NumRollbackCauses; c++ {
 		headers = append(headers, "rb:"+c.String())
 	}
 	headers = append(headers, "discarded-insts%", "discarded-cycles%", "defer%", "dq-occ-mean")
 	t := stats.NewTable("Figure 10: SST speculation outcome accounting", headers...)
-	for i, w := range specs {
-		row := []any{w.Name}
-		if errs[i] != nil {
-			t.AddRow(fillErr(row, len(headers)-1, errs[i])...)
-			continue
-		}
-		st := outs[i].SST
-		row = append(row, st.CheckpointsTaken, st.EpochCommits, st.Rollbacks)
-		for cse := core.RollbackCause(0); cse < core.NumRollbackCauses; cse++ {
-			row = append(row, st.RollbacksBy[cse])
-		}
-		// Cycle-accounting view: cycles re-attributed to rollback causes
-		// (work the rollbacks discarded) as a share of all cycles.
-		var rbCycles uint64
-		for cse := core.RollbackCause(0); cse < core.NumRollbackCauses; cse++ {
-			rbCycles += st.CPI[cpu.BktRollback0+cpu.Bucket(cse)]
-		}
-		row = append(row,
-			stats.Pct(st.DiscardedInsts, st.DiscardedInsts+st.Retired),
-			stats.Pct(rbCycles, st.Cycles),
-			stats.Pct(st.Deferrals, st.Retired),
-			st.DQOcc.Mean())
-		t.AddRow(row...)
+	for row, w := range specs {
+		t.AddRow(g.row([]any{w.Name}, row, len(headers)-1, func(_ int, out *sim.Outcome) []any {
+			st := out.SST
+			vals := []any{st.CheckpointsTaken, st.EpochCommits, st.Rollbacks}
+			for cse := core.RollbackCause(0); cse < core.NumRollbackCauses; cse++ {
+				vals = append(vals, st.RollbacksBy[cse])
+			}
+			// Cycle-accounting view: cycles re-attributed to rollback causes
+			// (work the rollbacks discarded) as a share of all cycles.
+			var rbCycles uint64
+			for cse := core.RollbackCause(0); cse < core.NumRollbackCauses; cse++ {
+				rbCycles += st.CPI[cpu.BktRollback0+cpu.Bucket(cse)]
+			}
+			return append(vals,
+				stats.Pct(st.DiscardedInsts, st.DiscardedInsts+st.Retired),
+				stats.Pct(rbCycles, st.Cycles),
+				stats.Pct(st.Deferrals, st.Retired),
+				st.DQOcc.Mean())
+		})...)
 	}
-	return &Result{ID: "F10", Title: "rollback accounting", Tables: []*stats.Table{t}, Errs: collectErrs(errs)}, nil
+	return &Result{ID: "F10", Title: "rollback accounting", Tables: []*stats.Table{t}, Errs: errLines(g)}, nil
 }

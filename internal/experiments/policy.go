@@ -37,37 +37,21 @@ func (r *Runner) PolicyAblation(scale workload.Scale) (*Result, error) {
 		{"+scout-on-full", func(c *core.Config) { c.ScoutOnDQFull = true }},
 		{"-defer-longops", func(c *core.Config) { c.DeferLongOps = false }},
 	}
-	cells := make([]cell, 0, len(specs)*len(variants))
-	for _, w := range specs {
-		for _, v := range variants {
-			opts := r.BaseOptions()
-			v.mutate(&opts.SST)
-			cells = append(cells, coreCell(sim.KindSST, w, opts))
-		}
-	}
-	outs, errs := r.runCells(cells)
+	g := r.runGrid(len(specs), len(variants), func(row, col int) cell {
+		opts := r.BaseOptions()
+		variants[col].mutate(&opts.SST)
+		return coreCell(sim.KindSST, specs[row], opts)
+	})
 	headers := []string{"workload"}
 	for _, v := range variants {
 		headers = append(headers, v.name)
 	}
 	t := stats.NewTable("Figure 13 (extension): SST policy ablation (IPC)", headers...)
-	i := 0
-	for _, w := range specs {
-		row := []any{w.Name}
-		for range variants {
-			if errs[i] != nil {
-				row = append(row, errCell(errs[i]))
-			} else {
-				row = append(row, outs[i].IPC())
-			}
-			i++
-		}
-		t.AddRow(row...)
-	}
+	g.table(t, func(row int) any { return specs[row].Name }, (*sim.Outcome).IPC)
 	return &Result{
 		ID: "F13", Title: "SST policy ablation", Tables: []*stats.Table{t},
 		Notes: []string{"each column toggles one design choice against the default configuration"},
-		Errs:  collectErrs(errs),
+		Errs:  errLines(g),
 	}, nil
 }
 
@@ -83,62 +67,41 @@ func (r *Runner) PrefetchInterplay(scale workload.Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	kinds := []sim.Kind{sim.KindInOrder, sim.KindSST}
-	pfs := []mem.PrefetchKind{mem.PrefetchNone, mem.PrefetchStride}
-	cells := make([]cell, 0, len(specs)*len(kinds)*len(pfs))
-	for _, w := range specs {
-		for _, k := range kinds {
-			for _, pf := range pfs {
-				opts := r.BaseOptions()
-				opts.Hier.Prefetch = pf
-				opts.Hier.Stride = mem.DefaultStrideConfig()
-				cells = append(cells, coreCell(k, w, opts))
-			}
-		}
+	// Columns: in-order without and with the prefetcher, then SST.
+	type column struct {
+		k  sim.Kind
+		pf mem.PrefetchKind
 	}
-	outs, errs := r.runCells(cells)
+	cols := []column{
+		{sim.KindInOrder, mem.PrefetchNone}, {sim.KindInOrder, mem.PrefetchStride},
+		{sim.KindSST, mem.PrefetchNone}, {sim.KindSST, mem.PrefetchStride},
+	}
+	g := r.runGrid(len(specs), len(cols), func(row, col int) cell {
+		opts := r.BaseOptions()
+		opts.Hier.Prefetch = cols[col].pf
+		opts.Hier.Stride = mem.DefaultStrideConfig()
+		return coreCell(cols[col].k, specs[row], opts)
+	})
 	headers := []string{"workload"}
-	for _, k := range kinds {
-		for _, pf := range pfs {
-			headers = append(headers, fmt.Sprintf("%v/%v", k, pf))
-		}
+	for _, c := range cols {
+		headers = append(headers, fmt.Sprintf("%v/%v", c.k, c.pf))
 	}
 	headers = append(headers, "sst-gain no-pf", "sst-gain stride-pf")
 	t := stats.NewTable("Figure 14 (extension): SST vs hardware stride prefetching (IPC)", headers...)
-	i := 0
-	for _, w := range specs {
-		row := []any{w.Name}
-		ipc := map[string]float64{}
-		var rowErr error
-		for _, k := range kinds {
-			for _, pf := range pfs {
-				if cerr := errs[i]; cerr != nil {
-					if rowErr == nil {
-						rowErr = cerr
-					}
-					row = append(row, errCell(cerr))
-				} else {
-					key := fmt.Sprintf("%v/%v", k, pf)
-					ipc[key] = outs[i].IPC()
-					row = append(row, outs[i].IPC())
-				}
-				i++
-			}
+	for row, w := range specs {
+		vals := g.row([]any{w.Name}, row, 1, func(_ int, out *sim.Outcome) []any { return []any{out.IPC()} })
+		if err := g.rowErr(row); err != nil {
+			t.AddRow(fillErr(vals, 2, err)...) // the gain ratios need every cell
+			continue
 		}
-		if rowErr != nil {
-			row = fillErr(row, 2, rowErr) // the gain ratios need every cell
-		} else {
-			row = append(row,
-				ipc["sst/none"]/ipc["inorder/none"],
-				ipc["sst/stride"]/ipc["inorder/stride"])
-		}
-		t.AddRow(row...)
+		ipc := func(col int) float64 { out, _ := g.at(row, col); return out.IPC() }
+		t.AddRow(append(vals, ipc(2)/ipc(0), ipc(3)/ipc(1))...)
 	}
 	return &Result{
 		ID: "F14", Title: "prefetcher interplay", Tables: []*stats.Table{t},
 		Notes: []string{
 			"stride prefetching narrows SST's edge on regular streams (stream/quantum) but not on data-dependent commercial patterns (oltp/jbb)",
 		},
-		Errs: collectErrs(errs),
+		Errs: errLines(g),
 	}, nil
 }

@@ -74,11 +74,15 @@ const (
 	ErrClassLeak = "leak"
 )
 
-// ErrClass classifies a cell error for the wire, mirroring errCell's
-// taxonomy exactly (plus the leak verdict).
+// ErrClass classifies a cell error: the reason of its ERR(reason) table
+// cell and its wire class. A remote error keeps the class its origin
+// shard gave it.
 func ErrClass(err error) string {
 	var pe *PanicError
+	var re *RemoteError
 	switch {
+	case errors.As(err, &re):
+		return re.Class
 	case errors.Is(err, sim.ErrTransientLeak):
 		return ErrClassLeak
 	case errors.Is(err, cpu.ErrLivelock):
@@ -109,9 +113,8 @@ func NewRemoteError(class, msg string) *RemoteError {
 func (e *RemoteError) Error() string { return e.Msg }
 
 // Is maps the wire class back onto the watchdog and verdict sentinels,
-// so errors.Is-based rendering (errCell, the S1 verdict table) and
-// status mapping (the 504 path in internal/serve) treat a remote
-// failure like a local one.
+// so errors.Is checks (the S1 verdict table, the 504 path in
+// internal/serve) treat a remote failure like a local one.
 func (e *RemoteError) Is(target error) bool {
 	switch e.Class {
 	case ErrClassLeak:

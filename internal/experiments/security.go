@@ -61,21 +61,22 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 		return nil, err
 	}
 	kinds := sim.Kinds
-
-	// Leakage verdicts: one leak-check cell per (mode, kind, gadget). A
-	// verdict is the cell's error: nil (clean), sim.ErrTransientLeak
-	// (leaks), or a failure that renders as an ERR cell.
-	vcells := make([]cell, 0, len(SecureModes)*len(kinds)*len(gadgets))
-	for _, mode := range SecureModes {
+	// Both grids have one row per (mode, kind), mode-major; the tables
+	// transpose them to one row per kind.
+	rows := len(SecureModes) * len(kinds)
+	gridRow := func(mi, ki int) int { return mi*len(kinds) + ki }
+	modeOpts := func(row int) sim.Options {
 		opts := r.BaseOptions()
-		applySecureMode(&opts, mode)
-		for _, k := range kinds {
-			for _, g := range gadgets {
-				vcells = append(vcells, cell{sim.Cell{Kind: k, Progs: []*asm.Program{g}, LeakCheck: true}, opts})
-			}
-		}
+		applySecureMode(&opts, SecureModes[row/len(kinds)])
+		return opts
 	}
-	_, verdicts := r.runCells(vcells)
+
+	// Leakage verdicts: one leak-check cell per gadget. A verdict is the
+	// cell's error: nil (clean), sim.ErrTransientLeak (leaks), or a
+	// failure that renders as an ERR cell.
+	vg := r.runGrid(rows, len(gadgets), func(row, col int) cell {
+		return cell{sim.Cell{Kind: kinds[row%len(kinds)], Progs: []*asm.Program{gadgets[col]}, LeakCheck: true}, modeOpts(row)}
+	})
 
 	vt := stats.NewTable("Transient-leakage verdicts (gadget corpus: leaking channels per mode)",
 		append([]string{"kind"}, SecureModes...)...)
@@ -86,8 +87,7 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 			var leaks []string
 			cellErr := ""
 			for gi, g := range gadgets {
-				i := (mi*len(kinds)+ki)*len(gadgets) + gi
-				switch v := verdicts[i]; {
+				switch _, v := vg.at(gridRow(mi, ki), gi); {
 				case v == nil:
 				case errors.Is(v, sim.ErrTransientLeak):
 					leaks = append(leaks, gadgetShort(g.Name))
@@ -110,17 +110,9 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 
 	// Mitigation cost: commercial-suite IPC per (mode, kind), relative
 	// to the unmitigated geomean of the same kind.
-	cells := make([]cell, 0, len(SecureModes)*len(kinds)*len(specs))
-	for _, mode := range SecureModes {
-		for _, k := range kinds {
-			opts := r.BaseOptions()
-			applySecureMode(&opts, mode)
-			for _, w := range specs {
-				cells = append(cells, coreCell(k, w, opts))
-			}
-		}
-	}
-	outs, errs := r.runCells(cells)
+	cg := r.runGrid(rows, len(specs), func(row, col int) cell {
+		return coreCell(kinds[row%len(kinds)], specs[col], modeOpts(row))
+	})
 	ct := stats.NewTable("Secure-mode per-thread cost (geomean IPC relative to unmitigated, commercial suite)",
 		append([]string{"kind"}, SecureModes...)...)
 	relGeo := map[[2]string]float64{}
@@ -132,12 +124,12 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 			var ipcs []float64
 			var bad error
 			for wi := range specs {
-				i := (mi*len(kinds)+ki)*len(specs) + wi
-				if errs[i] != nil {
-					bad = errs[i]
+				out, err := cg.at(gridRow(mi, ki), wi)
+				if err != nil {
+					bad = err
 					continue
 				}
-				ipcs = append(ipcs, outs[i].IPC())
+				ipcs = append(ipcs, out.IPC())
 			}
 			if bad != nil {
 				cellErrs = append(cellErrs, bad)
@@ -157,9 +149,11 @@ func (r *Runner) SecurityGrid(scale workload.Scale) (*Result, error) {
 
 	// A verdict other than clean or leaking is a failed cell.
 	var failed []error
-	for _, v := range verdicts {
-		if v != nil && !errors.Is(v, sim.ErrTransientLeak) {
-			failed = append(failed, v)
+	for row := 0; row < rows; row++ {
+		for gi := range gadgets {
+			if _, v := vg.at(row, gi); v != nil && !errors.Is(v, sim.ErrTransientLeak) {
+				failed = append(failed, v)
+			}
 		}
 	}
 	cost := func(mode string) float64 {

@@ -24,30 +24,36 @@ func (r *Runner) SMTMode(scale workload.Scale) (*Result, error) {
 	// run cache with F1, and "oltp" across pairs) and the two as the
 	// strands of one SMT-2 core. The pair's strands draw their predictors
 	// from one group, so opts.Pred.Share decides the table sharing.
-	cells := make([]cell, 0, 3*len(pairs))
-	for _, pair := range pairs {
-		wa, err := workload.Build(pair[0], scale)
-		if err != nil {
+	specs := make([][]*workload.Spec, len(pairs))
+	for i, pair := range pairs {
+		var err error
+		if specs[i], err = workload.BuildSuite(pair[:], scale); err != nil {
 			return nil, err
 		}
-		wb, err := workload.Build(pair[1], scale)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, coreCell(sim.KindSST, wa, opts), coreCell(sim.KindSST, wb, opts),
-			cell{sim.Cell{Kind: sim.KindInOrder, Topo: sim.TopoSMT,
-				Progs: []*asm.Program{wa.Program, wb.Program}}, opts})
 	}
-	outs, errs := r.runCells(cells)
+	g := r.runGrid(len(pairs), 3, func(row, col int) cell {
+		wa, wb := specs[row][0], specs[row][1]
+		switch col {
+		case 0:
+			return coreCell(sim.KindSST, wa, opts)
+		case 1:
+			return coreCell(sim.KindSST, wb, opts)
+		}
+		return cell{sim.Cell{Kind: sim.KindInOrder, Topo: sim.TopoSMT,
+			Progs: []*asm.Program{wa.Program, wb.Program}}, opts}
+	})
 	t := stats.NewTable("Figure 12 (extension): one core, two uses — SMT-2 throughput vs SST latency",
 		"pair", "sst A", "sst B", "smt A", "smt B", "smt aggregate", "sst-A/smt-A")
-	for i, pair := range pairs {
+	for row, pair := range pairs {
 		name := pair[0] + "+" + pair[1]
-		if err := firstErr(errs[3*i : 3*i+3]); err != nil {
+		if err := g.rowErr(row); err != nil {
 			t.AddRow(fillErr([]any{name}, 6, err)...)
 			continue
 		}
-		sstA, sstB, smt := outs[3*i].IPC(), outs[3*i+1].IPC(), outs[3*i+2]
+		a, _ := g.at(row, 0)
+		b, _ := g.at(row, 1)
+		smt, _ := g.at(row, 2)
+		sstA, sstB := a.IPC(), b.IPC()
 		th := smt.Threads
 		smtA := float64(th[0].Base.Retired) / float64(smt.Cycles)
 		smtB := float64(th[1].Base.Retired) / float64(smt.Cycles)
@@ -58,6 +64,6 @@ func (r *Runner) SMTMode(scale workload.Scale) (*Result, error) {
 		Notes: []string{
 			"SST mode trades one thread's slot for per-thread speed; SMT mode trades latency for aggregate throughput — ROCK exposes both",
 		},
-		Errs: collectErrs(errs),
+		Errs: errLines(g),
 	}, nil
 }

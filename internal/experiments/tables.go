@@ -58,32 +58,22 @@ func (r *Runner) WorkloadTable(scale workload.Scale) (*Result, error) {
 		return nil, err
 	}
 	opts := r.BaseOptions()
-	cells := make([]cell, 0, len(specs))
-	for _, w := range specs {
-		cells = append(cells, coreCell(sim.KindInOrder, w, opts))
-	}
-	outs, errs := r.runCells(cells)
+	g := r.runGrid(len(specs), 1, func(row, _ int) cell { return coreCell(sim.KindInOrder, specs[row], opts) })
 	t := stats.NewTable("Table 2: workload characterization (measured on the in-order core)",
 		"workload", "class", "stands in for", "insts", "loads%", "stores%", "branches%", "L1D miss%", "L2 miss%", "IPC(inorder)")
-	for i, w := range specs {
-		row := []any{w.Name, w.Class.String(), w.Standin}
-		if errs[i] != nil {
-			t.AddRow(fillErr(row, 7, errs[i])...)
-			continue
-		}
-		out := outs[i]
-		b := &out.Base
-		l1 := out.Hier.L1D[0]
-		l2 := out.Hier.L2
-		t.AddRow(w.Name, w.Class.String(), w.Standin, out.Retired,
-			stats.Pct(b.Loads, out.Retired),
-			stats.Pct(b.Stores, out.Retired),
-			stats.Pct(b.Branches, out.Retired),
-			100*l1.MissRate(),
-			100*l2.MissRate(),
-			out.IPC())
+	for row, w := range specs {
+		t.AddRow(g.row([]any{w.Name, w.Class.String(), w.Standin}, row, 7, func(_ int, out *sim.Outcome) []any {
+			b := &out.Base
+			return []any{out.Retired,
+				stats.Pct(b.Loads, out.Retired),
+				stats.Pct(b.Stores, out.Retired),
+				stats.Pct(b.Branches, out.Retired),
+				100 * out.Hier.L1D[0].MissRate(),
+				100 * out.Hier.L2.MissRate(),
+				out.IPC()}
+		})...)
 	}
-	return &Result{ID: "T2", Title: "workload characterization", Tables: []*stats.Table{t}, Errs: collectErrs(errs)}, nil
+	return &Result{ID: "T2", Title: "workload characterization", Tables: []*stats.Table{t}, Errs: errLines(g)}, nil
 }
 
 // areaModel is the first-order structure-count area/power proxy used by

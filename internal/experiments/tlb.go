@@ -22,32 +22,30 @@ func (r *Runner) TLBSensitivity(scale workload.Scale) (*Result, error) {
 	baseOpts := r.BaseOptions()
 	tlbOpts := r.BaseOptions()
 	tlbOpts.Hier.DTLB = mem.DefaultTLBConfig()
-	grid := make([]cell, 0, 2*len(specs)*len(kinds))
-	for _, w := range specs {
-		for _, k := range kinds {
-			grid = append(grid, coreCell(k, w, baseOpts), coreCell(k, w, tlbOpts))
+	// Two columns per kind: without, then with the DTLB.
+	g := r.runGrid(len(specs), 2*len(kinds), func(row, col int) cell {
+		opts := baseOpts
+		if col%2 == 1 {
+			opts = tlbOpts
 		}
-	}
-	outs, errs := r.runCells(grid)
+		return coreCell(kinds[col/2], specs[row], opts)
+	})
 	headers := []string{"workload", "DTLB miss%"}
 	for _, k := range kinds {
 		headers = append(headers, k.String()+" noTLB", k.String()+" TLB", k.String()+" slowdown%")
 	}
 	t := stats.NewTable("Figure 15 (extension): DTLB-miss tolerance (IPC and slowdown)", headers...)
-	i := 0
-	for _, w := range specs {
-		row := []any{w.Name}
+	for row, w := range specs {
 		missPct := 0.0
-		cols := []any{}
-		for range kinds {
-			base, out := outs[i], outs[i+1]
-			cerr := errs[i]
-			if cerr == nil {
-				cerr = errs[i+1]
+		var cols []any
+		for ki := range kinds {
+			base, berr := g.at(row, 2*ki)
+			out, err := g.at(row, 2*ki+1)
+			if berr != nil {
+				err = berr
 			}
-			i += 2
-			if cerr != nil {
-				cols = fillErr(cols, 3, cerr)
+			if err != nil {
+				cols = fillErr(cols, 3, err)
 				continue
 			}
 			if tlb := out.Hier.DTLB; tlb != nil {
@@ -55,13 +53,11 @@ func (r *Runner) TLBSensitivity(scale workload.Scale) (*Result, error) {
 			}
 			cols = append(cols, base.IPC(), out.IPC(), 100*(base.IPC()/out.IPC()-1))
 		}
-		row = append(row, missPct)
-		row = append(row, cols...)
-		t.AddRow(row...)
+		t.AddRow(append([]any{w.Name, missPct}, cols...)...)
 	}
 	return &Result{
 		ID: "F15", Title: "TLB-miss tolerance", Tables: []*stats.Table{t},
 		Notes: []string{"checkpoint cores absorb table walks like cache misses; stall-on-use cores pay them serially"},
-		Errs:  collectErrs(errs),
+		Errs:  errLines(g),
 	}, nil
 }

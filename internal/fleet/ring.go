@@ -1,7 +1,7 @@
 // Package fleet is the placement and membership layer of the sharded
-// rocksimd tier: a consistent-hash ring (virtual nodes, bounded-load
-// variant) over the content-addressed cell cache key, plus a health
-// monitor that ejects and re-probes failing shards.
+// rocksimd tier: a consistent-hash ring (virtual nodes) over the
+// content-addressed cell cache key, plus a health monitor that ejects
+// and re-probes failing shards.
 //
 // Placement is deterministic: the same key on the same membership
 // always lands on the same shard, so every router in front of the
@@ -103,18 +103,6 @@ func (r *Ring) Remove(m string) {
 	r.points = kept
 }
 
-// Members returns the current membership, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.member))
-	for m := range r.member {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Size returns the member count.
 func (r *Ring) Size() int {
 	r.mu.RLock()
@@ -156,36 +144,4 @@ func (r *Ring) Owners(key string, n int) []string {
 		}
 	}
 	return out
-}
-
-// OwnerBounded is the bounded-load variant (consistent hashing with
-// bounded loads): it walks the ring from key's position and returns the
-// first member whose current load, reported by load, is below the
-// capacity ceil(c * (total+1) / n). With every member at capacity it
-// falls back to the plain owner rather than failing. c <= 1 means the
-// conventional c = 1.25.
-func (r *Ring) OwnerBounded(key string, load func(member string) int, c float64) string {
-	if c <= 1 {
-		c = 1.25
-	}
-	members := r.Members()
-	if len(members) == 0 {
-		return ""
-	}
-	total := 0
-	for _, m := range members {
-		total += load(m)
-	}
-	// ceil(c * (total+1) / n) without floating-point edge surprises at
-	// the integer boundaries tests pin.
-	capacity := int((c*float64(total+1) + float64(len(members)) - 1) / float64(len(members)))
-	if capacity < 1 {
-		capacity = 1
-	}
-	for _, m := range r.Owners(key, len(members)) {
-		if load(m) < capacity {
-			return m
-		}
-	}
-	return r.Owner(key)
 }

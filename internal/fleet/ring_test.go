@@ -145,32 +145,6 @@ func TestOwnersFailoverOrder(t *testing.T) {
 	}
 }
 
-// TestOwnerBounded: a member at capacity is skipped in favor of the
-// next successor, and with everyone saturated the plain owner is the
-// fallback rather than a failure.
-func TestOwnerBounded(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
-	k := testKeys(1)[0]
-	plain := r.Owner(k)
-	succ := r.Owners(k, 2)[1]
-
-	load := map[string]int{"a": 1, "b": 1, "c": 1}
-	load[plain] = 10 // far over any capacity for total 12
-	if got := r.OwnerBounded(k, func(m string) int { return load[m] }, 1.25); got != succ {
-		t.Errorf("bounded owner %q, want successor %q when owner is over capacity", got, succ)
-	}
-
-	// Uniform load: the plain owner is within capacity and keeps the key.
-	if got := r.OwnerBounded(k, func(string) int { return 1 }, 1.25); got != plain {
-		t.Errorf("bounded owner %q, want plain owner %q under uniform load", got, plain)
-	}
-
-	// Everyone over capacity: fall back to the plain owner, never fail.
-	if got := r.OwnerBounded(k, func(string) int { return 1000 }, 1.25); got != plain {
-		t.Errorf("saturated fallback %q, want plain owner %q", got, plain)
-	}
-}
-
 // TestEmptyRing: no members means no owners, not a panic.
 func TestEmptyRing(t *testing.T) {
 	r := NewRing(0)
@@ -179,9 +153,6 @@ func TestEmptyRing(t *testing.T) {
 	}
 	if os := r.Owners("k", 3); os != nil {
 		t.Errorf("empty ring owners %v, want nil", os)
-	}
-	if o := r.OwnerBounded("k", func(string) int { return 0 }, 1.25); o != "" {
-		t.Errorf("empty ring bounded owner %q, want \"\"", o)
 	}
 }
 

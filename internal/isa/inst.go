@@ -150,16 +150,6 @@ func (in Inst) DestReg() (uint8, bool) {
 	return rd, true
 }
 
-// HasImmSrc reports whether the instruction uses its immediate field.
-func (in Inst) HasImmSrc() bool {
-	switch in.Op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpSll, OpSrl, OpSra, OpSlt, OpSltu,
-		OpMul, OpMulh, OpDiv, OpDivu, OpRem, OpRemu, OpNop, OpHalt, OpMembar, OpCas:
-		return false
-	}
-	return true
-}
-
 // BranchTarget returns the target PC of a branch or jal located at pc.
 func (in Inst) BranchTarget(pc uint64) uint64 {
 	return pc + uint64(int64(in.Imm))

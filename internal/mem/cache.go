@@ -253,15 +253,3 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	}
 	return false, false
 }
-
-// CleanLine clears the dirty bit of the line containing addr if present.
-func (c *Cache) CleanLine(addr uint64) {
-	tag := addr >> c.setShift
-	set := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].dirty = false
-			return
-		}
-	}
-}

@@ -214,15 +214,6 @@ func (h *Hierarchy) SetSink(s obs.Sink) {
 // accesses (see internal/faults). Pass nil to disable.
 func (h *Hierarchy) SetFaults(in *faults.Injector) { h.flt = in }
 
-// LoadMissLatency returns the demand data-miss latency histogram.
-func (h *Hierarchy) LoadMissLatency() *stats.Hist { return h.latD }
-
-// FetchMissLatency returns the instruction-miss latency histogram.
-func (h *Hierarchy) FetchMissLatency() *stats.Hist { return h.latI }
-
-// NumCores returns the number of cores the hierarchy serves.
-func (h *Hierarchy) NumCores() int { return len(h.cores) }
-
 // L1D returns core's L1 data cache (for stats and coherence tests).
 func (h *Hierarchy) L1D(core int) *Cache { return h.cores[core].l1d }
 

@@ -166,15 +166,6 @@ func SpanFrom(ctx context.Context) *Span {
 	return s
 }
 
-// WithSpan rebinds the current span (used by code that carries a span
-// across goroutines, e.g. handing the root to a handler).
-func WithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
 // StartSpan opens a span named name under the context's current span
 // (or as a root if none) and returns a context carrying it. When the
 // context has no tracer it returns (ctx, nil) without allocating —
