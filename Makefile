@@ -204,6 +204,8 @@ bench_runs = rm -rf $(1); mkdir -p $(1); \
 
 # CPU+heap profile of a test-scale sstbench run, for hot-loop work (see
 # docs/PERFORMANCE.md). Inspect with: go tool pprof cpu.prof
+# To profile one /v1/run-shaped cell instead:
+#   go run ./cmd/sstsim -core ooo-large -workload dense -scale test -cpuprofile cpu.prof
 profile:
 	$(GO) build -o /tmp/sstbench-prof ./cmd/sstbench
 	/tmp/sstbench-prof -scale test -j 1 -cpuprofile cpu.prof -memprofile mem.prof > /dev/null

@@ -7,6 +7,7 @@
 //	sstsim -workload all -core sst -scale test
 //	sstsim -asm prog.s -core ooo-large
 //	sstsim -workload mcf -core sst -dq 32 -ckpt 2 -memlat 500
+//	sstsim -workload dense -core ooo-large -scale test -cpuprofile cpu.prof
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 
 	"rocksim/internal/asm"
@@ -32,7 +34,11 @@ import (
 func main() {
 	wl := flag.String("workload", "oltp", "built-in workload name, or 'all'")
 	asmFile := flag.String("asm", "", "assemble and run this RK64 source file instead of a built-in workload")
-	coreKind := flag.String("core", "sst", "core model: inorder | ooo-small | ooo-large | scout | sst-ea | sst | all")
+	kindNames := make([]string, len(sim.Kinds))
+	for i, k := range sim.Kinds {
+		kindNames[i] = k.String()
+	}
+	coreKind := flag.String("core", "sst", "core model: "+strings.Join(append(kindNames, "all"), " | "))
 	scaleFlag := flag.String("scale", "full", "workload scale: test | full")
 	dq := flag.Int("dq", -1, "override SST deferred-queue size")
 	ckpt := flag.Int("ckpt", -1, "override SST checkpoint count")
@@ -48,7 +54,20 @@ func main() {
 	traceOut := flag.String("trace", "", "write request-scoped wall-clock spans (one sim-run span per run, Chrome JSON) to this file")
 	sampleEvery := flag.Uint64("sample-every", obs.DefaultSampleEvery, "cycles between occupancy samples in timelines and trace counter tracks")
 	list := flag.Bool("list", false, "list workloads and core kinds, then exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	if *list {
 		fmt.Println("core kinds:")

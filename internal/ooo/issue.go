@@ -7,30 +7,31 @@ import (
 
 // issue selects up to IssueWidth ready instructions among the IQSize
 // oldest unissued entries, in age order, and executes them, returning
-// how many issued. The scan starts at the oldest unissued entry; an
-// entry whose wait record still holds counts toward IQSize but is
-// skipped without resolving its operands.
+// how many issued. Only the window's ready entries are visited (see
+// window.go); timed and parked ones count toward IQSize without being
+// touched.
 func (c *Core) issue(now uint64) int {
+	if c.wakeStale || c.timedN > 0 && now >= c.wakeMin {
+		c.expireTimed(now)
+	}
 	issued := 0
-	examined := 0
-	c.wakeMin = 0
+	end := c.windowEnd()
 	// A squash inside tryExecute lowers nextSeq; the bound is re-read.
-	for seq := c.issueSeq; seq < c.nextSeq && issued < c.cfg.IssueWidth && examined < c.cfg.IQSize; seq++ {
-		e := c.slot(seq)
-		if e.issued {
-			continue
-		}
-		examined++
-		if !c.waiting(e, now) && c.tryExecute(e, now) {
-			issued++
-			continue
-		}
-		if e.wakeAt > now && (c.wakeMin == 0 || e.wakeAt < c.wakeMin) {
-			c.wakeMin = e.wakeAt
+	// The ready bits are re-read after every visit: an execution wakes
+	// younger waiters that this same scan must still reach.
+	for seq := c.nextSet(c.ready, c.issueSeq, end); seq < min(end, c.nextSeq); seq = c.nextSet(c.ready, seq+1, end) {
+		k := int(seq & c.mask)
+		if c.tryExecute(&c.rob[k], now) {
+			c.issued(k)
+			if issued++; issued == c.cfg.IssueWidth {
+				break
+			}
 		}
 	}
-	for c.issueSeq < c.nextSeq && c.slot(c.issueSeq).issued {
-		c.issueSeq++
+	if c.unissuedN == 0 {
+		c.issueSeq = c.nextSeq
+	} else {
+		c.issueSeq = c.nextSet(c.unissued, c.issueSeq, c.nextSeq)
 	}
 	if issued == 0 && c.count > 0 {
 		c.stats.EmptyIssueCycles++
@@ -38,27 +39,11 @@ func (c *Core) issue(now uint64) int {
 	return issued
 }
 
-// waiting reports whether e's wait record says an operand is still not
-// ready at cycle now, clearing a producer wait once the producer has
-// executed or left its slot.
-func (c *Core) waiting(e *robEntry, now uint64) bool {
-	if now < e.wakeAt {
-		return true
-	}
-	if e.waitProd {
-		if p := c.slot(e.waitSeq); p.seq == e.waitSeq && !p.executed {
-			return true
-		}
-		e.waitProd = false
-	}
-	return false
-}
-
 // operands returns the source values of e at cycle now. When one is not
-// available it writes e's wait record and returns false.
+// available it parks or times e in the issue window and returns false.
 func (c *Core) operands(e *robEntry, now uint64) ([3]int64, bool) {
 	var vals [3]int64
-	for i := 0; i < e.nsrc; i++ {
+	for i := 0; i < int(e.nsrc); i++ {
 		src := &e.src[i]
 		if !src.hasTag {
 			if src.reg != isa.RegZero {
@@ -74,10 +59,10 @@ func (c *Core) operands(e *robEntry, now uint64) ([3]int64, bool) {
 		p := c.slot(src.tag)
 		switch {
 		case !p.executed:
-			e.waitSeq, e.waitProd = src.tag, true
+			c.park(int(e.seq&c.mask), int(src.tag&c.mask))
 			return vals, false
 		case p.readyAt > now:
-			e.wakeAt = p.readyAt
+			c.sleep(int(e.seq&c.mask), p.readyAt)
 			return vals, false
 		default:
 			vals[i] = p.value
@@ -111,7 +96,7 @@ func (c *Core) tryExecute(e *robEntry, now uint64) bool {
 		return c.issueLoad(e, vals[0], now)
 	case isa.ClassStore:
 		e.addr = uint64(vals[0] + int64(in.Imm))
-		e.msize = in.Op.MemWidth()
+		e.msize = uint8(in.Op.MemWidth())
 		e.storeVal = vals[1]
 		e.addrValid = true
 		e.readyAt = now + 1
@@ -220,7 +205,7 @@ func (c *Core) issueLoad(e *robEntry, base int64, now uint64) bool {
 	if c.stores > 0 {
 		for s := c.headSeq; s < e.seq; s++ {
 			if st := c.slot(s); st.in.Op.IsStore() && st.addrValid {
-				overlayStore(buf, fromStore, addr, st.addr, st.msize, st.storeVal)
+				overlayStore(buf, fromStore, addr, st.addr, int(st.msize), st.storeVal)
 			}
 		}
 	}
@@ -235,7 +220,7 @@ func (c *Core) issueLoad(e *robEntry, base int64, now uint64) bool {
 	}
 	e.value = isa.ExtendLoad(in.Op, v)
 	e.addr = addr
-	e.msize = size
+	e.msize = uint8(size)
 	e.addrValid = true
 
 	if forwardedAll {
@@ -275,7 +260,7 @@ func (c *Core) checkViolations(st *robEntry, now uint64) {
 		if !l.in.Op.IsLoad() || !l.issued || !l.addrValid {
 			continue
 		}
-		if rangesOverlap(l.addr, l.msize, st.addr, st.msize) {
+		if rangesOverlap(l.addr, int(l.msize), st.addr, int(st.msize)) {
 			c.stats.MemOrderViolations++
 			c.stats.Squashes++
 			// Squash from the violating load (inclusive) and refetch it.

@@ -83,42 +83,32 @@ type source struct {
 	hasTag bool
 }
 
-// robEntry leads with what the issue scan reads on every entry it
-// passes (and on a waiting entry's producer), so a scan step touches
-// one cache line of the entry, not several.
+// robEntry leads with what the issue scan reads of an entry it visits
+// (and of a producer it resolves), so a visit touches one cache line of
+// the entry, not several. Flags and narrow fields share one word. The
+// entry's wait record lives in Core.waits, beside it.
 type robEntry struct {
-	seq      uint64
-	issued   bool
-	executed bool // result value computed
-
-	// Wait record, written when an operand is found not ready: the entry
-	// cannot issue before cycle wakeAt (its producer has executed and the
-	// result lands then) nor, while waitProd, as long as the ROB slot of
-	// seq waitSeq still holds that producer unexecuted. A producer leaves
-	// its slot only by committing (a squash that removes it removes this
-	// younger entry too), so a seq mismatch means the value is ready.
-	waitProd bool
-	wakeAt   uint64
-	waitSeq  uint64
+	seq        uint64
+	issued     bool
+	executed   bool // result value computed
+	addrValid  bool
+	predTaken  bool // control prediction made at fetch
+	hasPredTgt bool
+	nsrc       uint8
+	msize      uint8
 
 	readyAt uint64 // cycle the result is usable / entry committable
 	value   int64  // destination value
 	in      isa.Inst
 	pc      uint64
 
-	src  [3]source
-	nsrc int
+	src [3]source
 
 	// Memory state.
-	addrValid bool
-	addr      uint64
-	msize     int
-	storeVal  int64
+	addr     uint64
+	storeVal int64
 
-	// Control prediction made at fetch.
-	predTaken  bool
 	predTarget uint64
-	hasPredTgt bool
 }
 
 // Core is the out-of-order pipeline model.
@@ -141,10 +131,22 @@ type Core struct {
 	memOps   int    // loads+stores currently in the ROB
 	stores   int    // stores currently in the ROB
 	issueSeq uint64 // seq of the oldest unissued entry (nextSeq if none)
-	// wakeMin is the earliest wakeAt after the cycle among the entries
-	// the last issue scan examined (0 = none): the cycle at which one of
-	// them can next issue.
-	wakeMin uint64
+
+	// Issue-window index over the ring slots (see window.go).
+	unissued  []uint64
+	ready     []uint64
+	timed     []uint64
+	waits     []waitRec
+	waiters   []int32 // per producer slot: 1 + the first parked waiter's slot
+	unissuedN int
+	timedN    int
+	wordSlots int // ring slots per word of a set: min(64, len(rob))
+	// wakeMin is the earliest wakeAt among timed entries (0 = none): the
+	// cycle at which one of them can next issue. A squash that drops a
+	// timed entry leaves it low until the next issue stage recomputes it
+	// (wakeStale).
+	wakeMin   uint64
+	wakeStale bool
 
 	// Fetch blocking conditions.
 	fetchBlockedSeq uint64 // waiting for this jalr to resolve
@@ -209,12 +211,19 @@ func New(m *cpu.Machine, cfg Config, entry uint64) *Core {
 	for n < cfg.ROBSize {
 		n <<= 1
 	}
+	words := (n + 63) / 64
 	return &Core{
-		cfg:  cfg,
-		m:    m,
-		fe:   cpu.NewFrontend(m, entry),
-		rob:  make([]robEntry, n),
-		mask: uint64(n - 1),
+		cfg:       cfg,
+		m:         m,
+		fe:        cpu.NewFrontend(m, entry),
+		rob:       make([]robEntry, n),
+		mask:      uint64(n - 1),
+		unissued:  make([]uint64, words),
+		ready:     make([]uint64, words),
+		timed:     make([]uint64, words),
+		waits:     make([]waitRec, n),
+		waiters:   make([]int32, n),
+		wordSlots: min(n, 64),
 	}
 }
 
@@ -387,10 +396,13 @@ func (c *Core) fetch(now uint64) {
 		}
 
 		// Build the entry in its free ring slot; count and nextSeq publish
-		// it below.
+		// it below. Zeroing the slot in place and then setting fields
+		// spares building the entry in a temporary and copying it over.
 		e := c.slot(c.nextSeq)
-		*e = robEntry{seq: c.nextSeq, in: in, pc: pc}
+		*e = robEntry{}
+		e.seq, e.in, e.pc = c.nextSeq, in, pc
 		c.captureSources(e)
+		c.enter(int(c.nextSeq & c.mask))
 		redirected := false
 
 		switch in.Op.Class() {
@@ -459,7 +471,7 @@ func (c *Core) fetch(now uint64) {
 // will hold the value.
 func (c *Core) captureSources(e *robEntry) {
 	n := e.in.NumSrcs()
-	e.nsrc = n
+	e.nsrc = uint8(n)
 	for i := 0; i < n; i++ {
 		r := e.in.Src(i)
 		e.src[i] = source{reg: r}
@@ -486,7 +498,7 @@ func (c *Core) commit(now uint64) {
 		}
 		switch in.Op.Class() {
 		case isa.ClassStore:
-			c.m.Mem.Write(e.addr, e.msize, uint64(e.storeVal))
+			c.m.Mem.Write(e.addr, int(e.msize), uint64(e.storeVal))
 			c.m.Hier.Access(c.m.CoreID, mem.AccWrite, e.addr, now)
 			c.m.StoreVisible(e.addr)
 			c.stats.Stores++
@@ -519,6 +531,7 @@ func (c *Core) squashAfter(seq uint64, target uint64, now, penalty uint64) {
 	end := c.headSeq + uint64(keep)
 	for s := end; s < c.nextSeq; s++ {
 		e := c.slot(s)
+		c.drop(int(s&c.mask), end)
 		if e.in.Op.IsMem() {
 			c.memOps--
 		}

@@ -34,7 +34,12 @@ func assemble(t *testing.T, gen func(b *asm.Builder)) *asm.Program {
 
 func build(t *testing.T, cfg Config, gen func(b *asm.Builder)) (*Core, *cpu.Machine) {
 	t.Helper()
-	prog := assemble(t, gen)
+	return load(t, cfg, assemble(t, gen))
+}
+
+// load returns a core for cfg with prog loaded into a fresh machine.
+func load(t *testing.T, cfg Config, prog *asm.Program) (*Core, *cpu.Machine) {
+	t.Helper()
 	m := mem.NewSparse()
 	prog.Load(m)
 	mach, err := cpu.NewMachine(m, testHier(), bpred.DefaultConfig())
@@ -332,14 +337,22 @@ func TestIssuedHeadTakesNoIQSlot(t *testing.T) {
 // second. Seqs: 0-2 the prologue, 3 div, 4 beq, then on the wrong path
 // 5 a missing load P, 6 its consumer C, 7 a store, 8 halt; after the
 // squash the fall-through reuses seqs (and slots) 5 and 6 for P' and C'.
-func squashGen(b *asm.Builder) {
+func squashGen(b *asm.Builder) { squashProgram(b, 8) }
+
+// parkGen is squashGen with the wrong-path store taking its value from
+// C, so while C waits for P's data the store is parked on C's chain.
+func parkGen(b *asm.Builder) { squashProgram(b, 4) }
+
+// squashProgram emits squashGen with the wrong-path store writing
+// register val.
+func squashProgram(b *asm.Builder, val uint8) {
 	b.Movi(1, 0x20000)
 	b.Movi(8, 7)
 	b.Jmp("main")
 	b.Label("wrong")
 	b.Ld(isa.OpLd64, 3, 1, 0)  // P: misses to DRAM
 	b.Opi(isa.OpAddi, 4, 3, 1) // C: waits for P's data
-	b.St(isa.OpSt64, 8, 1, 8)
+	b.St(isa.OpSt64, val, 1, 8)
 	b.Halt()
 	b.Nop() // pads main to the start of the second line
 	b.Label("main")
@@ -356,9 +369,9 @@ func TestSquashedWaiterSlotReissuesOnTime(t *testing.T) {
 	// Run until the wrong-path consumer waits for its load's data.
 	stepUntil(t, c, "a waiting wrong-path consumer", func() bool {
 		e := c.slot(cSeq)
-		return c.nextSeq > cSeq && e.seq == cSeq && !e.issued && e.wakeAt > c.Cycle()
+		return c.nextSeq > cSeq && e.seq == cSeq && !e.issued && c.waits[cSeq].wakeAt > c.Cycle()
 	})
-	stale := c.slot(cSeq).wakeAt
+	stale := c.waits[cSeq].wakeAt
 	stepUntil(t, c, "the mispredict squash", func() bool { return c.stats.Squashes > 0 })
 	if c.nextSeq > cSeq {
 		t.Fatalf("consumer slot not squashed: nextSeq = %d", c.nextSeq)
@@ -422,34 +435,51 @@ func TestResetMidSquashMatchesFresh(t *testing.T) {
 	// Stop a run while its mispredicted path is in flight — the load,
 	// the consumer waiting for it and the store — before the squash
 	// lands, then reset: the core must equal, and run exactly like, a
-	// fresh one.
-	used, mach := build(t, SmallConfig(), squashGen)
-	stepUntil(t, used, "the in-flight wrong path", func() bool {
-		return used.stores > 0 && used.slot(6).wakeAt > used.Cycle()
-	})
-	if used.stats.Squashes != 0 || used.issueSeq == 0 || used.wakeMin == 0 {
-		t.Fatalf("not mid-squash: squashes=%d issueSeq=%d wakeMin=%d",
-			used.stats.Squashes, used.issueSeq, used.wakeMin)
-	}
-	fresh, _ := build(t, SmallConfig(), squashGen)
-	prog := assemble(t, squashGen)
-	mach.Reset()
-	prog.Load(mach.Mem)
-	used.Reset(prog.Entry)
+	// fresh one. At the first stop the consumer is timed on the load's
+	// data; at the second the store, which takes its value from the
+	// consumer, is parked on the consumer's waiter chain as well.
+	for _, tc := range []struct {
+		name string
+		gen  func(*asm.Builder)
+		stop func(c *Core) bool
+	}{
+		{"timed", squashGen, func(c *Core) bool {
+			return c.stores > 0 && c.waits[6].wakeAt > c.Cycle()
+		}},
+		{"parked", parkGen, func(c *Core) bool {
+			return c.stores > 0 && c.waiters[6] == 7+1 && hasBit(c.timed, 6)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			used, mach := build(t, SmallConfig(), tc.gen)
+			stepUntil(t, used, "the in-flight wrong path", func() bool { return tc.stop(used) })
+			if used.stats.Squashes != 0 || used.issueSeq == 0 || used.wakeMin == 0 {
+				t.Fatalf("not mid-squash: squashes=%d issueSeq=%d wakeMin=%d",
+					used.stats.Squashes, used.issueSeq, used.wakeMin)
+			}
+			fresh, _ := build(t, SmallConfig(), tc.gen)
+			prog := assemble(t, tc.gen)
+			mach.Reset()
+			prog.Load(mach.Mem)
+			used.Reset(prog.Entry)
 
-	// Ring slots may keep stale entries (fetch overwrites a slot whole);
-	// everything else must match, the frontend's decode memo aside.
-	strip := func(c *Core) Core {
-		s := *c
-		s.m, s.fe, s.rob = nil, nil, nil
-		return s
-	}
-	if a, b := strip(used), strip(fresh); !reflect.DeepEqual(a, b) {
-		t.Errorf("reset core differs from fresh:\n%+v\n%+v", a, b)
-	}
-	mustRun(t, used, 10_000)
-	mustRun(t, fresh, 10_000)
-	if !reflect.DeepEqual(used.Stats(), fresh.Stats()) || used.Regs() != fresh.Regs() {
-		t.Errorf("reset run differs from fresh:\n%+v\n%+v", *used.Stats(), *fresh.Stats())
+			// Ring slots and their wait records may keep stale entries
+			// (fetch overwrites both whole); everything else, the window's
+			// bit sets and chain heads included, must match, the
+			// frontend's decode memo aside.
+			strip := func(c *Core) Core {
+				s := *c
+				s.m, s.fe, s.rob, s.waits = nil, nil, nil, nil
+				return s
+			}
+			if a, b := strip(used), strip(fresh); !reflect.DeepEqual(a, b) {
+				t.Errorf("reset core differs from fresh:\n%+v\n%+v", a, b)
+			}
+			mustRun(t, used, 10_000)
+			mustRun(t, fresh, 10_000)
+			if !reflect.DeepEqual(used.Stats(), fresh.Stats()) || used.Regs() != fresh.Regs() {
+				t.Errorf("reset run differs from fresh:\n%+v\n%+v", *used.Stats(), *fresh.Stats())
+			}
+		})
 	}
 }

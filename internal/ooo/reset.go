@@ -3,10 +3,11 @@ package ooo
 import "rocksim/internal/isa"
 
 // Reset returns the core to its freshly constructed state, executing
-// from entry, without reallocating. The ROB ring's entries are not
-// zeroed: fetch fully overwrites a slot (wait record included) on
-// allocation and headSeq/nextSeq make stale slots unreachable, so
-// clearing them would only burn cycles. The caller resets the shared
+// from entry, without reallocating. The ROB ring's entries and wait
+// records are not zeroed: fetch fully overwrites a slot and its wait
+// record on allocation and headSeq/nextSeq make stale slots
+// unreachable, so clearing them would only burn cycles. The window's
+// bit sets and waiter chains are cleared: they are read by slot. The caller resets the shared
 // machine separately (see cpu.Machine.Reset) and reinstalls per-run
 // sinks afterwards.
 func (c *Core) Reset(entry uint64) {
@@ -20,7 +21,14 @@ func (c *Core) Reset(entry uint64) {
 	c.memOps = 0
 	c.stores = 0
 	c.issueSeq = 0
+	clear(c.unissued)
+	clear(c.ready)
+	clear(c.timed)
+	clear(c.waiters)
+	c.unissuedN = 0
+	c.timedN = 0
 	c.wakeMin = 0
+	c.wakeStale = false
 	c.fetchBlockedSeq = 0
 	c.fetchBlocked = false
 	c.fetchGarbage = false
