@@ -15,7 +15,10 @@ func (c *Core) issue(now uint64) int {
 		c.expireTimed(now)
 	}
 	issued := 0
-	end := c.windowEnd()
+	end := c.nextSeq
+	if c.unissuedN > c.cfg.IQSize {
+		end = c.windowEnd()
+	}
 	// A squash inside tryExecute lowers nextSeq; the bound is re-read.
 	// The ready bits are re-read after every visit: an execution wakes
 	// younger waiters that this same scan must still reach.

@@ -63,12 +63,9 @@ func (c *Core) nextSet(set []uint64, from, limit uint64) uint64 {
 }
 
 // windowEnd returns the seq just past the IQSize-th oldest unissued
-// entry, or nextSeq when no more than IQSize entries are unissued.
+// entry. More than IQSize entries must be unissued.
 func (c *Core) windowEnd() uint64 {
 	left := c.cfg.IQSize
-	if c.unissuedN <= left {
-		return c.nextSeq
-	}
 	for seq := c.issueSeq; ; {
 		b, span := c.bitsFrom(c.unissued, seq)
 		// After a wrap the word may also hold already counted slots, but
