@@ -11,7 +11,7 @@ import (
 // window.go); timed and parked ones count toward IQSize without being
 // touched.
 func (c *Core) issue(now uint64) int {
-	if c.wakeStale || c.timedN > 0 && now >= c.wakeMin {
+	if c.wakeMin != 0 && now >= c.wakeMin {
 		c.expireTimed(now)
 	}
 	issued := 0
@@ -31,11 +31,7 @@ func (c *Core) issue(now uint64) int {
 			}
 		}
 	}
-	if c.unissuedN == 0 {
-		c.issueSeq = c.nextSeq
-	} else {
-		c.issueSeq = c.nextSet(c.unissued, c.issueSeq, c.nextSeq)
-	}
+	c.issueSeq = c.nextSet(c.unissued, c.issueSeq, c.nextSeq)
 	if issued == 0 && c.count > 0 {
 		c.stats.EmptyIssueCycles++
 	}

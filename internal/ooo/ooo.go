@@ -139,14 +139,10 @@ type Core struct {
 	waits     []waitRec
 	waiters   []int32 // per producer slot: 1 + the first parked waiter's slot
 	unissuedN int
-	timedN    int
 	wordSlots int // ring slots per word of a set: min(64, len(rob))
 	// wakeMin is the earliest wakeAt among timed entries (0 = none): the
-	// cycle at which one of them can next issue. A squash that drops a
-	// timed entry leaves it low until the next issue stage recomputes it
-	// (wakeStale).
-	wakeMin   uint64
-	wakeStale bool
+	// cycle at which one of them can next issue.
+	wakeMin uint64
 
 	// Fetch blocking conditions.
 	fetchBlockedSeq uint64 // waiting for this jalr to resolve
@@ -540,6 +536,10 @@ func (c *Core) squashAfter(seq uint64, target uint64, now, penalty uint64) {
 		}
 		c.stats.WrongPathInsts++
 	}
+	// A dropped timed entry may have set wakeMin. Every timed entry that
+	// survives wakes after now (the issue stage expired the rest before
+	// it could squash), so this only recomputes the minimum.
+	c.expireTimed(now)
 	c.count = keep
 	c.nextSeq = end
 	// issueSeq needs no clamp: a squash comes from an entry issuing, at

@@ -7,9 +7,9 @@ import "rocksim/internal/isa"
 // records are not zeroed: fetch fully overwrites a slot and its wait
 // record on allocation and headSeq/nextSeq make stale slots
 // unreachable, so clearing them would only burn cycles. The window's
-// bit sets and waiter chains are cleared: they are read by slot. The caller resets the shared
-// machine separately (see cpu.Machine.Reset) and reinstalls per-run
-// sinks afterwards.
+// bit sets and waiter chains are read by slot, so they are cleared. The
+// caller resets the shared machine separately (see cpu.Machine.Reset)
+// and reinstalls per-run sinks afterwards.
 func (c *Core) Reset(entry uint64) {
 	c.fe.Reset(entry)
 	c.regs = [isa.NumRegs]int64{}
@@ -26,9 +26,7 @@ func (c *Core) Reset(entry uint64) {
 	clear(c.timed)
 	clear(c.waiters)
 	c.unissuedN = 0
-	c.timedN = 0
 	c.wakeMin = 0
-	c.wakeStale = false
 	c.fetchBlockedSeq = 0
 	c.fetchBlocked = false
 	c.fetchGarbage = false

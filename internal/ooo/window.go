@@ -15,16 +15,17 @@ import "math/bits"
 // An unissued entry in neither ready nor timed is parked: its operand
 // comes from a producer that has not executed, and it sits on that
 // producer's waiter chain (waiters[producer slot], linked through
-// waits[slot].next). When the producer executes, wake moves its whole
+// waits[slot].next). When the producer executes, issued moves its whole
 // chain back into ready, the way a Tomasulo result broadcast wakes only
 // the stations holding its tag. A timed entry returns to ready once the
 // clock reaches its wakeAt.
 //
-// An entry joins the window when it is examined and leaves it only by
-// issuing or being squashed, and fetch appends only younger entries, so
-// every timed or parked entry lies among the IQSize oldest unissued
-// ones. Visiting the ready bits of those in age order therefore examines
-// exactly what a scan of the whole window examines, cycle for cycle.
+// An entry becomes timed or parked only when the scan examines it, that
+// is inside the window of the IQSize oldest unissued entries. It stays
+// inside until it issues or is squashed: older entries only leave and
+// fetch appends younger ones. So every blocked entry lies in the window,
+// and visiting the window's ready bits in age order examines exactly
+// what a walk of every window entry would, cycle for cycle.
 
 // waitRec is a ring slot's wait record, valid while the slot's entry is
 // timed or parked. Slot references are stored plus one, so zero means
@@ -98,10 +99,9 @@ func (c *Core) expireTimed(now uint64) {
 			}
 			clearBit(c.timed, k)
 			setBit(c.ready, k)
-			c.timedN--
 		}
 	}
-	c.wakeMin, c.wakeStale = next, false
+	c.wakeMin = next
 }
 
 // enter adds freshly fetched slot k to the window as ready.
@@ -116,7 +116,6 @@ func (c *Core) enter(k int) {
 func (c *Core) sleep(k int, t uint64) {
 	clearBit(c.ready, k)
 	setBit(c.timed, k)
-	c.timedN++
 	c.waits[k].wakeAt = t
 	if c.wakeMin == 0 || t < c.wakeMin {
 		c.wakeMin = t
@@ -163,8 +162,6 @@ func (c *Core) drop(k int, end uint64) {
 		clearBit(c.ready, k)
 	case hasBit(c.timed, k):
 		clearBit(c.timed, k)
-		c.timedN--
-		c.wakeStale = true
 	default:
 		if p := int(c.waits[k].prod - 1); c.rob[p].seq < end {
 			c.unlink(p, k)

@@ -181,9 +181,6 @@ func checkIndex(c *Core, now uint64, zeroIssue bool, limit uint64) error {
 	if n := count(c.unissued); n != c.unissuedN {
 		return fmt.Errorf("unissuedN = %d, %d bits set", c.unissuedN, n)
 	}
-	if n := count(c.timed); n != c.timedN {
-		return fmt.Errorf("timedN = %d, %d bits set", c.timedN, n)
-	}
 	first := c.issueSeq
 	for first < c.nextSeq && c.slot(first).issued {
 		first++
@@ -191,7 +188,7 @@ func checkIndex(c *Core, now uint64, zeroIssue bool, limit uint64) error {
 	if c.issueSeq < c.headSeq || first != c.issueSeq {
 		return fmt.Errorf("issueSeq = %d, oldest unissued is %d", c.issueSeq, first)
 	}
-	if !c.wakeStale && c.wakeMin != timedMin {
+	if c.wakeMin != timedMin {
 		return fmt.Errorf("wakeMin = %d, earliest timed entry wakes at %d", c.wakeMin, timedMin)
 	}
 	if zeroIssue {
