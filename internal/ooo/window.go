@@ -49,9 +49,10 @@ func (c *Core) bitsFrom(set []uint64, seq uint64) (uint64, uint64) {
 	return set[k>>6] >> (k & 63), uint64(c.wordSlots - k&63)
 }
 
-// nextSet returns the first seq at or after from whose slot is in set,
-// or limit if there is none before it. Every member of set must lie
-// within one ring's length of from.
+// nextSet returns the first seq in [from, limit) whose slot is in set,
+// or limit if there is none. No member of set may be more than one
+// ring's length below limit, so a slot met again after the search
+// wraps maps to a seq at or past limit.
 func (c *Core) nextSet(set []uint64, from, limit uint64) uint64 {
 	for seq := from; seq < limit; {
 		b, span := c.bitsFrom(set, seq)

@@ -172,13 +172,11 @@ func checkIndex(c *Core, now uint64, zeroIssue bool, limit uint64) error {
 	if links != parked {
 		return fmt.Errorf("chains hold %d links, %d entries are parked", links, parked)
 	}
-	count := func(set []uint64) (n int) {
-		for _, w := range set {
-			n += bits.OnesCount64(w)
-		}
-		return n
+	n := 0
+	for _, w := range c.unissued {
+		n += bits.OnesCount64(w)
 	}
-	if n := count(c.unissued); n != c.unissuedN {
+	if n != c.unissuedN {
 		return fmt.Errorf("unissuedN = %d, %d bits set", c.unissuedN, n)
 	}
 	first := c.issueSeq
