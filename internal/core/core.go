@@ -391,7 +391,7 @@ type Core struct {
 
 	// The deferred queue's stable slots, its free-slot stack and the
 	// wakeup chains of its waiting operands (see dq.go). Sized once at
-	// construction, cleared in place by Reset.
+	// construction, emptied in place by Reset.
 	dqSlots  []dqEntry
 	dqFree   []int32
 	waitHead []int32
@@ -544,30 +544,19 @@ func New(m *cpu.Machine, cfg Config, entry uint64) *Core {
 		m:      m,
 		fe:     cpu.NewFrontend(m, entry),
 		l1dHit: uint64(m.Hier.Config().L1D.HitLatency),
+		stats: Stats{
+			DQOcc:    stats.NewHist(max(cfg.DQSize, 1)),
+			SSBOcc:   stats.NewHist(max(cfg.SSBSize, 1)),
+			CkptOcc:  stats.NewHist(max(cfg.Checkpoints, 1)),
+			CkptLife: stats.NewHist(ckptLifeLimit),
+		},
 	}
 	if cfg.Checkpoints > 0 {
 		c.ckpts = make([]checkpoint, 0, cfg.Checkpoints)
 	}
 	c.dqInit(cfg.DQSize)
-	c.seq = 1 // seq 0 reserved so lastWriter==0 means "no producer"
-	if m.Coherent {
-		// Shared-memory chip: watch remote stores so speculative loads
-		// that read stale data roll back (and transactions abort on
-		// conflict) — see coherence.go.
-		c.installInvalListener()
-	}
-	c.stats.DQOcc = stats.NewHist(max(cfg.DQSize, 1))
-	c.stats.SSBOcc = stats.NewHist(max(cfg.SSBSize, 1))
-	c.stats.CkptOcc = stats.NewHist(max(cfg.Checkpoints, 1))
-	c.stats.CkptLife = stats.NewHist(ckptLifeLimit)
+	c.Reset(entry)
 	return c
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Cycle returns the current cycle.

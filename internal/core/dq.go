@@ -29,10 +29,10 @@ func (c *Core) dqInit(n int) {
 	}
 	c.waitHead = make([]int32, buckets)
 	c.waitMask = uint64(buckets - 1)
-	c.dqClear()
 }
 
-// dqClear empties the queue and its wakeup chains in place.
+// dqClear empties the queue and its wakeup chains in place: every slot
+// free and every chain empty.
 func (c *Core) dqClear() {
 	c.dq = c.dq[:0]
 	c.dqFree = c.dqFree[:0]
@@ -42,8 +42,6 @@ func (c *Core) dqClear() {
 	for i := range c.waitHead {
 		c.waitHead[i] = -1
 	}
-	c.dqStores = 0
-	c.dqReady = 0
 }
 
 // dqAppend takes a free slot for the youngest deferred instruction and

@@ -36,7 +36,8 @@ type Frontend struct {
 	// against the freshly read word, which keeps self-modifying code
 	// correct (the simulated machine has no structural i-cache
 	// coherence to model here — Next always reads architectural memory).
-	memo [decodeMemoSize]decodeMemoEntry
+	// It outlives a run (see Reset).
+	memo *[decodeMemoSize]decodeMemoEntry
 }
 
 // decodeMemoSize is the number of direct-mapped decode-memo slots.
@@ -52,26 +53,20 @@ type decodeMemoEntry struct {
 
 // NewFrontend creates a frontend beginning execution at entry.
 func NewFrontend(m *Machine, entry uint64) *Frontend {
-	return &Frontend{m: m, l1i: m.Hier.L1I(m.CoreID), pc: entry}
+	return &Frontend{m: m, l1i: m.Hier.L1I(m.CoreID), memo: new([decodeMemoSize]decodeMemoEntry), pc: entry}
 }
 
 // PC returns the address of the next instruction to deliver.
 func (f *Frontend) PC() uint64 { return f.pc }
 
 // Reset returns the frontend to a freshly constructed state beginning at
-// entry: fetch point, redirect bubble and fetch buffer cleared. The
-// decoded-instruction memo is deliberately kept — every hit revalidates
-// against the freshly read word and decoding is pure, so stale entries
-// can never change an outcome, only save wall clock across pooled runs.
-// The cached page pointer is dropped (the next fetch re-resolves it).
+// entry. Only the machine, its L1I and the decoded-instruction memo
+// survive: every memo hit revalidates against the freshly read word and
+// decoding is pure, so stale entries can never change an outcome, only
+// save wall clock across pooled runs. Everything else — fetch point,
+// redirect bubble, fetch buffer, cached page pointer — starts at zero.
 func (f *Frontend) Reset(entry uint64) {
-	f.pc = entry
-	f.stallUntil = 0
-	f.lineAddr = 0
-	f.lineReady = 0
-	f.haveLine = false
-	f.page = nil
-	f.pageNum = 0
+	*f = Frontend{m: f.m, l1i: f.l1i, memo: f.memo, pc: entry}
 }
 
 // Redirect steers fetch to target, inserting penalty bubble cycles

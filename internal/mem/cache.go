@@ -80,7 +80,7 @@ type cacheLine struct {
 // "present" in the tag array is not usable before its data arrives.
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]cacheLine
+	lines    []cacheLine // set i is lines[i*Ways : (i+1)*Ways]
 	setShift uint
 	setMask  uint64
 	stamp    uint64
@@ -93,16 +93,12 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]cacheLine, nsets),
+		lines:    make([]cacheLine, nsets*cfg.Ways),
 		setShift: uint(log2(cfg.LineBytes)),
 		setMask:  uint64(nsets - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Ways)
-	}
-	return c
 }
 
 func log2(v int) int {
@@ -123,7 +119,13 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 }
 
 func (c *Cache) set(addr uint64) []cacheLine {
-	return c.sets[(addr>>c.setShift)&c.setMask]
+	return c.setAt(int((addr >> c.setShift) & c.setMask))
+}
+
+// setAt returns set i's ways.
+func (c *Cache) setAt(i int) []cacheLine {
+	w := c.cfg.Ways
+	return c.lines[i*w : (i+1)*w : (i+1)*w]
 }
 
 // Lookup probes for addr. On a hit it refreshes LRU state, optionally

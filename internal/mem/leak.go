@@ -43,9 +43,10 @@ func (d *fnv64) boolBit(b bool) {
 // absolute stamps but leave the same eviction order are
 // indistinguishable to an attacker.
 func (c *Cache) digestInto(d *fnv64) {
-	d.u64(uint64(len(c.sets)))
-	for si := range c.sets {
-		set := c.sets[si]
+	nsets := len(c.lines) / c.cfg.Ways
+	d.u64(uint64(nsets))
+	for si := 0; si < nsets; si++ {
+		set := c.setAt(si)
 		for i := range set {
 			l := &set[i]
 			if !l.valid {

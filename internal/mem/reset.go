@@ -5,28 +5,22 @@ package mem
 // one fully built hierarchy across runs (see sim.Instance). The reset
 // contract is exact — a reset component must be indistinguishable from
 // a new one built with the same configuration; the pooled-vs-fresh
-// differential fuzz in internal/sim holds every component to it.
+// differential fuzz in internal/sim holds every component to it. Each
+// Reset clears its storage in place and then rebuilds the component
+// from what outlives a run — configuration and storage — so every other
+// field, including any added later, starts each run at zero.
 
 // Reset clears the cache's tag array, LRU clock and statistics in
 // place.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		set := c.sets[i]
-		for j := range set {
-			set[j] = cacheLine{}
-		}
-	}
-	c.stamp = 0
-	c.Stats = CacheStats{}
+	clear(c.lines)
+	*c = Cache{cfg: c.cfg, lines: c.lines, setShift: c.setShift, setMask: c.setMask}
 }
 
 // Reset drops every in-flight fill and clears the statistics, keeping
 // the entry slice's capacity.
 func (m *MSHR) Reset() {
-	m.entries = m.entries[:0]
-	m.minReady = 0
-	m.Merges = 0
-	m.FullStalls = 0
+	*m = MSHR{cap: m.cap, entries: m.entries[:0]}
 }
 
 // Reset clears the TLB's entries and statistics in place. Safe on a nil
@@ -35,22 +29,14 @@ func (t *TLB) Reset() {
 	if t == nil {
 		return
 	}
-	for i := range t.sets {
-		set := t.sets[i]
-		for j := range set {
-			set[j] = tlbEntry{}
-		}
-	}
-	t.stamp = 0
-	t.Stats = TLBStats{}
+	clear(t.entries)
+	*t = TLB{cfg: t.cfg, entries: t.entries, mask: t.mask}
 }
 
 // Reset clears the DRAM bank timers and statistics.
 func (d *DRAM) Reset() {
-	for i := range d.bankFree {
-		d.bankFree[i] = 0
-	}
-	d.Stats = DRAMStats{}
+	clear(d.bankFree)
+	*d = DRAM{cfg: d.cfg, bankFree: d.bankFree, lineBits: d.lineBits}
 }
 
 // Reset clears the prefetcher's training table and counters. Safe on a
@@ -59,11 +45,8 @@ func (p *stridePrefetcher) Reset() {
 	if p == nil {
 		return
 	}
-	for i := range p.entries {
-		p.entries[i] = strideEntry{}
-	}
-	p.Trained = 0
-	p.Issued = 0
+	clear(p.entries)
+	*p = stridePrefetcher{cfg: p.cfg, entries: p.entries}
 }
 
 // Reset zeroes every mapped page in place, returning the memory to the
@@ -79,11 +62,11 @@ func (m *Sparse) Reset() {
 }
 
 // Reset returns the hierarchy to its freshly constructed state: every
-// cache, MSHR, TLB, prefetcher and DRAM model cleared in place, the
-// miss-latency histograms emptied, coherence listeners and salts
-// dropped, and the observability sink and fault injector detached
-// (callers reinstall per-run hooks after Reset, mirroring construction
-// where none are installed yet).
+// cache, MSHR, TLB, prefetcher and DRAM model cleared in place and the
+// miss-latency histograms emptied. Coherence listeners and salts are
+// cleared, and the observability sink, fault injector and secret lines
+// are dropped (callers reinstall per-run hooks after Reset, mirroring
+// construction where none are installed yet).
 func (h *Hierarchy) Reset() {
 	for i := range h.cores {
 		p := &h.cores[i]
@@ -94,23 +77,24 @@ func (h *Hierarchy) Reset() {
 		p.stride.Reset()
 		p.dtlb.Reset()
 	}
-	for i := range h.salts {
-		h.salts[i] = 0
-	}
-	for i := range h.listeners {
-		h.listeners[i] = nil
-	}
 	h.l2.Reset()
 	h.l2mshr.Reset()
-	for i := range h.l2BankFree {
-		h.l2BankFree[i] = 0
-	}
 	h.dram.Reset()
-	h.Stats = HierStats{}
 	h.latD.Reset()
 	h.latI.Reset()
-	h.sink = nil
-	h.missNames = nil
-	h.flt = nil
-	h.secretLines = nil
+	clear(h.salts)
+	clear(h.listeners)
+	clear(h.l2BankFree)
+	*h = Hierarchy{
+		cfg:        h.cfg,
+		cores:      h.cores,
+		salts:      h.salts,
+		listeners:  h.listeners,
+		l2:         h.l2,
+		l2mshr:     h.l2mshr,
+		l2BankFree: h.l2BankFree,
+		dram:       h.dram,
+		latD:       h.latD,
+		latI:       h.latI,
+	}
 }

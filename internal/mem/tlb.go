@@ -43,11 +43,11 @@ type tlbEntry struct {
 // architectures this matters because a TLB miss — like a cache miss —
 // is a deferral event rather than a stall.
 type TLB struct {
-	cfg   TLBConfig
-	sets  [][]tlbEntry
-	mask  uint64
-	stamp uint64
-	Stats TLBStats
+	cfg     TLBConfig
+	entries []tlbEntry // set i is entries[i*Ways : (i+1)*Ways]
+	mask    uint64
+	stamp   uint64
+	Stats   TLBStats
 }
 
 // NewTLB builds a TLB, or returns nil for a disabled configuration.
@@ -72,11 +72,7 @@ func NewTLB(cfg TLBConfig) *TLB {
 	for nsets&(nsets-1) != 0 {
 		nsets &= nsets - 1
 	}
-	t := &TLB{cfg: cfg, sets: make([][]tlbEntry, nsets), mask: uint64(nsets - 1)}
-	for i := range t.sets {
-		t.sets[i] = make([]tlbEntry, cfg.Ways)
-	}
-	return t
+	return &TLB{cfg: cfg, entries: make([]tlbEntry, nsets*cfg.Ways), mask: uint64(nsets - 1)}
 }
 
 // Config returns the TLB configuration.
@@ -87,7 +83,9 @@ func (t *TLB) Config() TLBConfig { return t.cfg }
 // entry).
 func (t *TLB) Translate(addr uint64) (penalty uint64) {
 	page := addr >> t.cfg.PageBits
-	set := t.sets[page&t.mask]
+	w := uint64(t.cfg.Ways)
+	base := (page & t.mask) * w
+	set := t.entries[base : base+w : base+w]
 	tag := page >> popcount(t.mask)
 	t.stamp++
 	for i := range set {

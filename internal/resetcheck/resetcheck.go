@@ -12,38 +12,26 @@ import (
 // reset, or "" when they hold the same state. It compares like
 // reflect.DeepEqual, unexported fields and pointees included, except
 // that a nil and an empty slice or map are the same state (a reset
-// component keeps a slice's storage that construction may not have
-// allocated yet) and func values are compared only for nil-ness.
+// component keeps storage that construction may not have allocated yet)
+// and func values are compared only for nil-ness. The values must hold
+// no pointer cycle.
 func Diff(fresh, reset any) string {
-	return diff(reflect.ValueOf(fresh), reflect.ValueOf(reset), "", map[[2]uintptr]bool{})
+	return diff(reflect.ValueOf(fresh), reflect.ValueOf(reset), "")
 }
 
-func diff(a, b reflect.Value, path string, seen map[[2]uintptr]bool) string {
-	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
-		return path + ": type"
-	}
-	if !a.IsValid() {
-		return ""
+func diff(a, b reflect.Value, path string) string {
+	if !a.IsValid() || !b.IsValid() {
+		return mismatch(path, a.IsValid() == b.IsValid(), a, b)
 	}
 	switch a.Kind() {
-	case reflect.Pointer:
+	case reflect.Pointer, reflect.Interface:
 		if a.IsNil() || b.IsNil() {
 			return mismatch(path, a.IsNil() == b.IsNil(), a, b)
 		}
-		key := [2]uintptr{a.Pointer(), b.Pointer()}
-		if a.Pointer() == b.Pointer() || seen[key] {
-			return ""
-		}
-		seen[key] = true
-		return diff(a.Elem(), b.Elem(), "(*"+path+")", seen)
-	case reflect.Interface:
-		if a.IsNil() || b.IsNil() {
-			return mismatch(path, a.IsNil() == b.IsNil(), a, b)
-		}
-		return diff(a.Elem(), b.Elem(), path, seen)
+		return diff(a.Elem(), b.Elem(), path)
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			if d := diff(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name, seen); d != "" {
+			if d := diff(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); d != "" {
 				return d
 			}
 		}
@@ -52,7 +40,7 @@ func diff(a, b reflect.Value, path string, seen map[[2]uintptr]bool) string {
 			return fmt.Sprintf("%s: len %d, reset %d", path, a.Len(), b.Len())
 		}
 		for i := 0; i < a.Len(); i++ {
-			if d := diff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i), seen); d != "" {
+			if d := diff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
 				return d
 			}
 		}
@@ -61,11 +49,11 @@ func diff(a, b reflect.Value, path string, seen map[[2]uintptr]bool) string {
 			return fmt.Sprintf("%s: len %d, reset %d", path, a.Len(), b.Len())
 		}
 		for _, k := range a.MapKeys() {
-			if d := diff(a.MapIndex(k), b.MapIndex(k), fmt.Sprintf("%s[%v]", path, k), seen); d != "" {
+			if d := diff(a.MapIndex(k), b.MapIndex(k), fmt.Sprintf("%s[%v]", path, k)); d != "" {
 				return d
 			}
 		}
-	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
+	case reflect.Func, reflect.Chan:
 		return mismatch(path, a.IsNil() == b.IsNil(), a, b)
 	default:
 		return mismatch(path, a.Equal(b), a, b)

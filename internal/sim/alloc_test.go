@@ -14,6 +14,12 @@ import (
 // shows in wall clock.
 const maxPooledAllocs = 100
 
+// maxConstructionAllocs is the ceiling on heap allocations to build a
+// single-core Instance: every structure allocates its storage once (a
+// cache one slice of lines, not one per set), so construction costs a
+// handful of objects per component.
+const maxConstructionAllocs = 100
+
 // allocProgram is a service-shaped cell: a few hundred instructions
 // over a small table, a couple of thousand simulated cycles — the size
 // at which per-run set-up cost would dominate.
@@ -89,4 +95,21 @@ func TestPooledRunAllocCeiling(t *testing.T) {
 		c := Cell{Kind: KindSST, Topo: TopoCMP, Progs: []*asm.Program{prog, prog}}
 		measure(t, newInstance(t, c.Shape()), c)
 	})
+}
+
+// TestNewInstanceAllocCeiling holds building a single-core Instance of
+// every kind under DefaultOptions to maxConstructionAllocs.
+func TestNewInstanceAllocCeiling(t *testing.T) {
+	opts := DefaultOptions()
+	for _, k := range Kinds {
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := NewInstance(Shape{Kind: k}, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %.0f allocs per NewInstance", k, allocs)
+		if allocs > maxConstructionAllocs {
+			t.Errorf("%v: %.0f allocs per NewInstance, ceiling %d", k, allocs, maxConstructionAllocs)
+		}
+	}
 }

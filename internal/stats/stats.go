@@ -111,12 +111,8 @@ func (h *Hist) Merge(other *Hist) {
 // construction cost. A reset histogram is indistinguishable from a
 // freshly constructed one with the same limit.
 func (h *Hist) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.n = 0
-	h.sum = 0
-	h.max = 0
+	clear(h.buckets)
+	*h = Hist{buckets: h.buckets}
 }
 
 // Clone returns an independent copy of the histogram.
