@@ -289,13 +289,9 @@ func (t *tables) reset() {
 	for i := range t.pht {
 		t.pht[i] = 2
 	}
-	for i := range t.btb {
-		t.btb[i] = btbEntry{}
-	}
+	clear(t.btb)
 	for _, tbl := range t.tage {
-		for i := range tbl {
-			tbl[i] = tageEntry{}
-		}
+		clear(tbl)
 	}
 	t.updates = 0
 }
@@ -374,17 +370,22 @@ func (p *Predictor) Config() Config { return p.cfg }
 // reallocating: PHT counters back to weakly taken, tagged tables and
 // useful bits cleared, history cleared, BTB and RAS emptied, statistics
 // zeroed. Part of the pooled-simulator reset path (see sim.Instance).
-// In a sharing group, resetting any strand resets the pooled tables
-// (idempotent), and each strand must still be Reset for its private
-// history/RAS/stats.
-func (p *Predictor) Reset() {
-	p.t.reset()
-	p.ghr = 0
-	for i := range p.ras {
-		p.ras[i] = 0
+// In a sharing group, resetting any strand resets the pooled tables;
+// ResetGroup resets a whole group and clears them once.
+func (p *Predictor) Reset() { ResetGroup([]*Predictor{p}) }
+
+// ResetGroup resets every strand of a group built by NewGroup. The
+// group either pools one table set or gives every strand its own, so a
+// strand whose tables are strand 0's skips clearing them again. Only a
+// strand's configuration, tables, salt and RAS storage outlive a run.
+func ResetGroup(group []*Predictor) {
+	for i, p := range group {
+		if i == 0 || p.t != group[0].t {
+			p.t.reset()
+		}
+		clear(p.ras)
+		*p = Predictor{cfg: p.cfg, t: p.t, salt: p.salt, ras: p.ras}
 	}
-	p.rasSP = 0
-	p.Stats = Stats{}
 }
 
 // gshareIndex is the classic gshare hash of pc against the full global

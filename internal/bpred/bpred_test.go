@@ -415,3 +415,20 @@ func TestDeferredTrainingCounters(t *testing.T) {
 		t.Error("deferred target training did not reach the BTB")
 	}
 }
+
+func TestResetGroupMatchesFresh(t *testing.T) {
+	for _, mode := range []ShareMode{SharePartitioned, ShareShared, ShareHashed} {
+		cfg := tageConfig()
+		cfg.Share = mode
+		used := NewGroup(cfg, 3)
+		for i, p := range used {
+			trainRandom(p, int64(20+i), 4000)
+			p.UpdateTarget(0x100, 0x200)
+			p.PushReturn(0x300)
+		}
+		ResetGroup(used)
+		if !reflect.DeepEqual(used, NewGroup(cfg, 3)) {
+			t.Errorf("share=%v: reset group differs from fresh", mode)
+		}
+	}
+}

@@ -32,6 +32,7 @@ type Chip struct {
 	Hier     *mem.Hierarchy
 	Machines []*cpu.Machine
 	Cores    []cpu.Core
+	preds    []*bpred.Predictor // the cores' predictor group
 	shared   bool
 	cycle    uint64
 	err      error
@@ -54,8 +55,8 @@ func New(hcfg mem.HierConfig, pcfg bpred.Config, entries []uint64, shared bool, 
 	if err != nil {
 		return nil, err
 	}
-	c := &Chip{Hier: hier, shared: shared}
 	preds := bpred.NewGroup(pcfg, n)
+	c := &Chip{Hier: hier, preds: preds, shared: shared}
 	var m *mem.Sparse
 	for i, e := range entries {
 		if m == nil || !shared {
@@ -115,22 +116,23 @@ func (c *Chip) salt() {
 
 // Reset returns the chip to its freshly built state with core i
 // executing from entries[i], without reallocating: the hierarchy,
-// functional memories and predictors are cleared in place, private
-// chips re-salted, and every core reset on top (each core model must
-// implement cpu.Resetter). The caller loads programs afterwards.
+// functional memories and predictor group are cleared in place, each
+// shared structure once, private chips re-salted, and every core reset
+// on top (each core model must implement cpu.Resetter). The caller
+// loads programs afterwards.
 func (c *Chip) Reset(entries []uint64) {
 	c.Hier.Reset()
 	for i, m := range c.Machines {
 		if i == 0 || !c.shared {
 			m.Mem.Reset()
 		}
-		m.Pred.Reset()
 	}
+	bpred.ResetGroup(c.preds)
 	c.salt()
 	for i, cr := range c.Cores {
 		cr.(cpu.Resetter).Reset(entries[i])
 	}
-	c.cycle, c.err = 0, nil
+	*c = Chip{Hier: c.Hier, Machines: c.Machines, Cores: c.Cores, preds: c.preds, shared: c.shared}
 }
 
 // Step advances the chip one lockstep cycle: every core that has not

@@ -66,16 +66,19 @@ func Build(hcfg mem.HierConfig, pcfg bpred.Config, icfg inorder.Config) (*Core, 
 }
 
 // Reset returns the pair to its freshly built state, strand i executing
-// from entries[i], without reallocating: each strand's machine (memory,
-// the shared hierarchy, predictor) and core are cleared in place.
+// from entries[i], without reallocating: each strand's memory, the one
+// hierarchy and predictor group they share, and both cores are cleared
+// in place, each shared structure once.
 func (c *Core) Reset(entries [2]uint64) {
-	for i := range c.threads {
-		c.threads[i].Mach.Reset()
-	}
+	a, b := c.threads[0].Mach, c.threads[1].Mach
+	a.Hier.Reset()
+	a.Mem.Reset()
+	b.Mem.Reset()
+	bpred.ResetGroup([]*bpred.Predictor{a.Pred, b.Pred})
 	for i := range c.threads {
 		c.threads[i].Core.Reset(entries[i])
 	}
-	c.cycle, c.err = 0, nil
+	*c = Core{threads: c.threads}
 }
 
 // Step advances the physical core one cycle: the issue slot belongs to
