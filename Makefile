@@ -10,14 +10,16 @@
 # fleet smoke (fleet-smoke: 3 shards behind rockgate, /v1/run load, grid
 # byte-identity, loss-free drain of all four processes), the
 # rockbench golden digests of every experiment's text (rockbench-test),
-# and the benchmark guard (bench-guard: three rockbench runs compared
-# against the committed BENCH_rockbench.json, about 6–7 min);
+# the full-scale results check (results-check: results_full.txt is
+# regenerated and diffed, about 3 min), and the benchmark guard
+# (bench-guard: three rockbench runs compared against the committed
+# BENCH_rockbench.json, about 6–7 min);
 # determinism re-runs the observability tests twice in one process to
 # prove the exports are byte-stable across map-iteration orders.
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test determinism ci golden bench bench-guard profile
+.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test results-check determinism ci golden bench bench-guard profile
 
 all: tier1
 
@@ -55,7 +57,18 @@ smoke-parallel:
 	diff -u /tmp/sstbench-j1.txt /tmp/sstbench-j4.txt
 	@echo "smoke-parallel: -j 1 and -j 4 output identical"
 
-tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test bench-guard
+tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test results-check bench-guard
+
+# Regenerate every experiment at full scale and require the committed
+# results_full.txt to match byte for byte (only the wall-clock
+# "regenerated in" lines are dropped). EXPERIMENTS.md quotes that file,
+# and TestExperimentsQuoteResults keeps the quotes current. About 3 min
+# on a 2-vCPU Xeon VM.
+results-check:
+	$(GO) build -o /tmp/sstbench-results ./cmd/sstbench
+	/tmp/sstbench-results -scale full -j 2 | grep -v 'regenerated in' > /tmp/results_full.txt
+	diff -u results_full.txt /tmp/results_full.txt
+	@echo "results-check: results_full.txt is current"
 
 # The rockbench module has its own go.mod, so `go test ./...` skips it;
 # its tests hold the golden digests of every experiment's test-scale
