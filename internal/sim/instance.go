@@ -17,7 +17,7 @@ import (
 // timing hierarchy, branch predictors and core models, for any machine
 // shape: one core, an SMT pair or a chip — that can be reset and reused
 // across runs, eliminating the per-run construction cost (about 50
-// allocations and 1 ms for one core, mostly the 4 MB L2's tag store)
+// allocations and 1-2 ms for one core, mostly the L2's 2 MB tag store)
 // that dominates short, service-shaped workloads. An Instance is built for one options shape: the
 // construction-affecting options (Hier, Pred and the core configs — see
 // Options.ShapeFingerprint) are fixed at NewInstance; the per-run

@@ -22,11 +22,12 @@ var quotedExperiments = []string{"F1", "S1", "B1"}
 func TestExperimentsQuoteResults(t *testing.T) {
 	doc, res := readFile(t, "EXPERIMENTS.md"), readFile(t, "results_full.txt")
 	for _, id := range quotedExperiments {
-		out := lines(section(res, regexp.MustCompile(`^---- `+id+`:`), "---- "))
+		output := section(res, regexp.MustCompile(`^---- `+id+`:`), "---- ")
 		quoted := section(doc, regexp.MustCompile(`^## .*\b`+id+`\b`), "## ")
-		if len(out) == 0 || quoted == "" {
+		if output == "" || quoted == "" {
 			t.Fatalf("%s: no output in results_full.txt or no section in EXPERIMENTS.md", id)
 		}
+		out := lines(output)
 		blocks := regexp.MustCompile("(?s)```\n(.*?)```").FindAllStringSubmatch(quoted, -1)
 		if len(blocks) == 0 {
 			t.Errorf("%s: EXPERIMENTS.md quotes no output block", id)
