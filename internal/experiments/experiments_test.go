@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rocksim/internal/gridpin"
 	"rocksim/internal/workload"
 )
 
@@ -95,15 +96,20 @@ func TestHeadlineExperimentTestScale(t *testing.T) {
 	}
 }
 
-// TestSweepsSmoke runs every remaining experiment at test scale: they
-// must produce non-empty tables without errors. Under the race
-// detector the full sweep would take tens of minutes, so a reduced
-// set covering each driver family stands in; the concurrency proof
-// under race is TestConcurrentRegeneration, and the full sweep runs
-// in tier1.
+// TestSweepsSmoke runs every experiment at test scale and requires its
+// text to match the digest pinned in the grid map of
+// cmd/rockbench/testdata/golden.json, so any change to simulated output
+// or to how a result renders fails tier 1. Under the race detector the
+// full sweep would take tens of minutes, so a reduced set covering each
+// driver family stands in; the concurrency proof under race is
+// TestConcurrentRegeneration, and the full sweep runs in tier1.
 func TestSweepsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
+	}
+	pins, err := gridpin.Load("../..")
+	if err != nil {
+		t.Fatal(err)
 	}
 	ids := All
 	if raceDetectorOn {
@@ -111,17 +117,8 @@ func TestSweepsSmoke(t *testing.T) {
 	}
 	r := NewRunner()
 	for _, id := range ids {
-		res, err := r.Run(id, workload.ScaleTest)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(res.Tables) == 0 {
-			t.Errorf("%s: no tables", id)
-		}
-		for _, tbl := range res.Tables {
-			if tbl.NumRows() == 0 {
-				t.Errorf("%s: empty table %q", id, tbl.Title)
-			}
+		if err := pins.Check(id, []byte(renderResult(t, r, id))); err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"rocksim/internal/gridpin"
 	"rocksim/internal/sim"
 	"rocksim/internal/workload"
 )
@@ -31,26 +32,23 @@ func renderResult(t *testing.T, r *Runner, id string) string {
 // TestConcurrentRegeneration is the harness's race proof (run under
 // `go test -race`): whole experiments regenerate concurrently on one
 // shared Runner — racing on the run cache, the worker pool and every
-// model the cells construct — and each must render byte-identically to
-// a serial single-worker run on a fresh Runner.
+// model the cells construct — and each must render the text pinned in
+// cmd/rockbench/testdata/golden.json, which a serial run reproduces
+// (TestSweepsSmoke).
 func TestConcurrentRegeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	serial := NewRunner()
-	serial.SetJobs(1)
-	want := make(map[string]string, len(raceIDs))
-	for _, id := range raceIDs {
-		want[id] = renderResult(t, serial, id)
+	pins, err := gridpin.Load("../..")
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	shared := NewRunner()
 	shared.SetJobs(4) // force a multi-worker pool even on 1-CPU hosts
-	got := make([]string, len(raceIDs))
 	var wg sync.WaitGroup
 	wg.Add(len(raceIDs))
-	for i, id := range raceIDs {
-		go func(i int, id string) {
+	for _, id := range raceIDs {
+		go func(id string) {
 			defer wg.Done()
 			res, err := shared.Run(id, workload.ScaleTest)
 			if err != nil {
@@ -59,15 +57,12 @@ func TestConcurrentRegeneration(t *testing.T) {
 			}
 			var sb strings.Builder
 			res.Fprint(&sb)
-			got[i] = sb.String()
-		}(i, id)
+			if err := pins.Check(id, []byte(sb.String())); err != nil {
+				t.Errorf("concurrent regeneration: %v", err)
+			}
+		}(id)
 	}
 	wg.Wait()
-	for i, id := range raceIDs {
-		if got[i] != want[id] {
-			t.Errorf("%s: concurrent output differs from serial run:\n--- serial ---\n%s--- concurrent ---\n%s", id, want[id], got[i])
-		}
-	}
 }
 
 // TestRunCacheSharesCells asserts the content-addressed cache: two

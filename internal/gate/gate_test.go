@@ -15,6 +15,7 @@ import (
 
 	"rocksim/internal/experiments"
 	"rocksim/internal/faults"
+	"rocksim/internal/gridpin"
 	"rocksim/internal/serve"
 	"rocksim/internal/sim"
 	"rocksim/internal/workload"
@@ -105,10 +106,45 @@ func gatewayGrid(t *testing.T, g *Gateway, ids []string) (*http.Response, []byte
 	return resp, data
 }
 
+// checkPinnedGrid splits a /v1/grid body — each experiment's
+// Result.Fprint text followed by a blank line, in request order — and
+// requires every experiment's text to match its digest pinned in
+// cmd/rockbench/testdata/golden.json, which is what one rocksimd renders
+// at test scale under the default options.
+func checkPinnedGrid(t *testing.T, body []byte, ids []string) {
+	t.Helper()
+	pins, err := gridpin.Load("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := body
+	for i, id := range ids {
+		if !bytes.HasPrefix(rest, []byte("---- "+id+": ")) {
+			t.Fatalf("grid body: %s does not start at byte %d: %.200q", id, len(body)-len(rest), rest)
+		}
+		end := len(rest)
+		if i+1 < len(ids) {
+			end = bytes.Index(rest, []byte("\n\n---- "+ids[i+1]+": "))
+			if end < 0 {
+				t.Fatalf("grid body: no %s after %s", ids[i+1], id)
+			}
+			end += 2
+		}
+		text, ok := bytes.CutSuffix(rest[:end], []byte("\n"))
+		if !ok {
+			t.Fatalf("grid body: %s text is not followed by a blank line", id)
+		}
+		if err := pins.Check(id, text); err != nil {
+			t.Error(err)
+		}
+		rest = rest[end:]
+	}
+}
+
 // TestGridByteIdentityFleet is the tentpole contract: a 3-shard fleet's
 // assembled grid — every experiment decomposed into cells fanned out by
 // cache key, single cores, SMT pairs, chips and leak-oracle checks alike
-// — is byte-for-byte what a single daemon produces, sync and async, and
+// — is byte-for-byte the pinned single-daemon text, sync and async, and
 // no shard is ever asked for a whole experiment.
 func TestGridByteIdentityFleet(t *testing.T) {
 	base := sim.DefaultOptions()
@@ -126,23 +162,17 @@ func TestGridByteIdentityFleet(t *testing.T) {
 	// A table, single-core fan-out, a CMP (F9), SMT pairs (F12), a shared
 	// chip (F16), leak-oracle checks (S1) and the predictor grid (B1).
 	ids := []string{"T1", "F3", "F9", "F12", "F16", "S1", "B1"}
-	want := gridRef(t, ids, base)
-
 	resp, got := gatewayGrid(t, g, ids)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("grid: status %d: %.300s", resp.StatusCode, got)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fleet grid differs from single-node bytes:\ngot  %d bytes\nwant %d bytes\ngot:  %.400q\nwant: %.400q",
-			len(got), len(want), got, want)
-	}
+	checkPinnedGrid(t, got, ids)
 	if n := grids.Load(); n != 0 {
 		t.Errorf("shards received %d /v1/grid requests; a gateway grid must fan out cell by cell", n)
 	}
 
 	// Async path: submit, poll, same bytes (cells now cached on shards).
 	asyncIDs := []string{"T1", "F3"}
-	asyncWant := gridRef(t, asyncIDs, base)
 	ts := httptest.NewServer(g)
 	defer ts.Close()
 	body, _ := json.Marshal(serve.GridRequest{Exps: asyncIDs, Scale: "test", Async: true})
@@ -168,9 +198,7 @@ func TestGridByteIdentityFleet(t *testing.T) {
 		data, _ := io.ReadAll(rr.Body)
 		rr.Body.Close()
 		if rr.StatusCode == http.StatusOK {
-			if !bytes.Equal(data, asyncWant) {
-				t.Fatalf("async fleet grid differs from single-node bytes (%d vs %d)", len(data), len(asyncWant))
-			}
+			checkPinnedGrid(t, data, asyncIDs)
 			break
 		}
 		if rr.StatusCode != http.StatusAccepted {
