@@ -15,7 +15,33 @@ import (
 // The core keeps two structures incrementally that it once recomputed
 // by scanning: the oldest-unresolved watermark (oldestUnresolvedSeq)
 // and the DQ wakeup (forward, through per-producer waiter chains). The
-// scans they replaced live on here, and only here, as oracles.
+// scans they replaced live on here, and only here, as oracles, next to
+// the scan that re-derives the pending list's counters.
+
+// checkPendCounters re-derives the counters kept beside the pending
+// list (pendMin, pendSeqMin, secPending) by scanning it.
+func checkPendCounters(c *Core) error {
+	var minReady, minSeq uint64
+	held := 0
+	for i, p := range c.pend {
+		if i == 0 || p.ready < minReady {
+			minReady = p.ready
+		}
+		if i == 0 || p.seq < minSeq {
+			minSeq = p.seq
+		}
+		if p.blocked || p.quarantined {
+			held++
+		}
+	}
+	if held != c.secPending {
+		return fmt.Errorf("secPending %d, the scan counts %d held entries", c.secPending, held)
+	}
+	if len(c.pend) > 0 && (c.pendMin != minReady || c.pendSeqMin != minSeq) {
+		return fmt.Errorf("pendMin %d pendSeqMin %d, the scan gives %d and %d", c.pendMin, c.pendSeqMin, minReady, minSeq)
+	}
+	return nil
+}
 
 // scanOldestUnresolved is the scan oldestUnresolvedSeq replaced: the
 // smallest seq among DQ entries and pending results, else c.seq.
@@ -167,7 +193,8 @@ var secureModes = []struct {
 }
 
 // runIncremental steps prog on a cfg core, fast-forwarding as
-// cpu.RunCtx does, and checks both oracles after every Step.
+// cpu.RunCtx does, and checks the oracles after every Step (rollbacks
+// included: they happen inside Step).
 func runIncremental(t *testing.T, name string, cfg Config, prog *asm.Program, plan *faults.Plan) {
 	t.Helper()
 	m := mem.NewSparse()
@@ -201,14 +228,17 @@ func runIncremental(t *testing.T, name string, cfg Config, prog *asm.Program, pl
 		if err := o.check(c); err != nil {
 			t.Fatalf("%s cycle %d: %v", name, c.cycle, err)
 		}
+		if err := checkPendCounters(c); err != nil {
+			t.Fatalf("%s cycle %d: %v", name, c.cycle, err)
+		}
 	}
 }
 
 // TestIncrementalStructuresMatchScans runs the differential suites'
 // generated programs on every DQ-bearing kind under every secure mode,
-// plain and under a fault plan, and requires the maintained watermark
-// and the waiter-chain wakeup to agree with the scans they replaced
-// after every Step.
+// plain and under a fault plan, and requires the maintained watermark,
+// the waiter-chain wakeup and the pending list's counters to agree with
+// scans after every Step.
 func TestIncrementalStructuresMatchScans(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {
