@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rocksim/internal/cpu"
 	"rocksim/internal/mem"
@@ -19,18 +20,7 @@ func (c *Core) takeCheckpoint(pc uint64) bool {
 		// so callers fall back to their no-checkpoint paths.
 		return false
 	}
-	ck := checkpoint{
-		startSeq:   c.seq,
-		pc:         pc,
-		takenAt:    c.cycle,
-		regs:       c.regs,
-		na:         c.na,
-		lastWriter: c.lastWriter,
-		readyAt:    c.readyAt,
-		ghr:        c.m.Pred.History(),
-		processed:  c.processed,
-		cpi:        c.stats.CPI,
-	}
+	ck := c.snapshot(pc)
 	c.ckpts = append(c.ckpts, ck)
 	c.stats.CheckpointsTaken++
 	if c.sink != nil {
@@ -38,6 +28,20 @@ func (c *Core) takeCheckpoint(pc uint64) bool {
 		c.sink.Event(c.cycle, "checkpoint", "checkpoint", fmt.Sprintf("pc=%#x seq=%d live=%d", pc, c.seq, len(c.ckpts)))
 	}
 	return true
+}
+
+// snapshot captures the state a rollback to the next instruction (seq
+// c.seq, at pc) restores. Epoch checkpoints and txbegin both take it.
+func (c *Core) snapshot(pc uint64) checkpoint {
+	return checkpoint{
+		startSeq:  c.seq,
+		pc:        pc,
+		takenAt:   c.cycle,
+		regState:  c.regState,
+		ghr:       c.m.Pred.History(),
+		processed: c.processed,
+		cpi:       c.stats.CPI,
+	}
 }
 
 // epochOf returns the index of the epoch containing seq (the youngest
@@ -97,24 +101,10 @@ func (c *Core) commitEpochs(now uint64) {
 		c.stats.Retired += endProcessed - c.ckpts[0].processed
 		// Committed reads no longer need conflict tracking. (The read
 		// set is not seq-sorted — replayed loads append out of order —
-		// so filter rather than trim a prefix.)
-		rs := c.readSet[:0]
-		for _, r := range c.readSet {
-			if r.seq >= boundary {
-				rs = append(rs, r)
-			}
-		}
-		c.readSet = rs
-		if len(c.specFills) > 0 {
-			// Committed fills are architectural, not leaked residue.
-			sf := c.specFills[:0]
-			for _, s := range c.specFills {
-				if s >= boundary {
-					sf = append(sf, s)
-				}
-			}
-			c.specFills = sf
-		}
+		// so filter rather than trim a prefix.) Committed fills are
+		// architectural, not leaked residue.
+		c.readSet = slices.DeleteFunc(c.readSet, func(r readRec) bool { return r.seq < boundary })
+		c.specFills = slices.DeleteFunc(c.specFills, func(s uint64) bool { return s < boundary })
 		c.stats.CkptLife.Add(int(now - c.ckpts[0].takenAt))
 		if c.sink != nil {
 			c.sink.SpanEnd(now, "checkpoint", c.ckpts[0].startSeq)
@@ -159,12 +149,9 @@ func (c *Core) rollback(idx int, now uint64, cause RollbackCause) {
 		// Deliberately broken restore (faults.SkipRestore): keep the
 		// speculative register values. Exists only so the invisibility
 		// oracle can be proven to catch a rollback bug.
-	} else {
-		c.regs = ck.regs
+		ck.regs = c.regs
 	}
-	c.na = ck.na
-	c.lastWriter = ck.lastWriter
-	c.readyAt = ck.readyAt
+	c.regState = ck.regState
 	c.m.Pred.SetHistory(ck.ghr)
 	c.stats.DiscardedInsts += c.processed - ck.processed
 	c.processed = ck.processed
@@ -191,56 +178,16 @@ func (c *Core) rollback(idx int, now uint64, cause RollbackCause) {
 	// Squash speculative state younger than the checkpoint.
 	cut := ck.startSeq
 	c.dqSquash(cut)
-	rs := c.readSet[:0]
-	for _, r := range c.readSet {
-		if r.seq < cut {
-			rs = append(rs, r)
-		}
-	}
-	c.readSet = rs
-	ssb := c.ssb[:0]
-	for _, e := range c.ssb {
-		if e.seq < cut {
-			ssb = append(ssb, e)
-		}
-	}
-	c.ssb = ssb
-	pend := c.pend[:0]
-	var pendMin uint64
-	c.secPending = 0
-	for _, p := range c.pend {
-		if p.seq < cut {
-			if len(pend) == 0 || p.seq < c.pendSeqMin {
-				c.pendSeqMin = p.seq
-			}
-			pend = append(pend, p)
-			if pendMin == 0 || p.ready < pendMin {
-				pendMin = p.ready
-			}
-			if p.blocked || p.quarantined {
-				c.secPending++
-			}
-		}
-	}
-	c.pend = pend
-	c.pendMin = pendMin
-	if len(c.specFills) > 0 {
-		// Count the speculative fills this squash just turned into
-		// attacker-observable residue (leak-oracle accounting; the log is
-		// only populated while secrets are installed).
-		sf := c.specFills[:0]
-		squashed := 0
-		for _, s := range c.specFills {
-			if s < cut {
-				sf = append(sf, s)
-			} else {
-				squashed++
-			}
-		}
-		c.specFills = sf
-		if squashed > 0 {
-			c.m.Hier.NoteSquashedSpecFills(squashed)
-		}
+	c.readSet = slices.DeleteFunc(c.readSet, func(r readRec) bool { return r.seq >= cut })
+	c.ssb = slices.DeleteFunc(c.ssb, func(e ssbEntry) bool { return e.seq >= cut })
+	c.keepPend(func(p *pendingResult) bool { return p.seq < cut })
+	// Count the speculative fills this squash just turned into
+	// attacker-observable residue (leak-oracle accounting; the log is
+	// only populated while secrets are installed).
+	fills := len(c.specFills)
+	c.specFills = slices.DeleteFunc(c.specFills, func(s uint64) bool { return s >= cut })
+	if squashed := fills - len(c.specFills); squashed > 0 {
+		c.m.Hier.NoteSquashedSpecFills(squashed)
 	}
 
 	c.scoutArmed = false

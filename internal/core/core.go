@@ -134,14 +134,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ExecuteAheadConfig is the ablation without the second strand: the DQ
-// replays through the same pipeline that executes ahead.
-func ExecuteAheadConfig() Config {
-	c := DefaultConfig()
-	c.SecondStrand = false
-	return c
-}
-
 // ScoutConfig is the hardware-scout (runahead) ablation: no deferred
 // queue at all — a miss checkpoints, runs ahead purely for prefetching,
 // and re-executes everything when the miss returns. The store buffer
@@ -293,18 +285,26 @@ type Stats struct {
 	CkptLife *stats.Hist // checkpoint lifetime (cycles from take to commit/abort)
 }
 
-// checkpoint snapshots everything needed to restart execution at the
-// instruction that triggered it.
-type checkpoint struct {
-	startSeq   uint64 // seq of the triggering instruction
-	pc         uint64 // its PC (rollback target)
-	takenAt    uint64 // cycle the checkpoint was taken (lifetime accounting)
+// regState is the per-register state: the block a checkpoint saves and
+// a rollback or transaction abort restores with one assignment. Every
+// per-register array belongs here (a reflect test enforces it), so a
+// new one is checkpointed and restored with no other edit.
+type regState struct {
 	regs       [isa.NumRegs]int64
 	na         [isa.NumRegs]bool
 	lastWriter [isa.NumRegs]uint64
-	readyAt    [isa.NumRegs]uint64
-	ghr        uint64 // branch-history snapshot
-	processed  uint64 // architectural instruction count at checkpoint
+	readyAt    [isa.NumRegs]uint64 // short-wait scoreboard (L1 hits, ALU lat)
+}
+
+// checkpoint snapshots everything needed to restart execution at the
+// instruction that triggered it.
+type checkpoint struct {
+	startSeq uint64 // seq of the triggering instruction
+	pc       uint64 // its PC (rollback target)
+	takenAt  uint64 // cycle the checkpoint was taken (lifetime accounting)
+	regState
+	ghr       uint64 // branch-history snapshot
+	processed uint64 // architectural instruction count at checkpoint
 
 	// cpi snapshots the cycle-accounting stack at checkpoint take, so a
 	// rollback can re-attribute every cycle spent since to the rollback's
@@ -377,10 +377,7 @@ type Core struct {
 	fe     *cpu.Frontend
 	l1dHit uint64 // the L1D hit latency: a data access slower than it is a miss
 
-	regs       [isa.NumRegs]int64
-	na         [isa.NumRegs]bool
-	lastWriter [isa.NumRegs]uint64
-	readyAt    [isa.NumRegs]uint64 // short-wait scoreboard (L1 hits, ALU lat)
+	regState
 
 	mode  Mode
 	seq   uint64 // next sequence number (monotonic, never rewinds)
@@ -400,13 +397,14 @@ type Core struct {
 
 	// pendMin is the earliest ready cycle among pend entries (meaningful
 	// only while pend is non-empty); deliver scans the list only once the
-	// clock reaches it. Maintained on append (aheadLoad/replay misses,
-	// long ops), on delivery and on rollback squash.
+	// clock reaches it. pushPend lowers it on append, a secure release
+	// when a blocked load gets its arrival cycle, and keepPend re-derives
+	// it whenever entries leave the list.
 	pendMin uint64
 
 	// pendSeqMin is the smallest seq among pend entries (meaningful only
-	// while pend is non-empty), maintained at the same points as pendMin.
-	// With the seq-ordered DQ's head it makes oldestUnresolvedSeq O(1).
+	// while pend is non-empty), kept by pushPend and keepPend. With the
+	// seq-ordered DQ's head it makes oldestUnresolvedSeq O(1).
 	pendSeqMin uint64
 
 	// sbHorizon is a monotonic upper bound on every readyAt value the
@@ -424,11 +422,14 @@ type Core struct {
 	// clears), replay (a ready entry dequeues) and rollback (squash).
 	dqReady int
 
-	// readSet records speculative ahead-strand loads (seq-ordered).
-	// A deferred store whose address was unknown verifies against it at
-	// replay: overlap with a younger load means the load read stale data
-	// and speculation must roll back. This is how SST keeps loads
-	// flowing past unresolved stores without a disambiguation CAM.
+	// readSet records speculative loads, ahead and replayed, in the
+	// order they executed: not seq-sorted, since replayed loads append
+	// after younger ahead loads, so commitEpochs and rollback filter it
+	// by seq and readSetConflict scans it whole. A deferred store whose
+	// address was unknown verifies against it at replay: overlap with a
+	// younger load means the load read stale data and speculation must
+	// roll back. This is how SST keeps loads flowing past unresolved
+	// stores without a disambiguation CAM.
 	readSet []readRec
 
 	// processed counts instructions handled by the ahead strand since
@@ -493,7 +494,8 @@ type Core struct {
 
 	// secPending counts pend entries currently held by a secure mode
 	// (blocked or quarantined); the per-cycle release scan in secure.go
-	// is gated on it so insecure runs pay nothing.
+	// is gated on it so insecure runs pay nothing. The secure paths count
+	// the holds they append, and keepPend re-derives it.
 	secPending int
 
 	// specFills logs the seq of every speculative access that started a
@@ -752,25 +754,41 @@ func (c *Core) deliver(now uint64) {
 	if len(c.pend) == 0 || now < c.pendMin {
 		return
 	}
-	live := c.pend[:0]
-	var min uint64
-	for _, p := range c.pend {
+	c.keepPend(func(p *pendingResult) bool {
 		if p.ready > now || p.blocked || p.quarantined {
-			if len(live) == 0 || p.seq < c.pendSeqMin {
-				c.pendSeqMin = p.seq
-			}
-			live = append(live, p)
-			if min == 0 || p.ready < min {
-				min = p.ready
-			}
-			continue
+			return true
 		}
 		c.forward(p.seq, p.val)
 		c.deliverRF(p.seq, p.rd, p.val, now)
 		c.resolveDirty = true
+		return false
+	})
+}
+
+// keepPend keeps the pend entries for which keep reports true, calling
+// it once per entry in list order, and re-derives pendMin, pendSeqMin
+// and secPending from the entries kept. Every removal from pend goes
+// through it.
+func (c *Core) keepPend(keep func(p *pendingResult) bool) {
+	live := c.pend[:0]
+	c.secPending = 0
+	for i := range c.pend {
+		p := &c.pend[i]
+		if !keep(p) {
+			continue
+		}
+		if len(live) == 0 || p.ready < c.pendMin {
+			c.pendMin = p.ready
+		}
+		if len(live) == 0 || p.seq < c.pendSeqMin {
+			c.pendSeqMin = p.seq
+		}
+		if p.blocked || p.quarantined {
+			c.secPending++
+		}
+		live = append(live, *p)
 	}
 	c.pend = live
-	c.pendMin = min
 }
 
 // pushPend records a new pending result, keeping pendMin and pendSeqMin.

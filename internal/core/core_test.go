@@ -22,6 +22,15 @@ func testHier() mem.HierConfig {
 	}
 }
 
+// executeAheadConfig is the ablation without the second strand: the DQ
+// replays through the same pipeline that executes ahead. (The simulator
+// builds its sst-ea kind itself.)
+func executeAheadConfig() Config {
+	c := DefaultConfig()
+	c.SecondStrand = false
+	return c
+}
+
 // build creates an SST core running the given builder-produced program.
 func build(t *testing.T, cfg Config, gen func(b *asm.Builder)) (*Core, *cpu.Machine) {
 	t.Helper()
@@ -425,7 +434,7 @@ func TestDeliveredValueHealsCheckpoints(t *testing.T) {
 // TestEAOnlySharesSlots: the execute-ahead ablation makes progress and
 // matches architectural results, with replay stealing ahead slots.
 func TestEAOnlySharesSlots(t *testing.T) {
-	cfg := ExecuteAheadConfig()
+	cfg := executeAheadConfig()
 	c, _ := build(t, cfg, func(b *asm.Builder) {
 		b.Movi(5, 0x20000)
 		b.Movi(9, 0)
@@ -533,7 +542,7 @@ func TestRetiredMatchesGolden(t *testing.T) {
 	if err := emu.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{DefaultConfig(), ExecuteAheadConfig(), ScoutConfig()} {
+	for _, cfg := range []Config{DefaultConfig(), executeAheadConfig(), ScoutConfig()} {
 		m := mem.NewSparse()
 		prog.Load(m)
 		for i := uint64(0); i < 20; i++ {

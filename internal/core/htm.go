@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rocksim/internal/isa"
 	"rocksim/internal/mem"
@@ -38,13 +39,12 @@ type TxStats struct {
 }
 
 type txState struct {
-	active   bool
-	ckpt     checkpoint // register snapshot at txbegin
-	handler  uint64     // abort target
-	rd       uint8      // abort-code register
-	startSeq uint64
-	reads    map[uint64]struct{} // line-granular read set
-	abort    int64               // pending abort code (0 = none)
+	active  bool
+	ckpt    checkpoint          // snapshot at txbegin, whose seq opens the transaction
+	handler uint64              // abort target
+	rd      uint8               // abort-code register
+	reads   map[uint64]struct{} // line-granular read set
+	abort   int64               // pending abort code (0 = none)
 }
 
 // lineAddr aligns addr to the coherence line size.
@@ -69,21 +69,11 @@ func (c *Core) aheadTx(in *isa.Inst, pc uint64, seq uint64, now uint64) (cont, r
 		}
 		c.installInvalListener()
 		c.tx = txState{
-			active:   true,
-			handler:  in.BranchTarget(pc),
-			rd:       in.Rd,
-			startSeq: seq,
-			reads:    make(map[uint64]struct{}),
-		}
-		c.tx.ckpt = checkpoint{
-			startSeq:   seq,
-			pc:         pc,
-			regs:       c.regs,
-			na:         c.na,
-			lastWriter: c.lastWriter,
-			readyAt:    c.readyAt,
-			ghr:        c.m.Pred.History(),
-			processed:  c.processed,
+			active:  true,
+			ckpt:    c.snapshot(pc),
+			handler: in.BranchTarget(pc),
+			rd:      in.Rd,
+			reads:   make(map[uint64]struct{}),
 		}
 		c.write(in.Rd, 0, now+1, seq)
 		c.stats.Tx.Begins++
@@ -101,7 +91,7 @@ func (c *Core) aheadTx(in *isa.Inst, pc uint64, seq uint64, now uint64) (cont, r
 	// by time; nothing else is outstanding in normal mode).
 	c.drainSSB(^uint64(0), now)
 	if c.sink != nil {
-		c.sink.SpanEnd(now, "tx", c.tx.startSeq)
+		c.sink.SpanEnd(now, "tx", c.tx.ckpt.startSeq)
 		c.sink.Event(now, "tx", "txcommit", "stores published")
 	}
 	c.tx.active = false
@@ -115,10 +105,7 @@ func (c *Core) aheadTx(in *isa.Inst, pc uint64, seq uint64, now uint64) (cont, r
 func (c *Core) txAbort(now uint64) {
 	code := c.tx.abort
 	ck := c.tx.ckpt
-	c.regs = ck.regs
-	c.na = ck.na
-	c.lastWriter = ck.lastWriter
-	c.readyAt = ck.readyAt
+	c.regState = ck.regState
 	c.m.Pred.SetHistory(ck.ghr)
 	// The transaction's instructions executed in normal mode and were
 	// counted as retired; the abort architecturally undoes them.
@@ -126,16 +113,10 @@ func (c *Core) txAbort(now uint64) {
 	c.stats.Retired -= c.processed - ck.processed
 	c.processed = ck.processed
 	// Drop the transaction's buffered stores.
-	ssb := c.ssb[:0]
-	for _, e := range c.ssb {
-		if e.seq < c.tx.startSeq {
-			ssb = append(ssb, e)
-		}
-	}
-	c.ssb = ssb
+	c.ssb = slices.DeleteFunc(c.ssb, func(e ssbEntry) bool { return e.seq >= ck.startSeq })
 	handler, rd := c.tx.handler, c.tx.rd
 	if c.sink != nil {
-		c.sink.SpanEnd(now, "tx", c.tx.startSeq)
+		c.sink.SpanEnd(now, "tx", c.tx.ckpt.startSeq)
 		c.sink.Event(now, "tx", "txabort", fmt.Sprintf("code=%d", code))
 	}
 	c.tx = txState{}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"rocksim/internal/asm"
@@ -83,6 +84,45 @@ func TestTxCapacityAbort(t *testing.T) {
 	}
 	if c.Stats().Tx.AbortsByCode[TxAbortCapacity] != 1 {
 		t.Errorf("capacity aborts = %d", c.Stats().Tx.AbortsByCode[TxAbortCapacity])
+	}
+}
+
+// TestTxAbortRestoresRegState: an abort restores the whole per-register
+// block taken at txbegin (every array of regState, including any added
+// later), apart from the abort-code register the handler receives.
+func TestTxAbortRestoresRegState(t *testing.T) {
+	c, _ := build(t, DefaultConfig(), func(b *asm.Builder) {
+		b.Movi(5, 0x20000)
+		b.Movi(6, 7)
+		b.TxBegin(10, "fail")
+		b.Movi(6, 99)
+		b.St(isa.OpSt64, 6, 5, 0)
+		for r := uint8(12); r < 20; r++ {
+			b.Movi(r, int32(r))
+		}
+		b.TxCommit()
+		b.Halt()
+		b.Label("fail")
+		b.Halt()
+	})
+	stepUntil(t, c, 5000, func() bool { return c.tx.active && len(c.ssb) == 1 })
+	ck := c.tx.ckpt
+	if c.regState == ck.regState {
+		t.Fatal("transaction did not dirty the register state")
+	}
+	c.tx.abort = TxAbortConflict
+	c.txAbort(c.cycle)
+	got, want := reflect.ValueOf(c.regState), reflect.ValueOf(ck.regState)
+	for f := 0; f < got.NumField(); f++ {
+		for r := 0; r < isa.NumRegs; r++ {
+			if r != 10 && !got.Field(f).Index(r).Equal(want.Field(f).Index(r)) {
+				t.Errorf("regState.%s[%d] = %v after abort, txbegin had %v",
+					got.Type().Field(f).Name, r, got.Field(f).Index(r), want.Field(f).Index(r))
+			}
+		}
+	}
+	if len(c.ssb) != 0 {
+		t.Errorf("%d transactional stores survived the abort", len(c.ssb))
 	}
 }
 

@@ -173,7 +173,7 @@ func incrementalKinds() []struct {
 		cfg  Config
 	}{
 		{"scout", ScoutConfig()},
-		{"sst-ea", ExecuteAheadConfig()},
+		{"sst-ea", executeAheadConfig()},
 		{"sst", DefaultConfig()},
 		{"sst-big", big},
 	}

@@ -28,7 +28,7 @@ func specScenario(t *testing.T) *Core {
 }
 
 // TestRollbackRestoresStateAllCauses: for every RollbackCause, rolling
-// back the epoch restores the checkpointed register file and NA bits,
+// back the epoch restores the checkpointed per-register block whole,
 // drops the speculative SSB and DQ contents, attributes the cause, and
 // redirects execution to the checkpoint PC.
 func TestRollbackRestoresStateAllCauses(t *testing.T) {
@@ -42,11 +42,8 @@ func TestRollbackRestoresStateAllCauses(t *testing.T) {
 			discardedBefore := c.processed - ck.processed
 			c.rollback(0, c.cycle, cause)
 
-			if c.regs != ck.regs {
-				t.Error("register file not restored to checkpoint")
-			}
-			if c.na != ck.na {
-				t.Error("NA bits not restored to checkpoint")
+			if c.regState != ck.regState {
+				t.Error("per-register state (values, NA bits, producers, scoreboard) not restored to checkpoint")
 			}
 			for _, e := range c.ssb {
 				if e.seq >= ck.startSeq {

@@ -114,18 +114,8 @@ func (c *Core) secureRelease(now uint64) {
 	// Quarantined with data in hand: deliver and retire the entry.
 	c.forward(p.seq, p.val)
 	c.deliverRF(p.seq, p.rd, p.val, now)
-	c.secPending--
-	c.pend = append(c.pend[:relIdx], c.pend[relIdx+1:]...)
-	var min uint64
-	for i := range c.pend {
-		if min == 0 || c.pend[i].ready < min {
-			min = c.pend[i].ready
-		}
-		if i == 0 || c.pend[i].seq < c.pendSeqMin {
-			c.pendSeqMin = c.pend[i].seq
-		}
-	}
-	c.pendMin = min
+	seq := p.seq
+	c.keepPend(func(q *pendingResult) bool { return q.seq != seq })
 }
 
 // secureBlock holds a speculative load whose access may not be
@@ -180,23 +170,7 @@ func (c *Core) dropSecureHolds() {
 	if c.secPending == 0 {
 		return
 	}
-	live := c.pend[:0]
-	var min uint64
-	for _, p := range c.pend {
-		if p.blocked || p.quarantined {
-			continue
-		}
-		if len(live) == 0 || p.seq < c.pendSeqMin {
-			c.pendSeqMin = p.seq
-		}
-		live = append(live, p)
-		if min == 0 || p.ready < min {
-			min = p.ready
-		}
-	}
-	c.pend = live
-	c.pendMin = min
-	c.secPending = 0
+	c.keepPend(func(p *pendingResult) bool { return !p.blocked && !p.quarantined })
 	c.resolveDirty = true
 }
 
