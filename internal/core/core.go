@@ -24,6 +24,7 @@
 package core
 
 import (
+	"rocksim/internal/bpred"
 	"rocksim/internal/cpu"
 	"rocksim/internal/faults"
 	"rocksim/internal/isa"
@@ -395,11 +396,13 @@ type Core struct {
 	waitNext []int32
 	waitMask uint64
 
-	// pendMin is the earliest ready cycle among pend entries (meaningful
-	// only while pend is non-empty); deliver scans the list only once the
-	// clock reaches it. pushPend lowers it on append, a secure release
-	// when a blocked load gets its arrival cycle, and keepPend re-derives
-	// it whenever entries leave the list.
+	// pendMin is the earliest ready cycle among the pend entries deliver
+	// can deliver, those neither blocked nor quarantined (secureHold when
+	// there are none; meaningful only while pend is non-empty). deliver
+	// scans the list only once the clock reaches it. pushPend lowers it
+	// on append, a secure release when a blocked load gets its arrival
+	// cycle, quarantineLast re-derives it when the entry it flags set it,
+	// and keepPend re-derives it whenever entries leave the list.
 	pendMin uint64
 
 	// pendSeqMin is the smallest seq among pend entries (meaningful only
@@ -504,10 +507,11 @@ type Core struct {
 	specFills []uint64
 
 	// Fast-forward state, valid while cycle < ffNext: the last Step was a
-	// pure stall classified as ffKind with the recorded per-cycle stall
-	// and MLP contributions, and nothing can change before ffNext (see
-	// skip.go). Self-expiring: once the clock reaches ffNext, NextEvent
-	// reports no skip and the next Step re-derives everything.
+	// pure stall classified as ffKind with the recorded per-cycle stall,
+	// predictor-lookup and MLP contributions, and nothing can change
+	// before ffNext (see skip.go). Self-expiring: once the clock reaches
+	// ffNext, NextEvent reports no skip and the next Step re-derives
+	// everything.
 	ffNext     uint64
 	ffKind     CycleKind
 	ffBucket   cpu.Bucket
@@ -517,6 +521,7 @@ type Core struct {
 	ffSecDelay uint64
 	ffSecNoFwd uint64
 	ffSecSSB   uint64
+	ffLookups  bpred.Stats // only the four lookup counters are non-zero
 	ffMLP      int
 
 	stats Stats
@@ -745,8 +750,10 @@ func (c *Core) classifyCycle(executed, replayed int) CycleKind {
 
 // deliver applies pending deferred results whose data has arrived.
 // Entries held by a secure-speculation mode (blocked or quarantined) are
-// exempt from the time-based scan; secureRelease frees them when they
-// become the oldest unresolved instruction.
+// exempt from the time-based scan, and from pendMin, so a held entry
+// past its ready cycle does not make every cycle rescan the list;
+// secureRelease frees them when they become the oldest unresolved
+// instruction.
 func (c *Core) deliver(now uint64) {
 	if c.secPending > 0 {
 		c.secureRelease(now)
@@ -772,19 +779,19 @@ func (c *Core) deliver(now uint64) {
 func (c *Core) keepPend(keep func(p *pendingResult) bool) {
 	live := c.pend[:0]
 	c.secPending = 0
+	c.pendMin = secureHold
 	for i := range c.pend {
 		p := &c.pend[i]
 		if !keep(p) {
 			continue
-		}
-		if len(live) == 0 || p.ready < c.pendMin {
-			c.pendMin = p.ready
 		}
 		if len(live) == 0 || p.seq < c.pendSeqMin {
 			c.pendSeqMin = p.seq
 		}
 		if p.blocked || p.quarantined {
 			c.secPending++
+		} else {
+			c.pendMin = min(c.pendMin, p.ready)
 		}
 		live = append(live, *p)
 	}
@@ -793,8 +800,11 @@ func (c *Core) keepPend(keep func(p *pendingResult) bool) {
 
 // pushPend records a new pending result, keeping pendMin and pendSeqMin.
 func (c *Core) pushPend(p pendingResult) {
-	if len(c.pend) == 0 || p.ready < c.pendMin {
-		c.pendMin = p.ready
+	if len(c.pend) == 0 {
+		c.pendMin = secureHold
+	}
+	if !p.blocked && !p.quarantined {
+		c.pendMin = min(c.pendMin, p.ready)
 	}
 	if len(c.pend) == 0 || p.seq < c.pendSeqMin {
 		c.pendSeqMin = p.seq

@@ -89,6 +89,7 @@ var coreFieldClass = map[string]string{
 	"ffSecDelay":        clsRun,
 	"ffSecNoFwd":        clsRun,
 	"ffSecSSB":          clsRun,
+	"ffLookups":         clsRun,
 	"ffMLP":             clsRun,
 	"stats":             clsRun,
 	"snapBuf":           clsRun,

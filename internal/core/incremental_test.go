@@ -19,19 +19,21 @@ import (
 // the scan that re-derives the pending list's counters.
 
 // checkPendCounters re-derives the counters kept beside the pending
-// list (pendMin, pendSeqMin, secPending) by scanning it.
+// list (pendMin, pendSeqMin, secPending) by scanning it. pendMin ranges
+// over the entries deliver can deliver (neither blocked nor
+// quarantined), secureHold when there are none.
 func checkPendCounters(c *Core) error {
-	var minReady, minSeq uint64
+	var minSeq uint64
+	minReady := uint64(secureHold)
 	held := 0
 	for i, p := range c.pend {
-		if i == 0 || p.ready < minReady {
-			minReady = p.ready
-		}
 		if i == 0 || p.seq < minSeq {
 			minSeq = p.seq
 		}
 		if p.blocked || p.quarantined {
 			held++
+		} else if p.ready < minReady {
+			minReady = p.ready
 		}
 	}
 	if held != c.secPending {

@@ -105,9 +105,7 @@ func (c *Core) secureRelease(now uint64) {
 		p.blocked = false
 		if !p.quarantined {
 			c.secPending--
-		}
-		if p.ready < c.pendMin {
-			c.pendMin = p.ready
+			c.pendMin = min(c.pendMin, p.ready)
 		}
 		return
 	}
@@ -152,11 +150,17 @@ func (c *Core) securePend(seq uint64, rd uint8, v int64, ready uint64, miss, qua
 	}
 }
 
-// quarantineLast flags the entry deferResult just appended.
+// quarantineLast flags the entry deferResult just appended, which takes
+// it out of pendMin.
 func (c *Core) quarantineLast() {
-	c.pend[len(c.pend)-1].quarantined = true
+	p := &c.pend[len(c.pend)-1]
+	p.quarantined = true
 	c.secPending++
 	c.stats.SecureQuarantined++
+	if p.ready == c.pendMin {
+		// The entry may have set pendMin: keeping every entry re-derives it.
+		c.keepPend(func(*pendingResult) bool { return true })
+	}
 }
 
 // dropSecureHolds discards every held pending result when the core

@@ -19,11 +19,16 @@ import (
 // (see adoptTimeIndexed), so any replay, commit, rollback, checkpoint
 // take, scout entry or transaction event — and any counter added later —
 // marks the cycle unskippable, as do a delivery, a mode change, a
-// predictor access (a deferred-branch retry consults the direction
-// predictor every cycle; a jalr retry may pop the RAS) or a
-// fault-injector query (clamp probes record per retry inside an active
-// window). What remains — the genuinely replicable stalls — mutates only
-// time-indexed accounting, which SkipTo replays in closed form.
+// predictor change beyond a lookup (a jalr retry may pop the RAS, and
+// training moves the history register) or a fault-injector query (clamp
+// probes record per retry inside an active window). A pure lookup is
+// replicable: a deferred branch retried against a full DQ consults the
+// direction predictor every cycle, and a jalr retry waiting out a BTB
+// miss looks the target up again, while the tables and history they read
+// hold still. noteStall records those per-cycle lookup counts
+// (lookupDelta) and SkipTo credits them. What remains — the genuinely
+// replicable stalls — mutates only time-indexed accounting and predictor
+// lookup counts, which SkipTo replays in closed form.
 //
 // The snapshot copies the whole statistics block, so Step takes it only
 // after snapAfterQuiet consecutive quiet cycles — longer than the two
@@ -86,8 +91,11 @@ func (s *Stats) adoptTimeIndexed(from *Stats) {
 func (c *Core) noteStall(s *stepSnap, executed, replayed int, kind CycleKind, bucket cpu.Bucket, outstanding int, now uint64) {
 	if executed != 0 || replayed != 0 || c.done || c.err != nil ||
 		c.seq != s.seq || c.mode != s.mode || len(c.pend) != s.pendLen ||
-		c.m.Pred.Stats != s.pred || c.m.Pred.History() != s.ghr ||
-		c.flt.Mutations() != s.fltMut {
+		c.m.Pred.History() != s.ghr || c.flt.Mutations() != s.fltMut {
+		return
+	}
+	lookups, ok := lookupDelta(c.m.Pred.Stats, s.pred)
+	if !ok {
 		return
 	}
 	// A horizon of now+1 (or none) opens no skip window; settle that
@@ -109,8 +117,21 @@ func (c *Core) noteStall(s *stepSnap, executed, replayed int, kind CycleKind, bu
 	c.ffBucket = bucket
 	c.ffDQStall, c.ffSSBStall, c.ffAtStall = dq, ssb, at
 	c.ffSecDelay, c.ffSecNoFwd, c.ffSecSSB = sd, snf, sfl
+	c.ffLookups = lookups
 	c.ffMLP = outstanding
 	c.ffNext = next
+}
+
+// lookupDelta returns the predictor lookups one stall cycle made (cur
+// minus was, in the four lookup counters) and whether they were all it
+// did: any other counter moving, RASPops included, makes the cycle
+// impure.
+func lookupDelta(cur, was bpred.Stats) (d bpred.Stats, ok bool) {
+	d.DirLookups, d.TageProviderHits = cur.DirLookups-was.DirLookups, cur.TageProviderHits-was.TageProviderHits
+	d.BTBLookups, d.BTBMisses = cur.BTBLookups-was.BTBLookups, cur.BTBMisses-was.BTBMisses
+	was.DirLookups, was.TageProviderHits = cur.DirLookups, cur.TageProviderHits
+	was.BTBLookups, was.BTBMisses = cur.BTBLookups, cur.BTBMisses
+	return d, cur == was
 }
 
 // nextTimer returns the earliest cycle strictly after now at which the
@@ -184,6 +205,11 @@ func (c *Core) SkipTo(target uint64) {
 	c.stats.SecureDelayStallCycles += c.ffSecDelay * n
 	c.stats.SecureNoFwdStallCycles += c.ffSecNoFwd * n
 	c.stats.SecureSSBStallCycles += c.ffSecSSB * n
+	p := &c.m.Pred.Stats
+	p.DirLookups += c.ffLookups.DirLookups * n
+	p.TageProviderHits += c.ffLookups.TageProviderHits * n
+	p.BTBLookups += c.ffLookups.BTBLookups * n
+	p.BTBMisses += c.ffLookups.BTBMisses * n
 	if c.ffMLP > 0 {
 		c.stats.MLPSamples += n
 		c.stats.MLPSum += uint64(c.ffMLP) * n

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -138,11 +139,28 @@ type Runner struct {
 
 // cacheEntry is one cell of the run cache. The first requester computes
 // the outcome and closes done; every other requester blocks on done and
-// reads the shared result.
+// reads the shared result. The outcome's rendered report is kept beside
+// it, rendered by the first caller of report.
 type cacheEntry struct {
 	done chan struct{}
 	out  sim.Outcome
 	err  error
+
+	render  sync.Once
+	body    []byte
+	bodyErr error
+}
+
+// report returns the entry's outcome as sim.NewReport(out).WriteJSON
+// writes it, rendering it once for the entry's life. Call it only after
+// done is closed and only for an entry without err.
+func (e *cacheEntry) report() ([]byte, error) {
+	e.render.Do(func() {
+		var buf bytes.Buffer
+		e.bodyErr = sim.NewReport(e.out).WriteJSON(&buf)
+		e.body = buf.Bytes()
+	})
+	return e.body, e.bodyErr
 }
 
 // NewRunner returns a Runner with one worker per available CPU.
@@ -378,17 +396,19 @@ func cacheKey(c sim.Cell, opts sim.Options) string {
 // in-flight cell block until the first requester finishes
 // (singleflight), so shared cells are computed once.
 func (r *Runner) run(c sim.Cell, opts sim.Options) (sim.Outcome, error) {
-	return r.runCtx(context.Background(), c, opts)
+	e := r.entry(context.Background(), c, opts)
+	return e.out, e.err
 }
 
-// runCtx is run under a caller context. The context carries the
+// entry returns cell c's settled cache entry, computing it on a miss and
+// waiting for an in-flight compute on a join. The context carries the
 // request's tracer (see internal/obs StartSpan), never simulation
 // inputs: a cell's cache key and outcome are identical with tracing on
 // or off. The span shapes are part of the service contract — a request
 // that computes gets cache-lookup and compute spans; a request that
 // joins an in-flight compute gets cache-lookup and cache-join, never a
 // duplicate compute.
-func (r *Runner) runCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
+func (r *Runner) entry(ctx context.Context, c sim.Cell, opts sim.Options) *cacheEntry {
 	ck := cacheKey(c, opts)
 	_, ls := obs.StartSpan(ctx, "cache-lookup")
 	r.mu.Lock()
@@ -405,7 +425,7 @@ func (r *Runner) runCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.
 			<-e.done
 			js.End()
 		}
-		return e.out, e.err
+		return e
 	}
 	r.misses++
 	fn := r.computeFn
@@ -437,7 +457,7 @@ func (r *Runner) runCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.
 	cs.End()
 	e.out, e.err = out, err
 	close(e.done)
-	return out, err
+	return e
 }
 
 // RunCell runs one cell with the Runner's full machinery: the request
@@ -447,26 +467,34 @@ func (r *Runner) runCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.
 // bounded retry. This is the cell-level entry point the service
 // front-end uses; grids go through Run.
 func (r *Runner) RunCell(c sim.Cell, opts sim.Options) (sim.Outcome, error) {
-	return r.RunCellCtx(context.Background(), c, opts)
+	out, _, err := r.RunCellReport(context.Background(), c, opts)
+	return out, err
 }
 
-// RunCellCtx is RunCell under a caller context, adding the request-
+// RunCellReport is RunCell under a caller context, adding the request-
 // scoped spans: queue-wait covers the worker-pool admission, then the
-// cache/compute spans from runCtx. Tracing changes no outcome — the
-// context carries only observability state.
-func (r *Runner) RunCellCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
+// cache/compute spans from entry. Tracing changes no outcome — the
+// context carries only observability state. On success, report returns
+// the outcome rendered as sim.NewReport(out).WriteJSON writes it
+// (rocksimd's /v1/run body). The bytes belong to the cell's cache entry:
+// the first call for the entry renders them, and every later call, from
+// any request that reaches the same entry, returns the stored bytes,
+// which callers must not modify.
+func (r *Runner) RunCellReport(ctx context.Context, c sim.Cell, opts sim.Options) (out sim.Outcome, report func() ([]byte, error), err error) {
 	sem := r.semaphore()
 	_, qs := obs.StartSpan(ctx, "queue-wait")
 	sem <- struct{}{}
 	qs.End()
 	defer func() { <-sem }()
-	var out sim.Outcome
-	err := runJob(0, func(int) error {
-		o, err := r.runCtx(ctx, c, opts)
-		out = o
-		return err
+	var e *cacheEntry
+	err = runJob(0, func(int) error {
+		e = r.entry(ctx, c, opts)
+		return e.err
 	})
-	return out, err
+	if e == nil {
+		return sim.Outcome{}, nil, err
+	}
+	return e.out, e.report, err
 }
 
 // CacheStats reports run-cache traffic since the Runner was created:

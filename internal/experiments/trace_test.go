@@ -39,7 +39,7 @@ func TestSingleflightSpanNesting(t *testing.T) {
 	doneA := make(chan struct{})
 	go func() {
 		defer close(doneA)
-		if _, err := r.RunCellCtx(ctxA, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
+		if _, _, err := r.RunCellReport(ctxA, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -53,7 +53,7 @@ func TestSingleflightSpanNesting(t *testing.T) {
 	doneB := make(chan struct{})
 	go func() {
 		defer close(doneB)
-		if _, err := r.RunCellCtx(ctxB, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
+		if _, _, err := r.RunCellReport(ctxB, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -93,7 +93,7 @@ func TestSingleflightSpanNesting(t *testing.T) {
 	// C arrives after the fill completed: a plain hit, no join.
 	trC := obs.NewTracer()
 	ctxC := obs.WithTracer(context.Background(), trC)
-	if _, err := r.RunCellCtx(ctxC, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
+	if _, _, err := r.RunCellReport(ctxC, sim.CoreCell(sim.KindSST, spec.Program), sim.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	c := spanNames(trC)

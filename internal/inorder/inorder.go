@@ -83,6 +83,11 @@ type Core struct {
 	regs    [isa.NumRegs]int64
 	readyAt [isa.NumRegs]uint64 // scoreboard: cycle the register value is usable
 
+	// sbHorizon is a monotonic upper bound on every readyAt value ever
+	// written. Once the clock passes it, no register is still waiting and
+	// nextTimer skips the scoreboard scan.
+	sbHorizon uint64
+
 	loadsInFlight []uint64 // completion cycles of outstanding loads
 	storeBuf      []uint64 // completion cycles of buffered stores
 
@@ -189,6 +194,7 @@ func (c *Core) write(r uint8, v int64, ready uint64) {
 	}
 	c.regs[r] = v
 	c.readyAt[r] = ready
+	c.sbHorizon = max(c.sbHorizon, ready)
 }
 
 // Tick advances the core's clock one cycle without issuing anything:
@@ -350,8 +356,10 @@ func (c *Core) nextTimer(now uint64) uint64 {
 		}
 	}
 	bound(c.fe.NextDelivery(now))
-	for _, t := range c.readyAt {
-		bound(t)
+	if c.sbHorizon > now {
+		for i := range c.readyAt {
+			bound(c.readyAt[i])
+		}
 	}
 	for _, t := range c.loadsInFlight {
 		bound(t)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,7 +22,7 @@ import (
 // consumes. It is an interface so the backpressure and drain tests can
 // inject a blocking fake; production code always passes the real Runner.
 type runner interface {
-	RunCellCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error)
+	RunCellReport(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, func() ([]byte, error), error)
 	Run(id string, scale workload.Scale) (*experiments.Result, error)
 	BaseOptions() sim.Options
 	CacheStats() (hits, misses uint64)
@@ -120,14 +119,15 @@ func (l *local) resolve(req RunRequest) (sim.Cell, sim.Options, error) {
 // runCell computes one cell on the runner, counting it in flight and
 // reporting the server-side cell time (queue wait + cache or compute)
 // as X-Compute-Us, traced or not; rockload subtracts it from client
-// TTFB to separate network/daemon overhead from simulation time.
-func (l *local) runCell(ctx context.Context, w http.ResponseWriter, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
+// TTFB to separate network/daemon overhead from simulation time. report
+// returns the cell's rendered report (see Runner.RunCellReport).
+func (l *local) runCell(ctx context.Context, w http.ResponseWriter, c sim.Cell, opts sim.Options) (out sim.Outcome, report func() ([]byte, error), err error) {
 	l.s.inflight.Add(1)
 	t0 := time.Now()
-	out, err := l.run.RunCellCtx(ctx, c, opts)
+	out, report, err = l.run.RunCellReport(ctx, c, opts)
 	w.Header().Set("X-Compute-Us", strconv.FormatInt(time.Since(t0).Microseconds(), 10))
 	l.s.inflight.Add(-1)
-	return out, err
+	return out, report, err
 }
 
 func (l *local) Run(ctx context.Context, w http.ResponseWriter, req RunRequest) {
@@ -138,10 +138,11 @@ func (l *local) Run(ctx context.Context, w http.ResponseWriter, req RunRequest) 
 	}
 	// Fresh per-cell registry, exactly like sstsim -json: the report's
 	// metrics block comes from the run itself. On a cache hit the cached
-	// outcome carries the registry of the original compute — same
-	// deterministic contents, so hit and miss responses are identical.
+	// outcome carries the registry of the original compute, and the body
+	// is the one its cache entry rendered for the first serve, so hit
+	// and miss responses are identical.
 	opts.Metrics = obs.NewRegistry()
-	out, err := l.runCell(ctx, w, c, opts)
+	out, report, err := l.runCell(ctx, w, c, opts)
 	if err != nil {
 		l.s.count("run_errors").Inc()
 		l.s.log.Error("run failed", "id", RequestID(ctx), "kind", req.Kind,
@@ -154,16 +155,15 @@ func (l *local) Run(ctx context.Context, w http.ResponseWriter, req RunRequest) 
 		return
 	}
 	_, bs := obs.StartSpan(ctx, "assemble")
-	var buf bytes.Buffer
-	if err := sim.NewReport(out).WriteJSON(&buf); err != nil {
-		bs.End()
+	body, err := report()
+	bs.End()
+	if err != nil {
 		HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	bs.End()
 	l.foldRun(out)
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 // foldRun merges a served cell's run registry into the service
@@ -211,7 +211,7 @@ func (l *local) handleCell(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	out, err := l.runCell(ctx, w, c, opts)
+	out, _, err := l.runCell(ctx, w, c, opts)
 	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
 		// Deliberately 200: the failure is a property of the cell, not of

@@ -96,6 +96,70 @@ func TestRunByteIdentity(t *testing.T) {
 	if misses != 1 || hits != 1 {
 		t.Errorf("cache stats hits=%d misses=%d, want 1/1", hits, misses)
 	}
+
+	// Every core kind: the body a cache miss renders and the body a
+	// repeat hit serves are the same bytes.
+	for _, k := range sim.Kinds {
+		req := fmt.Sprintf(`{"kind":%q,"workload":"gcc","scale":"test"}`, k)
+		resp, miss := postJSON(t, ts.URL, "/v1/run", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", k, resp.StatusCode, miss)
+		}
+		var rep sim.Report
+		if err := json.Unmarshal(miss, &rep); err != nil || rep.Kind != k.String() {
+			t.Errorf("%s: miss body is not this kind's report (kind %q, err %v)", k, rep.Kind, err)
+		}
+		if _, hit := postJSON(t, ts.URL, "/v1/run", req); !bytes.Equal(hit, miss) {
+			t.Errorf("%s: cache-hit body differs from the miss body", k)
+		}
+	}
+	hits, misses = r.CacheStats()
+	if want := uint64(1 + len(sim.Kinds)); misses != want || hits != want {
+		t.Errorf("cache stats hits=%d misses=%d, want %d/%d", hits, misses, want, want)
+	}
+}
+
+// TestRunConcurrentColdCell: concurrent first requests for one cold cell
+// (one computes, the rest join or hit) all return the same bytes. Under
+// -race it also checks that the body is rendered and read safely.
+func TestRunConcurrentColdCell(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+
+	const n = 6
+	bodies := make([][]byte, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+				strings.NewReader(`{"kind":"sst","workload":"gcc","scale":"test"}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d, err %v: %s", i, resp.StatusCode, err, b)
+			}
+			bodies[i] = b
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Errorf("request %d: body differs from request 0's", i)
+		}
+	}
+	if hits, misses := r.CacheStats(); misses != 1 || hits != n-1 {
+		t.Errorf("cache stats hits=%d misses=%d, want %d/1", hits, misses, n-1)
+	}
 }
 
 // TestRunTimeoutPropagation: a request-level wall-clock timeout reaches
@@ -236,10 +300,10 @@ type fakeRunner struct {
 	cellErr error
 }
 
-func (f *fakeRunner) RunCellCtx(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, error) {
+func (f *fakeRunner) RunCellReport(ctx context.Context, c sim.Cell, opts sim.Options) (sim.Outcome, func() ([]byte, error), error) {
 	f.started <- struct{}{}
 	<-f.release
-	return sim.Outcome{}, f.cellErr
+	return sim.Outcome{}, nil, f.cellErr
 }
 
 func (f *fakeRunner) Run(id string, scale workload.Scale) (*experiments.Result, error) {
@@ -507,6 +571,50 @@ func TestMetricsCarryEveryRunCounter(t *testing.T) {
 		}
 		if !strings.Contains(string(metrics), "\n"+line+"\n") {
 			t.Errorf("/metrics lacks run counter sample %q", line)
+		}
+	}
+}
+
+// TestMetricsFoldEveryServe: every serve of a cell folds its run
+// registry into /metrics, cache hits included, so after n serves each
+// run counter reads n times the report's value and cells_served reads n.
+func TestMetricsFoldEveryServe(t *testing.T) {
+	const n = 3
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+	var body []byte
+	for i := 0; i < n; i++ {
+		var resp *http.Response
+		resp, body = postJSON(t, ts.URL, "/v1/run", `{"kind":"sst","workload":"gcc","scale":"test"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("serve %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	var rep sim.Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Metrics == nil || len(rep.Metrics.Counters) == 0 {
+		t.Fatal("report carries no run metrics")
+	}
+	_, metrics := get(t, ts.URL, "/metrics")
+
+	scratch := obs.NewRegistry()
+	for name, v := range rep.Metrics.Counters {
+		scratch.Counter(name).Set(n * v)
+	}
+	scratch.Counter("serve/cells_served").Set(n)
+	var buf bytes.Buffer
+	if err := scratch.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if !strings.Contains(string(metrics), "\n"+line+"\n") {
+			t.Errorf("/metrics lacks %d-serve sample %q", n, line)
 		}
 	}
 }

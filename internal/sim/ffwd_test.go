@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rocksim/internal/asm"
+	"rocksim/internal/bpred"
 	"rocksim/internal/cmp"
 	"rocksim/internal/core"
 	"rocksim/internal/cpu"
@@ -152,9 +153,15 @@ func firstDiff(a, b []byte) string {
 // every observable to match.
 func checkFFCell(t *testing.T, c Cell, plan *faults.Plan) {
 	t.Helper()
+	checkFFCellOpts(t, c, plan, fuzzFaultOpts())
+}
+
+// checkFFCellOpts is checkFFCell under caller-chosen base options.
+func checkFFCellOpts(t *testing.T, c Cell, plan *faults.Plan, opts Options) {
+	t.Helper()
 	s := c.Shape()
-	naive, _, nm, nt := cellRun(t, nil, c, plan, true, fuzzFaultOpts())
-	fast, _, fm, ft := cellRun(t, nil, c, plan, false, fuzzFaultOpts())
+	naive, _, nm, nt := cellRun(t, nil, c, plan, true, opts)
+	fast, _, fm, ft := cellRun(t, nil, c, plan, false, opts)
 	if naive.Cycles != fast.Cycles || naive.Retired != fast.Retired {
 		t.Errorf("%v: naive %d cycles/%d retired, fast-forward %d cycles/%d retired",
 			s, naive.Cycles, naive.Retired, fast.Cycles, fast.Retired)
@@ -284,6 +291,95 @@ func TestFastForwardEngages(t *testing.T) {
 			return core.New(m, cfg.(core.Config), w.Program.Entry)
 		})
 	}
+}
+
+// lookupSkips drives ff to completion by hand, jumping wherever it
+// reports a stall horizon, and counts the jumps that credited lookups to
+// any of preds.
+func lookupSkips(t *testing.T, ff cpu.FastForwarder, preds ...*bpred.Predictor) int {
+	t.Helper()
+	lookups := func() (n uint64) {
+		for _, p := range preds {
+			n += p.Stats.DirLookups + p.Stats.BTBLookups
+		}
+		return n
+	}
+	fired := 0
+	for !ff.Done() && ff.Cycle() < fuzzFaultOpts().CycleLimit() {
+		if tgt := ff.NextEvent(); tgt > ff.Cycle() {
+			before := lookups()
+			ff.SkipTo(tgt)
+			if lookups() != before {
+				fired++
+			}
+			continue
+		}
+		ff.Step()
+		if err := ff.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ff.Done() {
+		t.Fatal("did not finish")
+	}
+	return fired
+}
+
+// TestFastForwardLookupRetries: a stall cycle whose only predictor
+// change is a lookup (a deferred branch retried against a full DQ, a
+// jalr retry waiting out a BTB miss) is skipped, and SkipTo credits the
+// lookups. Two cells that take that path, sst under SecureDelayOnMiss
+// and a CMP-2 sst chip over shared TAGE tables, must match naive
+// stepping, and driving each by hand must show jumps that credited
+// lookups.
+func TestFastForwardLookupRetries(t *testing.T) {
+	var progs []*asm.Program
+	for _, n := range []string{"oltp", "jbb"} {
+		w, err := workload.Build(n, workload.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, w.Program)
+	}
+	sstConfig := func(opts Options) core.Config {
+		cfg, err := coreConfig(KindSST, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.(core.Config)
+	}
+	t.Run("sst-delay", func(t *testing.T) {
+		t.Parallel()
+		opts := fuzzFaultOpts()
+		opts.SST.SecureDelayOnMiss = true
+		checkFFCellOpts(t, CoreCell(KindSST, progs[0]), nil, opts)
+		m := mem.NewSparse()
+		progs[0].Load(m)
+		mach, err := cpu.NewMachine(m, opts.Hier, opts.Pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lookupSkips(t, core.New(mach, sstConfig(opts), progs[0].Entry), mach.Pred) == 0 {
+			t.Error("no jump credited predictor lookups")
+		}
+	})
+	t.Run("cmp2-sst-tage-shared", func(t *testing.T) {
+		t.Parallel()
+		opts := fuzzFaultOpts()
+		opts.Pred.Kind, opts.Pred.Share = bpred.TAGE, bpred.ShareShared
+		checkFFCellOpts(t, Cell{Kind: KindSST, Topo: TopoCMP, Progs: progs}, nil, opts)
+		cfg := sstConfig(opts)
+		chip, err := cmp.NewPrivate(opts.Hier, opts.Pred, progs,
+			func(_ int, m *cpu.Machine, entry uint64) (cpu.Core, error) {
+				return core.New(m, cfg, entry), nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lookupSkips(t, chip, chip.Machines[0].Pred, chip.Machines[1].Pred) == 0 {
+			t.Error("no jump credited predictor lookups")
+		}
+	})
 }
 
 // smtPair builds one SMT physical core running two workloads.

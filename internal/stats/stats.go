@@ -83,12 +83,15 @@ func (h *Hist) Max() int { return h.max }
 // Merge folds other's observations into h. Buckets beyond h's limit
 // clamp into h's overflow bucket (consistent with Add), so merging a
 // wider histogram into a narrower one loses only tail resolution, never
-// counts. The observed max and the exact sum are preserved.
+// counts. The observed max and the exact sum are preserved. Only the
+// buckets up to other's observed max (or its overflow bucket) can hold
+// counts, so the walk stops there.
 func (h *Hist) Merge(other *Hist) {
 	if other == nil || other.n == 0 {
 		return
 	}
-	for v, cnt := range other.buckets {
+	top := min(other.max, len(other.buckets)-1)
+	for v, cnt := range other.buckets[:top+1] {
 		if cnt == 0 {
 			continue
 		}

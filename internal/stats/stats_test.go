@@ -219,6 +219,21 @@ func TestHistMerge(t *testing.T) {
 		t.Errorf("clamped p99 = %d, want overflow bucket 4", got)
 	}
 
+	// A source holding a value beyond its own limit keeps it in its
+	// overflow bucket; merging into a wider histogram moves it there.
+	clamped := NewHist(4)
+	clamped.Add(2)
+	clamped.Add(9)
+	roomy := NewHist(16)
+	roomy.Merge(clamped)
+	if roomy.Count() != 2 || roomy.Max() != 9 || roomy.Mean() != 5.5 {
+		t.Errorf("merged clamped hist: count %d max %d mean %g, want 2, 9, 5.5",
+			roomy.Count(), roomy.Max(), roomy.Mean())
+	}
+	if lo, hi := roomy.Quantile(0.5), roomy.Quantile(1); lo != 2 || hi != 4 {
+		t.Errorf("merged clamped hist: p50 %d p100 %d, want 2 and source overflow bucket 4", lo, hi)
+	}
+
 	// nil and empty merges are no-ops.
 	before := narrow.Count()
 	narrow.Merge(nil)
