@@ -227,6 +227,7 @@ func (r *Registry) Hist(name string, limit int) *stats.Hist {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
+		h.Widen() // a snapshot published by PutHist
 		return h
 	}
 	h := stats.NewHist(limit)
@@ -239,7 +240,9 @@ func (r *Registry) Hist(name string, limit int) *stats.Hist {
 // publish histograms they already maintain (queue occupancies) without
 // double-counting. The merge runs under the registry lock, so
 // concurrent finished runs may publish into one registry; the
-// histogram passed in must itself be quiescent.
+// histogram passed in must itself be quiescent. A packed snapshot
+// (stats.Hist.Clone) is registered packed; a later merge into it, or
+// Hist, widens it.
 func (r *Registry) PutHist(name string, h *stats.Hist) {
 	if h == nil {
 		return
@@ -284,35 +287,16 @@ func (r *Registry) Merge(other *Registry) {
 	if other == nil || other == r {
 		return
 	}
-	type namedHist struct {
-		name string
-		h    *stats.Hist
-	}
+	// Lock order: source, then destination. Two registries must never
+	// be merged into each other concurrently.
 	other.mu.Lock()
-	counters := make([]*Counter, 0, len(other.counters))
-	for _, c := range other.counters {
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(other.gauges))
-	for _, g := range other.gauges {
-		gauges = append(gauges, g)
-	}
-	hists := make([]namedHist, 0, len(other.hists))
-	for n, h := range other.hists {
-		hists = append(hists, namedHist{n, h})
-	}
-	timelines := make([]*Timeline, 0, len(other.timelines))
-	for _, t := range other.timelines {
-		timelines = append(timelines, t)
-	}
-	other.mu.Unlock()
-
+	defer other.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range counters {
+	for _, c := range other.counters {
 		r.counterLocked(c.name).Add(c.Value())
 	}
-	for _, o := range gauges {
+	for _, o := range other.gauges {
 		g := r.gaugeLocked(o.name)
 		// Raise the high-water mark first, then adopt the value (a
 		// gauge's high is never below its value, so the second Set
@@ -320,14 +304,18 @@ func (r *Registry) Merge(other *Registry) {
 		g.Set(o.High())
 		g.Set(o.Value())
 	}
-	for _, nh := range hists {
-		if have, ok := r.hists[nh.name]; ok {
-			have.Merge(nh.h)
+	for name, h := range other.hists {
+		if have, ok := r.hists[name]; ok {
+			have.Merge(h)
 		} else {
-			r.hists[nh.name] = nh.h.Clone()
+			// The accumulating copy is live (full width), like one
+			// made by Hist.
+			c := h.Clone()
+			c.Widen()
+			r.hists[name] = c
 		}
 	}
-	for _, t := range timelines {
+	for _, t := range other.timelines {
 		r.timelineLocked(t.name).mergeFrom(t)
 	}
 }

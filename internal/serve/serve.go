@@ -211,7 +211,7 @@ func NewFront(cfg Config, b Backend) *Server {
 	}
 	s.ns, s.queue = b.Names()
 	if s.log == nil {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		s.log = slog.New(discardHandler{})
 	}
 	if s.clock == nil {
 		s.clock = time.Now
@@ -231,6 +231,15 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Logger returns the front end's logger.
 func (s *Server) Logger() *slog.Logger { return s.log }
+
+// discardHandler is the log handler of a server built without a
+// Logger: it enables no level, so no record is ever formatted.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // count returns the front end's counter name in its namespace.
 func (s *Server) count(name string) *obs.Counter { return s.reg.Counter(s.ns + "/" + name) }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // keyField is a field of Options that encoding/json writes: its index,
@@ -92,4 +93,45 @@ func (o Options) ShapeFingerprint() string { return o.key("run", 0) }
 // other kinds' configs cannot change a kind-k outcome, so the run cache
 // keys cells by this — an in-order cell under an SST secure mode shares
 // the unmitigated in-order result instead of recomputing it.
-func (o Options) KindFingerprint(k Kind) string { return o.key("core", k) }
+//
+// The run cache keys every request, so keys are memoized per options
+// value (see kindKeys). Options with a fault plan are encoded afresh:
+// the plan is a pointer, and its contents, not its address, are keyed.
+func (o Options) KindFingerprint(k Kind) string {
+	if o.Faults != nil {
+		return o.key("core", k)
+	}
+	o.Sink, o.Metrics = nil, nil // hooks: never keyed, never retained
+	mk := kindKey{o, k}
+	kindKeys.Lock()
+	s, ok := kindKeys.m[mk]
+	kindKeys.Unlock()
+	if ok {
+		return s
+	}
+	s = o.key("core", k)
+	kindKeys.Lock()
+	if len(kindKeys.m) >= kindKeysCap {
+		clear(kindKeys.m)
+	}
+	kindKeys.m[mk] = s
+	kindKeys.Unlock()
+	return s
+}
+
+// kindKey is one memoized KindFingerprint: options without hooks or a
+// fault plan, which compare by value, and the kind.
+type kindKey struct {
+	o Options
+	k Kind
+}
+
+// kindKeys memoizes KindFingerprint. It holds at most kindKeysCap keys
+// and starts over when full, so a stream of requests that each carry
+// their own cycle bound cannot grow it without limit.
+var kindKeys = struct {
+	sync.Mutex
+	m map[kindKey]string
+}{m: make(map[kindKey]string)}
+
+const kindKeysCap = 256

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rocksim/internal/faults"
+	"rocksim/internal/obs"
 	"rocksim/internal/serve"
 	"rocksim/internal/sim"
 )
@@ -138,6 +139,55 @@ func TestOptionsKeysCoverEveryLeaf(t *testing.T) {
 			t.Errorf("%s: wire round trip refused: %v", l.name, err)
 		} else if !reflect.DeepEqual(got, m) {
 			t.Errorf("%s: wire round trip changed the options:\n got  %+v\n want %+v", l.name, got, m)
+		}
+	}
+}
+
+// TestKindFingerprintMemoExact: the memoized KindFingerprint returns
+// the bytes of a fresh encoding, on a miss and on a hit, for every
+// single-leaf mutation of the default options, with hooks set or not,
+// and with a fault plan (which is never memoized by its address: two
+// plans with different contents behind reused options keep their own
+// keys).
+func TestKindFingerprintMemoExact(t *testing.T) {
+	var cases []sim.Options
+	for _, l := range optionLeaves() {
+		if isHook(l.top) {
+			continue
+		}
+		m := sim.DefaultOptions()
+		mutate(t, l.name, reflect.ValueOf(&m).Elem().FieldByIndex(l.index))
+		cases = append(cases, m)
+	}
+	hooked := sim.DefaultOptions()
+	hooked.Metrics = obs.NewRegistry()
+	cases = append(cases, hooked)
+	faulted := sim.DefaultOptions()
+	for _, spec := range []string{"seed=7;mem-jitter@0-5000:32", "seed=8;ckpt-deny@100-200"} {
+		p, err := faults.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faulted.Faults == nil {
+			faulted.Faults = p
+		} else {
+			*faulted.Faults = *p // same pointer, new contents
+		}
+		cases = append(cases, faulted)
+		for _, k := range sim.Kinds {
+			if got, want := faulted.KindFingerprint(k), faulted.KindKeyUncached(k); got != want {
+				t.Fatalf("faults %q, kind %v: key %s, want %s", spec, k, got, want)
+			}
+		}
+	}
+	for i, o := range cases {
+		for _, k := range sim.Kinds {
+			want := o.KindKeyUncached(k)
+			for pass := 0; pass < 2; pass++ {
+				if got := o.KindFingerprint(k); got != want {
+					t.Fatalf("case %d, kind %v, pass %d: key %s, want %s", i, k, pass, got, want)
+				}
+			}
 		}
 	}
 }

@@ -14,8 +14,8 @@ func TestHistJSONRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Add(i % 7)
 	}
-	h.Add(40)        // clamps into the overflow bucket, max stays 40
-	h.AddN(3, 1000)  // bulk path
+	h.Add(40)       // clamps into the overflow bucket, max stays 40
+	h.AddN(3, 1000) // bulk path
 	enc, err := json.Marshal(h)
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,8 @@ func TestHistResetIndistinguishableFromFresh(t *testing.T) {
 	// Merging a reset histogram into another is a no-op.
 	dst := NewHist(16)
 	fill(dst)
-	want := dst.Clone()
+	want := NewHist(16)
+	fill(want)
 	empty := NewHist(16)
 	fill(empty)
 	empty.Reset()

@@ -14,11 +14,22 @@ import (
 // Hist is a histogram over small non-negative integer values (queue
 // occupancies, burst lengths). Values beyond the configured maximum are
 // clamped into the overflow bucket.
+//
+// A live histogram (NewHist) holds every bucket 0..limit. A snapshot
+// (Clone) is packed: it keeps only the window of buckets from the lowest
+// to the highest non-zero one, starting at bucket off, plus the
+// construction limit, and answers every read, Merge and MarshalJSON
+// exactly as the full copy would. Add and AddN are for live histograms
+// only; Merge, Reset and Widen make a packed receiver live first.
 type Hist struct {
 	buckets []uint64
 	n       uint64
 	sum     uint64
 	max     int // largest observed value (pre-clamp)
+	// off and limit are set on a packed snapshot only: buckets holds
+	// bucket off onwards of a histogram built with limit (>= 1). A live
+	// histogram has limit 0 and buckets 0..len(buckets)-1.
+	off, limit int
 }
 
 // NewHist returns a histogram tracking values 0..limit (limit clamps).
@@ -80,22 +91,54 @@ func (h *Hist) Mean() float64 {
 // Max returns the largest observed value.
 func (h *Hist) Max() int { return h.max }
 
+// top returns the overflow bucket: the construction limit.
+func (h *Hist) top() int {
+	if h.limit != 0 {
+		return h.limit
+	}
+	return len(h.buckets) - 1
+}
+
+// window returns the first bucket that can hold a count and the
+// buckets from there up to the last that can: the observed max (or the
+// overflow bucket) bounds a live histogram, and a snapshot holds
+// exactly its non-zero window.
+func (h *Hist) window() (off int, buckets []uint64) {
+	if h.limit != 0 {
+		return h.off, h.buckets
+	}
+	return 0, h.buckets[:min(h.max, len(h.buckets)-1)+1]
+}
+
+// Widen makes a packed snapshot live again, at its full construction
+// width, so that Add may be called on it. A live histogram is left as
+// it is.
+func (h *Hist) Widen() {
+	if h.limit == 0 {
+		return
+	}
+	b := make([]uint64, h.limit+1)
+	copy(b[h.off:], h.buckets)
+	h.buckets, h.off, h.limit = b, 0, 0
+}
+
 // Merge folds other's observations into h. Buckets beyond h's limit
 // clamp into h's overflow bucket (consistent with Add), so merging a
 // wider histogram into a narrower one loses only tail resolution, never
-// counts. The observed max and the exact sum are preserved. Only the
-// buckets up to other's observed max (or its overflow bucket) can hold
-// counts, so the walk stops there.
+// counts. The observed max and the exact sum are preserved. Only
+// other's window of buckets can hold counts, so the walk covers just
+// that. A packed receiver is widened first.
 func (h *Hist) Merge(other *Hist) {
+	h.Widen()
 	if other == nil || other.n == 0 {
 		return
 	}
-	top := min(other.max, len(other.buckets)-1)
-	for v, cnt := range other.buckets[:top+1] {
+	off, buckets := other.window()
+	for i, cnt := range buckets {
 		if cnt == 0 {
 			continue
 		}
-		b := v
+		b := off + i
 		if b >= len(h.buckets) {
 			b = len(h.buckets) - 1
 		}
@@ -112,20 +155,35 @@ func (h *Hist) Merge(other *Hist) {
 // count, sum and observed max — without reallocating the bucket slice,
 // so a pooled simulator can reuse its histograms across runs with zero
 // construction cost. A reset histogram is indistinguishable from a
-// freshly constructed one with the same limit.
+// freshly constructed one with the same limit; a packed snapshot is
+// widened first.
 func (h *Hist) Reset() {
+	h.Widen()
 	clear(h.buckets)
 	*h = Hist{buckets: h.buckets}
 }
 
-// Clone returns an independent copy of the histogram.
+// Clone returns an independent, packed copy of the histogram (see
+// Hist): only the window of non-zero buckets is copied, so a snapshot
+// of a sparsely filled histogram costs a few buckets, not its limit.
 func (h *Hist) Clone() *Hist {
-	return &Hist{
-		buckets: append([]uint64(nil), h.buckets...),
-		n:       h.n,
-		sum:     h.sum,
-		max:     h.max,
+	if h.top() < 1 {
+		// Not a NewHist shape (an odd decoded vector): copy it whole.
+		return &Hist{buckets: append([]uint64(nil), h.buckets...), n: h.n, sum: h.sum, max: h.max}
 	}
+	off, buckets := h.window()
+	lo, hi := 0, len(buckets)
+	for lo < hi && buckets[lo] == 0 {
+		lo++
+	}
+	for hi > lo && buckets[hi-1] == 0 {
+		hi--
+	}
+	c := &Hist{n: h.n, sum: h.sum, max: h.max, limit: h.top()}
+	if lo < hi {
+		c.buckets, c.off = append([]uint64(nil), buckets[lo:hi]...), off+lo
+	}
+	return c
 }
 
 // histJSON is the wire shape of a histogram: the full bucket vector
@@ -140,14 +198,20 @@ type histJSON struct {
 	Max     int      `json:"max"`
 }
 
-// MarshalJSON encodes the histogram losslessly.
+// MarshalJSON encodes the histogram losslessly. A packed snapshot
+// writes the full bucket vector, exactly as its live source would.
 func (h *Hist) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histJSON{Buckets: h.buckets, N: h.n, Sum: h.sum, Max: h.max})
+	buckets := h.buckets
+	if h.limit != 0 {
+		buckets = make([]uint64, h.limit+1)
+		copy(buckets[h.off:], h.buckets)
+	}
+	return json.Marshal(histJSON{Buckets: buckets, N: h.n, Sum: h.sum, Max: h.max})
 }
 
 // UnmarshalJSON restores a histogram written by MarshalJSON. The result
-// is observation-identical to the source: same bucket counts, sample
-// count, sum and observed max.
+// is a live histogram, observation-identical to the source: same bucket
+// counts, sample count, sum and observed max.
 func (h *Hist) UnmarshalJSON(data []byte) error {
 	var w histJSON
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -156,7 +220,7 @@ func (h *Hist) UnmarshalJSON(data []byte) error {
 	if len(w.Buckets) == 0 {
 		w.Buckets = make([]uint64, 2)
 	}
-	h.buckets, h.n, h.sum, h.max = w.Buckets, w.N, w.Sum, w.Max
+	*h = Hist{buckets: w.Buckets, n: w.N, sum: w.Sum, max: w.Max}
 	return nil
 }
 
@@ -177,13 +241,14 @@ func (h *Hist) Quantile(q float64) int {
 		rank = h.n
 	}
 	var cum uint64
-	for v, c := range h.buckets {
+	off, buckets := h.window()
+	for i, c := range buckets {
 		cum += c
 		if cum >= rank {
-			return v
+			return off + i
 		}
 	}
-	return len(h.buckets) - 1
+	return h.top()
 }
 
 // Table accumulates rows for aligned text output: the shape in which the
