@@ -76,7 +76,7 @@ func sameHist(t *testing.T, label string, got, want *Hist) {
 // receiver — and a packed histogram after Reset.
 func TestHistPackedCloneProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 1000; trial++ {
+	for trial := 0; trial < 500; trial++ {
 		s, o := randSample(rng), randSample(rng)
 		packed := s.build().Clone()
 		sameHist(t, "clone", packed, s.build())
