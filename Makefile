@@ -229,10 +229,18 @@ determinism:
 
 ci: tier1 tier2 determinism
 
-# Regenerate golden files after a deliberate output change: the
-# Chrome-trace golden (after an exporter format change) and the
-# experiments' failure-path digests (after a deliberate change to how an
-# experiment renders; TestFailurePathDigests -update).
+# Regenerate every pin of simulated or rendered output after a
+# deliberate change: the Chrome-trace golden, the timing goldens, the
+# experiments' failure-path digests, rockbench's /v1/run body and grid
+# digests (cmd/rockbench/testdata/golden.json) and results_full.txt at
+# full scale (about 3 min, as results-check). Review the diff before
+# committing it. TestGoldenRecipeCoversEveryPin fails when a package's
+# tests declare an -update flag this recipe does not pass.
 golden:
 	$(GO) test ./internal/obs -run TestObsChromeGolden -update
+	$(GO) test ./internal/sim -run TestTimingGolden -update
 	$(GO) test ./internal/experiments -run TestFailurePathDigests -update
+	cd cmd/rockbench && $(GO) run . -update-golden
+	$(GO) build -o /tmp/sstbench-results ./cmd/sstbench
+	/tmp/sstbench-results -scale full -j 2 > /tmp/results_full.raw
+	grep -v 'regenerated in' /tmp/results_full.raw > results_full.txt

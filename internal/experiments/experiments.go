@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rocksim/internal/cpu"
 	"rocksim/internal/obs"
 	"rocksim/internal/sim"
 	"rocksim/internal/stats"
@@ -113,14 +115,20 @@ type Runner struct {
 	mu      sync.Mutex
 	jobs    int
 	sem     chan struct{}
-	cache   map[string]*cacheEntry
 	base    sim.Options
 	hasBase bool
+
+	// cache holds every in-flight cell and the runCacheCap most recently
+	// used settled ones; lru orders the settled ones, most recently used
+	// first. An in-flight entry is never on lru, so it is never evicted.
+	cache map[string]*cacheEntry
+	lru   list.List
 
 	// hits counts cell requests answered from the cache (including
 	// singleflight sharers that waited on an in-flight compute); misses
 	// counts requests that had to compute. Read via CacheStats.
-	hits, misses uint64
+	// evictions counts settled entries dropped for capacity (CacheSize).
+	hits, misses, evictions uint64
 
 	// pool recycles fully constructed simulators across cache misses,
 	// keyed by (machine shape, options shape); see pool.go. Cache misses
@@ -137,11 +145,26 @@ type Runner struct {
 	computeFn ComputeBackend
 }
 
+// runCacheCap is the number of settled cells a Runner's run cache
+// keeps; the least recently used one is evicted beyond it. It is sized
+// by the reuse distances of the test-scale grid: one jobs-1 Runner
+// regenerating every experiment (All) touches 342 distinct keys and
+// gets 219 hits, the farthest of them 225 distinct keys after the
+// key's previous use. An LRU of 256 keeps all 219 hits and recomputes
+// nothing; 192 recomputes 3 cells and 128 recomputes 25. rockbench's
+// gate-hit uses 21 cells, and run-stall and run-compute never hit, so a
+// long-lived rocksimd holds at most 256 outcomes (about 23 KB each for
+// sst on gcc) whatever it is sent.
+const runCacheCap = 256
+
 // cacheEntry is one cell of the run cache. The first requester computes
 // the outcome and closes done; every other requester blocks on done and
 // reads the shared result. The outcome's rendered report is kept beside
-// it, rendered by the first caller of report.
+// it, rendered by the first caller of report. A requester holding an
+// entry keeps its outcome and body after the cache evicts it.
 type cacheEntry struct {
+	key  string
+	elem *list.Element // place on Runner.lru once settled; nil in flight
 	done chan struct{}
 	out  sim.Outcome
 	err  error
@@ -414,6 +437,9 @@ func (r *Runner) entry(ctx context.Context, c sim.Cell, opts sim.Options) *cache
 	r.mu.Lock()
 	if e, ok := r.cache[ck]; ok {
 		r.hits++
+		if e.elem != nil {
+			r.lru.MoveToFront(e.elem)
+		}
 		r.mu.Unlock()
 		ls.SetAttr("hit", "true")
 		ls.End()
@@ -429,7 +455,7 @@ func (r *Runner) entry(ctx context.Context, c sim.Cell, opts sim.Options) *cache
 	}
 	r.misses++
 	fn := r.computeFn
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{key: ck, done: make(chan struct{})}
 	r.cache[ck] = e
 	r.mu.Unlock()
 	ls.SetAttr("hit", "false")
@@ -456,8 +482,30 @@ func (r *Runner) entry(ctx context.Context, c sim.Cell, opts sim.Options) *cache
 	}
 	cs.End()
 	e.out, e.err = out, err
+	r.settle(e)
 	close(e.done)
 	return e
+}
+
+// settle files a computed entry as the cache's most recently used,
+// evicting the least recently used settled entry beyond runCacheCap. An
+// entry that failed on its wall-clock deadline is dropped instead: the
+// deadline belongs to that attempt, not to the cell, so requesters
+// already joined on it get the error and the next request computes
+// afresh. Every other error is a property of the cell and stays cached.
+func (r *Runner) settle(e *cacheEntry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if errors.Is(e.err, cpu.ErrDeadline) {
+		delete(r.cache, e.key)
+		return
+	}
+	e.elem = r.lru.PushFront(e)
+	if r.lru.Len() > runCacheCap {
+		old := r.lru.Remove(r.lru.Back()).(*cacheEntry)
+		delete(r.cache, old.key)
+		r.evictions++
+	}
 }
 
 // RunCell runs one cell with the Runner's full machinery: the request
@@ -504,6 +552,15 @@ func (r *Runner) CacheStats() (hits, misses uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.hits, r.misses
+}
+
+// CacheSize reports the run cache's occupancy: the entries it holds
+// (settled and in flight) and the settled entries it has evicted for
+// capacity since the Runner was created.
+func (r *Runner) CacheSize() (entries int, evictions uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.cache), r.evictions
 }
 
 // All lists every experiment id in presentation order.

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"rocksim/internal/gridpin"
+	"rocksim/internal/sim"
 	"rocksim/internal/workload"
 )
 
@@ -99,10 +102,12 @@ func TestHeadlineExperimentTestScale(t *testing.T) {
 // TestSweepsSmoke runs every experiment at test scale and requires its
 // text to match the digest pinned in the grid map of
 // cmd/rockbench/testdata/golden.json, so any change to simulated output
-// or to how a result renders fails tier 1. Under the race detector the
-// full sweep would take tens of minutes, so a reduced set covering each
-// driver family stands in; the concurrency proof under race is
-// TestConcurrentRegeneration, and the full sweep runs in tier1.
+// or to how a result renders fails tier 1. The experiments share one
+// Runner, and no cell may be computed twice: the run cache's bound
+// (runCacheCap) must hold every cell the grid reuses. Under the race
+// detector the full sweep would take tens of minutes, so a reduced set
+// covering each driver family stands in; the concurrency proof under
+// race is TestConcurrentRegeneration, and the full sweep runs in tier1.
 func TestSweepsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -116,9 +121,22 @@ func TestSweepsSmoke(t *testing.T) {
 		ids = []string{"T1", "F5", "F12", "F16", "T3"}
 	}
 	r := NewRunner()
+	var mu sync.Mutex
+	computed := make(map[string]int)
+	r.SetComputeBackend(func(ctx context.Context, c sim.Cell, o sim.Options) (sim.Outcome, error) {
+		mu.Lock()
+		computed[CellKey(c, o)]++
+		mu.Unlock()
+		return r.compute(ctx, c, o)
+	})
 	for _, id := range ids {
 		if err := pins.Check(id, []byte(renderResult(t, r, id))); err != nil {
 			t.Error(err)
+		}
+	}
+	for ck, n := range computed {
+		if n > 1 {
+			t.Errorf("cell %s computed %d times: the run cache (%d cells) evicted it before its reuse", ck, n, runCacheCap)
 		}
 	}
 }

@@ -272,16 +272,18 @@ func (c *Client) Healthz() error {
 // Health is the decoded /healthz body — the shard-level state a fleet
 // router reads on every probe.
 type Health struct {
-	OK           bool   `json:"ok"`
-	Draining     bool   `json:"draining"`
-	ShardID      string `json:"shard_id"`
-	QueueDepth   int    `json:"queue_depth"`
-	QueueLimit   int    `json:"queue_limit"`
-	InflightRuns int64  `json:"inflight_runs"`
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	PoolReused   uint64 `json:"pool_reused"`
-	PoolBuilt    uint64 `json:"pool_built"`
+	OK             bool   `json:"ok"`
+	Draining       bool   `json:"draining"`
+	ShardID        string `json:"shard_id"`
+	QueueDepth     int    `json:"queue_depth"`
+	QueueLimit     int    `json:"queue_limit"`
+	InflightRuns   int64  `json:"inflight_runs"`
+	CacheHits      uint64 `json:"cache_hits"`
+	CacheMisses    uint64 `json:"cache_misses"`
+	CacheEntries   int    `json:"cache_entries"`
+	CacheEvictions uint64 `json:"cache_evictions"`
+	PoolReused     uint64 `json:"pool_reused"`
+	PoolBuilt      uint64 `json:"pool_built"`
 }
 
 // Health fetches and decodes /healthz. Unlike Healthz it succeeds on a

@@ -68,6 +68,20 @@ func TestClientEndToEnd(t *testing.T) {
 	if got := m["rocksim_serve_cache_misses"]; got != float64(misses) {
 		t.Errorf("scraped cache_misses %v, runner says %d", got, misses)
 	}
+	entries, evictions := r.CacheSize()
+	if got := m["rocksim_serve_cache_entries"]; got != float64(entries) {
+		t.Errorf("scraped cache_entries %v, runner says %d", got, entries)
+	}
+	if got := m["rocksim_serve_cache_evictions"]; got != float64(evictions) {
+		t.Errorf("scraped cache_evictions %v, runner says %d", got, evictions)
+	}
+	h, err := c.Health()
+	if err != nil {
+		t.Fatalf("health: %v", err)
+	}
+	if h.CacheEntries != entries || h.CacheEvictions != evictions {
+		t.Errorf("healthz cache_entries/evictions %d/%d, runner says %d/%d", h.CacheEntries, h.CacheEvictions, entries, evictions)
+	}
 	if m["rocksim_serve_run_requests"] < 1 {
 		t.Errorf("scraped run_requests %v, want >= 1", m["rocksim_serve_run_requests"])
 	}

@@ -26,6 +26,7 @@ type runner interface {
 	Run(id string, scale workload.Scale) (*experiments.Result, error)
 	BaseOptions() sim.Options
 	CacheStats() (hits, misses uint64)
+	CacheSize() (entries int, evictions uint64)
 	PoolStats() (reused, built uint64)
 }
 
@@ -233,6 +234,7 @@ func (l *local) handleCell(w http.ResponseWriter, r *http.Request) {
 // Health reports the daemon's queue and its cache and pool counters.
 func (l *local) Health(body map[string]any) bool {
 	hits, misses := l.run.CacheStats()
+	entries, evictions := l.run.CacheSize()
 	reused, built := l.run.PoolStats()
 	body["shard_id"] = l.s.cfg.ShardID
 	body["queue_depth"] = len(l.s.sem)
@@ -240,6 +242,8 @@ func (l *local) Health(body map[string]any) bool {
 	body["inflight_runs"] = l.s.inflight.Load()
 	body["cache_hits"] = hits
 	body["cache_misses"] = misses
+	body["cache_entries"] = entries
+	body["cache_evictions"] = evictions
 	body["pool_reused"] = reused
 	body["pool_built"] = built
 	return true
@@ -249,10 +253,13 @@ func (l *local) Health(body map[string]any) bool {
 // and the daemon's queue, cache and pool samples.
 func (l *local) WriteMetrics(w io.Writer) error {
 	hits, misses := l.run.CacheStats()
+	entries, evictions := l.run.CacheSize()
 	reused, built := l.run.PoolStats()
 	reg := l.s.reg
 	reg.Counter("serve/cache_hits").Set(hits)
 	reg.Counter("serve/cache_misses").Set(misses)
+	reg.Counter("serve/cache_evictions").Set(evictions)
+	reg.Gauge("serve/cache_entries").Set(int64(entries))
 	reg.Counter("serve/pool_reused").Set(reused)
 	reg.Counter("serve/pool_built").Set(built)
 	reg.Gauge("serve/queue_depth").Set(int64(len(l.s.sem)))

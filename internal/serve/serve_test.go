@@ -180,6 +180,28 @@ func TestRunTimeoutPropagation(t *testing.T) {
 	}
 }
 
+// TestRunDeadlineNotCached: a /v1/run that fails on its wall-clock
+// timeout leaves nothing in the run cache, so repeating it simulates
+// again instead of replaying the 504.
+func TestRunDeadlineNotCached(t *testing.T) {
+	r := experiments.NewRunner()
+	ts := httptest.NewServer(New(Config{}, r))
+	defer ts.Close()
+
+	req := `{"kind":"sst","workload":"chase","scale":"test","options":{"timeout":"1ns"}}`
+	for i := range 2 {
+		if resp, body := postJSON(t, ts.URL, "/v1/run", req); resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: status %d, want 504; body: %s", i, resp.StatusCode, body)
+		}
+	}
+	if hits, misses := r.CacheStats(); hits != 0 || misses != 2 {
+		t.Errorf("cache stats hits=%d misses=%d, want 0/2", hits, misses)
+	}
+	if entries, _ := r.CacheSize(); entries != 0 {
+		t.Errorf("cache holds %d entries, want 0", entries)
+	}
+}
+
 // TestRunValidation covers the 4xx surface.
 func TestRunValidation(t *testing.T) {
 	r := experiments.NewRunner()
@@ -314,6 +336,7 @@ func (f *fakeRunner) Run(id string, scale workload.Scale) (*experiments.Result, 
 
 func (f *fakeRunner) BaseOptions() sim.Options     { return sim.DefaultOptions() }
 func (f *fakeRunner) CacheStats() (uint64, uint64) { return 0, 0 }
+func (f *fakeRunner) CacheSize() (int, uint64)     { return 0, 0 }
 func (f *fakeRunner) PoolStats() (uint64, uint64)  { return 0, 0 }
 
 // TestBackpressure fills the admission queue and proves the next
@@ -441,6 +464,12 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 
 	postJSON(t, ts.URL, "/v1/run", `{"kind":"inorder","workload":"chase","scale":"test"}`)
+	_, body = get(t, ts.URL, "/healthz")
+	for _, want := range []string{`"cache_entries":1`, `"cache_evictions":0`} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("healthz missing %s: %s", want, body)
+		}
+	}
 	resp, body = get(t, ts.URL, "/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: status %d", resp.StatusCode)
@@ -449,6 +478,8 @@ func TestMetricsAndHealth(t *testing.T) {
 		"rocksim_serve_run_requests 1",
 		"rocksim_serve_cells_served 1",
 		"rocksim_serve_cache_misses 1",
+		"rocksim_serve_cache_entries 1",
+		"rocksim_serve_cache_evictions 0",
 		// Transient-leakage counters fold in per served cell (zero for a
 		// secret-free workload, but always present once a cell is served).
 		"rocksim_leak_tainted_accesses ",
