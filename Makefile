@@ -5,7 +5,8 @@
 # against -j 1, the fault-fuzz smoke (fixed seeds, bounded wall-clock)
 # of the speculation-invisibility oracle, the leak-fuzz smoke (gadget
 # corpus + fixed seeds through the transient-leakage oracle), a bounded
-# coverage-guided differential fuzz session (fuzz-short), the rocksimd
+# coverage-guided differential fuzz session plus the scout period-jump
+# sweep (fuzz-short), the rocksimd
 # service smoke (serve-smoke: load, grid byte-identity, SIGTERM drain), the
 # fleet smoke (fleet-smoke: 3 shards behind rockgate, /v1/run load, grid
 # byte-identity, loss-free drain of all four processes), the
@@ -83,6 +84,7 @@ rockbench-test:
 # internal/sim/testdata/corpus runs in plain `go test` as regressions.
 fuzz-short:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDifferential -fuzztime 20s
+	$(GO) test ./internal/sim -run 'TestScoutJump' -scout-sweep -count=1 -timeout 20m
 
 # End-to-end daemon smoke: boot rocksimd, load it with rockload, prove
 # the daemon's /v1/grid output is byte-identical to sstbench, then

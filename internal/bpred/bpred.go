@@ -247,6 +247,8 @@ type tables struct {
 	tage     [][]tageEntry // nil unless Kind == TAGE
 	histLens []int         // geometric history length per tagged table
 	updates  uint64        // direction updates, drives useful-bit decay
+	sharers  uint64        // strands indexing this table set (1 unless pooled)
+	writes   uint64        // updates that changed an entry's value
 }
 
 // tageEntry is one tagged-table slot: a partial tag, a 3-bit signed
@@ -294,6 +296,7 @@ func (t *tables) reset() {
 		clear(tbl)
 	}
 	t.updates = 0
+	t.writes = 0
 }
 
 // Predictor combines direction, target and return-address prediction for
@@ -334,12 +337,14 @@ func NewGroup(cfg Config, n int) []*Predictor {
 	var pooled *tables
 	if cfg.Share != SharePartitioned {
 		pooled = newTables(cfg)
+		pooled.sharers = uint64(n)
 	}
 	group := make([]*Predictor, n)
 	for i := range group {
 		t := pooled
 		if t == nil {
 			t = newTables(cfg)
+			t.sharers = 1
 		}
 		p := &Predictor{cfg: cfg, t: t, ras: make([]uint64, cfg.RASDepth)}
 		if cfg.Share == ShareHashed {
@@ -485,8 +490,7 @@ func (p *Predictor) UpdateDir(pc uint64, taken, mispredicted bool) {
 	if p.cfg.Kind == TAGE {
 		p.tageUpdate(pc, taken)
 	} else {
-		idx := p.gshareIndex(pc)
-		p.t.pht[idx] = sat2(p.t.pht[idx], taken)
+		p.t.setPHT(p.gshareIndex(pc), taken)
 	}
 	p.ghr = (p.ghr << 1) | b2u(taken)
 	if mispredicted {
@@ -506,6 +510,7 @@ func (p *Predictor) tageUpdate(pc uint64, taken bool) {
 	if provider >= 0 {
 		altPred := p.tablePred(pc, alt)
 		e := &t.tage[provider][p.tageIndex(pc, provider)]
+		was := *e
 		e.ctr = sat3(e.ctr, taken)
 		if provPred != altPred {
 			// The provider distinguished itself from its fallback:
@@ -518,9 +523,11 @@ func (p *Predictor) tageUpdate(pc uint64, taken bool) {
 				e.u--
 			}
 		}
+		if *e != was {
+			t.writes++
+		}
 	} else {
-		idx := p.baseIndex(pc)
-		t.pht[idx] = sat2(t.pht[idx], taken)
+		t.setPHT(p.baseIndex(pc), taken)
 	}
 	if provPred != taken && provider < len(t.tage)-1 {
 		// Mispredicted: claim one not-useful entry in the shortest
@@ -531,6 +538,7 @@ func (p *Predictor) tageUpdate(pc uint64, taken bool) {
 			e := &t.tage[ti][p.tageIndex(pc, ti)]
 			if e.u == 0 {
 				*e = tageEntry{tag: p.tageTag(pc, ti), ctr: weak3(taken)}
+				t.writes++
 				p.Stats.TageAllocs++
 				allocated = true
 				break
@@ -540,6 +548,7 @@ func (p *Predictor) tageUpdate(pc uint64, taken bool) {
 			for ti := provider + 1; ti < len(t.tage); ti++ {
 				if e := &t.tage[ti][p.tageIndex(pc, ti)]; e.u > 0 {
 					e.u--
+					t.writes++
 				}
 			}
 			p.Stats.TageAllocFails++
@@ -552,6 +561,7 @@ func (p *Predictor) tageUpdate(pc uint64, taken bool) {
 				tbl[i].u >>= 1
 			}
 		}
+		t.writes++
 		p.Stats.TageDecays++
 	}
 }
@@ -602,7 +612,10 @@ func (p *Predictor) PredictTarget(pc uint64) (target uint64, ok bool) {
 // jump at pc.
 func (p *Predictor) UpdateTarget(pc, target uint64) {
 	e := &p.t.btb[p.btbIndex(pc)]
-	*e = btbEntry{tag: pc, target: target, valid: true}
+	if v := (btbEntry{tag: pc, target: target, valid: true}); *e != v {
+		*e = v
+		p.t.writes++
+	}
 }
 
 func (p *Predictor) btbIndex(pc uint64) uint64 {
@@ -633,6 +646,55 @@ func (p *Predictor) RASDepthNow() int {
 		return len(p.ras)
 	}
 	return p.rasSP
+}
+
+// setPHT trains the 2-bit counter at idx toward the outcome.
+func (t *tables) setPHT(idx uint64, taken bool) {
+	if v := sat2(t.pht[idx], taken); v != t.pht[idx] {
+		t.pht[idx] = v
+		t.writes++
+	}
+}
+
+// TableWrites counts the updates, through this strand's table set by
+// any strand sharing it, that changed a table entry's value: a
+// direction counter, a useful bit, a tagged allocation, a decay sweep or
+// a BTB entry. The SST core's scout period jump requires it to hold
+// still: a period whose updates only re-write saturated values predicts
+// the same way every time it repeats.
+func (p *Predictor) TableWrites() uint64 { return p.t.writes }
+
+// HistoryMask returns the history-register bits the direction predictor
+// reads: the gshare index width, or every bit up to TAGE's longest
+// geometric history. Bits above it shift out unread.
+func (p *Predictor) HistoryMask() uint64 {
+	if p.cfg.Kind != TAGE {
+		return uint64(len(p.t.pht) - 1)
+	}
+	if l := p.t.histLens[len(p.t.histLens)-1]; l < 64 {
+		return uint64(1)<<l - 1
+	}
+	return ^uint64(0)
+}
+
+// DecayBudget returns how many more direction updates this strand may
+// make before TAGE's useful-bit decay could fire, when every strand
+// sharing the table set is allowed as many (no limit under gshare).
+func (p *Predictor) DecayBudget() uint64 {
+	if p.cfg.Kind != TAGE {
+		return ^uint64(0)
+	}
+	left := tageDecayPeriod - p.t.updates%tageDecayPeriod - 1
+	return left / p.t.sharers
+}
+
+// CreditDirUpdates advances TAGE's decay tick by n direction updates
+// that changed no table entry, as stepping them would. The caller keeps
+// n within DecayBudget; gshare keeps no tick.
+func (p *Predictor) CreditDirUpdates(n uint64) {
+	if p.cfg.Kind == TAGE {
+		p.t.updates += n
+	}
 }
 
 // sat2 moves a 2-bit saturating counter toward the outcome.

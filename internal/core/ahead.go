@@ -52,6 +52,10 @@ func (c *Core) ahead(now uint64, budget int) int {
 			c.fe.Advance()
 		}
 		if redirected {
+			if c.mode == ModeScout && c.sink == nil && c.fe.PC() <= pc {
+				// A scout loop head: see period.go.
+				c.pj.head, c.pj.headPC = true, pc
+			}
 			break // no issue past a control transfer in one cycle
 		}
 	}
@@ -92,6 +96,10 @@ func (c *Core) aheadInst(in *isa.Inst, pc uint64, now uint64) (cont, redirected 
 				return false, false
 			}
 		}
+	}
+
+	if c.mode == ModeScout && !c.pj.bad && c.sink == nil {
+		c.recordScout(in, pc, vals, isNA)
 	}
 
 	switch in.Op.Class() {

@@ -526,6 +526,10 @@ type Core struct {
 
 	stats Stats
 
+	// pj is the scout period jump's detection state and armed jump (see
+	// period.go).
+	pj periodJump
+
 	// snapBuf is the reused snapshot buffer for the detection cycles. It
 	// holds a whole Stats block, so it sits last, away from the fields
 	// every Step touches.
@@ -601,6 +605,7 @@ func (c *Core) SetFaults(in *faults.Injector) { c.flt = in }
 func (c *Core) Step() {
 	now := c.cycle
 	c.ffNext = 0
+	c.pj.end, c.pj.head = 0, false
 	c.feStall = false
 	dq0, ssb0, at0 := c.stats.DQFullStallCycles, c.stats.SSBFullStallCycles, c.stats.AtomicStallCycles
 	sd0, snf0, sfl0 := c.stats.SecureDelayStallCycles, c.stats.SecureNoFwdStallCycles, c.stats.SecureSSBStallCycles
@@ -682,6 +687,9 @@ func (c *Core) Step() {
 	}
 	if checkStall {
 		c.noteStall(&c.snapBuf, executed, replayed, kind, bucket, outstanding, now)
+	}
+	if c.pj.head {
+		c.notePeriod()
 	}
 }
 

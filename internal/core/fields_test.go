@@ -6,8 +6,10 @@ import (
 	"go/token"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"rocksim/internal/cpu"
 	"rocksim/internal/isa"
 )
 
@@ -92,6 +94,7 @@ var coreFieldClass = map[string]string{
 	"ffLookups":         clsRun,
 	"ffMLP":             clsRun,
 	"stats":             clsRun,
+	"pj":                clsRun,
 	"snapBuf":           clsRun,
 }
 
@@ -187,4 +190,103 @@ func TestCoreFieldClasses(t *testing.T) {
 		}
 	}
 	walk(ct, "Core")
+}
+
+// Period-jump classes: how the scout period jump (period.go) treats a
+// field across the whole periods it credits.
+const (
+	// jInvariant: unchanged by a repeating period; the jump requires it
+	// to hold still (periodFixed, the NA bits) or it cannot change in
+	// scout mode at all.
+	jInvariant = "invariant"
+	// jCycle: a cycle count that moves with the clock or lies in the
+	// past; credited the period times k.
+	jCycle = "affine in the cycle"
+	// jSeq: a seq that moves by the period's seq delta or not at all.
+	jSeq = "affine in seq"
+	// jCounter: moves by the same amount every period, credited times k.
+	jCounter = "counter"
+	// jShift: a shift register, credited by shifting the period's bits
+	// in k times.
+	jShift = "shift register"
+)
+
+var coreJumpClass = map[string]string{
+	"cfg": jInvariant, "m": jInvariant, "fe": jInvariant, "l1dHit": jInvariant,
+	"regState": "", // classed field by field in regStateJumpClass
+	"mode":     jInvariant, "seq": jSeq,
+	"ckpts": jInvariant, "dq": jInvariant, "ssb": jInvariant, "pend": jInvariant,
+	"dqSlots": jInvariant, "dqFree": jInvariant, "waitHead": jInvariant, "waitNext": jInvariant, "waitMask": jInvariant,
+	"pendMin": jInvariant, "pendSeqMin": jInvariant, "sbHorizon": jCycle,
+	"dqStores": jInvariant, "dqReady": jInvariant, "readSet": jInvariant, "processed": jCounter,
+	"scoutTriggerSeq": jInvariant, "scoutTriggerReady": jInvariant, "scoutArmed": jInvariant,
+	"forceProgress": jInvariant, "forceProgressPC": jInvariant,
+	"tx": jInvariant, "invalListener": jInvariant, "cohSeq": jInvariant,
+	"sink": jInvariant, "occ": jInvariant, "flt": jInvariant,
+	"done": jInvariant, "err": jInvariant, "cycle": jCycle,
+	"resolveDirty": jInvariant, "quiet": jInvariant, "feStall": jInvariant,
+	"secPending": jInvariant, "specFills": jInvariant,
+	"ffNext": jInvariant, "ffKind": jInvariant, "ffBucket": jInvariant, "ffDQStall": jInvariant,
+	"ffSSBStall": jInvariant, "ffAtStall": jInvariant, "ffSecDelay": jInvariant, "ffSecNoFwd": jInvariant,
+	"ffSecSSB": jInvariant, "ffLookups": jInvariant, "ffMLP": jInvariant,
+	"stats": jCounter, "pj": jInvariant, "snapBuf": jInvariant,
+}
+
+var regStateJumpClass = map[string]string{
+	"regs": jCounter, "na": jInvariant, "lastWriter": jSeq, "readyAt": jCycle,
+}
+
+// frontendJumpClass classes cpu.Frontend's fields. The machine, its L1I
+// and the decode memo are fixed for a run or host-side only; the rest
+// is compared through cpu.FetchState.
+var frontendJumpClass = map[string]string{
+	"m": jInvariant, "l1i": jInvariant, "memo": jInvariant, "page": jInvariant,
+	"pc": jInvariant, "stallUntil": jCycle, "lineAddr": jInvariant, "lineReady": jCycle,
+	"haveLine": jInvariant, "pageNum": jInvariant,
+}
+
+// TestPeriodJumpFieldClasses: every field of Core, regState and
+// cpu.Frontend names how the scout period jump treats it, so a field
+// added later fails here until it has a credit rule. The classes must
+// also match the jump's snapshot: whatever moves (a counter, or a
+// cycle- or seq-valued field) is a periodSnap field the credit reads;
+// and the frontend's simulated state is all in cpu.FetchState.
+func TestPeriodJumpFieldClasses(t *testing.T) {
+	snap := reflect.TypeOf(periodSnap{})
+	check := func(typ reflect.Type, classes map[string]string) {
+		seen := map[string]bool{}
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			seen[name] = true
+			cls, ok := classes[name]
+			switch {
+			case !ok:
+				t.Errorf("%s.%s has no period-jump class: say how a scout period jump credits it", typ.Name(), name)
+			case cls == jCounter || cls == jCycle || cls == jSeq:
+				if _, ok := snap.FieldByName(name); !ok && typ != reflect.TypeOf(cpu.Frontend{}) {
+					t.Errorf("%s.%s is classed %q but periodSnap does not record it", typ.Name(), name, cls)
+				}
+			}
+		}
+		for name := range classes {
+			if !seen[name] {
+				t.Errorf("the period-jump classes name %s.%s, which does not exist", typ.Name(), name)
+			}
+		}
+	}
+	check(reflect.TypeOf(Core{}), coreJumpClass)
+	check(reflect.TypeOf(regState{}), regStateJumpClass)
+	fe := reflect.TypeOf(cpu.Frontend{})
+	check(fe, frontendJumpClass)
+	fetch := reflect.TypeOf(cpu.FetchState{})
+	for name, cls := range frontendJumpClass {
+		_, inState := fetch.FieldByNameFunc(func(s string) bool { return strings.EqualFold(s, name) })
+		_, inSnap := snap.FieldByName(name)
+		switch {
+		case cls == jCycle && !(inState && inSnap):
+			t.Errorf("Frontend.%s moves with the clock but FetchState or periodSnap does not carry it", name)
+		case cls == jInvariant && !inState && name != "m" && name != "l1i" && name != "memo" && name != "page":
+			t.Errorf("Frontend.%s must hold still across a period but FetchState does not carry it", name)
+		}
+	}
 }

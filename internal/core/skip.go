@@ -172,8 +172,10 @@ func (c *Core) nextTimer(now uint64) uint64 {
 }
 
 // NextEvent implements cpu.FastForwarder. It reports the pure-stall
-// horizon recorded by the last Step; once the clock reaches it the
-// answer decays to 0 and the core must be stepped naively.
+// horizon recorded by the last Step, or the end of the scout period jump
+// the last Step armed (period.go); once the clock reaches it, or any
+// Step runs, the answer decays to 0 and the core must be stepped
+// naively.
 func (c *Core) NextEvent() uint64 {
 	if c.cohSeq != 0 || (c.tx.active && c.tx.abort != 0) {
 		// A remote store scheduled a coherence rollback or transaction
@@ -186,14 +188,19 @@ func (c *Core) NextEvent() uint64 {
 	if c.ffNext > c.cycle {
 		return c.ffNext
 	}
-	return 0
+	return c.pj.end
 }
 
 // SkipTo implements cpu.FastForwarder: it credits cycles
 // [Cycle(), target) exactly as repeating the recorded pure-stall Step
-// would, then advances the clock to target.
+// would, then advances the clock to target. With a scout period jump
+// armed it credits the whole periods up to target and steps the rest.
 func (c *Core) SkipTo(target uint64) {
 	if target <= c.cycle {
+		return
+	}
+	if c.pj.end != 0 {
+		c.skipPeriods(target)
 		return
 	}
 	n := target - c.cycle

@@ -135,6 +135,35 @@ func (f *Frontend) Next(now uint64) (in *isa.Inst, pc uint64, ok bool, err error
 	return &e.in, f.pc, true, nil
 }
 
+// FetchState is the frontend's fetch point and timing, as the SST
+// core's scout period jump compares it from one loop iteration to the
+// next (see internal/core/period.go). It holds every Frontend field
+// except the machine, its L1I and the decode memo, which are fixed for
+// the run or invisible to it; the page pointer is named by PageNum.
+type FetchState struct {
+	PC         uint64
+	StallUntil uint64
+	LineAddr   uint64
+	LineReady  uint64
+	HaveLine   bool
+	PageNum    uint64
+}
+
+// State returns the fetch point and timing.
+func (f *Frontend) State() FetchState {
+	return FetchState{PC: f.pc, StallUntil: f.stallUntil, LineAddr: f.lineAddr,
+		LineReady: f.lineReady, HaveLine: f.haveLine, PageNum: f.pageNum}
+}
+
+// ShiftTiming moves the redirect-bubble end by stall cycles and the
+// fetch line's ready cycle by line cycles: the credit of a jump over
+// repeating loop iterations, in which each either re-arms at the same
+// offset from the clock (moving with it) or lies in the past (zero).
+func (f *Frontend) ShiftTiming(stall, line uint64) {
+	f.stallUntil += stall
+	f.lineReady += line
+}
+
 // NextDelivery returns the earliest cycle strictly after now at which
 // Next's answer can change (0 = it can already deliver, or delivery
 // depends on state not timed here, e.g. a pending line fill for a

@@ -258,3 +258,56 @@ func TestDeterministicErrorsStayCached(t *testing.T) {
 		}
 	}
 }
+
+// TestRawPanicSettlesEntry: a compute backend that panics without
+// recovering settles its cache entry all the same. The requester that
+// computes and every requester joined on it get a *PanicError after the
+// one retry, instead of blocking on an entry nothing will ever settle;
+// the error stays cached like any other panic after its retry.
+func TestRawPanicSettlesEntry(t *testing.T) {
+	c, variant := boundedCell(t)
+	const joiners = 4
+	r := NewRunner()
+	r.SetJobs(joiners + 1)
+	var computes atomic.Int64
+	release := make(chan struct{})
+	r.SetComputeBackend(func(context.Context, sim.Cell, sim.Options) (sim.Outcome, error) {
+		computes.Add(1)
+		<-release
+		panic("raw backend panic")
+	})
+	errs := make(chan error, joiners+1)
+	for range joiners + 1 {
+		go func() {
+			_, err := r.RunCell(c, variant(0))
+			errs <- err
+		}()
+	}
+	// Release the compute once every requester has reached the entry:
+	// one computes (a miss), the rest join it (hits).
+	for {
+		if hits, misses := r.CacheStats(); hits+misses == joiners+1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	timeout := time.After(10 * time.Second)
+	for i := range joiners + 1 {
+		select {
+		case err := <-errs:
+			var pe *PanicError
+			if !errors.As(err, &pe) || len(pe.Stack) == 0 {
+				t.Errorf("requester %d: err %v, want a *PanicError with its stack", i, err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d requesters still blocked: the panicking compute left its entry unsettled", joiners+1-i, joiners+1)
+		}
+	}
+	if got := computes.Load(); got != 2 {
+		t.Errorf("compute ran %d times, want 2 (one retry)", got)
+	}
+	if _, err := r.RunCell(c, variant(0)); err == nil || computes.Load() != 2 {
+		t.Errorf("after settling: err %v, %d computes; want the cached *PanicError and no new compute", err, computes.Load())
+	}
+}

@@ -467,24 +467,38 @@ func (r *Runner) entry(ctx context.Context, c sim.Cell, opts sim.Options) *cache
 	// singleflight sharers depend on this fill, so a disconnecting
 	// originator must not abort it. Tracer values still flow.
 	cctx, cs := obs.StartSpan(context.WithoutCancel(ctx), "compute")
+	// Settle on every path: sharers block on done until it closes.
+	defer func() {
+		if e.err != nil {
+			cs.SetAttr("err", e.err.Error())
+		}
+		cs.End()
+		r.settle(e)
+		close(e.done)
+	}()
 	cs.SetAttr("kind", c.Kind.String())
 	cs.SetAttr("workload", c.Desc())
-	out, err := fn(cctx, c, opts)
+	e.out, e.err = recoverCompute(cctx, fn, c, opts)
 	var pe *PanicError
-	if errors.As(err, &pe) {
+	if errors.As(e.err, &pe) {
 		// One bounded retry on a crash; a deterministic panic fails the
 		// cell for every sharer, with the stack preserved in the error.
 		cs.SetAttr("retried", "panic")
-		out, err = fn(cctx, c, opts)
+		e.out, e.err = recoverCompute(cctx, fn, c, opts)
 	}
-	if err != nil {
-		cs.SetAttr("err", err.Error())
-	}
-	cs.End()
-	e.out, e.err = out, err
-	r.settle(e)
-	close(e.done)
 	return e
+}
+
+// recoverCompute runs one compute, turning a raw panic — a backend
+// installed with SetComputeBackend need not recover its own — into a
+// *PanicError carrying the stack, as the Runner's own compute does.
+func recoverCompute(ctx context.Context, fn ComputeBackend, c sim.Cell, opts sim.Options) (out sim.Outcome, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			out, err = sim.Outcome{}, &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(ctx, c, opts)
 }
 
 // settle files a computed entry as the cache's most recently used,

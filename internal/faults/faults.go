@@ -480,6 +480,21 @@ func (in *Injector) MemDelay(now, addr uint64) uint64 {
 	return delay
 }
 
+// Jittering reports whether a memory-jitter window is open at cycle now.
+// Its delays hash the access cycle, so inside one no access timing
+// repeats from one cycle to the next, even where MemDelay draws zero.
+func (in *Injector) Jittering(now uint64) bool {
+	if in == nil {
+		return false
+	}
+	for _, e := range in.plan.Events {
+		if e.Kind == MemJitter && e.active(now) && e.Arg > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // FlipPrediction reports whether this branch prediction must be
 // inverted. Decisions hash a per-injector call counter so each query in
 // a storm window is independent yet fully reproducible.

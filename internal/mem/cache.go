@@ -188,6 +188,32 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
+// Stamp returns the LRU clock: it advances by one at every hit and fill.
+func (c *Cache) Stamp() uint64 { return c.stamp }
+
+// creditHits applies n more hits as a repeating access pattern would
+// make them: a pattern that touches exactly the lines line(i) for i in
+// [0, count), which hold every line it has touched since stamp since,
+// and touches them again in the same order until n hits have passed.
+// Each touched line's LRU stamp moves by n (its last touch repeats n
+// stamps later), the clock by n and the hit count by n; every other line
+// keeps its stamp. A line listed twice, or not touched since since, is
+// left alone.
+func (c *Cache) creditHits(count int, line func(i int) uint64, since, n uint64) {
+	for i := range count {
+		addr := line(i)
+		tag := addr >> c.setShift
+		set := c.set(addr)
+		for w := range set {
+			if l := &set[w]; l.valid && l.tag == tag && l.lru > since && l.lru <= c.stamp {
+				l.lru += n
+			}
+		}
+	}
+	c.stamp += n
+	c.Stats.Hits += n
+}
+
 // Eviction describes a victim line displaced by a fill.
 type Eviction struct {
 	Addr  uint64

@@ -220,6 +220,16 @@ func (h *Hierarchy) L1D(core int) *Cache { return h.cores[core].l1d }
 // L1I returns core's L1 instruction cache.
 func (h *Hierarchy) L1I(core int) *Cache { return h.cores[core].l1i }
 
+// CreditFetchHits credits n more L1I hits to core, made by a fetch
+// pattern that repeats: it has touched exactly the lines holding the
+// given fetch addresses since the L1I's LRU clock read since, and
+// touches them again in the same order (see Cache.creditHits). The SST
+// core's scout period jump uses it for the iterations it does not step.
+func (h *Hierarchy) CreditFetchHits(core int, addrs []uint64, since, n uint64) {
+	salt := h.salts[core]
+	h.cores[core].l1i.creditHits(len(addrs), func(i int) uint64 { return addrs[i] ^ salt }, since, n)
+}
+
 // L2 returns the shared second-level cache.
 func (h *Hierarchy) L2() *Cache { return h.l2 }
 

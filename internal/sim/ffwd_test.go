@@ -27,7 +27,8 @@ import (
 // byte-identical between naive stepping and event-driven stall skipping.
 
 // diffShapes are the machine shapes the differential oracles cover:
-// every single-core kind, an SMT-2 pair and a 2-core SST chip.
+// every single-core kind, an SMT-2 pair, a 2-core SST chip and a 2-core
+// scout chip.
 var diffShapes = func() []Shape {
 	var out []Shape
 	for _, k := range Kinds {
@@ -35,7 +36,8 @@ var diffShapes = func() []Shape {
 	}
 	return append(out,
 		Shape{Kind: KindInOrder, Topo: TopoSMT, Width: 2},
-		Shape{Kind: KindSST, Topo: TopoCMP, Width: 2})
+		Shape{Kind: KindSST, Topo: TopoCMP, Width: 2},
+		Shape{Kind: KindScout, Topo: TopoCMP, Width: 2})
 }()
 
 // genCell builds the differential cell of shape s for one seed: thread
@@ -150,10 +152,14 @@ func firstDiff(a, b []byte) string {
 }
 
 // checkFFCell runs cell c naively and with fast-forward and requires
-// every observable to match.
+// every observable to match. A scout cell runs bare as well, since the
+// Collector turns scout's period jump off.
 func checkFFCell(t *testing.T, c Cell, plan *faults.Plan) {
 	t.Helper()
 	checkFFCellOpts(t, c, plan, fuzzFaultOpts())
+	if c.Kind == KindScout {
+		checkFFBare(t, c.Shape().String(), c, plan, fuzzFaultOpts())
+	}
 }
 
 // checkFFCellOpts is checkFFCell under caller-chosen base options.
@@ -242,55 +248,82 @@ func TestFastForwardFaultDifferential(t *testing.T) {
 // TestFastForwardEngages drives miss-heavy workloads directly and
 // asserts the skip path actually takes jumps: the simulated cycle count
 // must exceed the number of Step calls by a wide margin, or the whole
-// optimization is a silent no-op.
+// optimization is a silent no-op. Scout, whose cycles are mostly busy
+// runahead rather than stalls, is held to its period jump instead: at
+// most a bounded share of its cycles may be stepped.
 func TestFastForwardEngages(t *testing.T) {
-	w, err := workload.Build("chase", workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
+	build := func(k Kind) {
+		if cycles, steps, _ := driveFF(t, k, buildWorkload(t, "chase")); cycles < 2*steps {
+			t.Errorf("%v: fast-forward barely engaged: %d cycles from %d steps", k, cycles, steps)
+		}
 	}
-	opts := DefaultOptions()
-	build := func(name string, mk func(m *cpu.Machine) cpu.FastForwarder) {
-		m := mem.NewSparse()
-		w.Program.Load(m)
-		mach, err := cpu.NewMachine(m, opts.Hier, opts.Pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := mk(mach)
-		steps := uint64(0)
-		for !c.Done() && steps < 50_000_000 {
-			if tgt := c.NextEvent(); tgt > c.Cycle() {
-				c.SkipTo(tgt)
-				continue
-			}
-			c.Step()
-			steps++
-			if err := c.Err(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		if !c.Done() {
-			t.Fatalf("%s: did not finish", name)
-		}
-		if c.Cycle() < 2*steps {
-			t.Errorf("%s: fast-forward barely engaged: %d cycles from %d steps", name, c.Cycle(), steps)
-		}
-		t.Logf("%s: %d cycles from %d steps (%.1fx)", name, c.Cycle(), steps, float64(c.Cycle())/float64(steps))
-	}
-	build("inorder", func(m *cpu.Machine) cpu.FastForwarder {
-		return inorder.New(m, opts.InOrder, w.Program.Entry)
-	})
+	build(KindInOrder)
 	// The SST family's purity snapshot is gated on a run of quiet cycles
 	// (core.snapAfterQuiet); the gate must leave every variant skipping.
 	for _, k := range []Kind{KindSST, KindSSTEA, KindSSTBig} {
+		build(k)
+	}
+	for _, tc := range []struct {
+		wl       string
+		maxShare float64
+	}{{"chase", 0.45}, {"mcf", 0.60}} {
+		cycles, steps, _ := driveFF(t, KindScout, buildWorkload(t, tc.wl))
+		if share := float64(steps) / float64(cycles); share > tc.maxShare {
+			t.Errorf("scout on %s steps %.0f%% of its %d cycles, want at most %.0f%%",
+				tc.wl, 100*share, cycles, 100*tc.maxShare)
+		}
+	}
+}
+
+// buildWorkload returns the test-scale program of a built-in workload.
+func buildWorkload(t *testing.T, name string) *asm.Program {
+	t.Helper()
+	w, err := workload.Build(name, workload.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Program
+}
+
+// driveFF runs prog on a fresh kind-k core (in-order or SST family) by
+// hand, jumping to every horizon NextEvent reports, and returns the
+// cycles simulated, the Step calls made and the finished core. Each jump
+// lands exactly on its horizon, so every stepped cycle is one of the
+// counted Steps.
+func driveFF(t *testing.T, k Kind, prog *asm.Program) (cycles, steps uint64, c cpu.FastForwarder) {
+	t.Helper()
+	opts := DefaultOptions()
+	m := mem.NewSparse()
+	prog.Load(m)
+	mach, err := cpu.NewMachine(m, opts.Hier, opts.Pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k == KindInOrder {
+		c = inorder.New(mach, opts.InOrder, prog.Entry)
+	} else {
 		cfg, err := coreConfig(k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		build(k.String(), func(m *cpu.Machine) cpu.FastForwarder {
-			return core.New(m, cfg.(core.Config), w.Program.Entry)
-		})
+		c = core.New(mach, cfg.(core.Config), prog.Entry)
 	}
+	for !c.Done() && steps < 50_000_000 {
+		if tgt := c.NextEvent(); tgt > c.Cycle() {
+			c.SkipTo(tgt)
+			continue
+		}
+		c.Step()
+		steps++
+		if err := c.Err(); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+	}
+	if !c.Done() {
+		t.Fatalf("%v: did not finish", k)
+	}
+	t.Logf("%v: %d cycles from %d steps (%.1fx)", k, c.Cycle(), steps, float64(c.Cycle())/float64(steps))
+	return c.Cycle(), steps, c
 }
 
 // lookupSkips drives ff to completion by hand, jumping wherever it
