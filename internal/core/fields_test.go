@@ -98,6 +98,21 @@ var coreFieldClass = map[string]string{
 	"snapBuf":           clsRun,
 }
 
+// periodJumpFieldClass gives each field of the scout period jump's own
+// state (Core.pj, classed clsRun) its lifetime: one Step, one loop
+// period, a chain of loop-head snapshots, an armed jump, or the run (the
+// cached reference period, kept across scout episodes until a newer one
+// replaces it). Reset zeroes pj whole, so even the run-long cache starts
+// every run empty (TestResetForgetsCachedPeriod).
+var periodJumpFieldClass = map[string]string{
+	"head": "step", "headPC": "step",
+	"bad": "period", "recs": "period", "cur": "period",
+	"sig": "chain", "lastCycle": "chain", "lastSeq": "chain", "n": "chain", "snaps": "chain",
+	"period": "jump", "end": "jump", "branches": "jump", "pattern": "jump",
+	"l1iSince": "jump", "l1iPerRun": "jump", "fetch": "jump",
+	"ref": "run",
+}
+
 // resetCarried returns the fields Reset's Core literal carries over
 // verbatim (`f: c.f`), read from reset.go's syntax.
 func resetCarried(t *testing.T) map[string]bool {
@@ -156,6 +171,18 @@ func TestCoreFieldClasses(t *testing.T) {
 	sort.Strings(stale)
 	for _, name := range stale {
 		t.Errorf("coreFieldClass names %s, which Core does not have", name)
+	}
+
+	pjt := reflect.TypeOf(periodJump{})
+	for i := 0; i < pjt.NumField(); i++ {
+		if name := pjt.Field(i).Name; periodJumpFieldClass[name] == "" {
+			t.Errorf("periodJump.%s has no lifetime: add it to periodJumpFieldClass", name)
+		}
+	}
+	for name := range periodJumpFieldClass {
+		if _, ok := pjt.FieldByName(name); !ok {
+			t.Errorf("periodJumpFieldClass names %s, which periodJump does not have", name)
+		}
 	}
 
 	carried := resetCarried(t)
@@ -276,6 +303,13 @@ func TestPeriodJumpFieldClasses(t *testing.T) {
 	}
 	check(reflect.TypeOf(Core{}), coreJumpClass)
 	check(reflect.TypeOf(regState{}), regStateJumpClass)
+	// The cached reference period keeps whole loop-head snapshots, so a
+	// field the compare reads from a chain's snapshots is cached too.
+	for _, name := range []string{"s0", "s1"} {
+		if f, ok := reflect.TypeOf(periodRef{}).FieldByName(name); !ok || f.Type != snap {
+			t.Errorf("periodRef.%s must be a periodSnap", name)
+		}
+	}
 	fe := reflect.TypeOf(cpu.Frontend{})
 	check(fe, frontendJumpClass)
 	fetch := reflect.TypeOf(cpu.FetchState{})

@@ -23,23 +23,25 @@ import (
 // head, the end of a Step whose ahead strand took a backward branch:
 //
 //   - the period must have made no known-address load, store or
-//     prefetch, no transaction op and at most periodMaxInsts issues, and
-//     a cheap signature (branch PC, cycles and instructions since the
-//     previous head, the scout episode) must match the previous
-//     period's. A period that passes extends a chain of loop-head
-//     snapshots (periodSnap); one that passes with a new signature
-//     starts a chain; the full compare runs only on a chain of three.
+//     prefetch, no transaction op and at most periodMaxInsts issues. A
+//     period that passes extends a chain of loop-head snapshots
+//     (periodSnap). A chain's first period extends it unconditionally;
+//     a later one must match a cheap signature (branch PC, cycles and
+//     instructions since the previous head, the scout episode) of the
+//     period before it, or it starts a new chain. The full compare runs
+//     on a chain of three.
 //   - Three consecutive snapshots must show two periods with equal
 //     deltas: every counter (the statistics, the predictor's lookup
 //     counters, L1I hits and the LRU clock), seq, every register value;
 //     lastWriter moving by the seq delta or not at all; every cycle-
 //     valued field (readyAt, sbHorizon, the frontend's bubble end and
-//     line-ready cycle) moving by the period or lying in the past; and
-//     everything else — mode, list lengths, NA bits, the fetch point,
-//     the fault injector's and the predictor tables' mutation counts —
-//     holding still. The history register must shift in the same
-//     outcome bits every period, with the bits the predictor reads
-//     already stable, so every period indexes the same table entries.
+//     line-ready cycle) moving by the period or lying in the past (see
+//     periodClock.affine); and everything else — mode, list lengths, NA
+//     bits, the fetch point, the fault injector's and the predictor
+//     tables' mutation counts — holding still. The history register
+//     must shift in the same outcome bits every period, with the bits
+//     the predictor reads already stable, so every period indexes the
+//     same table entries.
 //   - The two periods' instruction records must match issue for issue,
 //     and an available operand that differs between them may feed only
 //     add, sub or addi (keeping every register affine in the iteration
@@ -49,6 +51,26 @@ import (
 // Two equal deltas of an affine map fix it: the period's effect is
 // x -> x + Bx + c over the moving registers, and B·d = 0 once two
 // periods moved by the same d, so every later period moves by d too.
+//
+// The last period a chain of three verified is kept (periodRef), so a
+// later scout episode running the same loop need not verify it again.
+// An episode's first loop head usually ends an unjumpable period; at
+// the cached period's head PC it still takes a snapshot, and the next
+// head compares the one period between them against the cached one:
+// the same signature (the episode aside), the same issue records (pc,
+// op, NA mask), equal deltas in every counter, register, lastWriter and
+// seq-valued field, and every cycle-valued field moving with the clock
+// where the cached period's did (a first head may hold a value further
+// in the past: periodClock.affine) — every check of the chain of three,
+// run on the cached period in place of the chain's first. That is
+// enough. The records fix the same affine map (the same instructions on
+// the same path, NA in the same places); the earlier episode's two
+// equal deltas d fix B·d = 0 for it; and the new period moved by d from
+// y, so By + c = d and every later period moves by d again. An
+// operand's move per period is the cached one, and the branches reading
+// moving operands are bounded from their current values. The jump then
+// arms at the episode's second loop head instead of its fourth. Any
+// mismatch leaves the chain to arm on its own.
 //
 // The jump ends before anything that could break the repetition: the
 // scout trigger's arrival, any other pending result's delivery, the
@@ -80,6 +102,13 @@ type periodSig struct {
 	pc, cycles, insts, episode uint64
 }
 
+// loop is the signature without the episode: what a later episode's
+// period must repeat to be compared against the cached one.
+func (s periodSig) loop() periodSig {
+	s.episode = 0
+	return s
+}
+
 // periodFixed is the state a repeating period must leave unchanged.
 type periodFixed struct {
 	mode                               Mode
@@ -109,6 +138,16 @@ type periodSnap struct {
 	stats                 Stats
 }
 
+// periodRef is the last verified period: the loop-head snapshots at
+// its two ends, the issue records of it and of the period before (their
+// difference is each operand's move per period) and its signature with
+// the episode left zero. A zero pc means none.
+type periodRef struct {
+	sig    periodSig
+	s0, s1 periodSnap
+	recs   [2][]periodRec
+}
+
 // periodJump is the detection and jump state.
 type periodJump struct {
 	head   bool   // this Step took a backward branch in scout mode
@@ -122,6 +161,7 @@ type periodJump struct {
 	lastCycle, lastSeq  uint64
 	n                   int // consecutive snapshots in snaps
 	snaps               [3]periodSnap
+	ref                 periodRef
 	period, end         uint64   // an armed jump: period length and horizon
 	branches            int      // history shifts per period
 	pattern             uint64   // the outcome bits they shift in
@@ -161,25 +201,51 @@ func (c *Core) notePeriod() {
 	sig := periodSig{pc: pj.headPC, cycles: c.cycle - pj.lastCycle, insts: c.seq - pj.lastSeq, episode: c.stats.ScoutEntries}
 	switch {
 	case pj.bad:
+		// An episode's first loop head usually ends an unjumpable period.
+		// At the cached period's head it still starts a chain, so that the
+		// next head can re-arm from the cached period.
 		pj.n = 0
-	case sig != pj.sig:
-		// A period unlike the last starts a new chain. Snapshotting it
-		// costs a copy, not a compare; it lets the compare run as soon as
-		// two more periods repeat it.
-		pj.n = 0
-		c.snapPeriod(&pj.snaps[0])
-		pj.n = 1
+		if pj.headPC == pj.ref.sig.pc {
+			c.snapPeriod(&pj.snaps[0])
+			pj.n = 1
+		}
 	default:
+		// A chain's first period has nothing to match; a later period
+		// unlike the one before starts a new chain here. A snapshot costs
+		// a copy, not a compare.
+		if pj.n >= 2 && sig != pj.sig {
+			pj.n = 0
+		}
 		c.snapPeriod(&pj.snaps[pj.n%3])
 		pj.n++
-		if pj.n >= 3 {
-			c.armPeriod()
+		switch {
+		case pj.n == 2:
+			if ref := &pj.ref; sig.loop() == ref.sig {
+				c.armPeriod(&ref.s0, &ref.s1, ref.recs[0], ref.recs[1], pj.snaps[0].cycle)
+			}
+		case pj.n >= 3:
+			s0, s1 := &pj.snaps[(pj.n-3)%3], &pj.snaps[(pj.n-2)%3]
+			if c.armPeriod(s0, s1, pj.recs[pj.cur^1], pj.recs[pj.cur], s0.cycle) {
+				c.keepPeriod(sig)
+			}
 		}
 	}
 	pj.sig, pj.lastCycle, pj.lastSeq = sig, c.cycle, c.seq
 	pj.bad = false
 	pj.cur ^= 1
 	pj.recs[pj.cur] = pj.recs[pj.cur][:0]
+}
+
+// keepPeriod caches the period a chain of three snapshots just verified
+// (the last two snapshots, the last two periods' records) as the
+// reference later chains compare their first period against.
+func (c *Core) keepPeriod(sig periodSig) {
+	pj := &c.pj
+	ref := &pj.ref
+	ref.sig = sig.loop()
+	ref.s0, ref.s1 = pj.snaps[(pj.n-2)%3], pj.snaps[(pj.n-1)%3]
+	ref.recs[0] = append(ref.recs[0][:0], pj.recs[pj.cur^1]...)
+	ref.recs[1] = append(ref.recs[1][:0], pj.recs[pj.cur]...)
 }
 
 // snapPeriod fills s with the state at this loop head.
@@ -220,65 +286,71 @@ func (c *Core) snapPeriod(s *periodSnap) {
 	}
 }
 
-// armPeriod decides whether the last two periods repeat exactly and, if
-// so, arms a jump of as many whole periods as every bound allows.
-func (c *Core) armPeriod() {
+// armPeriod decides whether the period that just ended, between the
+// chain's last two snapshots with its issues in pj.recs[pj.cur], repeats
+// the reference period a0 to a1 exactly and, if so, arms a jump of as
+// many whole periods as every bound allows. The caller has matched the
+// two periods' signatures, so they span the same cycles and seqs. ref0
+// and ref1 are the issue records of two consecutive repeating periods,
+// whose difference is each operand's move per period; past is the cycle
+// of the chain's first snapshot. It reports whether the periods repeat,
+// whether or not a jump fits before the horizon.
+func (c *Core) armPeriod(a0, a1 *periodSnap, ref0, ref1 []periodRec, past uint64) bool {
 	pj := &c.pj
-	s0, s1, s2 := &pj.snaps[(pj.n-3)%3], &pj.snaps[(pj.n-2)%3], &pj.snaps[(pj.n-1)%3]
-	p := s2.cycle - s1.cycle
-	dseq := s2.seq - s1.seq
-	if s0.fixed != s1.fixed || s1.fixed != s2.fixed || c.flt.Jittering(c.cycle) {
-		return
+	b0, b1 := &pj.snaps[(pj.n-2)%3], &pj.snaps[(pj.n-1)%3]
+	p, dseq := b1.cycle-b0.cycle, b1.seq-b0.seq
+	if a0.fixed != a1.fixed || b0.fixed != b1.fixed || c.flt.Jittering(c.cycle) {
+		return false
 	}
-	if !sameDelta(statsWords, unsafe.Pointer(&s0.stats), unsafe.Pointer(&s1.stats), unsafe.Pointer(&s2.stats)) ||
-		!sameDelta(predWords, unsafe.Pointer(&s0.pred), unsafe.Pointer(&s1.pred), unsafe.Pointer(&s2.pred)) ||
-		s1.processed-s0.processed != s2.processed-s1.processed {
-		return
+	if !sameDelta(statsWords, unsafe.Pointer(&a0.stats), unsafe.Pointer(&a1.stats), unsafe.Pointer(&b0.stats), unsafe.Pointer(&b1.stats)) ||
+		!sameDelta(predWords, unsafe.Pointer(&a0.pred), unsafe.Pointer(&a1.pred), unsafe.Pointer(&b0.pred), unsafe.Pointer(&b1.pred)) ||
+		a1.processed-a0.processed != b1.processed-b0.processed {
+		return false
 	}
 	// Only the predictor's lookup counters may move: RAS traffic,
 	// deferred training and TAGE allocation or decay change its state.
-	moved := s2.pred
-	moved.DirLookups, moved.DirMispredict, moved.TageProviderHits = s1.pred.DirLookups, s1.pred.DirMispredict, s1.pred.TageProviderHits
-	moved.BTBLookups, moved.BTBMisses = s1.pred.BTBLookups, s1.pred.BTBMisses
-	if moved != s1.pred {
-		return
+	moved := b1.pred
+	moved.DirLookups, moved.DirMispredict, moved.TageProviderHits = b0.pred.DirLookups, b0.pred.DirMispredict, b0.pred.TageProviderHits
+	moved.BTBLookups, moved.BTBMisses = b0.pred.BTBLookups, b0.pred.BTBMisses
+	if moved != b0.pred {
+		return false
 	}
 	// The L1I only hit, and every hit advanced its LRU clock.
-	hits := s2.l1i
-	hits.Hits = s1.l1i.Hits
-	perRun := s2.l1iStamp - s1.l1iStamp
-	if hits != s1.l1i || s2.l1i.Hits-s1.l1i.Hits != perRun || s1.l1iStamp-s0.l1iStamp != perRun {
-		return
+	hits := b1.l1i
+	hits.Hits = b0.l1i.Hits
+	perRun := b1.l1iStamp - b0.l1iStamp
+	if hits != b0.l1i || b1.l1i.Hits-b0.l1i.Hits != perRun || a1.l1iStamp-a0.l1iStamp != perRun {
+		return false
 	}
-	past := s0.cycle
-	if !clockAffine(s0.sbHorizon, s1.sbHorizon, s2.sbHorizon, p, past) ||
-		!clockAffine(s0.stallUntil, s1.stallUntil, s2.stallUntil, p, past) ||
-		!clockAffine(s0.lineReady, s1.lineReady, s2.lineReady, p, past) ||
-		s0.na != s1.na || s1.na != s2.na {
-		return
+	clk := periodClock{p: p, past: past, h0: b0.cycle, h1: b1.cycle}
+	if !clk.affine(a0.sbHorizon, a1.sbHorizon, b0.sbHorizon, b1.sbHorizon) ||
+		!clk.affine(a0.stallUntil, a1.stallUntil, b0.stallUntil, b1.stallUntil) ||
+		!clk.affine(a0.lineReady, a1.lineReady, b0.lineReady, b1.lineReady) ||
+		a0.na != a1.na || b0.na != b1.na {
+		return false
 	}
 	for r := range isa.NumRegs {
-		d := s2.lastWriter[r] - s1.lastWriter[r]
-		if s1.regs[r]-s0.regs[r] != s2.regs[r]-s1.regs[r] ||
-			s1.lastWriter[r]-s0.lastWriter[r] != d || (d != 0 && d != dseq) ||
-			!clockAffine(s0.readyAt[r], s1.readyAt[r], s2.readyAt[r], p, past) {
-			return
+		d := b1.lastWriter[r] - b0.lastWriter[r]
+		if a1.regs[r]-a0.regs[r] != b1.regs[r]-b0.regs[r] ||
+			a1.lastWriter[r]-a0.lastWriter[r] != d || (d != 0 && d != dseq) ||
+			!clk.affine(a0.readyAt[r], a1.readyAt[r], b0.readyAt[r], b1.readyAt[r]) {
+			return false
 		}
 	}
-	k, branches, ok := c.periodRecords()
+	k, branches, ok := periodRecords(ref0, ref1, pj.recs[pj.cur])
 	if !ok {
-		return
+		return false
 	}
 	// The history register shifts in the same outcome bits every
 	// period, and the bits the predictor reads already repeat.
 	pattern := uint64(0)
 	if branches > 0 && branches < 64 {
-		pattern = s2.ghr & (uint64(1)<<branches - 1)
+		pattern = b1.ghr & (uint64(1)<<branches - 1)
 	}
 	mask := c.m.Pred.HistoryMask()
-	if (s0.ghr^s1.ghr)&mask != 0 || (s1.ghr^s2.ghr)&mask != 0 ||
-		shiftHistory(s0.ghr, branches, pattern, 1) != s1.ghr || shiftHistory(s1.ghr, branches, pattern, 1) != s2.ghr {
-		return
+	if (a0.ghr^a1.ghr)&mask != 0 || (b0.ghr^b1.ghr)&mask != 0 ||
+		shiftHistory(a0.ghr, branches, pattern, 1) != a1.ghr || shiftHistory(b0.ghr, branches, pattern, 1) != b1.ghr {
+		return false
 	}
 	if branches > 0 {
 		k = min(k, c.m.Pred.DecayBudget()/uint64(branches))
@@ -286,7 +358,7 @@ func (c *Core) armPeriod() {
 	// End before the first cycle at which anything outside the period
 	// can change. Scout mode always waits on its trigger in pend.
 	if len(c.pend) == 0 || !c.scoutArmed {
-		return
+		return true
 	}
 	horizon := uint64(math.MaxUint64)
 	for _, t := range [...]uint64{
@@ -299,32 +371,34 @@ func (c *Core) armPeriod() {
 			continue
 		}
 		if t <= c.cycle {
-			return
+			return true
 		}
 		horizon = min(horizon, t)
 	}
 	k = min(k, (horizon-c.cycle)/p)
 	if k == 0 {
-		return
+		return true
 	}
 	pj.period, pj.end = p, c.cycle+k*p
 	pj.branches, pj.pattern = branches, pattern
-	pj.l1iSince, pj.l1iPerRun = s1.l1iStamp, perRun
+	pj.l1iSince, pj.l1iPerRun = b0.l1iStamp, perRun
+	return true
 }
 
-// periodRecords compares the last two periods' issues. It reports how
-// many further periods the branches reading moving operands keep their
-// outcomes for, how many direction updates (history shifts) a period
-// makes, and whether the periods repeat at all.
-func (c *Core) periodRecords() (k uint64, branches int, ok bool) {
-	pj := &c.pj
-	prev, cur := pj.recs[pj.cur^1], pj.recs[pj.cur]
-	if len(prev) != len(cur) {
+// periodRecords compares the issues of the period that just ended, cur,
+// with the reference records: ref0 and ref1 are two consecutive
+// periods', whose difference is each operand's move per period (in a
+// chain of three, ref1 is cur). It reports how many further periods the
+// branches reading moving operands keep their outcomes for, how many
+// direction updates (history shifts) a period makes, and whether the
+// periods repeat at all.
+func periodRecords(ref0, ref1, cur []periodRec) (k uint64, branches int, ok bool) {
+	if len(ref0) != len(cur) || len(ref1) != len(cur) {
 		return 0, 0, false
 	}
 	k = periodMaxJump
 	for i := range cur {
-		a, b := &prev[i], &cur[i]
+		a, b := &ref0[i], &cur[i]
 		if a.pc != b.pc || a.op != b.op || a.na != b.na {
 			return 0, 0, false
 		}
@@ -335,7 +409,7 @@ func (c *Core) periodRecords() (k uint64, branches int, ok bool) {
 		var d [3]int64
 		moving := false
 		for j := range d {
-			d[j] = b.vals[j] - a.vals[j]
+			d[j] = ref1[i].vals[j] - a.vals[j]
 			moving = moving || d[j] != 0
 		}
 		if !moving || b.na != 0 {
@@ -360,12 +434,26 @@ func (c *Core) periodRecords() (k uint64, branches int, ok bool) {
 	return k, branches, true
 }
 
-// clockAffine reports whether a cycle-valued field sampled at three
-// loop heads either moves with the clock (by the period p each time) or
-// holds a value no later than past, so no comparison with the clock can
-// change its answer.
-func clockAffine(v0, v1, v2, p, past uint64) bool {
-	return (v1-v0 == p && v2-v1 == p) || (v0 == v1 && v1 == v2 && v2 <= past)
+// periodClock is what a cycle-valued field is checked against: the
+// period p, the cycle of the chain's first snapshot, and the cycles of
+// the last period's two heads.
+type periodClock struct{ p, past, h0, h1 uint64 }
+
+// affine reports whether a cycle-valued field, sampled at the two heads
+// of the reference period (v0, v1) and of the period that just ended
+// (w0, w1), behaves the same in every later period. Each such field is
+// only compared with the clock and only ever set to the clock plus a
+// latency (or the larger of that and itself), so any two values at or
+// before the clock act alike. Either the reference moved it by p, and
+// the last period did too or rewrote a value that lay in the past at
+// its first head with one that lies in the past at its second (a
+// chain's first head can carry an older value than later heads); or it
+// held still in both at a value no later than past.
+func (k periodClock) affine(v0, v1, w0, w1 uint64) bool {
+	if v1-v0 == k.p {
+		return w1-w0 == k.p || w0 != w1 && w0 <= k.h0 && w1 <= k.h1
+	}
+	return v0 == v1 && w0 == w1 && w1 <= k.past
 }
 
 // shiftHistory shifts k periods' outcome bits into the history register
@@ -458,15 +546,23 @@ func (c *Core) creditPeriods(k uint64) {
 	addDelta(predWords, unsafe.Pointer(&pred.Stats), unsafe.Pointer(&s1.pred), unsafe.Pointer(&s2.pred), k)
 	pred.SetHistory(shiftHistory(pred.History(), pj.branches, pj.pattern, k))
 	pred.CreditDirUpdates(uint64(pj.branches) * k)
+	// A cycle-valued field the period rewrote moves by the period (see
+	// periodClock.affine); one it left alone holds still.
+	clock := func(w0, w1 uint64) uint64 {
+		if w0 != w1 {
+			return n
+		}
+		return 0
+	}
 	for r := range isa.NumRegs {
 		c.regs[r] += (s2.regs[r] - s1.regs[r]) * int64(k)
 		c.lastWriter[r] += (s2.lastWriter[r] - s1.lastWriter[r]) * k
-		c.readyAt[r] += (s2.readyAt[r] - s1.readyAt[r]) * k
+		c.readyAt[r] += clock(s1.readyAt[r], s2.readyAt[r])
 	}
 	c.seq += (s2.seq - s1.seq) * k
 	c.processed += (s2.processed - s1.processed) * k
-	c.sbHorizon += (s2.sbHorizon - s1.sbHorizon) * k
-	c.fe.ShiftTiming((s2.stallUntil-s1.stallUntil)*k, (s2.lineReady-s1.lineReady)*k)
+	c.sbHorizon += clock(s1.sbHorizon, s2.sbHorizon)
+	c.fe.ShiftTiming(clock(s1.stallUntil, s2.stallUntil), clock(s1.lineReady, s2.lineReady))
 	// Every line the period fetched holds one of its issues, and every
 	// period fetches the same lines (the records of the last one are
 	// pj.recs[pj.cur^1] since notePeriod rotated them).
@@ -516,11 +612,11 @@ func wordOffsets(t reflect.Type, base uintptr, out []uintptr) []uintptr {
 
 func word(p unsafe.Pointer, off uintptr) *uint64 { return (*uint64)(unsafe.Add(p, off)) }
 
-// sameDelta reports whether every counter moved as much from a to b as
-// from b to c.
-func sameDelta(offs []uintptr, a, b, c unsafe.Pointer) bool {
+// sameDelta reports whether every counter moved as much from a0 to a1
+// as from b0 to b1.
+func sameDelta(offs []uintptr, a0, a1, b0, b1 unsafe.Pointer) bool {
 	for _, o := range offs {
-		if *word(b, o)-*word(a, o) != *word(c, o)-*word(b, o) {
+		if *word(a1, o)-*word(a0, o) != *word(b1, o)-*word(b0, o) {
 			return false
 		}
 	}

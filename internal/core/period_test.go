@@ -9,6 +9,7 @@ import (
 	"rocksim/internal/cpu"
 	"rocksim/internal/isa"
 	"rocksim/internal/mem"
+	"rocksim/internal/resetcheck"
 	"rocksim/internal/workload"
 )
 
@@ -47,30 +48,42 @@ func simState(c *Core) Core {
 // cycles chosen to cut jumps short as RunCtx's watchdog boundaries do,
 // on exactly the state naive stepping reaches — every core field and,
 // through the machine, every cache line's LRU stamp, predictor entry and
-// memory byte. It also checks that the runs did jump.
+// memory byte. It also checks that the runs did jump, and that stops cut
+// jumps re-armed from a cached period (armed at a chain's second
+// snapshot, as almost every jump of these runs is).
 func TestPeriodJumpLandsOnNaiveState(t *testing.T) {
 	for _, name := range []string{"chase", "mcf"} {
 		naive, fast := newScout(t, name), newScout(t, name)
 		jumped := uint64(0)
+		rearmedCuts := 0
 		// The first 1.2 M cycles (about 40% of each run) hold thousands
-		// of scout episodes.
-		for stop := uint64(50_000); !fast.Done() && stop < 1_200_000; stop += 97_331 {
-			for !naive.Done() && naive.Cycle() < stop {
-				naive.Step()
-			}
-			for !fast.Done() && fast.Cycle() < stop {
-				if tgt := fast.NextEvent(); tgt > fast.Cycle() {
-					if fast.pj.end != 0 {
-						jumped += min(tgt, stop) - fast.Cycle()
-					}
-					fast.SkipTo(min(tgt, stop))
-					continue
+		// of scout episodes. Each stride stops twice, 311 cycles apart,
+		// to cut more jumps.
+		for base := uint64(50_000); !fast.Done() && base < 1_200_000; base += 97_331 {
+			for _, stop := range []uint64{base, base + 311} {
+				for !naive.Done() && naive.Cycle() < stop {
+					naive.Step()
 				}
-				fast.Step()
+				for !fast.Done() && fast.Cycle() < stop {
+					if tgt := fast.NextEvent(); tgt > fast.Cycle() {
+						if fast.pj.end != 0 {
+							jumped += min(tgt, stop) - fast.Cycle()
+							if tgt > stop && fast.pj.n == 2 {
+								rearmedCuts++
+							}
+						}
+						fast.SkipTo(min(tgt, stop))
+						continue
+					}
+					fast.Step()
+				}
+				if naive.Cycle() != fast.Cycle() || !reflect.DeepEqual(simState(naive), simState(fast)) {
+					t.Fatalf("%s: state diverges at cycle %d (naive at %d)", name, fast.Cycle(), naive.Cycle())
+				}
 			}
-			if naive.Cycle() != fast.Cycle() || !reflect.DeepEqual(simState(naive), simState(fast)) {
-				t.Fatalf("%s: state diverges at cycle %d (naive at %d)", name, fast.Cycle(), naive.Cycle())
-			}
+		}
+		if rearmedCuts == 0 {
+			t.Errorf("%s: no stop fell inside a re-armed jump", name)
 		}
 		if naive.Done() != fast.Done() {
 			t.Fatalf("%s: one run halted and the other did not", name)
@@ -118,5 +131,48 @@ func TestBranchHolds(t *testing.T) {
 		if got := branchHolds(tc.op, tc.a, tc.b, tc.da, tc.db); got != tc.want {
 			t.Errorf("%v a=%d b=%d da=%d db=%d: bound %d, want %d", tc.op, tc.a, tc.b, tc.da, tc.db, got, tc.want)
 		}
+	}
+}
+
+// TestResetForgetsCachedPeriod: a scout core that has cached a verified
+// period and is then reset onto another program holds exactly a fresh
+// core's state — the period jump's cache included — and runs like one.
+func TestResetForgetsCachedPeriod(t *testing.T) {
+	used := newScout(t, "mcf")
+	for !used.Done() && used.pj.ref.sig.pc == 0 {
+		used.Step()
+	}
+	if used.pj.ref.sig.pc == 0 {
+		t.Fatal("mcf never cached a verified scout period")
+	}
+	w, err := workload.Build("chase", workload.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used.m.Reset()
+	w.Program.Load(used.m.Mem)
+	used.Reset(w.Program.Entry)
+	fresh := newScout(t, "chase")
+	// As in TestResetMidEpochMatchesFresh: the deferred queue's slots and
+	// links may keep stale entries, and the frontend has its own test.
+	strip := func(c *Core) Core {
+		s := *c
+		s.m, s.fe, s.dqSlots, s.waitNext = nil, nil, nil, nil
+		return s
+	}
+	if d := resetcheck.Diff(strip(fresh), strip(used)); d != "" {
+		t.Fatalf("reset core differs from fresh at %s", d)
+	}
+	for _, c := range []*Core{used, fresh} {
+		for !c.Done() && c.Err() == nil {
+			if tgt := c.NextEvent(); tgt > c.Cycle() {
+				c.SkipTo(tgt)
+				continue
+			}
+			c.Step()
+		}
+	}
+	if used.Cycle() != fresh.Cycle() || !reflect.DeepEqual(used.Stats(), fresh.Stats()) || used.Regs() != fresh.Regs() {
+		t.Errorf("reset run differs from fresh: %d vs %d cycles", used.Cycle(), fresh.Cycle())
 	}
 }

@@ -250,7 +250,10 @@ func TestFastForwardFaultDifferential(t *testing.T) {
 // must exceed the number of Step calls by a wide margin, or the whole
 // optimization is a silent no-op. Scout, whose cycles are mostly busy
 // runahead rather than stalls, is held to its period jump instead: at
-// most a bounded share of its cycles may be stepped.
+// most a bounded share of its cycles may be stepped. The bounds sit just
+// above the shares measured with a later episode re-arming from the
+// period an earlier one verified (11.7% and 13.9%), so losing that
+// reuse fails here.
 func TestFastForwardEngages(t *testing.T) {
 	build := func(k Kind) {
 		if cycles, steps, _ := driveFF(t, k, buildWorkload(t, "chase")); cycles < 2*steps {
@@ -266,7 +269,7 @@ func TestFastForwardEngages(t *testing.T) {
 	for _, tc := range []struct {
 		wl       string
 		maxShare float64
-	}{{"chase", 0.45}, {"mcf", 0.60}} {
+	}{{"chase", 0.12}, {"mcf", 0.14}} {
 		cycles, steps, _ := driveFF(t, KindScout, buildWorkload(t, tc.wl))
 		if share := float64(steps) / float64(cycles); share > tc.maxShare {
 			t.Errorf("scout on %s steps %.0f%% of its %d cycles, want at most %.0f%%",
