@@ -1,17 +1,16 @@
 // Command rkrun executes an RK64 program on the golden functional
-// emulator — no timing, just architecture. It can capture an execution
-// trace and print a workload characterization summary.
+// emulator — no timing, just architecture. It can print a workload
+// characterization summary: the instruction mix and data footprint.
 //
 // Usage:
 //
 //	rkrun prog.s
-//	rkrun -trace out.rktr -summary prog.s
-//	rkrun -workload oltp -summary        # trace a built-in workload
+//	rkrun -summary prog.s
+//	rkrun -workload oltp -summary        # characterize a built-in workload
 //	rkrun -workload oltp -metrics m.json # machine-readable counters
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -20,16 +19,14 @@ import (
 	"rocksim/internal/isa"
 	"rocksim/internal/mem"
 	"rocksim/internal/obs"
-	"rocksim/internal/trace"
 	"rocksim/internal/workload"
 )
 
 func main() {
-	traceFile := flag.String("trace", "", "write an execution trace to this file")
-	summary := flag.Bool("summary", false, "print a trace summary (instruction mix, footprint)")
+	summary := flag.Bool("summary", false, "print a summary (instruction mix, footprint)")
 	wl := flag.String("workload", "", "run a built-in workload instead of a source file")
 	maxInsts := flag.Uint64("max", 500_000_000, "instruction budget")
-	metricsOut := flag.String("metrics", "", "write emulator counters and trace summary as flat JSON ('-' = stdout)")
+	metricsOut := flag.String("metrics", "", "write emulator counters and the mix summary as flat JSON ('-' = stdout)")
 	chromeOut := flag.String("chrome-trace", "", "write a Chrome trace_event JSON with instruction-mix counter tracks (ts = instruction index)")
 	sampleEvery := flag.Uint64("sample-every", obs.DefaultSampleEvery, "instructions between counter samples in the Chrome trace")
 	flag.Parse()
@@ -52,7 +49,7 @@ func main() {
 			fatal(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: rkrun [-trace f] [-summary] (<file.s> | -workload name)")
+		fmt.Fprintln(os.Stderr, "usage: rkrun [-summary] (<file.s> | -workload name)")
 		os.Exit(2)
 	}
 
@@ -60,46 +57,23 @@ func main() {
 	prog.Load(m)
 	emu := isa.NewEmulator(prog.Entry, m)
 
-	var buf bytes.Buffer
-	var col *trace.Collector
-	if *traceFile != "" || *summary || *metricsOut != "" {
-		tw, err := trace.NewWriter(&buf)
-		if err != nil {
-			fatal(err)
-		}
-		col = &trace.Collector{W: tw, Emu: emu}
-		emu.Hook = col.Hook()
-	}
-
 	// The Chrome trace of a functional run has no cycles; it exports the
 	// running instruction mix as counter tracks over instruction index.
 	var ctr *obs.Trace
 	if *chromeOut != "" {
 		ctr = obs.NewTrace()
-		every := *sampleEvery
-		if every < 1 {
-			every = 1
-		}
-		var next uint64
-		var loads, stores, branches uint64
-		inner := emu.Hook
-		emu.Hook = func(pc uint64, in isa.Inst) {
-			if inner != nil {
-				inner(pc, in)
-			}
-			switch {
-			case in.Op.IsLoad():
-				loads++
-			case in.Op.IsStore():
-				stores++
-			case in.Op.Class() == isa.ClassBranch:
-				branches++
-			}
-			if emu.Executed >= next {
+	}
+	every := max(*sampleEvery, 1)
+	var next uint64
+	c := newMix()
+	if *summary || *metricsOut != "" || ctr != nil {
+		emu.Hook = func(_ uint64, in isa.Inst, addr uint64) {
+			c.count(in, addr)
+			if ctr != nil && emu.Executed >= next {
 				next = emu.Executed + every
-				ctr.CounterSample(emu.Executed, "emu/loads", int64(loads))
-				ctr.CounterSample(emu.Executed, "emu/stores", int64(stores))
-				ctr.CounterSample(emu.Executed, "emu/branches", int64(branches))
+				ctr.CounterSample(emu.Executed, "emu/loads", int64(c.loads))
+				ctr.CounterSample(emu.Executed, "emu/stores", int64(c.stores))
+				ctr.CounterSample(emu.Executed, "emu/branches", int64(c.branches))
 			}
 		}
 	}
@@ -114,37 +88,13 @@ func main() {
 		}
 	}
 
-	if col != nil {
-		if col.Err != nil {
-			fatal(col.Err)
-		}
-		if err := col.W.Flush(); err != nil {
-			fatal(err)
-		}
-		if *traceFile != "" {
-			if err := os.WriteFile(*traceFile, buf.Bytes(), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("trace: %d records -> %s\n", col.W.Count(), *traceFile)
-		}
-		if *summary || *metricsOut != "" {
-			tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				fatal(err)
-			}
-			s, err := trace.Summarize(tr)
-			if err != nil {
-				fatal(err)
-			}
-			if *summary {
-				fmt.Printf("mix: %.1f%% loads, %.1f%% stores, %.1f%% branches, %d atomics, %d long ops\n",
-					s.LoadPct(), s.StorePct(), s.BranchPct(), s.Atomics, s.LongOps)
-				fmt.Printf("data footprint: %d lines (%.1f KiB)\n", s.TouchedLines, float64(s.TouchedLines)*64/1024)
-			}
-			if *metricsOut != "" {
-				writeMetrics(*metricsOut, emu, s)
-			}
-		}
+	if *summary {
+		fmt.Printf("mix: %.1f%% loads, %.1f%% stores, %.1f%% branches, %d atomics, %d long ops\n",
+			pct(c.loads, c.insts), pct(c.stores, c.insts), pct(c.branches, c.insts), c.atomics, c.longOps)
+		fmt.Printf("data footprint: %d lines (%.1f KiB)\n", len(c.lines), float64(len(c.lines))*64/1024)
+	}
+	if *metricsOut != "" {
+		writeMetrics(*metricsOut, emu, c)
 	}
 
 	if ctr != nil {
@@ -156,18 +106,58 @@ func main() {
 	}
 }
 
-// writeMetrics publishes the emulator's counters and the trace summary
-// into a registry and writes it as flat JSON.
-func writeMetrics(path string, emu *isa.Emulator, s trace.Summary) {
+// mix characterizes an emulator run, counted once from its hook: the
+// instruction mix and the data footprint (paper Table 2).
+type mix struct {
+	insts, loads, stores, branches, atomics, longOps uint64
+	// lines holds the distinct 64-byte lines that loads, stores and
+	// atomics accessed (footprint proxy).
+	lines map[uint64]struct{}
+}
+
+func newMix() *mix { return &mix{lines: make(map[uint64]struct{})} }
+
+// count adds one retired instruction; addr is the data address the
+// emulator passed its hook.
+func (c *mix) count(in isa.Inst, addr uint64) {
+	c.insts++
+	switch in.Op.Class() {
+	case isa.ClassLoad:
+		c.loads++
+	case isa.ClassStore:
+		c.stores++
+	case isa.ClassBranch:
+		c.branches++
+	case isa.ClassAtomic:
+		c.atomics++
+	}
+	if in.Op.IsLongLatency() {
+		c.longOps++
+	}
+	if in.Op.IsMem() && in.Op.Class() != isa.ClassPrefetch {
+		c.lines[addr>>6] = struct{}{}
+	}
+}
+
+func pct(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return 100 * float64(a) / float64(b)
+}
+
+// writeMetrics publishes the emulator's counters and the run's mix into
+// a registry and writes it as flat JSON.
+func writeMetrics(path string, emu *isa.Emulator, c *mix) {
 	r := obs.NewRegistry()
 	r.Counter("emu/executed").Set(emu.Executed)
-	r.Counter("emu/insts").Set(s.Insts)
-	r.Counter("emu/loads").Set(s.Loads)
-	r.Counter("emu/stores").Set(s.Stores)
-	r.Counter("emu/branches").Set(s.Branches)
-	r.Counter("emu/atomics").Set(s.Atomics)
-	r.Counter("emu/long_ops").Set(s.LongOps)
-	r.Counter("emu/touched_lines").Set(s.TouchedLines)
+	r.Counter("emu/insts").Set(c.insts)
+	r.Counter("emu/loads").Set(c.loads)
+	r.Counter("emu/stores").Set(c.stores)
+	r.Counter("emu/branches").Set(c.branches)
+	r.Counter("emu/atomics").Set(c.atomics)
+	r.Counter("emu/long_ops").Set(c.longOps)
+	r.Counter("emu/touched_lines").Set(uint64(len(c.lines)))
 	f := create(path)
 	if err := r.WriteJSON(f); err != nil {
 		fatal(err)

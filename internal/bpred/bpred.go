@@ -640,14 +640,6 @@ func (p *Predictor) PopReturn() (addr uint64, ok bool) {
 	return p.ras[p.rasSP%len(p.ras)], true
 }
 
-// RASDepthNow returns the current RAS occupancy (bounded by depth).
-func (p *Predictor) RASDepthNow() int {
-	if p.rasSP > len(p.ras) {
-		return len(p.ras)
-	}
-	return p.rasSP
-}
-
 // setPHT trains the 2-bit counter at idx toward the outcome.
 func (t *tables) setPHT(idx uint64, taken bool) {
 	if v := sat2(t.pht[idx], taken); v != t.pht[idx] {

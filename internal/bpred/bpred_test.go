@@ -115,9 +115,6 @@ func TestRAS(t *testing.T) {
 			t.Errorf("pop = %#x, want %#x", a, want*0x10)
 		}
 	}
-	if p.RASDepthNow() < 0 {
-		t.Error("negative depth")
-	}
 }
 
 func TestPredictorDeterminism(t *testing.T) {

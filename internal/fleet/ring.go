@@ -110,19 +110,11 @@ func (r *Ring) Size() int {
 	return len(r.member)
 }
 
-// Owner returns the member owning key: the first virtual node at or
-// clockwise after the key's hash. Empty string on an empty ring.
-func (r *Ring) Owner(key string) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
-}
-
 // Owners returns up to n distinct members in ring order starting at
-// key's position: the owner first, then the failover successors. This
-// is the router's retry order when a shard is ejected mid-request.
+// key's position: the owner (the member of the first virtual node at or
+// clockwise after the key's hash) first, then the failover successors.
+// This is the router's retry order when a shard is ejected mid-request.
+// It returns nil on an empty ring.
 func (r *Ring) Owners(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -24,7 +24,7 @@ func TestOwnerDeterministic(t *testing.T) {
 	r1 := NewRing(0, members...)
 	r2 := NewRing(0, "c", "a", "b") // different insertion order
 	for _, k := range testKeys(200) {
-		if o1, o2 := r1.Owner(k), r2.Owner(k); o1 != o2 {
+		if o1, o2 := r1.Owners(k, 1)[0], r2.Owners(k, 1)[0]; o1 != o2 {
 			t.Fatalf("key %q: owner %q vs %q on identically-membered rings", k, o1, o2)
 		}
 	}
@@ -39,7 +39,7 @@ func TestDistributionSkew(t *testing.T) {
 	counts := make(map[string]int)
 	keys := testKeys(1000)
 	for _, k := range keys {
-		counts[r.Owner(k)]++
+		counts[r.Owners(k, 1)[0]]++
 	}
 	fair := float64(len(keys)) / float64(len(members))
 	for _, m := range members {
@@ -59,12 +59,12 @@ func TestAddMovesBoundedKeys(t *testing.T) {
 	keys := testKeys(1000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k] = r.Owner(k)
+		before[k] = r.Owners(k, 1)[0]
 	}
 	r.Add("d")
 	moved := 0
 	for _, k := range keys {
-		after := r.Owner(k)
+		after := r.Owners(k, 1)[0]
 		if after != before[k] {
 			moved++
 			if after != "d" {
@@ -90,7 +90,7 @@ func TestRemoveMovesOnlyOwnedKeys(t *testing.T) {
 	before := make(map[string]string, len(keys))
 	owned := 0
 	for _, k := range keys {
-		before[k] = r.Owner(k)
+		before[k] = r.Owners(k, 1)[0]
 		if before[k] == "b" {
 			owned++
 		}
@@ -98,7 +98,7 @@ func TestRemoveMovesOnlyOwnedKeys(t *testing.T) {
 	r.Remove("b")
 	moved := 0
 	for _, k := range keys {
-		after := r.Owner(k)
+		after := r.Owners(k, 1)[0]
 		if before[k] == "b" {
 			if after == "b" {
 				t.Fatalf("key %q still owned by removed member", k)
@@ -132,14 +132,14 @@ func TestOwnersFailoverOrder(t *testing.T) {
 			}
 			seen[o] = true
 		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("key %q: Owners[0]=%q != Owner=%q", k, owners[0], r.Owner(k))
+		if o := r.Owners(k, 1)[0]; owners[0] != o {
+			t.Fatalf("key %q: Owners(k, 3)[0]=%q != Owners(k, 1)[0]=%q", k, owners[0], o)
 		}
 	}
 	k := testKeys(1)[0]
 	owners := r.Owners(k, 3)
 	r.Remove(owners[0])
-	if got := r.Owner(k); got != owners[1] {
+	if got := r.Owners(k, 1)[0]; got != owners[1] {
 		t.Errorf("after removing owner %q, key went to %q, want first successor %q",
 			owners[0], got, owners[1])
 	}
@@ -148,9 +148,6 @@ func TestOwnersFailoverOrder(t *testing.T) {
 // TestEmptyRing: no members means no owners, not a panic.
 func TestEmptyRing(t *testing.T) {
 	r := NewRing(0)
-	if o := r.Owner("k"); o != "" {
-		t.Errorf("empty ring owner %q, want \"\"", o)
-	}
 	if os := r.Owners("k", 3); os != nil {
 		t.Errorf("empty ring owners %v, want nil", os)
 	}
@@ -166,7 +163,7 @@ func TestMonitorEjectAndRecover(t *testing.T) {
 		t.Fatalf("up count %d, want 3", m.UpCount())
 	}
 	k := testKeys(1)[0]
-	owner := m.Ring().Owner(k)
+	owner := m.Ring().Owners(k, 1)[0]
 
 	if !m.MarkDown(owner, errors.New("connection refused")) {
 		t.Fatal("MarkDown returned false for an up shard")
@@ -174,7 +171,7 @@ func TestMonitorEjectAndRecover(t *testing.T) {
 	if m.MarkDown(owner, errors.New("again")) {
 		t.Fatal("MarkDown not idempotent")
 	}
-	if got := m.Ring().Owner(k); got == owner {
+	if got := m.Ring().Owners(k, 1)[0]; got == owner {
 		t.Fatalf("key still owned by ejected shard %q", owner)
 	}
 	if m.UpCount() != 2 {
@@ -186,7 +183,7 @@ func TestMonitorEjectAndRecover(t *testing.T) {
 	if m.UpCount() != 3 {
 		t.Fatalf("up count %d after recovery, want 3", m.UpCount())
 	}
-	if got := m.Ring().Owner(k); got != owner {
+	if got := m.Ring().Owners(k, 1)[0]; got != owner {
 		t.Fatalf("recovered shard did not reclaim its key: owner %q, want %q", got, owner)
 	}
 

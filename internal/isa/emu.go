@@ -36,8 +36,10 @@ type Emulator struct {
 	Halted bool
 
 	// Hook, if non-nil, is invoked after each retired instruction with
-	// the instruction and the PC it executed at. Used by the tracer.
-	Hook func(pc uint64, in Inst)
+	// the PC it executed at, the instruction and the data address a
+	// load, store or atomic accessed (0 for every other op). Used by
+	// cmd/rkrun to characterize a run.
+	Hook func(pc uint64, in Inst, addr uint64)
 
 	fetchBuf [InstSize]byte
 }
@@ -69,6 +71,7 @@ func (e *Emulator) Step() (Inst, error) {
 	}
 	pc := e.PC
 	next := pc + InstSize
+	var addr uint64
 
 	rd := func(i uint8) int64 {
 		if i == RegZero {
@@ -89,11 +92,11 @@ func (e *Emulator) Step() (Inst, error) {
 	case ClassALU:
 		wr(in.Rd, ALUResult(in, rd(in.Rs1), rd(in.Rs2)))
 	case ClassLoad:
-		addr := uint64(rd(in.Rs1) + int64(in.Imm))
+		addr = uint64(rd(in.Rs1) + int64(in.Imm))
 		raw := e.Mem.Read(addr, in.Op.MemWidth())
 		wr(in.Rd, ExtendLoad(in.Op, raw))
 	case ClassStore:
-		addr := uint64(rd(in.Rs1) + int64(in.Imm))
+		addr = uint64(rd(in.Rs1) + int64(in.Imm))
 		e.Mem.Write(addr, in.Op.MemWidth(), uint64(rd(in.Rs2)))
 	case ClassBranch:
 		if BranchTaken(in.Op, rd(in.Rs1), rd(in.Rs2)) {
@@ -108,7 +111,7 @@ func (e *Emulator) Step() (Inst, error) {
 		}
 		wr(in.Rd, link)
 	case ClassAtomic:
-		addr := uint64(rd(in.Rs1))
+		addr = uint64(rd(in.Rs1))
 		old := int64(e.Mem.Read(addr, 8))
 		if old == rd(in.Rs2) {
 			e.Mem.Write(addr, 8, uint64(rd(in.Rd)))
@@ -127,7 +130,7 @@ func (e *Emulator) Step() (Inst, error) {
 	e.PC = next
 	e.Executed++
 	if e.Hook != nil {
-		e.Hook(pc, in)
+		e.Hook(pc, in, addr)
 	}
 	if e.Halted {
 		return in, ErrHalted

@@ -172,16 +172,25 @@ func TestEmulatorIllegal(t *testing.T) {
 func TestEmulatorHook(t *testing.T) {
 	m := testMem{}
 	loadProgram(m, 0, []Inst{
-		{Op: OpMovi, Rd: 1, Imm: 1},
+		{Op: OpMovi, Rd: 1, Imm: 0x1000},
+		{Op: OpLd64, Rd: 1, Rs1: 1, Imm: 16},
 		{Op: OpHalt},
 	})
 	e := NewEmulator(0, m)
-	var pcs []uint64
-	e.Hook = func(pc uint64, in Inst) { pcs = append(pcs, pc) }
+	var pcs, addrs []uint64
+	e.Hook = func(pc uint64, in Inst, addr uint64) {
+		pcs = append(pcs, pc)
+		addrs = append(addrs, addr)
+	}
 	if err := e.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if len(pcs) != 2 || pcs[0] != 0 || pcs[1] != 8 {
+	if len(pcs) != 3 || pcs[0] != 0 || pcs[1] != 8 || pcs[2] != 16 {
 		t.Errorf("hook pcs = %v", pcs)
+	}
+	// The load's address is the one it accessed, although it has since
+	// overwritten its base register.
+	if len(addrs) != 3 || addrs[0] != 0 || addrs[1] != 0x1010 || addrs[2] != 0 {
+		t.Errorf("hook addrs = %#x", addrs)
 	}
 }

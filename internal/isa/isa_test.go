@@ -66,9 +66,6 @@ func TestMemWidth(t *testing.T) {
 			t.Errorf("%v width = %d, want %d", op, op.MemWidth(), w)
 		}
 	}
-	if !OpLd32.MemSigned() || OpLdu32.MemSigned() {
-		t.Error("MemSigned wrong")
-	}
 }
 
 // TestEncodeDecodeRoundTrip is the property test: any well-formed

@@ -273,15 +273,6 @@ func (op Op) MemWidth() int {
 	return 0
 }
 
-// MemSigned reports whether a load sign-extends its result.
-func (op Op) MemSigned() bool {
-	switch op {
-	case OpLd8, OpLd16, OpLd32, OpLd64:
-		return true
-	}
-	return false
-}
-
 // opsByName maps mnemonic to opcode; built once for the assembler.
 var opsByName = func() map[string]Op {
 	m := make(map[string]Op, NumOps)

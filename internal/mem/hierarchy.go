@@ -264,13 +264,6 @@ func (h *Hierarchy) NextDataFill(core int, now uint64) uint64 {
 	return h.cores[core].mshrD.NextExpiry(now)
 }
 
-// DataMSHRFull reports whether core's L1D MSHR file is fully occupied at
-// cycle now (a new miss would have to stall).
-func (h *Hierarchy) DataMSHRFull(core int, now uint64) bool {
-	p := &h.cores[core]
-	return p.mshrD.Outstanding(now) >= p.mshrD.Cap()
-}
-
 // l2Port serializes access through the L2's banked ports.
 func (h *Hierarchy) l2Port(line uint64, now uint64) uint64 {
 	b := int((line / uint64(h.cfg.L2.LineBytes)) % uint64(len(h.l2BankFree)))

@@ -172,13 +172,10 @@ func TestHierarchyOutstandingMisses(t *testing.T) {
 	if n := h.OutstandingDataMisses(0, 1); n != 2 {
 		t.Errorf("outstanding = %d", n)
 	}
-	if h.DataMSHRFull(0, 1) {
-		t.Error("MSHR reported full with 2/4")
-	}
 	h.Access(0, AccRead, 0xa2000, 1)
 	h.Access(0, AccRead, 0xa3000, 1)
-	if !h.DataMSHRFull(0, 2) {
-		t.Error("MSHR not full with 4/4")
+	if n := h.OutstandingDataMisses(0, 2); n != 4 {
+		t.Errorf("outstanding = %d, want the MSHR file's 4", n)
 	}
 	if n := h.OutstandingDataMisses(0, 10000); n != 0 {
 		t.Errorf("outstanding after completion = %d", n)

@@ -136,27 +136,6 @@ func (m *Sparse) writeByte(addr uint64, b byte) {
 	m.page(addr, true)[addr&pageMask] = b
 }
 
-// ReadBytes copies len(dst) bytes starting at addr into dst.
-func (m *Sparse) ReadBytes(addr uint64, dst []byte) {
-	for len(dst) > 0 {
-		off := addr & pageMask
-		n := pageSize - int(off)
-		if n > len(dst) {
-			n = len(dst)
-		}
-		p := m.page(addr, false)
-		if p == nil {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
-		} else {
-			copy(dst[:n], p[off:])
-		}
-		dst = dst[n:]
-		addr += uint64(n)
-	}
-}
-
 // WriteBytes copies src into memory starting at addr.
 func (m *Sparse) WriteBytes(addr uint64, src []byte) {
 	for len(src) > 0 {

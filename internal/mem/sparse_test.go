@@ -67,18 +67,14 @@ func TestSparseBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	r.Read(src)
 	m.WriteBytes(100, src)
-	dst := make([]byte, len(src))
-	m.ReadBytes(100, dst)
 	for i := range src {
-		if src[i] != dst[i] {
-			t.Fatalf("byte %d: %#x != %#x", i, dst[i], src[i])
+		if got := m.Read(100+uint64(i), 1); got != uint64(src[i]) {
+			t.Fatalf("byte %d: %#x != %#x", i, got, src[i])
 		}
 	}
 	// Reads beyond written data are zero.
-	tail := make([]byte, 16)
-	m.ReadBytes(100+uint64(len(src)), tail)
-	for _, b := range tail {
-		if b != 0 {
+	for i := 0; i < 16; i++ {
+		if m.Read(100+uint64(len(src)+i), 1) != 0 {
 			t.Fatal("unwritten bytes nonzero")
 		}
 	}

@@ -117,9 +117,6 @@ func (t *Timeline) Sample(now uint64, v int64) {
 // Len returns the number of recorded points.
 func (t *Timeline) Len() int { return len(t.cyc) }
 
-// Point returns the i-th sample.
-func (t *Timeline) Point(i int) (cycle uint64, v int64) { return t.cyc[i], t.val[i] }
-
 // mergeFrom interleaves o's samples into t in cycle order (stable: at
 // equal cycles t's existing points sort first). Used by Registry.Merge.
 func (t *Timeline) mergeFrom(o *Timeline) {

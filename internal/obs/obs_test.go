@@ -49,8 +49,8 @@ func TestObsRegistryBasics(t *testing.T) {
 	if tl.Len() != 2 {
 		t.Errorf("timeline len = %d, want 2", tl.Len())
 	}
-	if cyc, v := tl.Point(1); cyc != 64 || v != 3 {
-		t.Errorf("point = (%d,%d), want (64,3)", cyc, v)
+	if ts := r.Snapshot().Timelines["t"]; len(ts.Cycles) != 2 || ts.Cycles[1] != 64 || ts.Values[1] != 3 {
+		t.Errorf("timeline = %+v, want its second point at (64,3)", ts)
 	}
 }
 

@@ -236,25 +236,6 @@ func (c *Client) Result(id string) (done bool, body []byte, err error) {
 	return false, nil, responseError(resp, body)
 }
 
-// WaitResult polls Result until the job finishes or the deadline
-// elapses.
-func (c *Client) WaitResult(id string, timeout time.Duration) ([]byte, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		done, body, err := c.Result(id)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return body, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("result %s not ready within %v", id, timeout)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 // Healthz reports whether the daemon answers and is not draining.
 func (c *Client) Healthz() error {
 	resp, err := c.http().Get(c.Base + "/healthz")

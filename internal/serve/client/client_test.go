@@ -13,17 +13,18 @@ import (
 	"rocksim/internal/serve"
 )
 
-func testServer(t *testing.T) (*Client, *experiments.Runner) {
+func testServer(t *testing.T) (*Client, *serve.Server, *experiments.Runner) {
 	t.Helper()
 	r := experiments.NewRunner()
 	r.SetJobs(2)
-	ts := httptest.NewServer(serve.New(serve.Config{}, r))
+	srv := serve.New(serve.Config{}, r)
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &Client{Base: ts.URL}, r
+	return &Client{Base: ts.URL}, srv, r
 }
 
 func TestClientEndToEnd(t *testing.T) {
-	c, r := testServer(t)
+	c, srv, r := testServer(t)
 
 	if err := c.Healthz(); err != nil {
 		t.Fatalf("healthz: %v", err)
@@ -49,9 +50,10 @@ func TestClientEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("grid async: %v", err)
 	}
-	async, err := c.WaitResult(id, 30*time.Second)
-	if err != nil {
-		t.Fatalf("wait result: %v", err)
+	srv.Wait() // the async worker publishes its result before it releases
+	done, async, err := c.Result(id)
+	if err != nil || !done {
+		t.Fatalf("result after the grid finished: done=%v err=%v", done, err)
 	}
 	if !bytes.Equal(async, grid) {
 		t.Errorf("async grid differs from sync grid")
@@ -88,7 +90,7 @@ func TestClientEndToEnd(t *testing.T) {
 }
 
 func TestClientErrors(t *testing.T) {
-	c, _ := testServer(t)
+	c, _, _ := testServer(t)
 
 	_, err := c.Run(serve.RunRequest{Kind: "vliw", Workload: "chase"})
 	var se *StatusError

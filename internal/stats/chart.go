@@ -19,7 +19,6 @@ type BarChart struct {
 type barRow struct {
 	label string
 	value float64
-	ok    bool // numeric? non-numeric rows render as separators
 }
 
 // NewBarChart creates an empty chart.
@@ -29,18 +28,13 @@ func NewBarChart(title string) *BarChart {
 
 // Add appends one bar.
 func (c *BarChart) Add(label string, v float64) {
-	c.rows = append(c.rows, barRow{label: label, value: v, ok: true})
+	c.rows = append(c.rows, barRow{label: label, value: v})
 	if v > c.max {
 		c.max = v
 	}
 }
 
-// AddSeparator appends a visual group separator.
-func (c *BarChart) AddSeparator(label string) {
-	c.rows = append(c.rows, barRow{label: label})
-}
-
-// Len returns the number of bars (separators included).
+// Len returns the number of bars.
 func (c *BarChart) Len() int { return len(c.rows) }
 
 // Fprint renders the chart with bars up to width characters.
@@ -58,10 +52,6 @@ func (c *BarChart) Fprint(w io.Writer, width int) {
 		fmt.Fprintf(w, "%s\n", c.Title)
 	}
 	for _, r := range c.rows {
-		if !r.ok {
-			fmt.Fprintf(w, "%-*s\n", labelW, r.label)
-			continue
-		}
 		n := 0
 		if c.max > 0 {
 			n = int(r.value / c.max * float64(width))

@@ -9,7 +9,6 @@ func TestBarChartRendering(t *testing.T) {
 	c := NewBarChart("speedup")
 	c.Add("inorder", 1.0)
 	c.Add("sst", 4.0)
-	c.AddSeparator("--")
 	var sb strings.Builder
 	c.Fprint(&sb, 40)
 	out := sb.String()
@@ -18,7 +17,7 @@ func TestBarChartRendering(t *testing.T) {
 	}
 	// sst's bar must be 4x the inorder bar.
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
+	if len(lines) != 3 {
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
 	}
 	inBar := strings.Count(lines[1], "█")
