@@ -7,8 +7,9 @@
 # corpus + fixed seeds through the transient-leakage oracle), a bounded
 # coverage-guided differential fuzz session plus the scout period-jump
 # sweep (fuzz-short), the rocksimd
-# service smoke (serve-smoke: load, grid byte-identity, SIGTERM drain), the
-# fleet smoke (fleet-smoke: 3 shards behind rockgate, /v1/run load, grid
+# service smoke (serve-smoke: curl load, predictor counters on /metrics,
+# grid byte-identity with B1 included, SIGTERM drain), the fleet smoke
+# (fleet-smoke: 3 shards behind rockgate, curl /v1/run load, grid
 # byte-identity, loss-free drain of all four processes), the
 # rockbench golden digests of every experiment's text (rockbench-test),
 # the full-scale results check (results-check: results_full.txt is
@@ -20,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test results-check determinism ci golden bench bench-guard profile
+.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke rockbench-test results-check determinism ci golden bench bench-guard profile
 
 all: tier1
 
@@ -58,7 +59,7 @@ smoke-parallel:
 	diff -u /tmp/sstbench-j1.txt /tmp/sstbench-j4.txt
 	@echo "smoke-parallel: -j 1 and -j 4 output identical"
 
-tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke bpred-grid-smoke rockbench-test results-check bench-guard
+tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke rockbench-test results-check bench-guard
 
 # Regenerate every experiment at full scale and require the committed
 # results_full.txt to match byte for byte (only the wall-clock
@@ -86,85 +87,75 @@ fuzz-short:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDifferential -fuzztime 20s
 	$(GO) test ./internal/sim -run 'TestScoutJump' -scout-sweep -count=1 -timeout 20m
 
-# End-to-end daemon smoke: boot rocksimd, load it with rockload, prove
-# the daemon's /v1/grid output is byte-identical to sstbench, then
-# SIGTERM it and require a clean (exit 0) drain.
+# The daemon smokes drive rocksimd and rockgate with curl. SMOKE_KINDS
+# names every core kind in sim.Kinds (TestSmokeKindsAreSimKinds checks
+# it); the /v1/run load cycles it crossed with chase and oltp by request
+# index.
+SMOKE_KINDS := inorder ooo-small ooo-large scout sst-ea sst sst-big
+
+# wait_ready polls base URL $(1) until /healthz answers 200 (at most
+# 10 s); the last probe fails the recipe if it never does.
+define wait_ready
+for i in $$(seq 1 50); do curl -sf $(1)/healthz >/dev/null && break; sleep 0.2; done; curl -sf $(1)/healthz >/dev/null
+endef
+
+# load_run sends $(2) /v1/run requests of the smoke cell mix to base URL
+# $(1), $(3) at a time. $(3) stays below serve.DefaultQueueDepth (32),
+# so no request meets a 429. Every reply must be a 200 with a JSON body;
+# one that is not makes xargs, and so the recipe, fail.
+define load_run
+awk -v n=$(2) -v kinds='$(SMOKE_KINDS)' 'BEGIN { k = split(kinds, K, " "); split("chase oltp", W, " "); for (i = 0; i < n; i++) printf "{\"kind\":\"%s\",\"workload\":\"%s\",\"scale\":\"test\"}\n", K[i % k + 1], W[int(i / k) % 2 + 1] }' | \
+	xargs -d '\n' -P $(3) -I{} sh -c 'b=$$(curl -sf -d "$$1" $(1)/v1/run) && printf %s "$$b" | jq -e . >/dev/null' _ {}; \
+	echo "$(2) /v1/run requests, $(3) at a time: every reply 200 and JSON"
+endef
+
+# End-to-end daemon smoke: boot rocksimd, load it, require the bpred/*
+# predictor counters on /metrics, prove the daemon's /v1/grid output
+# (B1's kind-x-sharing grid included) is byte-identical to sstbench,
+# then SIGTERM it and require a clean (exit 0) drain.
 serve-smoke:
 	$(GO) build -o /tmp/rocksimd-smoke ./cmd/rocksimd
-	$(GO) build -o /tmp/rockload-smoke ./cmd/rockload
 	$(GO) build -o /tmp/sstbench-smoke ./cmd/sstbench
 	@set -e; \
 	/tmp/rocksimd-smoke -addr 127.0.0.1:8321 & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	for i in $$(seq 1 50); do \
-		/tmp/rockload-smoke -addr http://127.0.0.1:8321 -healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	/tmp/rockload-smoke -addr http://127.0.0.1:8321 -n 120 -c 8 -scale test; \
-	/tmp/rockload-smoke -addr http://127.0.0.1:8321 -scale test -grid-exps T1,F3,F12 -grid-out /tmp/serve-grid.txt; \
-	/tmp/sstbench-smoke -scale test -j 1 -exp T1,F3,F12 | grep -v 'regenerated in' > /tmp/serve-grid-ref.txt; \
+	$(call wait_ready,http://127.0.0.1:8321); \
+	$(call load_run,http://127.0.0.1:8321,120,8); \
+	curl -sf http://127.0.0.1:8321/metrics > /tmp/serve-metrics.txt; \
+	grep -q '^rocksim_bpred_dir_lookups ' /tmp/serve-metrics.txt; \
+	grep -q '^rocksim_bpred_deferred_dir_trains ' /tmp/serve-metrics.txt; \
+	curl -sf -d '{"exps":["T1","F3","F12","B1"],"scale":"test"}' http://127.0.0.1:8321/v1/grid -o /tmp/serve-grid.txt; \
+	/tmp/sstbench-smoke -scale test -j 1 -exp T1,F3,F12,B1 | grep -v 'regenerated in' > /tmp/serve-grid-ref.txt; \
 	diff -u /tmp/serve-grid-ref.txt /tmp/serve-grid.txt; \
 	kill -TERM $$pid; wait $$pid; \
 	trap - EXIT; \
-	echo "serve-smoke: grid byte-identical to sstbench; daemon drained cleanly on SIGTERM"
+	echo "serve-smoke: bpred/* counters on /metrics; grid byte-identical to sstbench; daemon drained cleanly on SIGTERM"
 
 # Fleet smoke: boot 3 rocksimd shards and a rockgate router in front,
-# load the gateway's /v1/run proxy with rockload (every request must
-# succeed), prove the gateway's /v1/grid (every cell fanned out by cache
-# key, F12's SMT pairs included) is byte-identical to sstbench, then
-# SIGTERM all four processes and require clean (exit 0) drains.
+# load the gateway's /v1/run proxy (every request must succeed), prove
+# the gateway's /v1/grid (every cell fanned out by cache key, F12's SMT
+# pairs included) is byte-identical to sstbench, then SIGTERM all four
+# processes and require clean (exit 0) drains.
 fleet-smoke:
 	$(GO) build -o /tmp/rocksimd-smoke ./cmd/rocksimd
 	$(GO) build -o /tmp/rockgate-smoke ./cmd/rockgate
-	$(GO) build -o /tmp/rockload-smoke ./cmd/rockload
 	$(GO) build -o /tmp/sstbench-smoke ./cmd/sstbench
 	@set -e; \
 	/tmp/rocksimd-smoke -addr 127.0.0.1:8331 -shard-id s0 & p0=$$!; \
 	/tmp/rocksimd-smoke -addr 127.0.0.1:8332 -shard-id s1 & p1=$$!; \
 	/tmp/rocksimd-smoke -addr 127.0.0.1:8333 -shard-id s2 & p2=$$!; \
 	trap 'kill $$p0 $$p1 $$p2 $$pg 2>/dev/null || true' EXIT; \
-	for port in 8331 8332 8333; do \
-		for i in $$(seq 1 50); do \
-			/tmp/rockload-smoke -addr http://127.0.0.1:$$port -healthz >/dev/null 2>&1 && break; sleep 0.2; \
-		done; \
-	done; \
+	for port in 8331 8332 8333; do $(call wait_ready,http://127.0.0.1:$$port); done; \
 	/tmp/rockgate-smoke -addr 127.0.0.1:8330 -shards http://127.0.0.1:8331,http://127.0.0.1:8332,http://127.0.0.1:8333 & pg=$$!; \
-	for i in $$(seq 1 50); do \
-		/tmp/rockload-smoke -addr http://127.0.0.1:8330 -healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	/tmp/rockload-smoke -addr http://127.0.0.1:8330 -n 60 -c 4 -scale test; \
-	/tmp/rockload-smoke -addr http://127.0.0.1:8330 -scale test -grid-exps T1,F3,F12 -grid-out /tmp/fleet-grid.txt; \
+	$(call wait_ready,http://127.0.0.1:8330); \
+	$(call load_run,http://127.0.0.1:8330,60,4); \
+	curl -sf -d '{"exps":["T1","F3","F12"],"scale":"test"}' http://127.0.0.1:8330/v1/grid -o /tmp/fleet-grid.txt; \
 	/tmp/sstbench-smoke -scale test -j 1 -exp T1,F3,F12 | grep -v 'regenerated in' > /tmp/fleet-grid-ref.txt; \
 	diff -u /tmp/fleet-grid-ref.txt /tmp/fleet-grid.txt; \
 	kill -TERM $$pg; wait $$pg; \
 	kill -TERM $$p0 $$p1 $$p2; wait $$p0; wait $$p1; wait $$p2; \
 	trap - EXIT; \
 	echo "fleet-smoke: /v1/run proxied cleanly; 3-shard grid byte-identical to sstbench; gateway and shards drained cleanly"
-
-# Predictor-grid smoke: the B1 kind-x-sharing grid must be byte-
-# identical serial vs -j 4 through sstbench, byte-identical again
-# through a rocksimd round-trip, and the daemon must export the bpred/*
-# predictor counters on /metrics once it has served cells.
-bpred-grid-smoke:
-	$(GO) build -o /tmp/sstbench-smoke ./cmd/sstbench
-	$(GO) build -o /tmp/rocksimd-smoke ./cmd/rocksimd
-	$(GO) build -o /tmp/rockload-smoke ./cmd/rockload
-	/tmp/sstbench-smoke -scale test -j 1 -exp B1 | grep -v 'regenerated in' > /tmp/bpred-grid-j1.txt
-	/tmp/sstbench-smoke -scale test -j 4 -exp B1 | grep -v 'regenerated in' > /tmp/bpred-grid-j4.txt
-	diff -u /tmp/bpred-grid-j1.txt /tmp/bpred-grid-j4.txt
-	@set -e; \
-	/tmp/rocksimd-smoke -addr 127.0.0.1:8341 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	for i in $$(seq 1 50); do \
-		/tmp/rockload-smoke -addr http://127.0.0.1:8341 -healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	/tmp/rockload-smoke -addr http://127.0.0.1:8341 -scale test -grid-exps B1 -grid-out /tmp/bpred-grid-serve.txt; \
-	diff -u /tmp/bpred-grid-j1.txt /tmp/bpred-grid-serve.txt; \
-	/tmp/rockload-smoke -addr http://127.0.0.1:8341 -n 20 -c 4 -scale test >/dev/null; \
-	curl -sf http://127.0.0.1:8341/metrics | grep -q '^rocksim_bpred_dir_lookups '; \
-	curl -sf http://127.0.0.1:8341/metrics | grep -q '^rocksim_bpred_deferred_dir_trains '; \
-	kill -TERM $$pid; wait $$pid; \
-	trap - EXIT; \
-	echo "bpred-grid-smoke: B1 byte-identical (serial, -j 4, rocksimd); bpred/* counters on /metrics"
 
 # Tracing and cycle-accounting smoke on real tool output (the unit
 # tests cover the libraries; this covers what the binaries write):

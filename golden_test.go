@@ -5,8 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"rocksim"
 )
 
 // updateFlag matches a test file's declaration of an -update flag.
@@ -59,6 +62,23 @@ func TestGoldenRecipeCoversEveryPin(t *testing.T) {
 	}
 	if !lineWith(recipe, "> results_full.txt") {
 		t.Error("make golden does not rewrite results_full.txt")
+	}
+}
+
+// TestSmokeKindsAreSimKinds keeps the daemon smokes' /v1/run mix over
+// every core kind: the Makefile's SMOKE_KINDS must name sim.Kinds, in
+// order, so a new kind joins serve-smoke and fleet-smoke.
+func TestSmokeKindsAreSimKinds(t *testing.T) {
+	m := regexp.MustCompile(`(?m)^SMOKE_KINDS := (.*)$`).FindStringSubmatch(readFile(t, "Makefile"))
+	if m == nil {
+		t.Fatal("the Makefile has no SMOKE_KINDS line")
+	}
+	var want []string
+	for _, k := range rocksim.CoreKinds {
+		want = append(want, k.String())
+	}
+	if got := strings.Fields(m[1]); !slices.Equal(got, want) {
+		t.Errorf("the Makefile's SMOKE_KINDS is %v; sim.Kinds is %v", got, want)
 	}
 }
 

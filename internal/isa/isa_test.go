@@ -41,7 +41,7 @@ func TestOpClassPredicates(t *testing.T) {
 	}
 	for _, c := range cases {
 		if c.op.IsLoad() != c.load || c.op.IsStore() != c.store ||
-			c.op.IsBranch() != c.branch || c.op.IsJump() != c.jmp {
+			(c.op.Class() == ClassBranch) != c.branch || (c.op.Class() == ClassJump) != c.jmp {
 			t.Errorf("%v predicates wrong", c.op)
 		}
 	}

@@ -248,12 +248,6 @@ func (op Op) IsMem() bool {
 	return false
 }
 
-// IsBranch reports whether the opcode is a conditional branch.
-func (op Op) IsBranch() bool { return op.Class() == ClassBranch }
-
-// IsJump reports whether the opcode is an unconditional control transfer.
-func (op Op) IsJump() bool { return op.Class() == ClassJump }
-
 // IsLongLatency reports whether the opcode is a multi-cycle arithmetic
 // operation that checkpoint-based cores may defer like a cache miss.
 func (op Op) IsLongLatency() bool { return op.Class() == ClassALU && op.Latency() > 1 }

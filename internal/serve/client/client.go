@@ -1,8 +1,8 @@
 // Package client is the Go client for rocksimd (internal/serve): typed
 // wrappers over the /v1 endpoints plus a Prometheus scrape helper.
-// cmd/rockload drives its load through this package, and external
-// tooling can use it to talk to a long-lived daemon instead of paying
-// simulator start-up per query.
+// cmd/rockbench drives its load through this package, rockgate routes
+// cells through its Fleet, and external tooling can use it to talk to a
+// long-lived daemon instead of paying simulator start-up per query.
 package client
 
 import (
@@ -56,35 +56,32 @@ func (c *Client) http() *http.Client {
 }
 
 // post sends req as JSON to path under ctx and returns the response
-// with its body read, and the time from sending until the response
-// headers arrived. A status other than want maps to BusyError (429) or
-// StatusError. When ctx ends the request is abandoned, and the daemon
-// sees its own request context end.
-func (c *Client) post(ctx context.Context, path string, req any, want int) (*http.Response, []byte, time.Duration, error) {
+// with its body read. A status other than 200 maps to BusyError (429)
+// or StatusError. When ctx ends the request is abandoned, and the
+// daemon sees its own request context end.
+func (c *Client) post(ctx context.Context, path string, req any) (*http.Response, []byte, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(payload))
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	t0 := time.Now()
 	resp, err := c.http().Do(hreq)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	ttfb := time.Since(t0)
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	if resp.StatusCode != want {
-		return nil, nil, 0, responseError(resp, body)
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, responseError(resp, body)
 	}
-	return resp, body, ttfb, nil
+	return resp, body, nil
 }
 
 func responseError(resp *http.Response, body []byte) error {
@@ -137,36 +134,29 @@ func (c *Client) Run(req serve.RunRequest) ([]byte, error) {
 	return res.Body, nil
 }
 
-// RunResult is a /v1/run response plus the client-side and
-// server-reported timing that load tools care about.
+// RunResult is a /v1/run response plus the server-reported compute
+// time.
 type RunResult struct {
 	// Body is the report JSON, byte-identical to Run's return.
 	Body []byte
-	// RequestID echoes the daemon's X-Request-ID header; pair it with
-	// the daemon log or GET /v1/trace/{id}.
-	RequestID string
-	// TTFB is the client-measured time from sending the request until
-	// response headers arrived (includes queue wait on the server).
-	TTFB time.Duration
 	// Compute is the server-reported X-Compute-Us: wall time the
-	// daemon spent inside the runner (0 on a warm cache hit). The gap
-	// TTFB-Compute is queueing, marshalling, and network.
+	// daemon spent inside the runner (queue wait plus cache or compute).
 	Compute time.Duration
 }
 
-// RunDetail executes one cell like Run but also surfaces the request
-// id and timing split (client TTFB vs server-reported compute).
+// RunDetail executes one cell like Run but also surfaces the
+// server-reported compute time.
 func (c *Client) RunDetail(req serve.RunRequest) (*RunResult, error) {
 	return c.runDetail(context.Background(), req)
 }
 
 // runDetail is RunDetail under ctx.
 func (c *Client) runDetail(ctx context.Context, req serve.RunRequest) (*RunResult, error) {
-	resp, body, ttfb, err := c.post(ctx, "/v1/run", req, http.StatusOK)
+	resp, body, err := c.post(ctx, "/v1/run", req)
 	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{Body: body, RequestID: resp.Header.Get("X-Request-ID"), TTFB: ttfb}
+	res := &RunResult{Body: body}
 	if us, err := strconv.ParseInt(resp.Header.Get("X-Compute-Us"), 10, 64); err == nil {
 		res.Compute = time.Duration(us) * time.Microsecond
 	}
@@ -181,7 +171,7 @@ func (c *Client) runDetail(ctx context.Context, req serve.RunRequest) (*RunResul
 // (connection refused, 429 BusyError, 503 draining); a deterministic
 // simulation failure arrives as a nil error with resp.ErrClass set.
 func (c *Client) Cell(ctx context.Context, req serve.CellRequest) (*serve.CellResponse, error) {
-	_, body, _, err := c.post(ctx, "/v1/cell", req, http.StatusOK)
+	_, body, err := c.post(ctx, "/v1/cell", req)
 	if err != nil {
 		return nil, err
 	}
@@ -190,64 +180,6 @@ func (c *Client) Cell(ctx context.Context, req serve.CellRequest) (*serve.CellRe
 		return nil, fmt.Errorf("bad /v1/cell body: %v", err)
 	}
 	return &out, nil
-}
-
-// Grid regenerates experiments synchronously and returns the text
-// report (byte-identical to sstbench output minus wall-clock lines).
-func (c *Client) Grid(req serve.GridRequest) ([]byte, error) {
-	req.Async = false
-	_, body, _, err := c.post(context.Background(), "/v1/grid", req, http.StatusOK)
-	return body, err
-}
-
-// GridAsync submits a grid for background regeneration and returns the
-// result id to poll with Result.
-func (c *Client) GridAsync(req serve.GridRequest) (string, error) {
-	req.Async = true
-	_, body, _, err := c.post(context.Background(), "/v1/grid", req, http.StatusAccepted)
-	if err != nil {
-		return "", err
-	}
-	var acc serve.AsyncAccepted
-	if err := json.Unmarshal(body, &acc); err != nil {
-		return "", fmt.Errorf("bad 202 body: %v", err)
-	}
-	return acc.ID, nil
-}
-
-// Result polls an async grid: done=false while it is still running,
-// otherwise the finished report text.
-func (c *Client) Result(id string) (done bool, body []byte, err error) {
-	resp, err := c.http().Get(c.Base + "/v1/result/" + id)
-	if err != nil {
-		return false, nil, err
-	}
-	defer resp.Body.Close()
-	body, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return false, nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, body, nil
-	case http.StatusAccepted:
-		return false, nil, nil
-	}
-	return false, nil, responseError(resp, body)
-}
-
-// Healthz reports whether the daemon answers and is not draining.
-func (c *Client) Healthz() error {
-	resp, err := c.http().Get(c.Base + "/healthz")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return responseError(resp, body)
-	}
-	return nil
 }
 
 // Health is the decoded /healthz body — the shard-level state a fleet
@@ -267,9 +199,9 @@ type Health struct {
 	PoolBuilt      uint64 `json:"pool_built"`
 }
 
-// Health fetches and decodes /healthz. Unlike Healthz it succeeds on a
-// 503 too — a draining shard still answers, and the body's Draining
-// flag is exactly what a router's lame-duck handling needs.
+// Health fetches and decodes /healthz. It succeeds on a 503 too — a
+// draining shard still answers, and the body's Draining flag is exactly
+// what a router's lame-duck handling needs.
 func (c *Client) Health() (*Health, error) {
 	resp, err := c.http().Get(c.Base + "/healthz")
 	if err != nil {

@@ -13,22 +13,17 @@ import (
 	"rocksim/internal/serve"
 )
 
-func testServer(t *testing.T) (*Client, *serve.Server, *experiments.Runner) {
+func testServer(t *testing.T) (*Client, *experiments.Runner) {
 	t.Helper()
 	r := experiments.NewRunner()
 	r.SetJobs(2)
-	srv := serve.New(serve.Config{}, r)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(serve.New(serve.Config{}, r))
 	t.Cleanup(ts.Close)
-	return &Client{Base: ts.URL}, srv, r
+	return &Client{Base: ts.URL}, r
 }
 
 func TestClientEndToEnd(t *testing.T) {
-	c, srv, r := testServer(t)
-
-	if err := c.Healthz(); err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
+	c, r := testServer(t)
 
 	report, err := c.Run(serve.RunRequest{Kind: "inorder", Workload: "chase", Scale: "test"})
 	if err != nil {
@@ -36,27 +31,6 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 	if !bytes.Contains(report, []byte(`"kind": "inorder"`)) {
 		t.Errorf("run report missing kind: %.200s", report)
-	}
-
-	grid, err := c.Grid(serve.GridRequest{Exps: []string{"T1"}, Scale: "test"})
-	if err != nil {
-		t.Fatalf("grid: %v", err)
-	}
-	if !strings.Contains(string(grid), "---- T1:") {
-		t.Errorf("grid output missing T1 header: %.200s", grid)
-	}
-
-	id, err := c.GridAsync(serve.GridRequest{Exps: []string{"T1"}, Scale: "test"})
-	if err != nil {
-		t.Fatalf("grid async: %v", err)
-	}
-	srv.Wait() // the async worker publishes its result before it releases
-	done, async, err := c.Result(id)
-	if err != nil || !done {
-		t.Fatalf("result after the grid finished: done=%v err=%v", done, err)
-	}
-	if !bytes.Equal(async, grid) {
-		t.Errorf("async grid differs from sync grid")
 	}
 
 	m, err := c.Metrics()
@@ -81,6 +55,9 @@ func TestClientEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("health: %v", err)
 	}
+	if !h.OK || h.Draining {
+		t.Errorf("healthz ok=%v draining=%v, want a serving daemon", h.OK, h.Draining)
+	}
 	if h.CacheEntries != entries || h.CacheEvictions != evictions {
 		t.Errorf("healthz cache_entries/evictions %d/%d, runner says %d/%d", h.CacheEntries, h.CacheEvictions, entries, evictions)
 	}
@@ -90,7 +67,7 @@ func TestClientEndToEnd(t *testing.T) {
 }
 
 func TestClientErrors(t *testing.T) {
-	c, _, _ := testServer(t)
+	c, _ := testServer(t)
 
 	_, err := c.Run(serve.RunRequest{Kind: "vliw", Workload: "chase"})
 	var se *StatusError
@@ -99,10 +76,6 @@ func TestClientErrors(t *testing.T) {
 	}
 	if !strings.Contains(se.Message, "vliw") {
 		t.Errorf("error message %q does not name the bad kind", se.Message)
-	}
-
-	if _, _, err := c.Result("g424242"); err == nil {
-		t.Error("unknown result id: no error")
 	}
 }
 

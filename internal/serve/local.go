@@ -119,9 +119,9 @@ func (l *local) resolve(req RunRequest) (sim.Cell, sim.Options, error) {
 
 // runCell computes one cell on the runner, counting it in flight and
 // reporting the server-side cell time (queue wait + cache or compute)
-// as X-Compute-Us, traced or not; rockload subtracts it from client
-// TTFB to separate network/daemon overhead from simulation time. report
-// returns the cell's rendered report (see Runner.RunCellReport).
+// as X-Compute-Us, traced or not; rockgate forwards it on its /v1/run
+// proxy. report returns the cell's rendered report (see
+// Runner.RunCellReport).
 func (l *local) runCell(ctx context.Context, w http.ResponseWriter, c sim.Cell, opts sim.Options) (out sim.Outcome, report func() ([]byte, error), err error) {
 	l.s.inflight.Add(1)
 	t0 := time.Now()
