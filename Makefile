@@ -6,7 +6,8 @@
 # of the speculation-invisibility oracle, the leak-fuzz smoke (gadget
 # corpus + fixed seeds through the transient-leakage oracle), a bounded
 # coverage-guided differential fuzz session plus the scout period-jump
-# sweep (fuzz-short), the rocksimd
+# sweep (fuzz-short), the mutation checks (mutants: each kept mutant of
+# the simulator must fail its named test), the rocksimd
 # service smoke (serve-smoke: curl load, predictor counters on /metrics,
 # grid byte-identity with B1 included, SIGTERM drain), the fleet smoke
 # (fleet-smoke: 3 shards behind rockgate, curl /v1/run load, grid
@@ -21,7 +22,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke rockbench-test results-check determinism ci golden bench bench-guard profile
+.PHONY: all tier1 tier2 race smoke-parallel fault-fuzz leak-fuzz fuzz-short mutants serve-smoke fleet-smoke trace-smoke rockbench-test results-check determinism ci golden bench bench-guard profile
 
 all: tier1
 
@@ -59,7 +60,7 @@ smoke-parallel:
 	diff -u /tmp/sstbench-j1.txt /tmp/sstbench-j4.txt
 	@echo "smoke-parallel: -j 1 and -j 4 output identical"
 
-tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short serve-smoke fleet-smoke trace-smoke rockbench-test results-check bench-guard
+tier2: race smoke-parallel fault-fuzz leak-fuzz fuzz-short mutants serve-smoke fleet-smoke trace-smoke rockbench-test results-check bench-guard
 
 # Regenerate every experiment at full scale and require the committed
 # results_full.txt to match byte for byte (only the wall-clock
@@ -86,6 +87,14 @@ rockbench-test:
 fuzz-short:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDifferential -fuzztime 20s
 	$(GO) test ./internal/sim -run 'TestScoutJump' -scout-sweep -count=1 -timeout 20m
+
+# Mutation checks: apply each mutant of mutants_test.go, one at a time,
+# in a temporary copy of the module, and require its named test to
+# report --- FAIL (a build failure is no kill). Tier 1 checks only that
+# every mutant's anchor text occurs exactly once
+# (TestMutantAnchorsOccurOnce).
+mutants:
+	$(GO) test . -run TestMutantsKilled -mutants -count=1 -v -timeout 20m
 
 # The daemon smokes drive rocksimd and rockgate with curl. SMOKE_KINDS
 # names every core kind in sim.Kinds (TestSmokeKindsAreSimKinds checks

@@ -23,7 +23,7 @@ type Segment struct {
 }
 
 // SecretRegion marks a byte range of the program image as holding secret
-// data for the transient-leakage oracle (see sim.CheckTransientLeakage):
+// data for the transient-leakage oracle (see sim.Instance.CheckTransientLeakage):
 // the oracle asserts that observable microarchitectural state after any
 // rollback is independent of the bytes in these ranges.
 type SecretRegion struct {

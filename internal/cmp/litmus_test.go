@@ -360,7 +360,8 @@ func TestLitmusCMPLoadBuffering(t *testing.T) {
 // and the replayed branch rolls the epoch back. The in-order observer
 // spins on the mailbox and latches whether it EVER saw the poison;
 // committed state must show it never did. This extends the single-core
-// fault-invisibility oracle (sim.CheckFaultInvisibility) to
+// fault-invisibility oracle (internal/sim's emulator oracle under a
+// fault plan) to
 // multi-strand visibility: not even another core on the same chip may
 // witness squashed stores.
 func invisSrc() string {

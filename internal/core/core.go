@@ -92,7 +92,7 @@ type Config struct {
 
 	// Secure-speculation mitigations (see secure.go and
 	// docs/SECURITY.md). Each closes a transient-leakage channel the
-	// sim.CheckTransientLeakage oracle can demonstrate on the unmitigated
+	// sim.Instance.CheckTransientLeakage oracle can demonstrate on the unmitigated
 	// core, at a cost charged to a dedicated CPI bucket.
 
 	// SecureDelayOnMiss forbids speculative loads from changing

@@ -6,7 +6,7 @@ import (
 )
 
 // Secure-speculation mitigations. Three Config switches close the
-// transient-leakage channels that sim.CheckTransientLeakage demonstrates
+// transient-leakage channels that sim.Instance.CheckTransientLeakage demonstrates
 // on the unmitigated core (speculative fills and LRU touches that
 // survive a rollback):
 //

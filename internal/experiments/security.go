@@ -46,7 +46,7 @@ func gadgetShort(name string) string {
 // SecurityGrid produces the security-vs-performance grid: for every
 // core kind and secure-speculation mode, (a) the transient-leakage
 // verdict of each built-in Spectre gadget under the differential oracle
-// (sim.CheckTransientLeakage), and (b) the per-thread cost of the mode
+// (sim.Instance.CheckTransientLeakage), and (b) the per-thread cost of the mode
 // as geomean IPC on the commercial suite relative to the unmitigated
 // configuration. The paper's SST pipeline trades rollback-based
 // speculation for performance; this grid prices what taking the

@@ -1,7 +1,7 @@
 package mem
 
 // Transient-leakage support: secret-region tracking, taint counters and
-// the observable-state digest consumed by sim.CheckTransientLeakage.
+// the observable-state digest consumed by sim.Instance.CheckTransientLeakage.
 //
 // The oracle's threat model (docs/SECURITY.md) is an attacker who can
 // measure cache timing after a speculation squash. "Observable state" is

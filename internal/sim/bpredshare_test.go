@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
 	"rocksim/internal/bpred"
@@ -38,23 +37,17 @@ func TestShareModeSingleStrandCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range Kinds {
-		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			for _, kind := range []bpred.Kind{bpred.Gshare, bpred.TAGE} {
-				ref, rm, rt := ffRunWith(t, k, w.Program, nil, false, bpredShapeOpts(kind, bpred.SharePartitioned))
+				run := func(mode bpred.ShareMode) result {
+					r := runCase(simCase{name: k.String(), cell: CoreCell(k, w.Program), opts: bpredShapeOpts(kind, mode)}, how{})
+					r.side = mode.String()
+					return r
+				}
+				ref := run(bpred.SharePartitioned)
 				for _, mode := range shareModes[1:] {
-					out, m, tr := ffRunWith(t, k, w.Program, nil, false, bpredShapeOpts(kind, mode))
-					if out.Cycles != ref.Cycles || out.Retired != ref.Retired || out.Regs != ref.Regs {
-						t.Errorf("kind=%v share=%v: outcome diverges from partitioned (%d/%d vs %d/%d cycles/retired)",
-							kind, mode, out.Cycles, out.Retired, ref.Cycles, ref.Retired)
-					}
-					if !bytes.Equal(rm, m) {
-						t.Errorf("kind=%v share=%v: metrics JSON diverges from partitioned: %s", kind, mode, firstDiff(rm, m))
-					}
-					if !bytes.Equal(rt, tr) {
-						t.Errorf("kind=%v share=%v: Chrome trace diverges from partitioned: %s", kind, mode, firstDiff(rt, tr))
-					}
+					same(t, "kind="+kind.String(), ref, run(mode))
 				}
 			}
 		})
@@ -64,30 +57,26 @@ func TestShareModeSingleStrandCollapse(t *testing.T) {
 // TestPooledBpredDifferential extends the pooled-vs-fresh oracle over
 // the new predictor shapes: a reused TAGE instance under every share
 // mode must match a fresh construction byte-for-byte, alternating
-// faulted and clean runs (checkPooledSeedWith also re-asserts the CPI
-// sum == cycles invariant on each run).
+// faulted and clean runs (same also re-asserts the CPI sum == cycles
+// invariant on each run).
 func TestPooledBpredDifferential(t *testing.T) {
 	kinds := []Kind{KindSST, KindInOrder, KindOOOSmall}
 	if testing.Short() {
 		kinds = []Kind{KindSST}
 	}
 	for _, k := range kinds {
-		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			for _, mode := range shareModes {
 				opts := bpredShapeOpts(bpred.TAGE, mode)
-				in, err := NewInstance(Shape{Kind: k}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				in := newInstance(t, Shape{Kind: k}, opts)
 				for seed := int64(1); seed <= 2; seed++ {
-					prog, err := genFaultProgram(seed, 70)
-					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					checkPooledSeedWith(t, in, prog, faults.Random(seed, faultHorizon), opts)
-					checkPooledSeedWith(t, in, prog, nil, opts)
+					c := genCase(t, Shape{Kind: k}, seed, genFaultProgram, 70, faults.Random(seed, faultHorizon))
+					c.name += " share=" + mode.String()
+					c.opts = opts
+					checkPooled(t, in, c, false)
+					c.plan = nil
+					checkPooled(t, in, c, false)
 				}
 			}
 		})
@@ -107,15 +96,16 @@ func TestPooledDeferredRollbackDifferential(t *testing.T) {
 	}
 	for _, kind := range []bpred.Kind{bpred.Gshare, bpred.TAGE} {
 		opts := bpredShapeOpts(kind, bpred.SharePartitioned)
-		in, err := NewInstance(Shape{Kind: KindSST}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := newInstance(t, Shape{Kind: KindSST}, opts)
+		c := simCase{name: "brfield " + kind.String(), cell: CoreCell(KindSST, w.Program), opts: opts}
 		for rep := 0; rep < 2; rep++ {
-			checkPooledSeedWith(t, in, w.Program, nil, opts)
+			checkPooled(t, in, c, false)
 		}
-		out, _, _ := pooledRunWith(t, in, w.Program, nil, opts)
-		s := out.SST
+		r := runCase(c, how{in: in})
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		s := r.out.SST
 		if s == nil || s.RollbacksBy[core.RbBranch] == 0 {
 			t.Fatalf("kind=%v: workload produced no RbBranch rollbacks — the restore path went unexercised", kind)
 		}

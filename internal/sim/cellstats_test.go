@@ -51,7 +51,7 @@ func TestCellStatsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(lr.Bytes(), rr.Bytes()) {
-			t.Errorf("%v: report of the decoded snapshot differs: %s", k, firstDiff(lr.Bytes(), rr.Bytes()))
+			t.Errorf("%v: report of the decoded snapshot differs: %s", k, firstDiff("live", lr.Bytes(), "decoded", rr.Bytes()))
 		}
 		// Re-encoding the decoded snapshot is stable (the router can
 		// forward what it received without losing anything).
@@ -60,7 +60,7 @@ func TestCellStatsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(enc, enc2) {
-			t.Errorf("%v: re-encoding changed the snapshot: %s", k, firstDiff(enc, enc2))
+			t.Errorf("%v: re-encoding changed the snapshot: %s", k, firstDiff("encoded", enc, "re-encoded", enc2))
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rocksim/internal/asm"
-	"rocksim/internal/isa"
 )
 
 // mustAssemble compiles source or fails the test.
@@ -19,34 +18,11 @@ func mustAssemble(t *testing.T, src string) *asm.Program {
 	return p
 }
 
-// checkEquivalence runs prog on the golden emulator and on every core
-// model and asserts identical architectural state: retired instruction
-// count, register file, and memory image.
+// checkEquivalence runs the emulator oracle over prog on every core
+// kind under the default options.
 func checkEquivalence(t *testing.T, prog *asm.Program) {
 	t.Helper()
-	emu, goldMem, err := RunEmulator(prog, 200_000_000)
-	if err != nil {
-		t.Fatalf("emulator: %v", err)
-	}
-	opts := DefaultOptions()
-	for _, k := range Kinds {
-		out, err := Run(k, prog, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if out.Retired != emu.Executed {
-			t.Errorf("%v: retired %d insts, golden executed %d", k, out.Retired, emu.Executed)
-		}
-		for r := 1; r < isa.NumRegs; r++ {
-			if out.Regs[r] != emu.Reg[r] {
-				t.Errorf("%v: r%d = %#x, golden %#x", k, r, uint64(out.Regs[r]), uint64(emu.Reg[r]))
-			}
-		}
-		if !out.Mem.Equal(goldMem) {
-			diffs := out.Mem.Diff(goldMem, 8)
-			t.Errorf("%v: memory differs from golden at %d+ addrs, first: %#x", k, len(diffs), diffs)
-		}
-	}
+	checkEmu(t, kindCases("program", prog, DefaultOptions(), nil)...)
 }
 
 func TestEquivalenceArithLoop(t *testing.T) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"rocksim/internal/asm"
 	"rocksim/internal/faults"
 )
 
@@ -17,48 +18,15 @@ func fuzzFaultOpts() Options {
 // random plans land their events inside the portion that executes.
 const faultHorizon = 20_000
 
-// checkFaultSeed verifies speculation invisibility for one (program,
-// plan) pair on one core kind, shrinking failures to a minimal
-// reproducer before reporting.
+// checkFaultSeed is the fault oracle: the emulator oracle over one
+// (program, plan) pair on one core kind, shrinking a failure to a
+// minimal reproducer before reporting it.
 func checkFaultSeed(t *testing.T, k Kind, seed int64, nstmt int, plan *faults.Plan) {
 	t.Helper()
-	prog, err := genFaultProgram(seed, nstmt)
-	if err != nil {
-		t.Fatalf("seed %d: generate: %v", seed, err)
-	}
-	if err := CheckFaultInvisibility(k, prog, plan, fuzzFaultOpts()); err != nil {
-		minPlan, minNstmt := shrinkFaultFailure(k, seed, nstmt, plan)
-		t.Errorf("seed %d: %v\n  minimal repro: kind=%v seed=%d nstmt=%d plan=%q",
-			seed, err, k, seed, minNstmt, minPlan)
-	}
-}
-
-// shrinkFaultFailure reduces a failing (program, plan) pair: first drop
-// plan events greedily, then halve the program, keeping every step that
-// still fails the oracle. The result is the smallest reproducer this
-// greedy pass finds — enough to make a divergence debuggable by hand.
-func shrinkFaultFailure(k Kind, seed int64, nstmt int, plan *faults.Plan) (*faults.Plan, int) {
-	fails := func(p *faults.Plan, n int) bool {
-		prog, err := genFaultProgram(seed, n)
-		if err != nil {
-			return false
-		}
-		return CheckFaultInvisibility(k, prog, p, fuzzFaultOpts()) != nil
-	}
-	events := append([]faults.Event(nil), plan.Events...)
-	for i := 0; i < len(events); {
-		trial := append(append([]faults.Event(nil), events[:i]...), events[i+1:]...)
-		if fails(&faults.Plan{Seed: plan.Seed, Events: trial}, nstmt) {
-			events = trial
-		} else {
-			i++
-		}
-	}
-	min := &faults.Plan{Seed: plan.Seed, Events: events}
-	for nstmt > 10 && fails(min, nstmt/2) {
-		nstmt /= 2
-	}
-	return min, nstmt
+	checkShrunk(t, "kind="+k.String(), genFaultProgram, seed, nstmt, plan, func(prog *asm.Program, p *faults.Plan) error {
+		_, err := emuCheck(simCase{name: k.String(), cell: CoreCell(k, prog), opts: fuzzFaultOpts(), plan: p})
+		return err
+	})
 }
 
 // TestFaultFuzzEquivalence is the fault-fuzz oracle: hundreds of seeded
@@ -137,7 +105,7 @@ func TestFaultOracleTeeth(t *testing.T) {
 			{Kind: faults.MispredictStorm, From: 0, To: 200_000, Arg: 1}, // flip every prediction early on
 			{Kind: faults.SkipRestore, From: 0},                          // rollbacks keep speculative regs
 		}}
-		if err := CheckFaultInvisibility(KindSST, prog, plan, fuzzFaultOpts()); err != nil {
+		if _, err := emuCheck(simCase{name: "sst", cell: CoreCell(KindSST, prog), opts: fuzzFaultOpts(), plan: plan}); err != nil {
 			detected++
 		}
 	}

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"testing"
 
 	"rocksim/internal/asm"
@@ -14,7 +11,6 @@ import (
 	"rocksim/internal/faults"
 	"rocksim/internal/inorder"
 	"rocksim/internal/mem"
-	"rocksim/internal/obs"
 	"rocksim/internal/smt"
 	"rocksim/internal/workload"
 )
@@ -24,186 +20,16 @@ import (
 // exported metrics JSON (counters, histograms, occupancy timelines,
 // injector counts) and the Chrome trace bytes (mode spans, events,
 // counter samples, fault firings with their cycles) — must be
-// byte-identical between naive stepping and event-driven stall skipping.
+// byte-identical between naive stepping and event-driven stall skipping
+// (checkFF in harness_test.go).
 
-// diffShapes are the machine shapes the differential oracles cover:
-// every single-core kind, an SMT-2 pair, a 2-core SST chip and a 2-core
-// scout chip.
-var diffShapes = func() []Shape {
-	var out []Shape
-	for _, k := range Kinds {
-		out = append(out, Shape{Kind: k})
-	}
-	return append(out,
-		Shape{Kind: KindInOrder, Topo: TopoSMT, Width: 2},
-		Shape{Kind: KindSST, Topo: TopoCMP, Width: 2},
-		Shape{Kind: KindScout, Topo: TopoCMP, Width: 2})
-}()
-
-// genCell builds the differential cell of shape s for one seed: thread
-// i runs the program gen generates from seed+i.
-func genCell(t *testing.T, s Shape, seed int64, gen func(int64, int) (*asm.Program, error), nstmt int) Cell {
+// checkFFCell runs the fast-forward oracle on c with a Collector and,
+// for scout, whose period jump a sink turns off, bare as well.
+func checkFFCell(t *testing.T, c simCase) {
 	t.Helper()
-	width := s.Width
-	if width == 0 {
-		width = 1
-	}
-	c := Cell{Kind: s.Kind, Topo: s.Topo}
-	for i := 0; i < width; i++ {
-		p, err := gen(seed+int64(i), nstmt)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed+int64(i), err)
-		}
-		c.Progs = append(c.Progs, p)
-	}
-	return c
-}
-
-// cellRun executes cell c with full observability attached — on in when
-// it is non-nil, else on a fresh machine (through sim.Run for a single
-// core) — and returns the outcome, the final memory images and the
-// metrics-JSON and Chrome-trace bytes.
-func cellRun(t *testing.T, in *Instance, c Cell, plan *faults.Plan, noFF bool, opts Options) (Outcome, []*mem.Sparse, []byte, []byte) {
-	t.Helper()
-	opts.Faults = plan
-	opts.NoFastForward = noFF
-	opts.Metrics = obs.NewRegistry()
-	tr := obs.NewTrace()
-	col := obs.NewCollector(tr, opts.Metrics)
-	opts.Sink = col
-	if in == nil && c.Topo != TopoCore {
-		var err error
-		if in, err = NewInstance(c.Shape(), opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out Outcome
-	var err error
-	var mems []*mem.Sparse
-	if in != nil {
-		out, err = in.Run(context.Background(), c, opts)
-		for _, m := range in.machs {
-			mems = append(mems, m.Mem)
-		}
-	} else {
-		out, err = Run(c.Kind, c.Progs[0], opts)
-		mems = []*mem.Sparse{out.Mem}
-	}
-	if err != nil {
-		t.Fatalf("%v noFF=%v: %v", c.Shape(), noFF, err)
-	}
-	col.Flush(out.Cycles)
-	var mbuf, tbuf bytes.Buffer
-	if err := opts.Metrics.WriteJSON(&mbuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteChrome(&tbuf); err != nil {
-		t.Fatal(err)
-	}
-	return out, mems, mbuf.Bytes(), tbuf.Bytes()
-}
-
-// ffRunWith runs prog on a fresh kind-k core under caller-chosen base
-// options, so differentials can vary construction-affecting knobs
-// (predictor kind, share mode).
-func ffRunWith(t *testing.T, k Kind, prog *asm.Program, plan *faults.Plan, noFF bool, opts Options) (Outcome, []byte, []byte) {
-	t.Helper()
-	out, _, m, tr := cellRun(t, nil, CoreCell(k, prog), plan, noFF, opts)
-	return out, m, tr
-}
-
-// statsJSON serializes a run's whole statistics snapshot — every model,
-// predictor, hierarchy and per-thread block — for comparison.
-func statsJSON(t *testing.T, out Outcome) []byte {
-	t.Helper()
-	b, err := json.Marshal(out.CellStats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// firstDiff locates the first byte divergence and returns a short
-// context window around it for the failure message.
-func firstDiff(a, b []byte) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	lo := i - 40
-	if lo < 0 {
-		lo = 0
-	}
-	win := func(s []byte) string {
-		hi := i + 40
-		if hi > len(s) {
-			hi = len(s)
-		}
-		if lo > len(s) {
-			return ""
-		}
-		return string(s[lo:hi])
-	}
-	return "at byte " + itoa(i) + ": naive ..." + win(a) + "... vs fast ..." + win(b) + "..."
-}
-
-// checkFFCell runs cell c naively and with fast-forward and requires
-// every observable to match. A scout cell runs bare as well, since the
-// Collector turns scout's period jump off.
-func checkFFCell(t *testing.T, c Cell, plan *faults.Plan) {
-	t.Helper()
-	checkFFCellOpts(t, c, plan, fuzzFaultOpts())
-	if c.Kind == KindScout {
-		checkFFBare(t, c.Shape().String(), c, plan, fuzzFaultOpts())
-	}
-}
-
-// checkFFCellOpts is checkFFCell under caller-chosen base options.
-func checkFFCellOpts(t *testing.T, c Cell, plan *faults.Plan, opts Options) {
-	t.Helper()
-	s := c.Shape()
-	naive, _, nm, nt := cellRun(t, nil, c, plan, true, opts)
-	fast, _, fm, ft := cellRun(t, nil, c, plan, false, opts)
-	if naive.Cycles != fast.Cycles || naive.Retired != fast.Retired {
-		t.Errorf("%v: naive %d cycles/%d retired, fast-forward %d cycles/%d retired",
-			s, naive.Cycles, naive.Retired, fast.Cycles, fast.Retired)
-	}
-	if naive.Regs != fast.Regs {
-		t.Errorf("%v: architectural registers diverge under fast-forward", s)
-	}
-	nb, fb := &naive.Base, &fast.Base
-	if nb.CPI != fb.CPI {
-		t.Errorf("%v: cycle-accounting buckets diverge under fast-forward:\n naive %v\n fast  %v",
-			s, nb.CPI, fb.CPI)
-	}
-	if c.Topo == TopoCore {
-		for _, r := range []struct {
-			name string
-			b    *cpu.BaseStats
-		}{{"naive", nb}, {"fast", fb}} {
-			if sum := r.b.CPISum(); sum != r.b.Cycles {
-				t.Errorf("%v %s: cycle-accounting buckets sum to %d, want %d cycles",
-					s, r.name, sum, r.b.Cycles)
-			}
-		}
-	}
-	if nj, fj := statsJSON(t, naive), statsJSON(t, fast); !bytes.Equal(nj, fj) {
-		t.Errorf("%v: statistics snapshot diverges under fast-forward: %s", s, firstDiff(nj, fj))
-	}
-	if !bytes.Equal(nm, fm) {
-		t.Errorf("%v: metrics JSON diverges under fast-forward: %s", s, firstDiff(nm, fm))
-	}
-	// A chip's cores share the one Collector, whose mode-span tracking
-	// follows a single event stream: naive lockstep interleaves the cores'
-	// per-cycle reports where a jump reports each core's stall as one run,
-	// so a chip's trace bytes depend on the stepping, not just the
-	// simulation. Everything else must still match.
-	if c.Topo != TopoCMP && c.Topo != TopoSharedCMP && !bytes.Equal(nt, ft) {
-		t.Errorf("%v: Chrome trace diverges under fast-forward: %s", s, firstDiff(nt, ft))
+	checkFF(t, c, false)
+	if c.cell.Kind == KindScout {
+		checkFF(t, c, true)
 	}
 }
 
@@ -214,15 +40,11 @@ func TestFastForwardDifferentialFuzz(t *testing.T) {
 	if testing.Short() {
 		n = 3
 	}
-	for _, s := range diffShapes {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			t.Parallel()
-			for seed := int64(1); seed <= n; seed++ {
-				checkFFCell(t, genCell(t, s, seed, genProgram, 80), nil)
-			}
-		})
-	}
+	eachShape(t, func(t *testing.T, s Shape) {
+		for seed := int64(1); seed <= n; seed++ {
+			checkFFCell(t, genCase(t, s, seed, genProgram, 80, nil))
+		}
+	})
 }
 
 // TestFastForwardFaultDifferential: random programs under random benign
@@ -234,15 +56,11 @@ func TestFastForwardFaultDifferential(t *testing.T) {
 	if testing.Short() {
 		n = 2
 	}
-	for _, s := range diffShapes {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			t.Parallel()
-			for seed := int64(1); seed <= n; seed++ {
-				checkFFCell(t, genCell(t, s, seed, genFaultProgram, 70), faults.Random(seed, faultHorizon))
-			}
-		})
-	}
+	eachShape(t, func(t *testing.T, s Shape) {
+		for seed := int64(1); seed <= n; seed++ {
+			checkFFCell(t, genCase(t, s, seed, genFaultProgram, 70, faults.Random(seed, faultHorizon)))
+		}
+	})
 }
 
 // TestFastForwardEngages drives miss-heavy workloads directly and
@@ -388,7 +206,7 @@ func TestFastForwardLookupRetries(t *testing.T) {
 		t.Parallel()
 		opts := fuzzFaultOpts()
 		opts.SST.SecureDelayOnMiss = true
-		checkFFCellOpts(t, CoreCell(KindSST, progs[0]), nil, opts)
+		checkFF(t, simCase{name: "sst-delay", cell: CoreCell(KindSST, progs[0]), opts: opts}, false)
 		m := mem.NewSparse()
 		progs[0].Load(m)
 		mach, err := cpu.NewMachine(m, opts.Hier, opts.Pred)
@@ -403,7 +221,7 @@ func TestFastForwardLookupRetries(t *testing.T) {
 		t.Parallel()
 		opts := fuzzFaultOpts()
 		opts.Pred.Kind, opts.Pred.Share = bpred.TAGE, bpred.ShareShared
-		checkFFCellOpts(t, Cell{Kind: KindSST, Topo: TopoCMP, Progs: progs}, nil, opts)
+		checkFF(t, simCase{name: "cmp2-sst-tage-shared", cell: Cell{Kind: KindSST, Topo: TopoCMP, Progs: progs}, opts: opts}, false)
 		cfg := sstConfig(opts)
 		chip, err := cmp.NewPrivate(opts.Hier, opts.Pred, progs,
 			func(_ int, m *cpu.Machine, entry uint64) (cpu.Core, error) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rocksim/internal/asm"
-	"rocksim/internal/isa"
 	"rocksim/internal/progen"
 )
 
@@ -66,42 +65,6 @@ func fuzzProgram(data []byte) (*asm.Program, error) {
 	return progen.New(rand.New(newByteSource(data)), false).Program(nstmt)
 }
 
-// diffCheck runs prog on the golden emulator and every core model and
-// requires identical architectural state (retire count, registers,
-// memory) everywhere.
-func diffCheck(t *testing.T, name string, prog *asm.Program) {
-	t.Helper()
-	emu, goldMem, err := RunEmulator(prog, 50_000_000)
-	if err != nil {
-		t.Fatalf("%s: emulator: %v", name, err)
-	}
-	opts := DefaultOptions()
-	opts.MaxCycles = 500_000_000
-	for _, k := range Kinds {
-		out, err := Run(k, prog, opts)
-		if err != nil {
-			t.Fatalf("%s: %v: %v", name, k, err)
-		}
-		if out.Retired != emu.Executed {
-			t.Errorf("%s: %v retired %d, golden %d", name, k, out.Retired, emu.Executed)
-		}
-		bad := false
-		for r := 1; r < isa.NumRegs; r++ {
-			if out.Regs[r] != emu.Reg[r] {
-				t.Errorf("%s: %v r%d=%#x golden %#x", name, k, r, uint64(out.Regs[r]), uint64(emu.Reg[r]))
-				bad = true
-			}
-		}
-		if !out.Mem.Equal(goldMem) {
-			t.Errorf("%s: %v memory mismatch at %#x...", name, k, out.Mem.Diff(goldMem, 4))
-			bad = true
-		}
-		if bad {
-			t.FailNow()
-		}
-	}
-}
-
 // FuzzDifferential is the emulator-vs-all-cores property as a native
 // fuzz target: `go test ./internal/sim -fuzz FuzzDifferential` explores
 // program space coverage-guided (make fuzz-short runs a bounded
@@ -127,6 +90,6 @@ func FuzzDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		diffCheck(t, "input", prog)
+		checkEmu(t, kindCases("input", prog, fuzzFaultOpts(), nil)...)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"testing"
 
-	"rocksim/internal/isa"
 	"rocksim/internal/mem"
 	"rocksim/internal/progen"
 )
@@ -18,42 +17,15 @@ var (
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
-// runFuzzSeed checks golden-model equivalence for one random program.
+// runFuzzSeed runs the emulator oracle over one random program on every
+// core kind.
 func runFuzzSeed(t *testing.T, seed int64, nstmt int) {
 	t.Helper()
 	prog, err := genProgram(seed, nstmt)
 	if err != nil {
 		t.Fatalf("seed %d: generate: %v", seed, err)
 	}
-	emu, goldMem, err := RunEmulator(prog, 50_000_000)
-	if err != nil {
-		t.Fatalf("seed %d: emulator: %v", seed, err)
-	}
-	opts := DefaultOptions()
-	opts.MaxCycles = 500_000_000
-	for _, k := range Kinds {
-		out, err := Run(k, prog, opts)
-		if err != nil {
-			t.Fatalf("seed %d: %v: %v", seed, k, err)
-		}
-		if out.Retired != emu.Executed {
-			t.Errorf("seed %d: %v retired %d, golden %d", seed, k, out.Retired, emu.Executed)
-		}
-		bad := false
-		for r := 1; r < isa.NumRegs; r++ {
-			if out.Regs[r] != emu.Reg[r] {
-				t.Errorf("seed %d: %v r%d=%#x golden %#x", seed, k, r, uint64(out.Regs[r]), uint64(emu.Reg[r]))
-				bad = true
-			}
-		}
-		if !out.Mem.Equal(goldMem) {
-			t.Errorf("seed %d: %v memory mismatch at %#x...", seed, k, out.Mem.Diff(goldMem, 4))
-			bad = true
-		}
-		if bad {
-			t.FailNow()
-		}
-	}
+	checkEmu(t, kindCases("seed "+itoa(int(seed)), prog, fuzzFaultOpts(), nil)...)
 }
 
 // TestFuzzEquivalenceQuick runs a batch of random programs on every core
@@ -85,25 +57,9 @@ func TestFuzzSmallCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emu, goldMem, err := RunEmulator(prog, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
+	opts := fuzzFaultOpts()
 	opts.Hier.L1D = mem.CacheConfig{Name: "L1D", SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, HitLatency: 2, MSHRs: 4}
 	opts.Hier.L1I = mem.CacheConfig{Name: "L1I", SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, HitLatency: 1, MSHRs: 2}
 	opts.Hier.L2 = mem.CacheConfig{Name: "L2", SizeBytes: 8 << 10, Ways: 4, LineBytes: 64, HitLatency: 12, MSHRs: 8}
-	opts.MaxCycles = 500_000_000
-	for _, k := range Kinds {
-		out, err := Run(k, prog, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if out.Retired != emu.Executed {
-			t.Errorf("%v: retired %d, golden %d", k, out.Retired, emu.Executed)
-		}
-		if !out.Mem.Equal(goldMem) {
-			t.Errorf("%v: memory mismatch", k)
-		}
-	}
+	checkEmu(t, kindCases("small caches", prog, opts, nil)...)
 }

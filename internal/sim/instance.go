@@ -137,12 +137,6 @@ func (in *Instance) use(k Kind) error {
 // any).
 func (in *Instance) Kind() Kind { return in.shape.Kind }
 
-// Mem returns the instance's live functional memory — thread 0's, the
-// whole image of a single core or a shared chip — as of the most recent
-// run. The differential tests use it to compare a pooled run's final
-// memory against a fresh run's.
-func (in *Instance) Mem() *mem.Sparse { return in.machs[0].Mem }
-
 func (in *Instance) hier() *mem.Hierarchy { return in.machs[0].Hier }
 
 // reset returns every layer to its freshly constructed state, thread i

@@ -22,71 +22,6 @@ import (
 // cache line, a trained predictor entry, a leftover deferred-queue
 // entry — shows up here as a divergence.
 
-// pooledRun executes prog on the (possibly well-used) instance with
-// full observability attached and returns the outcome plus the
-// metrics-JSON and Chrome-trace bytes.
-func pooledRun(t *testing.T, in *Instance, prog *asm.Program, plan *faults.Plan) (Outcome, []byte, []byte) {
-	t.Helper()
-	return pooledRunWith(t, in, prog, plan, fuzzFaultOpts())
-}
-
-// pooledRunWith is pooledRun under caller-chosen base options (which
-// must match the shape the instance was built with).
-func pooledRunWith(t *testing.T, in *Instance, prog *asm.Program, plan *faults.Plan, opts Options) (Outcome, []byte, []byte) {
-	t.Helper()
-	out, _, m, tr := cellRun(t, in, CoreCell(in.Kind(), prog), plan, false, opts)
-	return out, m, tr
-}
-
-// checkPooledSeedWith runs prog on a reused single-core instance and on
-// a fresh machine under caller-chosen base options, so the oracle
-// extends to non-default predictor shapes.
-func checkPooledSeedWith(t *testing.T, in *Instance, prog *asm.Program, plan *faults.Plan, opts Options) {
-	t.Helper()
-	checkPooledCell(t, in, CoreCell(in.Kind(), prog), plan, opts)
-}
-
-// checkPooledCell runs cell c on the reused instance and on a fresh
-// machine, and requires every observable to match.
-func checkPooledCell(t *testing.T, in *Instance, c Cell, plan *faults.Plan, opts Options) {
-	t.Helper()
-	s := c.Shape()
-	fresh, fmems, fm, ft := cellRun(t, nil, c, plan, false, opts)
-	pooled, pmems, pm, pt := cellRun(t, in, c, plan, false, opts)
-	if fresh.Cycles != pooled.Cycles || fresh.Retired != pooled.Retired {
-		t.Errorf("%v: fresh %d cycles/%d retired, pooled %d cycles/%d retired",
-			s, fresh.Cycles, fresh.Retired, pooled.Cycles, pooled.Retired)
-	}
-	if fresh.Regs != pooled.Regs {
-		t.Errorf("%v: architectural registers diverge on a pooled instance", s)
-	}
-	fb, pb := &fresh.Base, &pooled.Base
-	if *fb != *pb {
-		t.Errorf("%v: base stats diverge on a pooled instance:\n fresh  %+v\n pooled %+v", s, *fb, *pb)
-	}
-	if c.Topo == TopoCore {
-		checkCPISum(t, s.String()+" pooled", pb)
-	}
-	if fj, pj := statsJSON(t, fresh), statsJSON(t, pooled); !bytes.Equal(fj, pj) {
-		t.Errorf("%v: statistics snapshot diverges on a pooled instance: %s", s, firstDiff(fj, pj))
-	}
-	for i := range fmems {
-		if !fmems[i].Equal(pmems[i]) {
-			t.Errorf("%v: thread %d's final memory diverges on a pooled instance at %#x...",
-				s, i, fmems[i].Diff(pmems[i], 4))
-		}
-	}
-	if pooled.Mem != nil {
-		t.Errorf("%v: pooled outcome leaked the live memory image", s)
-	}
-	if !bytes.Equal(fm, pm) {
-		t.Errorf("%v: metrics JSON diverges on a pooled instance: %s", s, firstDiff(fm, pm))
-	}
-	if !bytes.Equal(ft, pt) {
-		t.Errorf("%v: Chrome trace diverges on a pooled instance: %s", s, firstDiff(ft, pt))
-	}
-}
-
 // TestPooledDifferentialFuzz: one Instance per machine shape, reused
 // back to back across random programs (including transactions) — every
 // run on the used instance must match a fresh construction. Seed 1 runs
@@ -97,77 +32,57 @@ func TestPooledDifferentialFuzz(t *testing.T) {
 	if testing.Short() {
 		n = 3
 	}
-	for _, s := range diffShapes {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			t.Parallel()
-			in, err := NewInstance(s, fuzzFaultOpts())
-			if err != nil {
-				t.Fatal(err)
+	eachShape(t, func(t *testing.T, s Shape) {
+		in := newInstance(t, s, fuzzFaultOpts())
+		for seed := int64(1); seed <= n; seed++ {
+			c := genCase(t, s, seed, genProgram, 80, nil)
+			checkPooled(t, in, c, false)
+			if seed == 1 {
+				checkPooled(t, in, c, false)
 			}
-			for seed := int64(1); seed <= n; seed++ {
-				c := genCell(t, s, seed, genProgram, 80)
-				checkPooledCell(t, in, c, nil, fuzzFaultOpts())
-				if seed == 1 {
-					checkPooledCell(t, in, c, nil, fuzzFaultOpts())
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestPooledFaultDifferential: pooled reuse under random fault plans.
 // The injectors are rebuilt per run, so a plan's one-shot events must
 // re-fire identically on a reused machine; leftover injector state or a
 // surviving denied-checkpoint clamp would diverge the trace bytes.
-// This also extends the CPI sum==cycles invariant (checkPooledCell
-// calls checkCPISum) to pooled, reused single cores under faults.
+// This also extends the CPI sum==cycles invariant (same calls
+// checkCPISum) to pooled, reused single cores under faults.
 func TestPooledFaultDifferential(t *testing.T) {
 	n := int64(6)
 	if testing.Short() {
 		n = 2
 	}
-	for _, s := range diffShapes {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			t.Parallel()
-			in, err := NewInstance(s, fuzzFaultOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for seed := int64(1); seed <= n; seed++ {
-				c := genCell(t, s, seed, genFaultProgram, 70)
-				checkPooledCell(t, in, c, faults.Random(seed, faultHorizon), fuzzFaultOpts())
-				// Alternate faulted and clean runs on the same instance:
-				// a clean run right after a faulted one catches injector
-				// state outliving its plan.
-				checkPooledCell(t, in, c, nil, fuzzFaultOpts())
-			}
-		})
-	}
+	eachShape(t, func(t *testing.T, s Shape) {
+		in := newInstance(t, s, fuzzFaultOpts())
+		for seed := int64(1); seed <= n; seed++ {
+			c := genCase(t, s, seed, genFaultProgram, 70, faults.Random(seed, faultHorizon))
+			checkPooled(t, in, c, false)
+			// Alternate faulted and clean runs on the same instance:
+			// a clean run right after a faulted one catches injector
+			// state outliving its plan.
+			c.plan = nil
+			checkPooled(t, in, c, false)
+		}
+	})
 }
 
 // TestPooledAfterError: a run that trips a watchdog (cycle limit) must
 // leave the instance fully reusable — the next Reset clears everything,
 // and the following run matches a fresh machine exactly.
 func TestPooledAfterError(t *testing.T) {
-	for _, s := range diffShapes {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			t.Parallel()
-			in, err := NewInstance(s, fuzzFaultOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := genCell(t, s, 2, genProgram, 80)
-			opts := fuzzFaultOpts()
-			opts.MaxCycles = 50 // guaranteed to trip
-			if _, err := in.Run(context.Background(), c, opts); !errors.Is(err, cpu.ErrCycleLimit) {
-				t.Fatalf("want a cycle-limit error, got %v", err)
-			}
-			checkPooledCell(t, in, c, nil, fuzzFaultOpts())
-		})
-	}
+	eachShape(t, func(t *testing.T, s Shape) {
+		in := newInstance(t, s, fuzzFaultOpts())
+		c := genCase(t, s, 2, genProgram, 80, nil)
+		opts := fuzzFaultOpts()
+		opts.MaxCycles = 50 // guaranteed to trip
+		if _, err := in.Run(context.Background(), c.cell, opts); !errors.Is(err, cpu.ErrCycleLimit) {
+			t.Fatalf("want a cycle-limit error, got %v", err)
+		}
+		checkPooled(t, in, c, false)
+	})
 }
 
 // TestPooledSecretDifferential: secret-tainted runs pool safely. The
@@ -194,7 +109,7 @@ func TestPooledSecretDifferential(t *testing.T) {
 				}
 				for _, g := range gadgetFiles {
 					prog := loadGadget(t, g)
-					fresh := CheckTransientLeakage(k, prog, leakOpts(mode))
+					fresh := leakVerdict(k, prog, leakOpts(mode))
 					pooled := in.CheckTransientLeakage(context.Background(), prog, leakOpts(mode))
 					if (fresh == nil) != (pooled == nil) ||
 						(fresh != nil && pooled != nil && fresh.Error() != pooled.Error()) {
@@ -211,7 +126,7 @@ func TestPooledSecretDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkPooledSeedWith(t, in, prog, nil, fuzzFaultOpts())
+				checkPooled(t, in, simCase{name: k.String() + " after the gadgets", cell: CoreCell(k, prog), opts: fuzzFaultOpts()}, false)
 			}
 		})
 	}
@@ -234,19 +149,23 @@ func TestPooledDetachedOutcomeIsFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outA, ma, _ := pooledRun(t, in, progA, nil)
-	cyclesA, baseA := outA.Cycles, *&outA.Base
+	run := func(prog *asm.Program) result {
+		r := runCase(simCase{name: prog.Desc(), cell: CoreCell(KindSST, prog), opts: fuzzFaultOpts()}, how{in: in})
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r
+	}
+	a := run(progA)
+	outA, ma := a.out, a.metrics
+	cyclesA, baseA := outA.Cycles, outA.Base
 
 	// Overwrite the live machine with a different program.
-	var mb []byte
-	if _, mb2, _ := pooledRun(t, in, progB, nil); true {
-		mb = mb2
-	}
-	if bytes.Equal(ma, mb) {
+	if bytes.Equal(ma, run(progB).metrics) {
 		t.Fatal("test needs two programs with different metrics")
 	}
 
-	if outA.Cycles != cyclesA || *&outA.Base != baseA {
+	if outA.Cycles != cyclesA || outA.Base != baseA {
 		t.Error("detached outcome mutated by a later run on the same instance")
 	}
 	// Run A's registry — the one the service layer snapshots on a cache
@@ -259,7 +178,7 @@ func TestPooledDetachedOutcomeIsFrozen(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), ma) {
 		t.Errorf("detached registry mutated by a later run on the same instance: %s",
-			firstDiff(ma, again.Bytes()))
+			firstDiff("run A", ma, "its registry now", again.Bytes()))
 	}
 }
 
@@ -271,23 +190,20 @@ func TestPooledDetachedOutcomeIsFrozen(t *testing.T) {
 // plan.
 func TestPooledKindSwitchDifferential(t *testing.T) {
 	for _, a := range Kinds {
-		a := a
 		t.Run(a.String(), func(t *testing.T) {
 			t.Parallel()
-			in, err := NewInstance(Shape{Kind: a}, fuzzFaultOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
+			in := newInstance(t, Shape{Kind: a}, fuzzFaultOpts())
 			for i, b := range Kinds {
 				seed := int64(10 + i)
 				for _, plan := range []*faults.Plan{nil, faults.Random(seed, faultHorizon)} {
-					prev := genCell(t, Shape{Kind: a}, seed+100, genFaultProgram, 70)
-					cellRun(t, in, prev, plan, false, fuzzFaultOpts())
+					prev := genCase(t, Shape{Kind: a}, seed+100, genFaultProgram, 70, plan)
+					if r := runCase(prev, how{in: in}); r.err != nil {
+						t.Fatal(r.err)
+					}
 					if in.Kind() != a {
 						t.Fatalf("instance reports kind %v after a %v run", in.Kind(), a)
 					}
-					c := genCell(t, Shape{Kind: b}, seed, genFaultProgram, 70)
-					checkPooledCell(t, in, c, plan, fuzzFaultOpts())
+					checkPooled(t, in, genCase(t, Shape{Kind: b}, seed, genFaultProgram, 70, plan), false)
 				}
 			}
 		})
@@ -313,7 +229,7 @@ func TestPooledLeakCheckAfterOtherKind(t *testing.T) {
 			if _, err := in.Run(context.Background(), CoreCell(KindInOrder, plain), opts); err != nil {
 				t.Fatal(err)
 			}
-			fresh := CheckTransientLeakage(k, prog, opts)
+			fresh := leakVerdict(k, prog, opts)
 			out, pooled := in.Run(context.Background(), Cell{Kind: k, Progs: []*asm.Program{prog}, LeakCheck: true}, opts)
 			if (fresh == nil) != (pooled == nil) || fresh != nil && fresh.Error() != pooled.Error() {
 				t.Errorf("%s on %v after an in-order run: fresh oracle says %v, pooled says %v", g, k, fresh, pooled)

@@ -9,8 +9,8 @@ import (
 
 // TestWorkloadsAllCoresEquivalent is the heavyweight integration check:
 // every built-in workload (test scale) runs on every core model and must
-// retire exactly the golden instruction count with the golden memory
-// image. Cross-model performance invariants are asserted alongside.
+// commit the emulator's instruction count, registers and memory image.
+// Cross-model performance invariants are asserted alongside.
 func TestWorkloadsAllCoresEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -21,24 +21,14 @@ func TestWorkloadsAllCoresEquivalent(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	for _, w := range specs {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			emu, goldMem, err := RunEmulator(w.Program, 500_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
 			cycles := map[Kind]uint64{}
-			for _, k := range Kinds {
-				out, err := Run(k, w.Program, opts)
+			for _, c := range kindCases(w.Name, w.Program, opts, nil) {
+				r, err := emuCheck(c)
 				if err != nil {
-					t.Fatalf("%v: %v", k, err)
+					t.Error(err)
 				}
-				if out.Retired != emu.Executed {
-					t.Errorf("%v: retired %d, golden %d", k, out.Retired, emu.Executed)
-				}
-				if !out.Mem.Equal(goldMem) {
-					t.Errorf("%v: memory image differs", k)
-				}
+				k, out := c.cell.Kind, r.out
 				cycles[k] = out.Cycles
 
 				if s := out.SST; s != nil {

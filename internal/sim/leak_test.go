@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -85,6 +86,16 @@ var gadgetLeakMatrix = map[string]map[string][]Kind{
 	},
 }
 
+// leakVerdict runs the transient-leakage oracle for prog on a fresh
+// kind-k instance.
+func leakVerdict(k Kind, prog *asm.Program, opts Options) error {
+	in, err := NewInstance(Shape{Kind: k}, opts)
+	if err != nil {
+		return err
+	}
+	return in.CheckTransientLeakage(context.Background(), prog, opts)
+}
+
 func kindIn(k Kind, set []Kind) bool {
 	for _, s := range set {
 		if s == k {
@@ -102,7 +113,7 @@ func TestGadgetsLeakUnmitigated(t *testing.T) {
 	for _, g := range gadgetFiles {
 		prog := loadGadget(t, g)
 		for _, k := range []Kind{KindSST, KindScout} {
-			err := CheckTransientLeakage(k, prog, leakOpts("none"))
+			err := leakVerdict(k, prog, leakOpts("none"))
 			if !errors.Is(err, ErrTransientLeak) {
 				t.Errorf("%s on unmitigated %v: want ErrTransientLeak, got %v", g, k, err)
 			}
@@ -119,7 +130,7 @@ func TestGadgetLeakMatrix(t *testing.T) {
 		prog := loadGadget(t, g)
 		for _, mode := range leakModes {
 			for _, k := range Kinds {
-				err := CheckTransientLeakage(k, prog, leakOpts(mode))
+				err := leakVerdict(k, prog, leakOpts(mode))
 				leaked := errors.Is(err, ErrTransientLeak)
 				want := kindIn(k, gadgetLeakMatrix[g][mode])
 				switch {
@@ -167,7 +178,7 @@ func TestGadgetsUnderFaultPlans(t *testing.T) {
 			} {
 				opts := leakOpts(cfg.mode)
 				opts.Faults = plan
-				if err := CheckTransientLeakage(cfg.k, prog, opts); err != nil {
+				if err := leakVerdict(cfg.k, prog, opts); err != nil {
 					t.Errorf("%s kind=%v mode=%s plan=%q: false positive under faults: %v",
 						g, cfg.k, cfg.mode, ps, err)
 				}
@@ -185,7 +196,7 @@ func TestGadgetsUnderFaultPlans(t *testing.T) {
 		}
 		opts := leakOpts("none")
 		opts.Faults = plan
-		if err := CheckTransientLeakage(KindSST, prog, opts); !errors.Is(err, ErrTransientLeak) {
+		if err := leakVerdict(KindSST, prog, opts); !errors.Is(err, ErrTransientLeak) {
 			t.Errorf("unmitigated sst under plan %q: want ErrTransientLeak, got %v", ps, err)
 		}
 	}
@@ -198,7 +209,7 @@ func TestLeakOracleRequiresSecrets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = CheckTransientLeakage(KindSST, prog, leakOpts("none"))
+	err = leakVerdict(KindSST, prog, leakOpts("none"))
 	if err == nil || errors.Is(err, ErrTransientLeak) {
 		t.Fatalf("want no-secrets error, got %v", err)
 	}
@@ -217,7 +228,7 @@ func TestLeakOracleRequiresBackedSecrets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = CheckTransientLeakage(KindSST, prog, leakOpts("none"))
+	err = leakVerdict(KindSST, prog, leakOpts("none"))
 	if err == nil || errors.Is(err, ErrTransientLeak) {
 		t.Fatalf("want unbacked-secret error, got %v", err)
 	}
@@ -241,7 +252,7 @@ s:      .quad 0x42
 		t.Fatal(err)
 	}
 	for _, k := range Kinds {
-		err := CheckTransientLeakage(k, prog, leakOpts("none"))
+		err := leakVerdict(k, prog, leakOpts("none"))
 		if !errors.Is(err, ErrArchSecretDependence) {
 			t.Errorf("%v: want ErrArchSecretDependence, got %v", k, err)
 		}
@@ -267,49 +278,15 @@ func genLeakProgram(seed int64, nstmt int) (*asm.Program, error) {
 	return g.Program(nstmt)
 }
 
-// checkLeakSeed verifies oracle cleanliness for one (program, plan)
-// pair, shrinking failures to a minimal reproducer before reporting.
+// checkLeakSeed checks oracle cleanliness for one (program, plan) pair,
+// shrinking a failure to a minimal reproducer before reporting it.
 func checkLeakSeed(t *testing.T, k Kind, seed int64, nstmt int, plan *faults.Plan) {
 	t.Helper()
-	prog, err := genLeakProgram(seed, nstmt)
-	if err != nil {
-		t.Fatalf("seed %d: generate: %v", seed, err)
-	}
-	opts := fuzzFaultOpts()
-	opts.Faults = plan
-	if err := CheckTransientLeakage(k, prog, opts); err != nil {
-		minPlan, minNstmt := shrinkLeakFailure(k, seed, nstmt, plan)
-		t.Errorf("seed %d: %v\n  minimal repro: kind=%v seed=%d nstmt=%d plan=%q",
-			seed, err, k, seed, minNstmt, minPlan)
-	}
-}
-
-// shrinkLeakFailure mirrors shrinkFaultFailure: drop plan events
-// greedily, then halve the program, keeping every step that still fails.
-func shrinkLeakFailure(k Kind, seed int64, nstmt int, plan *faults.Plan) (*faults.Plan, int) {
-	fails := func(p *faults.Plan, n int) bool {
-		prog, err := genLeakProgram(seed, n)
-		if err != nil {
-			return false
-		}
+	checkShrunk(t, "kind="+k.String(), genLeakProgram, seed, nstmt, plan, func(prog *asm.Program, p *faults.Plan) error {
 		opts := fuzzFaultOpts()
 		opts.Faults = p
-		return CheckTransientLeakage(k, prog, opts) != nil
-	}
-	events := append([]faults.Event(nil), plan.Events...)
-	for i := 0; i < len(events); {
-		trial := append(append([]faults.Event(nil), events[:i]...), events[i+1:]...)
-		if fails(&faults.Plan{Seed: plan.Seed, Events: trial}, nstmt) {
-			events = trial
-		} else {
-			i++
-		}
-	}
-	min := &faults.Plan{Seed: plan.Seed, Events: events}
-	for nstmt > 10 && fails(min, nstmt/2) {
-		nstmt /= 2
-	}
-	return min, nstmt
+		return leakVerdict(k, prog, opts)
+	})
 }
 
 // leakFuzzPlan derives the fault plan for a leak-fuzz seed: even seeds

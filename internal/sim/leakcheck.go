@@ -37,16 +37,6 @@ var ErrArchSecretDependence = errors.New("committed architectural state depends 
 // coverage of a particular value.
 const secretPerturbMask = 0x5A
 
-// CheckTransientLeakage runs the differential leakage oracle for prog on
-// a fresh instance of core kind k. See Instance.CheckTransientLeakage.
-func CheckTransientLeakage(k Kind, prog *asm.Program, opts Options) error {
-	inst, err := NewInstance(Shape{Kind: k}, opts)
-	if err != nil {
-		return err
-	}
-	return inst.CheckTransientLeakage(context.Background(), prog, opts)
-}
-
 // CheckTransientLeakage runs prog twice on the pooled instance — once
 // with secret regions perturbed, once as written — and compares every
 // observable: the post-rollback digest sequence, the final digest and

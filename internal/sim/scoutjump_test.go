@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"context"
 	"flag"
 	"testing"
 
@@ -11,8 +9,6 @@ import (
 	"rocksim/internal/core"
 	"rocksim/internal/faults"
 	"rocksim/internal/isa"
-	"rocksim/internal/mem"
-	"rocksim/internal/obs"
 	"rocksim/internal/workload"
 )
 
@@ -24,77 +20,6 @@ import (
 
 var scoutSweep = flag.Bool("scout-sweep", false,
 	"run the scout period-jump differential over every workload, secure mode, TAGE and the fault plan")
-
-// bareRun executes cell c on the (possibly well-used) instance in, or on
-// a fresh machine when in is nil, with only a metrics registry attached,
-// and returns the outcome, the final memory images and the metrics JSON.
-func bareRun(t *testing.T, in *Instance, c Cell, plan *faults.Plan, noFF bool, opts Options) (Outcome, []*mem.Sparse, []byte) {
-	t.Helper()
-	opts.Faults = plan
-	opts.NoFastForward = noFF
-	opts.Metrics = obs.NewRegistry()
-	opts.Sink = nil
-	var out Outcome
-	var err error
-	var mems []*mem.Sparse
-	if in == nil && c.Topo == TopoCore {
-		out, err = Run(c.Kind, c.Progs[0], opts)
-		mems = []*mem.Sparse{out.Mem}
-	} else {
-		if in == nil {
-			if in, err = NewInstance(c.Shape(), opts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out, err = in.Run(context.Background(), c, opts)
-		for _, m := range in.machs {
-			mems = append(mems, m.Mem)
-		}
-	}
-	if err != nil {
-		t.Fatalf("%v noFF=%v: %v", c.Shape(), noFF, err)
-	}
-	var mbuf bytes.Buffer
-	if err := opts.Metrics.WriteJSON(&mbuf); err != nil {
-		t.Fatal(err)
-	}
-	return out, mems, mbuf.Bytes()
-}
-
-// checkFFBare is checkFFCellOpts without a sink: the statistics
-// snapshot, metrics JSON, registers and memory images must match
-// between naive stepping and fast-forward.
-func checkFFBare(t *testing.T, name string, c Cell, plan *faults.Plan, opts Options) {
-	t.Helper()
-	naive, nmem, nm := bareRun(t, nil, c, plan, true, opts)
-	fast, fmem, fm := bareRun(t, nil, c, plan, false, opts)
-	sameBare(t, name, "naive", "fast-forward", naive, fast, nmem, fmem, nm, fm)
-}
-
-// sameBare requires two bare runs of one cell, a and b, to match in
-// cycles, retired instructions, registers, statistics snapshot, metrics
-// JSON and memory images.
-func sameBare(t *testing.T, name, a, b string, ao, bo Outcome, amem, bmem []*mem.Sparse, am, bm []byte) {
-	t.Helper()
-	if ao.Cycles != bo.Cycles || ao.Retired != bo.Retired {
-		t.Errorf("%s: %s %d cycles/%d retired, %s %d cycles/%d retired",
-			name, a, ao.Cycles, ao.Retired, b, bo.Cycles, bo.Retired)
-	}
-	if ao.Regs != bo.Regs {
-		t.Errorf("%s: architectural registers diverge between %s and %s", name, a, b)
-	}
-	if aj, bj := statsJSON(t, ao), statsJSON(t, bo); !bytes.Equal(aj, bj) {
-		t.Errorf("%s: statistics snapshot diverges between %s and %s: %s", name, a, b, firstDiff(aj, bj))
-	}
-	if !bytes.Equal(am, bm) {
-		t.Errorf("%s: metrics JSON diverges between %s and %s: %s", name, a, b, firstDiff(am, bm))
-	}
-	for i := range amem {
-		if !amem[i].Equal(bmem[i]) {
-			t.Errorf("%s: thread %d memory image diverges between %s and %s", name, i, a, b)
-		}
-	}
-}
 
 // scoutVariants are the option settings the sweep runs: the default,
 // each secure-speculation mode, and TAGE, whose history the jump must
@@ -144,9 +69,10 @@ func TestScoutJumpDifferential(t *testing.T) {
 				if plan != nil {
 					label += "/faults"
 				}
-				checkFFBare(t, label, c, plan, opts)
+				sc := simCase{name: label, cell: c, opts: opts, plan: plan}
+				checkFF(t, sc, true)
 				if *scoutSweep {
-					checkFFCellOpts(t, c, plan, opts)
+					checkFF(t, sc, false)
 				}
 			}
 		}
@@ -232,7 +158,7 @@ func TestScoutJumpLoopExits(t *testing.T) {
 	} {
 		for trip := tc.from; trip <= 100; trip++ {
 			p := scoutLoop(t, tc.op, tc.start, tc.step, tc.start+trip*tc.step, 3)
-			checkFFBare(t, tc.op.String()+"/trip"+itoa(int(trip)), CoreCell(KindScout, p), nil, opts)
+			checkFF(t, simCase{name: tc.op.String() + "/trip" + itoa(int(trip)), cell: CoreCell(KindScout, p), opts: opts}, true)
 		}
 	}
 	// The loops jump at all: most of their scout cycles are credited,
@@ -253,7 +179,7 @@ func TestScoutJumpChip(t *testing.T) {
 			scoutLoop(t, isa.OpBne, 0, 1, trip, 3),
 			scoutLoop(t, isa.OpBlt, 0, 2, 2*trip+40, 3),
 		}
-		checkFFBare(t, "cmp-2 scout/trip"+itoa(int(trip)), Cell{Kind: KindScout, Topo: TopoCMP, Progs: progs}, nil, fuzzFaultOpts())
+		checkFF(t, simCase{name: "cmp-2 scout/trip" + itoa(int(trip)), cell: Cell{Kind: KindScout, Topo: TopoCMP, Progs: progs}, opts: fuzzFaultOpts()}, true)
 	}
 }
 
@@ -355,12 +281,12 @@ func TestScoutJumpRefusesOtherEpisodes(t *testing.T) {
 	for i, r := range scoutRefusals {
 		for _, limit := range []int64{12, 16, 20, 24, 30, 40} {
 			label := r.name + "/limit" + itoa(int(limit))
-			checkFFBare(t, label, CoreCell(KindScout, refusalProgram(t, i, limit, 7)), nil, opts)
+			checkFF(t, simCase{name: label, cell: CoreCell(KindScout, refusalProgram(t, i, limit, 7)), opts: opts}, true)
 			progs := []*asm.Program{
 				refusalProgram(t, i, limit, 7),
 				refusalProgram(t, (i+1)%len(scoutRefusals), limit+13, 6),
 			}
-			checkFFBare(t, "cmp-2 "+label, Cell{Kind: KindScout, Topo: TopoCMP, Progs: progs}, nil, opts)
+			checkFF(t, simCase{name: "cmp-2 " + label, cell: Cell{Kind: KindScout, Topo: TopoCMP, Progs: progs}, opts: opts}, true)
 		}
 	}
 }
@@ -372,14 +298,9 @@ func TestScoutJumpRefusesOtherEpisodes(t *testing.T) {
 // re-arms from a loop of the run before it.
 func TestPooledScoutForgetsCachedPeriod(t *testing.T) {
 	opts := fuzzFaultOpts()
-	in, err := NewInstance(Shape{Kind: KindScout}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := newInstance(t, Shape{Kind: KindScout}, opts)
 	for i, name := range []string{"mcf", "chase", "mcf"} {
 		c := CoreCell(KindScout, buildWorkload(t, name))
-		fresh, fmem, fm := bareRun(t, nil, c, nil, false, opts)
-		pooled, pmem, pm := bareRun(t, in, c, nil, false, opts)
-		sameBare(t, "run "+itoa(i+1)+" ("+name+")", "fresh", "pooled", fresh, pooled, fmem, pmem, fm, pm)
+		checkPooled(t, in, simCase{name: "run " + itoa(i+1) + " (" + name + ")", cell: c, opts: opts}, true)
 	}
 }
