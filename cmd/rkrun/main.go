@@ -30,6 +30,10 @@ func main() {
 	chromeOut := flag.String("chrome-trace", "", "write a Chrome trace_event JSON with instruction-mix counter tracks (ts = instruction index)")
 	sampleEvery := flag.Uint64("sample-every", obs.DefaultSampleEvery, "instructions between counter samples in the Chrome trace")
 	flag.Parse()
+	if args := flag.Args(); len(args) > 1 || *wl != "" && len(args) > 0 {
+		fmt.Fprintf(os.Stderr, "rkrun: unexpected argument %q: run one source file or one -workload\n", args[len(args)-1])
+		os.Exit(2)
+	}
 
 	var prog *asm.Program
 	switch {

@@ -53,6 +53,10 @@ func main() {
 	shutdownGrace := flag.Duration("shutdown-grace", 5*time.Minute, "drain deadline for open connections after SIGTERM")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "rockgate: unexpected argument %q: rockgate takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {

@@ -52,6 +52,10 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "rocksimd: unexpected argument %q: rocksimd takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {

@@ -46,6 +46,10 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after all experiments) to this file")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "sstbench: unexpected argument %q: sstbench takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -83,13 +87,9 @@ func main() {
 		return
 	}
 
-	scale := workload.ScaleFull
-	switch *scaleFlag {
-	case "full":
-	case "test":
-		scale = workload.ScaleTest
-	default:
-		fmt.Fprintf(os.Stderr, "sstbench: bad -scale %q\n", *scaleFlag)
+	scale, err := workload.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sstbench:", err)
 		os.Exit(2)
 	}
 

@@ -56,6 +56,10 @@ func main() {
 	list := flag.Bool("list", false, "list workloads and core kinds, then exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "sstsim: unexpected argument %q: sstsim takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -95,10 +99,9 @@ func main() {
 		}
 		kinds = []sim.Kind{kind}
 	}
-	var err error
-	scale := workload.ScaleFull
-	if *scaleFlag == "test" {
-		scale = workload.ScaleTest
+	scale, err := workload.ParseScale(*scaleFlag)
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := sim.DefaultOptions()

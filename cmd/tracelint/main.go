@@ -27,6 +27,10 @@ func main() {
 	traceFile := flag.String("trace", "", "Chrome trace_event JSON file to validate")
 	reportFile := flag.String("report", "", "sstsim -json report whose cpi_stack must sum to cycles")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tracelint: unexpected argument %q: tracelint takes flags only\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if *traceFile == "" && *reportFile == "" {
 		fmt.Fprintln(os.Stderr, "tracelint: nothing to do; pass -trace and/or -report")
 		os.Exit(2)

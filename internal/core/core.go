@@ -24,7 +24,6 @@
 package core
 
 import (
-	"rocksim/internal/bpred"
 	"rocksim/internal/cpu"
 	"rocksim/internal/faults"
 	"rocksim/internal/isa"
@@ -507,22 +506,12 @@ type Core struct {
 	specFills []uint64
 
 	// Fast-forward state, valid while cycle < ffNext: the last Step was a
-	// pure stall classified as ffKind with the recorded per-cycle stall,
-	// predictor-lookup and MLP contributions, and nothing can change
-	// before ffNext (see skip.go). Self-expiring: once the clock reaches
-	// ffNext, NextEvent reports no skip and the next Step re-derives
-	// everything.
-	ffNext     uint64
-	ffKind     CycleKind
-	ffBucket   cpu.Bucket
-	ffDQStall  uint64
-	ffSSBStall uint64
-	ffAtStall  uint64
-	ffSecDelay uint64
-	ffSecNoFwd uint64
-	ffSecSSB   uint64
-	ffLookups  bpred.Stats // only the four lookup counters are non-zero
-	ffMLP      int
+	// pure stall that moved the counter words recorded in ff, and nothing
+	// can change before ffNext (see skip.go). Self-expiring: once the
+	// clock reaches ffNext, NextEvent reports no skip and the next Step
+	// re-derives everything.
+	ffNext uint64
+	ff     credit
 
 	stats Stats
 
@@ -665,7 +654,7 @@ func (c *Core) Step() {
 		return
 	}
 
-	kind := c.classifyCycle(executed, replayed)
+	c.classifyCycle(executed, replayed)
 	if c.sink != nil {
 		c.occ[0], c.occ[1], c.occ[2], c.occ[3] = len(c.dq), len(c.ssb), len(c.ckpts), len(c.pend)
 		c.sink.CycleState(now, c.mode.String(), executed, replayed, c.occ[:])
@@ -686,7 +675,7 @@ func (c *Core) Step() {
 		c.quiet++
 	}
 	if checkStall {
-		c.noteStall(&c.snapBuf, executed, replayed, kind, bucket, outstanding, now)
+		c.noteStall(&c.snapBuf, executed, replayed, now)
 	}
 	if c.pj.head {
 		c.notePeriod()
@@ -729,7 +718,8 @@ func (c *Core) classifyBucket(executed, replayed int, dq0, ssb0, at0, sd0, snf0,
 	}
 }
 
-func (c *Core) classifyCycle(executed, replayed int) CycleKind {
+// classifyCycle counts the cycle in its mode-cycle bucket.
+func (c *Core) classifyCycle(executed, replayed int) {
 	var k CycleKind
 	switch c.mode {
 	case ModeNormal:
@@ -753,7 +743,6 @@ func (c *Core) classifyCycle(executed, replayed int) CycleKind {
 		}
 	}
 	c.stats.ModeCycles[k]++
-	return k
 }
 
 // deliver applies pending deferred results whose data has arrived.

@@ -83,16 +83,7 @@ var coreFieldClass = map[string]string{
 	"quiet":             clsRun,
 	"feStall":           clsRun,
 	"ffNext":            clsRun,
-	"ffKind":            clsRun,
-	"ffBucket":          clsRun,
-	"ffDQStall":         clsRun,
-	"ffSSBStall":        clsRun,
-	"ffAtStall":         clsRun,
-	"ffSecDelay":        clsRun,
-	"ffSecNoFwd":        clsRun,
-	"ffSecSSB":          clsRun,
-	"ffLookups":         clsRun,
-	"ffMLP":             clsRun,
+	"ff":                clsRun,
 	"stats":             clsRun,
 	"pj":                clsRun,
 	"snapBuf":           clsRun,
@@ -253,9 +244,7 @@ var coreJumpClass = map[string]string{
 	"done": jInvariant, "err": jInvariant, "cycle": jCycle,
 	"resolveDirty": jInvariant, "quiet": jInvariant, "feStall": jInvariant,
 	"secPending": jInvariant, "specFills": jInvariant,
-	"ffNext": jInvariant, "ffKind": jInvariant, "ffBucket": jInvariant, "ffDQStall": jInvariant,
-	"ffSSBStall": jInvariant, "ffAtStall": jInvariant, "ffSecDelay": jInvariant, "ffSecNoFwd": jInvariant,
-	"ffSecSSB": jInvariant, "ffLookups": jInvariant, "ffMLP": jInvariant,
+	"ffNext": jInvariant, "ff": jInvariant,
 	"stats": jCounter, "pj": jInvariant, "snapBuf": jInvariant,
 }
 

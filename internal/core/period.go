@@ -2,13 +2,11 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"unsafe"
 
 	"rocksim/internal/bpred"
 	"rocksim/internal/isa"
 	"rocksim/internal/mem"
-	"rocksim/internal/stats"
 )
 
 // This file implements the scout period jump: a hardware-scout loop
@@ -71,6 +69,11 @@ import (
 // moving operands are bounded from their current values. The jump then
 // arms at the episode's second loop head instead of its fourth. Any
 // mismatch leaves the chain to arm on its own.
+//
+// Every jump is thus armed from the cached period, with its counter
+// deltas: keepPeriod records the words that period moved, once, and a
+// jump of k periods credits them by the core's one credit rule
+// (Core.credit in skip.go), which the pure-stall skip shares.
 //
 // The jump ends before anything that could break the repetition: the
 // scout trigger's arrival, any other pending result's delivery, the
@@ -140,12 +143,14 @@ type periodSnap struct {
 
 // periodRef is the last verified period: the loop-head snapshots at
 // its two ends, the issue records of it and of the period before (their
-// difference is each operand's move per period) and its signature with
-// the episode left zero. A zero pc means none.
+// difference is each operand's move per period), the counter words it
+// moved and its signature with the episode left zero. A zero pc means
+// none.
 type periodRef struct {
 	sig    periodSig
 	s0, s1 periodSnap
 	recs   [2][]periodRec
+	moved  credit
 }
 
 // periodJump is the detection and jump state.
@@ -237,8 +242,9 @@ func (c *Core) notePeriod() {
 }
 
 // keepPeriod caches the period a chain of three snapshots just verified
-// (the last two snapshots, the last two periods' records) as the
-// reference later chains compare their first period against.
+// (the last two snapshots, the last two periods' records, the counter
+// words it moved: what every jump credits) as the reference later
+// chains compare their first period against.
 func (c *Core) keepPeriod(sig periodSig) {
 	pj := &c.pj
 	ref := &pj.ref
@@ -246,6 +252,8 @@ func (c *Core) keepPeriod(sig periodSig) {
 	ref.s0, ref.s1 = pj.snaps[(pj.n-2)%3], pj.snaps[(pj.n-1)%3]
 	ref.recs[0] = append(ref.recs[0][:0], pj.recs[pj.cur^1]...)
 	ref.recs[1] = append(ref.recs[1][:0], pj.recs[pj.cur]...)
+	ref.moved.stats.record(statsWords, unsafe.Pointer(&ref.s0.stats), unsafe.Pointer(&ref.s1.stats))
+	ref.moved.pred.record(predWords, unsafe.Pointer(&ref.s0.pred), unsafe.Pointer(&ref.s1.pred))
 }
 
 // snapPeriod fills s with the state at this loop head.
@@ -307,11 +315,13 @@ func (c *Core) armPeriod(a0, a1 *periodSnap, ref0, ref1 []periodRec, past uint64
 		a1.processed-a0.processed != b1.processed-b0.processed {
 		return false
 	}
-	// Only the predictor's lookup counters may move: RAS traffic,
-	// deferred training and TAGE allocation or decay change its state.
+	// Only the predictor's lookup counters (stallMoves) may move: RAS
+	// traffic, deferred training and TAGE allocation or decay change its
+	// state.
 	moved := b1.pred
-	moved.DirLookups, moved.DirMispredict, moved.TageProviderHits = b0.pred.DirLookups, b0.pred.DirMispredict, b0.pred.TageProviderHits
-	moved.BTBLookups, moved.BTBMisses = b0.pred.BTBLookups, b0.pred.BTBMisses
+	for _, o := range stallPred {
+		*word(unsafe.Pointer(&moved), o) = *word(unsafe.Pointer(&b0.pred), o)
+	}
 	if moved != b0.pred {
 		return false
 	}
@@ -530,20 +540,17 @@ func (c *Core) skipPeriods(target uint64) {
 	}
 }
 
-// creditPeriods applies k periods' deltas: the last period's change of
-// every counter, register and cycle- or seq-valued field, times k; k
-// periods' samples into the occupancy histograms; k periods' outcome
-// bits into the history register; and k periods' hits into the L1I.
+// creditPeriods applies k periods' deltas: the cached period's counter
+// moves (equal to the last period's), and the last period's change of
+// every register and cycle- or seq-valued field, times k; k periods'
+// samples into the occupancy histograms; k periods' outcome bits into
+// the history register; and k periods' hits into the L1I.
 func (c *Core) creditPeriods(k uint64) {
 	pj := &c.pj
 	s1, s2 := &pj.snaps[(pj.n-2)%3], &pj.snaps[(pj.n-1)%3]
 	n := k * pj.period
-	addDelta(statsWords, unsafe.Pointer(&c.stats), unsafe.Pointer(&s1.stats), unsafe.Pointer(&s2.stats), k)
-	c.stats.DQOcc.AddN(len(c.dq), n)
-	c.stats.SSBOcc.AddN(len(c.ssb), n)
-	c.stats.CkptOcc.AddN(len(c.ckpts), n)
+	c.credit(&pj.ref.moved, k, n)
 	pred := c.m.Pred
-	addDelta(predWords, unsafe.Pointer(&pred.Stats), unsafe.Pointer(&s1.pred), unsafe.Pointer(&s2.pred), k)
 	pred.SetHistory(shiftHistory(pred.History(), pj.branches, pj.pattern, k))
 	pred.CreditDirUpdates(uint64(pj.branches) * k)
 	// A cycle-valued field the period rewrote moves by the period (see
@@ -578,40 +585,6 @@ func (c *Core) creditPeriods(k uint64) {
 	pj.lastCycle, pj.lastSeq = c.cycle, c.seq
 }
 
-// statsWords and predWords are the byte offsets of every counter in
-// Stats and bpred.Stats. wordOffsets panics on a field that is neither a
-// uint64 counter nor an occupancy histogram, so a field added to either
-// block must come with a credit rule before any core can run.
-var (
-	statsWords = wordOffsets(reflect.TypeOf(Stats{}), 0, nil)
-	predWords  = wordOffsets(reflect.TypeOf(bpred.Stats{}), 0, nil)
-)
-
-// wordOffsets appends the offset of every uint64 in t, descending into
-// structs and arrays; *stats.Hist fields are credited by AddN instead.
-func wordOffsets(t reflect.Type, base uintptr, out []uintptr) []uintptr {
-	switch t.Kind() {
-	case reflect.Uint64:
-		return append(out, base)
-	case reflect.Struct:
-		for i := range t.NumField() {
-			f := t.Field(i)
-			out = wordOffsets(f.Type, base+f.Offset, out)
-		}
-	case reflect.Array:
-		for i := range t.Len() {
-			out = wordOffsets(t.Elem(), base+uintptr(i)*t.Elem().Size(), out)
-		}
-	default:
-		if t != reflect.TypeOf((*stats.Hist)(nil)) {
-			panic("core: " + t.String() + " in a statistics block has no period-jump credit rule")
-		}
-	}
-	return out
-}
-
-func word(p unsafe.Pointer, off uintptr) *uint64 { return (*uint64)(unsafe.Add(p, off)) }
-
 // sameDelta reports whether every counter moved as much from a0 to a1
 // as from b0 to b1.
 func sameDelta(offs []uintptr, a0, a1, b0, b1 unsafe.Pointer) bool {
@@ -621,11 +594,4 @@ func sameDelta(offs []uintptr, a0, a1, b0, b1 unsafe.Pointer) bool {
 		}
 	}
 	return true
-}
-
-// addDelta adds k times each counter's move from a to b into dst.
-func addDelta(offs []uintptr, dst, a, b unsafe.Pointer, k uint64) {
-	for _, o := range offs {
-		*word(dst, o) += (*word(b, o) - *word(a, o)) * k
-	}
 }

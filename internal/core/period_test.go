@@ -37,10 +37,7 @@ func simState(c *Core) Core {
 	s := *c
 	s.pj = periodJump{}
 	s.snapBuf = stepSnap{}
-	s.ffNext, s.ffKind, s.ffBucket, s.ffMLP = 0, 0, 0, 0
-	s.ffDQStall, s.ffSSBStall, s.ffAtStall = 0, 0, 0
-	s.ffSecDelay, s.ffSecNoFwd, s.ffSecSSB = 0, 0, 0
-	s.ffLookups = bpred.Stats{}
+	s.ffNext, s.ff = 0, credit{}
 	return s
 }
 

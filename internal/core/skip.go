@@ -1,34 +1,43 @@
 package core
 
 import (
+	"reflect"
+	"slices"
+	"unsafe"
+
 	"rocksim/internal/bpred"
 	"rocksim/internal/cpu"
 	"rocksim/internal/obs"
+	"rocksim/internal/stats"
 )
 
 // This file implements cpu.FastForwarder for the SST core: proving that
 // a cycle was a pure stall, finding the earliest future cycle at which
 // anything can change, and bulk-crediting the skipped cycles so every
 // counter, histogram and sink emission is bit-identical to naive
-// stepping.
+// stepping. It also holds the core's one credit rule (credit), which
+// the scout period jump (period.go) shares: a repetition of a recorded
+// interval — one pure-stall cycle or one loop period — is credited as
+// the counter words it moved, each with its move.
 //
 // Purity is established by snapshotting — at Step entry — every piece
 // of state a stall cycle is forbidden to touch, and comparing at Step
 // exit. The set errs on the side of inclusion: it is the whole
-// statistics block except a short declared list of time-indexed fields
-// (see adoptTimeIndexed), so any replay, commit, rollback, checkpoint
-// take, scout entry or transaction event — and any counter added later —
-// marks the cycle unskippable, as do a delivery, a mode change, a
-// predictor change beyond a lookup (a jalr retry may pop the RAS, and
-// training moves the history register) or a fault-injector query (clamp
-// probes record per retry inside an active window). A pure lookup is
-// replicable: a deferred branch retried against a full DQ consults the
-// direction predictor every cycle, and a jalr retry waiting out a BTB
-// miss looks the target up again, while the tables and history they read
-// hold still. noteStall records those per-cycle lookup counts
-// (lookupDelta) and SkipTo credits them. What remains — the genuinely
-// replicable stalls — mutates only time-indexed accounting and predictor
-// lookup counts, which SkipTo replays in closed form.
+// statistics block and the predictor's counters, less one declared list
+// of words a pure stall may move (stallMoves: the time-indexed
+// statistics and the four predictor lookup counters). noteStall records
+// which of those words moved, brings the snapshot's copies up to date
+// and compares the blocks whole, so any replay, commit, rollback,
+// checkpoint take, scout entry or transaction event — and any counter
+// added later — marks the cycle unskippable, as do a delivery, a mode
+// change, a predictor change beyond a lookup (a jalr retry may pop the
+// RAS, and training moves the history register) or a fault-injector
+// query (clamp probes record per retry inside an active window). A pure
+// lookup is replicable: a deferred branch retried against a full DQ
+// consults the direction predictor every cycle, and a jalr retry
+// waiting out a BTB miss looks the target up again, while the tables
+// and history they read hold still. SkipTo credits the recorded words
+// once per skipped cycle.
 //
 // The snapshot copies the whole statistics block, so Step takes it only
 // after snapAfterQuiet consecutive quiet cycles — longer than the two
@@ -65,37 +74,16 @@ func (c *Core) snapInto(s *stepSnap) {
 	s.fltMut = c.flt.Mutations()
 }
 
-// adoptTimeIndexed copies from's time-indexed fields into s: the ones a
-// pure stall cycle legitimately advances and SkipTo replays in closed
-// form (the clock, the CPI stack, MLP samples, mode cycles, the
-// per-cycle stall counters; the occupancy histograms are pointers and
-// compare equal). This is the whole declared list. Every other field —
-// any counter added to Stats later included — must hold still across a
-// skippable cycle, so noteStall adopts these into the Step-entry
-// snapshot and then compares the blocks whole.
-func (s *Stats) adoptTimeIndexed(from *Stats) {
-	s.Cycles = from.Cycles
-	s.CPI = from.CPI
-	s.MLPSamples, s.MLPSum = from.MLPSamples, from.MLPSum
-	s.ModeCycles = from.ModeCycles
-	s.DQFullStallCycles, s.SSBFullStallCycles, s.AtomicStallCycles =
-		from.DQFullStallCycles, from.SSBFullStallCycles, from.AtomicStallCycles
-	s.SecureDelayStallCycles, s.SecureNoFwdStallCycles, s.SecureSSBStallCycles =
-		from.SecureDelayStallCycles, from.SecureNoFwdStallCycles, from.SecureSSBStallCycles
-}
-
 // noteStall runs at the end of Step: if the cycle was a replicable pure
-// stall it records the per-cycle credit deltas and the skip horizon,
-// otherwise it leaves fast-forwarding disabled. It consumes the
-// snapshot (the time-indexed fields are overwritten).
-func (c *Core) noteStall(s *stepSnap, executed, replayed int, kind CycleKind, bucket cpu.Bucket, outstanding int, now uint64) {
+// stall it records the counter words the cycle moved (c.ff) and the
+// skip horizon, otherwise it leaves fast-forwarding disabled. Only the
+// declared words (stallStats, stallPred) may move; noteStall brings the
+// snapshot's copies of those it saw move up to date, so any other
+// counter that moved fails the whole-block compare.
+func (c *Core) noteStall(s *stepSnap, executed, replayed int, now uint64) {
 	if executed != 0 || replayed != 0 || c.done || c.err != nil ||
 		c.seq != s.seq || c.mode != s.mode || len(c.pend) != s.pendLen ||
 		c.m.Pred.History() != s.ghr || c.flt.Mutations() != s.fltMut {
-		return
-	}
-	lookups, ok := lookupDelta(c.m.Pred.Stats, s.pred)
-	if !ok {
 		return
 	}
 	// A horizon of now+1 (or none) opens no skip window; settle that
@@ -104,34 +92,15 @@ func (c *Core) noteStall(s *stepSnap, executed, replayed int, kind CycleKind, bu
 	if next <= now+1 {
 		return
 	}
-	st, was := &c.stats, &s.stats
-	dq, ssb, at := st.DQFullStallCycles-was.DQFullStallCycles,
-		st.SSBFullStallCycles-was.SSBFullStallCycles, st.AtomicStallCycles-was.AtomicStallCycles
-	sd, snf, sfl := st.SecureDelayStallCycles-was.SecureDelayStallCycles,
-		st.SecureNoFwdStallCycles-was.SecureNoFwdStallCycles, st.SecureSSBStallCycles-was.SecureSSBStallCycles
-	was.adoptTimeIndexed(st)
-	if *st != *was {
+	ff := &c.ff
+	ff.stats.record(stallStats, unsafe.Pointer(&s.stats), unsafe.Pointer(&c.stats))
+	ff.pred.record(stallPred, unsafe.Pointer(&s.pred), unsafe.Pointer(&c.m.Pred.Stats))
+	ff.stats.add(unsafe.Pointer(&s.stats), 1)
+	ff.pred.add(unsafe.Pointer(&s.pred), 1)
+	if c.stats != s.stats || c.m.Pred.Stats != s.pred {
 		return
 	}
-	c.ffKind = kind
-	c.ffBucket = bucket
-	c.ffDQStall, c.ffSSBStall, c.ffAtStall = dq, ssb, at
-	c.ffSecDelay, c.ffSecNoFwd, c.ffSecSSB = sd, snf, sfl
-	c.ffLookups = lookups
-	c.ffMLP = outstanding
 	c.ffNext = next
-}
-
-// lookupDelta returns the predictor lookups one stall cycle made (cur
-// minus was, in the four lookup counters) and whether they were all it
-// did: any other counter moving, RASPops included, makes the cycle
-// impure.
-func lookupDelta(cur, was bpred.Stats) (d bpred.Stats, ok bool) {
-	d.DirLookups, d.TageProviderHits = cur.DirLookups-was.DirLookups, cur.TageProviderHits-was.TageProviderHits
-	d.BTBLookups, d.BTBMisses = cur.BTBLookups-was.BTBLookups, cur.BTBMisses-was.BTBMisses
-	was.DirLookups, was.TageProviderHits = cur.DirLookups, cur.TageProviderHits
-	was.BTBLookups, was.BTBMisses = cur.BTBLookups, cur.BTBMisses
-	return d, cur == was
 }
 
 // nextTimer returns the earliest cycle strictly after now at which the
@@ -204,30 +173,105 @@ func (c *Core) SkipTo(target uint64) {
 		return
 	}
 	n := target - c.cycle
-	c.stats.ModeCycles[c.ffKind] += n
-	c.stats.CPI[c.ffBucket] += n
-	c.stats.DQFullStallCycles += c.ffDQStall * n
-	c.stats.SSBFullStallCycles += c.ffSSBStall * n
-	c.stats.AtomicStallCycles += c.ffAtStall * n
-	c.stats.SecureDelayStallCycles += c.ffSecDelay * n
-	c.stats.SecureNoFwdStallCycles += c.ffSecNoFwd * n
-	c.stats.SecureSSBStallCycles += c.ffSecSSB * n
-	p := &c.m.Pred.Stats
-	p.DirLookups += c.ffLookups.DirLookups * n
-	p.TageProviderHits += c.ffLookups.TageProviderHits * n
-	p.BTBLookups += c.ffLookups.BTBLookups * n
-	p.BTBMisses += c.ffLookups.BTBMisses * n
-	if c.ffMLP > 0 {
-		c.stats.MLPSamples += n
-		c.stats.MLPSum += uint64(c.ffMLP) * n
-	}
+	c.credit(&c.ff, n, n)
 	if c.sink != nil {
 		c.occ[0], c.occ[1], c.occ[2], c.occ[3] = len(c.dq), len(c.ssb), len(c.ckpts), len(c.pend)
 		obs.EmitCycleRun(c.sink, c.cycle, target, c.mode.String(), c.occ[:])
 	}
+	c.cycle = target
+}
+
+// credit is a recorded interval's move: every counter word it moved in
+// Stats and in bpred.Stats, with the move.
+type credit struct{ stats, pred wordMoves }
+
+// wordMoves lists counter words by byte offset, each with its move.
+type wordMoves []wordMove
+
+type wordMove struct {
+	off uintptr
+	d   uint64
+}
+
+// record sets ms to the words at offs that differ from a to b, each
+// with its move.
+func (ms *wordMoves) record(offs []uintptr, a, b unsafe.Pointer) {
+	*ms = (*ms)[:0]
+	for _, o := range offs {
+		if d := *word(b, o) - *word(a, o); d != 0 {
+			*ms = append(*ms, wordMove{o, d})
+		}
+	}
+}
+
+// add adds k times each move into the block at dst.
+func (ms wordMoves) add(dst unsafe.Pointer, k uint64) {
+	for _, m := range ms {
+		*word(dst, m.off) += m.d * k
+	}
+}
+
+// credit adds k repetitions of cr's moves and n cycles of the current
+// occupancy to the histograms.
+func (c *Core) credit(cr *credit, k, n uint64) {
+	cr.stats.add(unsafe.Pointer(&c.stats), k)
+	cr.pred.add(unsafe.Pointer(&c.m.Pred.Stats), k)
 	c.stats.DQOcc.AddN(len(c.dq), n)
 	c.stats.SSBOcc.AddN(len(c.ssb), n)
 	c.stats.CkptOcc.AddN(len(c.ckpts), n)
-	c.stats.Cycles += n
-	c.cycle = target
 }
+
+// stallMoves names every counter a pure stall cycle may move: the
+// time-indexed statistics (the clock, the CPI stack, MLP samples, mode
+// cycles, the per-cycle stall counters) and the predictor's lookup
+// counters. Every other word must hold still across a skippable cycle.
+var stallMoves = []string{
+	"Cycles", "CPI", "MLPSamples", "MLPSum", "ModeCycles",
+	"DQFullStallCycles", "SSBFullStallCycles", "AtomicStallCycles",
+	"SecureDelayStallCycles", "SecureNoFwdStallCycles", "SecureSSBStallCycles",
+	"DirLookups", "TageProviderHits", "BTBLookups", "BTBMisses",
+}
+
+// statsWords and predWords are the byte offsets of every counter in
+// Stats and bpred.Stats; stallStats and stallPred those of stallMoves.
+// wordOffsets panics on a field that is neither a uint64 counter nor an
+// occupancy histogram, so a field added to either block must come with
+// a credit rule before any core can run.
+var (
+	statsWords = wordOffsets(reflect.TypeOf(Stats{}), 0, nil, nil)
+	predWords  = wordOffsets(reflect.TypeOf(bpred.Stats{}), 0, nil, nil)
+	stallStats = wordOffsets(reflect.TypeOf(Stats{}), 0, stallMoves, nil)
+	stallPred  = wordOffsets(reflect.TypeOf(bpred.Stats{}), 0, stallMoves, nil)
+)
+
+// wordOffsets appends the offset of every uint64 in t, descending into
+// structs and arrays; *stats.Hist fields are credited by AddN instead.
+// With names, it keeps only the words inside fields of those names.
+func wordOffsets(t reflect.Type, base uintptr, names []string, out []uintptr) []uintptr {
+	switch t.Kind() {
+	case reflect.Uint64:
+		if names == nil {
+			out = append(out, base)
+		}
+	case reflect.Struct:
+		for i := range t.NumField() {
+			f := t.Field(i)
+			sub := names
+			if slices.Contains(names, f.Name) {
+				sub = nil
+			}
+			out = wordOffsets(f.Type, base+f.Offset, sub, out)
+		}
+	case reflect.Array:
+		for i := range t.Len() {
+			out = wordOffsets(t.Elem(), base+uintptr(i)*t.Elem().Size(), names, out)
+		}
+	default:
+		if t != reflect.TypeOf((*stats.Hist)(nil)) {
+			panic("core: " + t.String() + " in a statistics block has no credit rule")
+		}
+	}
+	return out
+}
+
+func word(p unsafe.Pointer, off uintptr) *uint64 { return (*uint64)(unsafe.Add(p, off)) }

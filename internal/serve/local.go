@@ -62,7 +62,7 @@ func (l *local) resolve(req RunRequest) (sim.Cell, sim.Options, error) {
 	if err != nil {
 		return sim.Cell{}, opts, err
 	}
-	scale, err := parseScale(req.Scale)
+	scale, err := workload.ParseScale(req.Scale)
 	if err != nil {
 		return sim.Cell{}, opts, err
 	}

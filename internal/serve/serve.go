@@ -294,18 +294,6 @@ type AsyncAccepted struct {
 	Result string `json:"result"` // poll URL
 }
 
-// parseScale maps the wire scale to workload.Scale; "" defaults to full
-// like the CLIs.
-func parseScale(s string) (workload.Scale, error) {
-	switch s {
-	case "", "full":
-		return workload.ScaleFull, nil
-	case "test":
-		return workload.ScaleTest, nil
-	}
-	return 0, fmt.Errorf("bad scale %q (want test or full)", s)
-}
-
 // admit takes an admission slot, or explains over HTTP why it could
 // not. The caller must release() exactly when ok.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (release func(), ok bool) {
@@ -378,7 +366,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	scale, err := parseScale(req.Scale)
+	scale, err := workload.ParseScale(req.Scale)
 	if err != nil {
 		release()
 		HTTPError(w, http.StatusBadRequest, err.Error())

@@ -11,6 +11,7 @@ import (
 	"rocksim/internal/experiments"
 	"rocksim/internal/mem"
 	"rocksim/internal/sim"
+	"rocksim/internal/workload"
 )
 
 // WireOptions is the full sim.Options on the wire, in the options' own
@@ -175,7 +176,7 @@ func (r CellRequest) Resolve() (sim.Cell, sim.Options, error) {
 	if err != nil {
 		return sim.Cell{}, sim.Options{}, err
 	}
-	scale, err := parseScale(r.Scale)
+	scale, err := workload.ParseScale(r.Scale)
 	if err != nil {
 		return sim.Cell{}, sim.Options{}, err
 	}

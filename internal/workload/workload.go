@@ -61,6 +61,19 @@ const (
 	ScaleFull
 )
 
+// ParseScale maps a scale's name to its Scale: "test", or "full" (also
+// the default for ""). The CLIs' -scale flags and the service's request
+// bodies spell scales this way.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "", "full":
+		return ScaleFull, nil
+	case "test":
+		return ScaleTest, nil
+	}
+	return 0, fmt.Errorf("bad scale %q (want test or full)", s)
+}
+
 // prng is a deterministic xorshift64* generator for data-image layout.
 type prng struct{ s uint64 }
 

@@ -116,6 +116,19 @@ func TestUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestParseScale: the one scale parser accepts the two names (full also
+// as the default) and rejects anything else, a near miss included.
+func TestParseScale(t *testing.T) {
+	for in, want := range map[string]Scale{"": ScaleFull, "full": ScaleFull, "test": ScaleTest} {
+		if got, err := ParseScale(in); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseScale("tset"); err == nil || err.Error() != `bad scale "tset" (want test or full)` {
+		t.Errorf("ParseScale(\"tset\") error %v", err)
+	}
+}
+
 // TestBuildOnce: concurrent and repeated Builds of one (name, scale)
 // return one shared spec (run under -race), and the scales are built
 // apart.

@@ -29,11 +29,18 @@ type mutant struct {
 }
 
 var mutants = []mutant{
-	// Fast-forward credits n stalled cycles of memory-level parallelism.
+	// The SST core's one credit rule adds k repetitions of a recorded
+	// interval's counter moves, for a stall skip and a period jump alike.
 	{"internal/core/skip.go",
-		"c.stats.MLPSum += uint64(c.ffMLP) * n",
-		"c.stats.MLPSum += uint64(c.ffMLP) * (n - 1)",
+		"cr.stats.add(unsafe.Pointer(&c.stats), k)",
+		"cr.stats.add(unsafe.Pointer(&c.stats), k-1)",
 		"./internal/sim", "TestFastForwardDifferentialFuzz"},
+	// The clock is on the declared list of words a pure stall may move;
+	// without it no stall cycle passes the purity check.
+	{"internal/core/skip.go",
+		`"Cycles", "CPI",`,
+		`"CPI",`,
+		"./internal/sim", "TestFastForwardEngages"},
 	// A pooled core forgets the checkpoint-lifetime histogram.
 	{"internal/core/reset.go",
 		"\tst.CkptLife.Reset()\n",
